@@ -17,7 +17,9 @@ class NumericalInstabilityError(RuntimeError):
 
 class IllConditionedError(RuntimeError):
     """A linear solve hit a (near-)singular system: vanishing Volterra
-    diagonal or a dense system with condition estimate beyond threshold."""
+    diagonal, a connecting operator that is not positive (the message names
+    the depth where its factorization fails) or one whose condition number
+    is beyond threshold."""
 
 
 class AssemblyError(RuntimeError):

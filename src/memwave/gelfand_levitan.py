@@ -48,58 +48,118 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class GLSolution:
-    """Inverse-factor kernel z[i, j] = z(x_i, t_j) on {j >= i}, zero below."""
+    """Inverse-factor kernel z[i, j] = z(x_i, t_j) on {j >= i}, zero below.
+
+    From ``solve_gl`` it also carries the one-norm condition number of the
+    weighted connecting operator and its smallest Cholesky pivot (a Schur
+    complement, 1 for the free kernel) with the depth where it occurs.
+    """
 
     grid: GridSpec
     z: np.ndarray = field(repr=False)
     ridge: float = 0.0
     cond_estimate: float = 0.0
+    min_pivot: float = float("nan")
+    min_pivot_depth: float = float("nan")
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.z).copy()
 
 
-def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
-    """Solve the column equations by Nystrom collocation on the grid nodes.
+def _node_weights(N: int, h: float) -> np.ndarray:
+    """d = (h/2, h, ..., h): the trapezoid weights of every column's interior
+    nodes; each column's last node takes h/2 instead (a rank-one term)."""
+    d = np.full(N + 1, h)
+    d[0] = 0.5 * h
+    return d
 
-    ``ridge`` adds lambda*I to every collocation matrix (a regularization
-    knob for noisy kernels; 0 for clean data).  Raises IllConditionedError
-    when a cheap one-norm condition estimate exceeds 1e12.
+
+def _first_non_positive_block(S: np.ndarray) -> int:
+    """Index of the node that closes the first non-positive leading block of
+    S (bisection over leading-block Cholesky factorizations)."""
+    lo, hi = 0, S.shape[0]  # block of size lo factors, block of size hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(S[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return hi - 1
+
+
+def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
+    """Solve every column equation from one Cholesky factorization.
+
+    The Nystrom collocation matrix of column j, I + lambda*I + C_j W_j with
+    the trapezoid weights W_j of [0, t_j], becomes symmetric after scaling by
+    W_j^-1: a leading block of S = C + (1 + lambda) diag(1/d) plus the
+    rank-one term alpha e_j e_j^T, alpha = (1 + lambda)/h, for the half
+    weight at the column's last node.  With S = L L^T and Li = L^-1, leading
+    blocks of Li invert leading blocks of L, so Li^T triu(Li (-C)) holds
+    every S_j^-1 b_j at once; Sherman-Morrison adds the rank-one term, with
+    S_j^-1 e_j = Li[j, j] Li[j, :j+1].
+
+    ``ridge`` is lambda (a regularization knob for noisy kernels; 0 for clean
+    data).  Raises IllConditionedError when the weighted connecting operator
+    A = (1 + lambda) I + D^1/2 C D^1/2 is not positive (the data then come
+    from no (q, K)), naming the depth of its first non-positive leading
+    block, or when its one-norm condition number exceeds 1e12.
     """
     grid = c.grid
     N, h = grid.N, grid.h
     C = c.values
-    z = np.zeros((N + 1, N + 1))
+    shift = 1.0 + ridge
+    d = _node_weights(N, h)
+    S = C + np.diag(shift / d)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        s = _first_non_positive_block(S) * h
+        raise IllConditionedError(
+            f"connecting operator I + D^1/2 C D^1/2 is not positive: its leading "
+            f"block first fails at s = {s:.6g}; the data come from no (q, K)"
+        ) from None
+    del S
+    # A = D^1/2 S D^1/2 factors as (D^1/2 L)(D^1/2 L)^T; its pivots are the
+    # squared diagonal of that factor
+    pivots = d * np.diagonal(L) ** 2
+    Li = np.tril(np.linalg.inv(L))
+    del L
+    li = np.diagonal(Li).copy()
+
+    # column j of z starts as S_j^-1 b_j with b_j = -C[:j+1, j]
+    z = Li.T @ np.triu(Li @ C)
+    np.negative(z, out=z)
+    alpha = shift / h
+    U = Li.T * li  # column j is S_j^-1 e_j
+    U *= alpha * np.diagonal(z) / (1.0 + alpha * li * li)
+    z -= U
+    del U
+    z /= d[:, None]
+    didx = np.arange(1, N + 1)
+    z[didx, didx] *= 2.0  # the last node's weight is h/2, not d = h
     z[0, 0] = -C[0, 0]
-    cond_max = 1.0
-    for j in range(1, N + 1):
-        n = j + 1
-        w = trapz_weights(n, h)
-        M = np.eye(n) + C[:n, :n] * w[None, :]
-        if ridge:
-            M += ridge * np.eye(n)
-        # stack two probe columns to estimate ||M^-1||_1 from the same LU
-        alt = np.ones(n)
-        alt[1::2] = -1.0
-        rhs = np.column_stack([-C[:n, j], alt, np.eye(n)[:, -1]])
-        try:
-            sol = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(
-                f"collocation matrix singular at s = {j * h:.6g}"
-            ) from exc
-        inv_norm = max(
-            float(np.abs(sol[:, 1]).sum()) / n, float(np.abs(sol[:, 2]).sum())
+
+    # exact one-norm condition of A, with A^-1 = G^T G for G = Li D^-1/2
+    sq = np.sqrt(d)
+    G = Li
+    G /= sq[None, :]
+    inv_norm = np.abs(G.T @ G).sum(axis=0).max()
+    del G, Li
+    A = C * sq[:, None]
+    A *= sq[None, :]
+    A[np.diag_indices(N + 1)] += shift
+    cond = float(np.abs(A).sum(axis=0).max() * inv_norm)
+    if cond > _COND_LIMIT:
+        raise IllConditionedError(
+            f"connecting operator condition {cond:.2e} exceeds {_COND_LIMIT:.0e}; "
+            f"the data do not determine the kernel"
         )
-        cond = float(np.abs(M).sum(axis=0).max()) * inv_norm
-        cond_max = max(cond_max, cond)
-        if cond > _COND_LIMIT:
-            raise IllConditionedError(
-                f"collocation matrix condition ~{cond:.2e} at s = {j * h:.6g}; "
-                f"the data do not determine the kernel at this depth"
-            )
-        z[:n, j] = sol[:, 0]
-    return GLSolution(grid=grid, z=z, ridge=ridge, cond_estimate=cond_max)
+    # first depth where the smallest pivot is reached (ties to rounding)
+    k = int(np.argmax(pivots <= pivots.min() * (1.0 + 1e-12)))
+    return GLSolution(grid=grid, z=z, ridge=ridge, cond_estimate=cond,
+                      min_pivot=float(pivots[k]), min_pivot_depth=k * h)
 
 
 def z_from_w(sol: GoursatSolution) -> GLSolution:
@@ -122,18 +182,23 @@ def z_from_w(sol: GoursatSolution) -> GLSolution:
 
 
 def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
-    """Sup-norm residual of the column equations for a candidate z."""
+    """Sup-norm residual of the column equations for a candidate z.
+
+    Column j of C @ zw is the quadrature of int_0^s c(t, tau) z(tau, s) over
+    its own rows t <= s: zw holds the upper triangle of z times the column
+    trapezoid weights (half weight at each column's last node, none for the
+    one-node column 0).
+    """
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
-    C, z = c.values, gl.z
-    worst = abs(z[0, 0] + C[0, 0])
-    for j in range(1, N + 1):
-        n = j + 1
-        w = trapz_weights(n, h)
-        res = z[:n, j] + (C[:n, :n] * w[None, :]) @ z[:n, j] + C[:n, j]
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    C, z = c.values, np.triu(gl.z)
+    zw = z * _node_weights(N, h)[:, None]
+    didx = np.arange(N + 1)
+    zw[didx, didx] *= 0.5
+    zw[0, 0] = 0.0
+    res = z + C @ zw + C
+    return float(np.max(np.abs(np.triu(res))))
 
 
 def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
@@ -151,12 +216,12 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
-    D = np.diag(trapz_weights(N + 1, h))
+    D = trapz_weights(N + 1, h)
     I = np.eye(N + 1)
     zq = gl.z.copy()
     didx = np.arange(N + 1)
     zq[didx, didx] *= 0.5
-    E = (I + zq.T @ D) @ (I + c.values @ D) @ (I + zq @ D) - I
+    E = (I + zq.T * D) @ (I + c.values * D) @ (I + zq * D) - I
     return float(np.max(np.abs(E[:N, :N])))
 
 

@@ -306,7 +306,9 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
     timer = _Timer()
     if path not in ("response", "w_oracle"):
         raise UsageError(f"unknown reconstruction path {path!r}")
+    t0 = time.perf_counter()
     grid, r, K, q_true = _load_data(datadir)
+    timer.lap("load", t0)
 
     t0 = time.perf_counter()
     if path == "response":
@@ -322,6 +324,7 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
     q_hat = recover_potential(gl)
     timer.lap("gelfand_levitan", t0)
 
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     tt = grid.times_half()
     mesh_t, mesh_s = np.meshgrid(tt, tt, indexing="ij")
@@ -330,12 +333,16 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
     truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
     write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
               [tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)])
+    timer.lap("artifacts", t0)
 
+    t0 = time.perf_counter()
     metrics = {
         "cT_max_abs": float(np.max(np.abs(cT.values))),
         "gl_residual": gl_residual(cT, gl),
         "operator_identity_residual": operator_identity_residual(cT, gl),
         "cond_estimate": gl.cond_estimate,
+        "min_pivot": gl.min_pivot,
+        "min_pivot_depth": gl.min_pivot_depth,
         "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
     }
     if q_true is not None:
@@ -344,6 +351,7 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
         metrics["linf_err"] = err["interior_linf"]
         metrics["max_abs_err"] = err["max_abs"]
         metrics["window"] = [0.1, 0.9]
+    timer.lap("metrics", t0)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -91,6 +91,20 @@ def test_numerical_failure_exit_3(tmp_path, synth_dir, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_positive_operator_exit_3(tmp_path, synth_dir, capsys):
+    scaled = tmp_path / "scaled"
+    shutil.copytree(synth_dir, scaled)
+    lines = (scaled / "response.csv").read_text().splitlines()
+    for k in range(1, len(lines)):
+        t, r = lines[k].split(",")
+        lines[k] = f"{t},{float(r) * 10.0!r}"
+    (scaled / "response.csv").write_text("\n".join(lines) + "\n")
+    rc = cli.main(["reconstruct", "--data", str(scaled), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not positive" in err
+
+
 def test_verification_failure_exit_4(tmp_path, synth_dir, capsys):
     bad = tmp_path / "bad"
     shutil.copytree(synth_dir, bad)

@@ -5,7 +5,12 @@ collocation solve from the connecting kernel (data route) and the Volterra
 back-substitution from the triangular kernel w (oracle route, never sees
 boundary data).  The composition identity (I + Z)(I + W) = I is checked by
 explicit quadrature at a small size, making the oracle self-validating.
+
+The one-factorization solve and the vectorized residual are held against
+their column-by-column originals, kept here as test-local oracles.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -19,6 +24,40 @@ def _w_solution(name, n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(name).fields(grid)
     return mw.solve_goursat(q, K, grid)
+
+
+def _lu_solve_gl(c, ridge=0.0):
+    """Oracle: one dense LU solve of the Nystrom collocation system per column."""
+    N, h = c.grid.N, c.grid.h
+    C = c.values
+    z = np.zeros((N + 1, N + 1))
+    z[0, 0] = -C[0, 0]
+    for j in range(1, N + 1):
+        n = j + 1
+        M = (1.0 + ridge) * np.eye(n) + C[:n, :n] * trapz_weights(n, h)[None, :]
+        z[:n, j] = np.linalg.solve(M, -C[:n, j])
+    return z
+
+
+def _loop_gl_residual(c, z):
+    """Oracle: sup-norm residual of the column equations, one column at a time."""
+    N, h = c.grid.N, c.grid.h
+    C = c.values
+    worst = abs(z[0, 0] + C[0, 0])
+    for j in range(1, N + 1):
+        n = j + 1
+        w = trapz_weights(n, h)
+        res = z[:n, j] + (C[:n, :n] * w[None, :]) @ z[:n, j] + C[:n, j]
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(name, n, route):
+    sol = _w_solution(name, n)
+    if route == "w":
+        return mw.connecting_kernel_from_w(sol)
+    return mw.connecting_kernel_from_response(mw.response_kernel(sol), sol.K)
 
 
 # --------------------------------------------------------------- base cases
@@ -130,11 +169,50 @@ def test_condition_estimate_stays_small(full_ct_oracle):
     assert gl.cond_estimate < 1e3
 
 
+def test_condition_estimate_is_exact_one_norm_condition(full_ct_oracle, grid64):
+    d = np.full(65, grid64.h)
+    d[0] *= 0.5
+    sq = np.sqrt(d)
+    A = np.eye(65) + full_ct_oracle.values * sq[:, None] * sq[None, :]
+    gl = mw.solve_gl(full_ct_oracle)
+    assert gl.cond_estimate == pytest.approx(np.linalg.cond(A, 1), rel=1e-10)
+
+
+def test_free_kernel_pivots(grid32):
+    c = mw.ConnectingKernel(grid=grid32, values=np.zeros((33, 33)))
+    gl = mw.solve_gl(c)
+    assert gl.min_pivot == pytest.approx(1.0, rel=1e-14)
+    assert gl.min_pivot_depth == 0.0
+
+
 def test_singular_kernel_raises():
     grid = mw.GridSpec(1.0, 32)
     c = mw.ConnectingKernel(grid=grid, values=-np.eye(33) / grid.h)
     with pytest.raises(mw.IllConditionedError):
         mw.solve_gl(c)
+
+
+def test_singular_kernel_names_first_depth():
+    # I + D^1/2 C D^1/2 loses positivity at the first node with weight h
+    grid = mw.GridSpec(1.0, 32)
+    c = mw.ConnectingKernel(grid=grid, values=-np.eye(33) / grid.h)
+    with pytest.raises(mw.IllConditionedError, match=r"not positive.* s = 0\.03125;"):
+        mw.solve_gl(c)
+
+
+@pytest.mark.parametrize("s0", [0.25, 0.6, 0.9])
+def test_non_positive_operator_names_its_depth(full_ct_oracle, grid64, s0):
+    # the oracle kernel is positive; a mass of -2/h on the diagonal beyond s0
+    # turns I + C into about -I there
+    t = grid64.times_half()
+    beyond = (t >= s0).astype(float)
+    c = mw.ConnectingKernel(
+        grid=grid64, values=full_ct_oracle.values - np.diag(2.0 * beyond / grid64.h)
+    )
+    with pytest.raises(mw.IllConditionedError, match="not positive") as exc:
+        mw.solve_gl(c)
+    s = float(str(exc.value).split(" s = ")[1].split(";")[0])
+    assert abs(s - s0) <= grid64.h
 
 
 def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
@@ -144,6 +222,59 @@ def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
     c1 = mw.ConnectingKernel(grid=grid64, values=full_ct_oracle.values + pert)
     c2 = mw.ConnectingKernel(grid=grid64, values=0.5 * (c1.values + c1.values.T))
     assert np.abs(mw.solve_gl(c1).z - mw.solve_gl(c2).z).max() < 1e-10
+
+
+# --------------------------------------------- one factorization vs. oracle
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-4])
+@pytest.mark.parametrize("route", ["response", "w"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("name", ["full", "classical", "memory_only_small"])
+def test_factorized_solve_matches_column_solves(name, n, route, ridge):
+    c = _kernel(name, n, route)
+    want = _lu_solve_gl(c, ridge)
+    got = mw.solve_gl(c, ridge=ridge).z
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+
+def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
+    calls = {"cholesky": 0, "solve": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky"))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve"))
+    mw.solve_gl(full_ct_oracle)
+    assert calls == {"cholesky": 1, "solve": 0}
+    mw.solve_gl(full_ct_oracle, ridge=1e-4)
+    assert calls == {"cholesky": 2, "solve": 0}
+
+
+@pytest.mark.parametrize("route", ["response", "w"])
+def test_gl_residual_matches_column_loop(route):
+    c = _kernel("full", 64, route)
+    gl = mw.solve_gl(c)
+    scale = (1.0 + np.abs(c.values).max()) * (1.0 + np.abs(gl.z).max())
+    assert abs(mw.gl_residual(c, gl) - _loop_gl_residual(c, gl.z)) <= 1e-15 * scale
+
+
+def test_gl_residual_matches_column_loop_on_perturbed_z(full_ct_oracle):
+    rng = np.random.default_rng(11)
+    gl = mw.solve_gl(full_ct_oracle)
+    z = np.triu(gl.z + 0.5 * rng.standard_normal(gl.z.shape))
+    bad = mw.GLSolution(grid=gl.grid, z=z)
+    want = _loop_gl_residual(full_ct_oracle, z)
+    assert want > 0.1
+    scale = (1.0 + np.abs(full_ct_oracle.values).max()) * (1.0 + np.abs(z).max())
+    assert abs(mw.gl_residual(full_ct_oracle, bad) - want) <= 1e-15 * scale
 
 
 # ---------------------------------------------------------------- recovery

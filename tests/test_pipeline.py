@@ -169,6 +169,38 @@ def test_reconstruct_metrics_and_artifacts(data_dir, tmp_path):
     assert len(c_lines) == 1 + 65 * 65
 
 
+def test_reconstruct_timings_charge_named_stages(tmp_path):
+    cfg = config_from_dict({"problem": "full", "N": 32})
+    run_synth(cfg, str(tmp_path / "d"))
+    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "rec"))
+    laps = json.load(open(tmp_path / "rec" / "timings.json"))["wall_times_s"]
+    named = ("load", "connecting", "gelfand_levitan", "artifacts", "metrics")
+    assert set(laps) == set(named) | {"total"}
+    assert sum(laps[k] for k in named) <= laps["total"]
+
+
+def test_reconstruct_reports_min_pivot(tmp_path):
+    run_synth(config_from_dict({"problem": "free", "N": 32}), str(tmp_path / "free"))
+    m = run_reconstruct(str(tmp_path / "free"), str(tmp_path / "rec"))["metrics"]
+    assert m["min_pivot"] == pytest.approx(1.0, rel=1e-14)
+    assert m["min_pivot_depth"] == 0.0
+
+
+def _scaled_response(src_dir, tmp_path, factor):
+    def mutate(ls):
+        for k in range(1, len(ls)):
+            t, r = ls[k].split(",")
+            ls[k] = f"{t},{float(r) * factor!r}"
+
+    return _patch_csv(src_dir, tmp_path, "response.csv", mutate)
+
+
+def test_reconstruct_non_positive_operator_is_named(data_dir, tmp_path):
+    d = _scaled_response(data_dir, tmp_path, 10.0)
+    with pytest.raises(mw.IllConditionedError, match="not positive.* s = "):
+        run_reconstruct(d, str(tmp_path / "o"))
+
+
 def test_reconstruct_w_oracle_path(data_dir, tmp_path):
     report = run_reconstruct(data_dir, str(tmp_path / "rw"), path="w_oracle")
     assert report["path"] == "w_oracle"
@@ -284,6 +316,19 @@ def test_verify_without_truth_runs_data_only_checks(data_dir, tmp_path):
         "gl_residual",
     ]
     assert report["status"] == "ok"
+
+
+def test_verify_names_non_positive_operator(data_dir, tmp_path):
+    # a response ten times too strong admits no (q, K): the factor-based
+    # checks fail by name with the depth, instead of crashing verify
+    d = _scaled_response(data_dir, tmp_path, 10.0)
+    os.remove(os.path.join(d, "truth_q.csv"))
+    report = run_verify(d)
+    assert report["status"] == "failed"
+    assert report["failed_checks"] == ["operator_identity", "gl_residual"]
+    for chk in report["checks"]:
+        assert "connecting operator" in chk["detail"]
+        assert "not positive" in chk["detail"] and " s = " in chk["detail"]
 
 
 def test_verify_free_problem_all_exact(tmp_path):
