@@ -44,16 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--path", choices=("response", "w_oracle"), default="response",
                    help="data route (default) or truth-side diagnostic route")
-    p.add_argument("--mode", choices=("adjoint", "sweep"), default="adjoint",
-                   help="probe assembly strategy for the response path")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--ridge", type=float, default=0.0,
                    help="regularization for noisy data (adds ridge*I)")
 
     p = sub.add_parser("verify", help="cross-validate a data directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="optionally write report.json here")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("convergence", help="error vs. grid resolution study")
     p.add_argument("--config", required=True)
@@ -62,15 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated increasing N values, e.g. 32,64,128")
     p.add_argument("--path", choices=("response", "w_oracle"), default=None,
                    help="default comes from the config (response unless set)")
-    p.add_argument("--mode", choices=("adjoint", "sweep"), default="adjoint")
-    p.add_argument("--threads", type=int, default=1)
     return parser
-
-
-def _positive_threads(n: int) -> int:
-    if n < 1:
-        raise UsageError("--threads must be >= 1")
-    return n
 
 
 def _dispatch(args) -> int:
@@ -80,10 +68,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "reconstruct":
-        report = run_reconstruct(
-            args.data, args.out, path=args.path, mode=args.mode,
-            threads=_positive_threads(args.threads), ridge=args.ridge,
-        )
+        report = run_reconstruct(args.data, args.out, path=args.path,
+                                 ridge=args.ridge)
         m = report["metrics"]
         line = f"reconstruct[{args.path}]: gl_residual={m['gl_residual']:.3e}"
         if "l2_rel_err" in m:
@@ -92,8 +78,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        report = run_verify(args.data, args.out,
-                            threads=_positive_threads(args.threads))
+        report = run_verify(args.data, args.out)
         for chk in report["checks"]:
             status = "PASS" if chk["passed"] else "FAIL"
             print(f"{status} {chk['name']}: metric={chk['metric']:.6g}")
@@ -109,10 +94,7 @@ def _dispatch(args) -> int:
         raise UsageError(f"--grids must be comma-separated integers, got {args.grids!r}")
     cfg = load_config(args.config)
     path = args.path if args.path is not None else cfg.path
-    report = run_convergence(
-        cfg, args.out, grids, path=path,
-        mode=args.mode, threads=_positive_threads(args.threads),
-    )
+    report = run_convergence(cfg, args.out, grids, path=path)
     for row in report["rows"]:
         print(f"N={row['N']:>5d}  error={row['error']:.6e}  order={row['order']:.2f}")
     return 0

@@ -38,7 +38,6 @@ from .model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
-    bump_profile,
     trapezoid,
     trapz_weights,
 )
@@ -53,10 +52,6 @@ __all__ = [
     "connecting_kernel_from_w",
 ]
 
-# The probes enter the march only through their grid samples, so they are
-# normalized by their *discrete* trapezoid mass (h times the center sample),
-# not by the continuum integral of the bump: unit amplitude gives mass h.
-_PROBE_AMP = 1.0
 # scheme constant for the asymmetry guard of the data-driven assembly
 _SYM_TOL_FACTOR = 50.0
 
@@ -197,35 +192,36 @@ def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
 # probe assembly of the reduced kernel
 # --------------------------------------------------------------------------
 
-def _probe_matrix(grid: GridSpec) -> np.ndarray:
-    """Columns p = 2..N-1: the C^2 bump of width 2h at t_p, on [0, 2T].
+def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
+    """Columns p = 2..N-1: the response of the grid impulse at t_p, on [0, 2T].
 
-    Centers start at p = 2 because the march pins its first two levels to
-    zero, which is exact only for controls vanishing at t = 0 and t = h; a
-    bump at t = h would be seen with half its dipole missing.
+    Probes start at p = 2 because the march pins its first two levels to
+    zero, which is exact only for controls vanishing at t = 0 and t = h; an
+    impulse at t = h would be seen with half its dipole missing.  The
+    response map is shift-invariant away from t = 0, so one call gives every
+    column: column p >= 3 is the t_2 response from row 1 on, moved to start
+    at row p - 1 (row 0 of the t_2 response is the one-sided derivative
+    stencil at t = 0, which the later impulses never reach).
     """
+    N = grid.N
     n_t = grid.N2 + 1
-    P = np.zeros((n_t, grid.N + 1))
-    t_idx = np.arange(n_t, dtype=float)
-    for p in range(2, grid.N):
-        P[:, p] = _PROBE_AMP * bump_profile(t_idx - p)
-    return P
-
-
-def _response_of_probes(r: ResponseData, P: np.ndarray, grid: GridSpec) -> np.ndarray:
-    RP = np.zeros_like(P)
-    for p in range(2, grid.N):
-        probe = ControlSignal(grid, P[:, p], admissible=True)
-        RP[:, p] = apply_response(r, probe)
+    impulse = np.zeros(n_t)
+    impulse[2] = 1.0
+    col = apply_response(r, ControlSignal(grid, impulse, admissible=True))
+    RP = np.zeros((n_t, N + 1))
+    RP[:, 2] = col
+    for p in range(3, N):
+        RP[p - 1 :, p] = col[1 : n_t - p + 2]
     return RP
 
 
 def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
-    """Weights L with psi(T, T) = sum_{t,l} L[t, l] rhs(t, l) for the march.
+    """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l) for the march.
 
     Reverse accumulation through the level march: lambda_N is the unit load
     at (t = T, s = T) and each backward step applies the transposed update
     (shift-sum, transposed history convolution, transposed level memory).
+    Only the levels l = 1..N-1 carry weight; row 0 stays zero.
     """
     N, h = grid.N, grid.h
     n_t = grid.N2 + 1
@@ -254,86 +250,36 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
             coeff[0] *= 0.5  # trapezoid weight of the alpha = l node
             lam_m -= h * h * ((coeff * Kv[: N - m]) @ V[m:N])
         lam_next2, lam_next = lam_next, lam_m
-    L = np.zeros((n_t, n_t))
-    L[:, 1:N] = (h * h) * V[1:N].T
-    return L
+    return V
 
 
-def _galerkin_adjoint(P, RP, Kv, grid: GridSpec) -> np.ndarray:
-    L = _adjoint_weights(Kv, grid)
-    return RP.T @ L @ P - P.T @ L @ RP
+def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
+    """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1.
 
-
-def _galerkin_sweep(P, RP, Kv, grid: GridSpec, threads: int) -> np.ndarray:
-    from .parallel import pmap
-
-    N = grid.N
-    pairs = [(p, q) for p in range(2, N) for q in range(p, N)]
-    chunks = [pairs[k : k + 256] for k in range(0, len(pairs), 256)]
-
-    def run(chunk):
-        ps = [p for p, _ in chunk]
-        qs = [q for _, q in chunk]
-        final = _correlation_levels(
-            P[:, ps], P[:, qs], RP[:, ps], RP[:, qs], Kv, grid, N, keep_all=False
-        )
-        return final[N, :]
-
-    B = np.zeros((N + 1, N + 1))
-    for chunk, vals in zip(chunks, pmap(run, chunks, threads)):
-        for (p, q), v in zip(chunk, vals):
-            B[p, q] = v
-    return B
-
-
-def connecting_kernel_from_response(r: ResponseData, K: MemoryKernel, *,
-                                    mode: str = "adjoint",
-                                    threads: int = 1) -> ConnectingKernel:
-    """Assemble c(t_i, s_j) on [0, T]^2 from boundary data (r, K) only.
-
-    Interior rows come from the probe Galerkin matrix, time reversed,
-    free-march subtracted and scaled by h^-2.  The row t = 0 vanishes
-    identically (the kernel does on that line); the last two rows, which
-    would need probes outside the discretely admissible range, are filled by
-    quadratic extrapolation.  ``mode`` picks the per-pair probe sweep or the
-    adjoint accumulation (identical results); ``threads`` parallelizes the
-    sweep.
+    The march is linear in its right-hand side RF(t) G(s) - F(t) RG(s), and
+    every probe is a grid impulse, so the two terms are a column slice and a
+    row slice of the adjoint weights.
     """
-    grid = r.grid
-    if K.grid != grid:
-        raise UsageError("response and memory kernel must share one grid")
-    if mode not in ("adjoint", "sweep"):
-        raise UsageError(f"unknown assembly mode {mode!r}")
     N, h = grid.N, grid.h
-    P = _probe_matrix(grid)
-    RP = _response_of_probes(r, P, grid)
-    r_zero = ResponseData(grid, np.zeros(grid.N2 + 1))
-    RP_free = _response_of_probes(r_zero, P, grid)
+    W = (h * h) * _adjoint_weights(Kv, grid)
+    rows = np.zeros((N - 2, grid.N2 + 1))
+    rows[:, :N] = W[:, 2:N].T
+    return (RP.T @ W.T)[2:N, 2:N] - (rows @ RP)[:, 2:N]
 
-    if mode == "adjoint":
-        B = _galerkin_adjoint(P, RP, K.values, grid)
-        B_free = _galerkin_adjoint(P, RP_free, None, grid)
-    else:
-        B = _galerkin_sweep(P, RP, K.values, grid, threads)
-        B_free = _galerkin_sweep(P, RP_free, None, grid, threads)
 
-    raw = (B - B_free) / (h * h)
-    if mode == "adjoint":
-        # the sweep computes p <= q only; mirror the same triangle here, but
-        # first use the redundancy to guard against inconsistent data
-        block = raw[2:N, 2:N]
-        scale = 1.0 + float(np.max(np.abs(block)))
-        asym = float(np.max(np.abs(block - block.T)))
-        if asym > 1e-8 + _SYM_TOL_FACTOR * h * h * scale:
-            raise AssemblyError(
-                f"probe Galerkin matrix asymmetry {asym:.3e} exceeds the scheme "
-                f"tolerance; boundary data is inconsistent"
-            )
+def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
+    """Reduced kernel from the free-subtracted, h^2-scaled Galerkin block.
+
+    Only the upper triangle (p <= q) of ``raw`` is read.  Probe p sits at
+    time reversal of t = T - t_p, so the block fills the interior rows
+    reversed.  The row t = 0 vanishes identically (the kernel does on that
+    line); the last two rows, which would need probes outside the discretely
+    admissible range, are filled by quadratic extrapolation.
+    """
+    N = grid.N
     raw = np.triu(raw) + np.triu(raw, 1).T
-
     c = np.zeros((N + 1, N + 1))
-    idx = np.arange(1, N - 1)
-    c[1 : N - 1, 1 : N - 1] = raw[N - idx[:, None], N - idx[None, :]]
+    c[1 : N - 1, 1 : N - 1] = raw[::-1, ::-1]
     # row/column t = 0 vanish identically.  The last two rows host no
     # discretely admissible probe; extrapolate quadratically, but only along
     # lines of constant t - s: the kernel is smooth along those, while its
@@ -352,6 +298,33 @@ def connecting_kernel_from_response(r: ResponseData, K: MemoryKernel, *,
     c[N, N] = 3.0 * c[N - 1, N - 1] - 3.0 * c[N - 2, N - 2] + c[N - 3, N - 3]
     c = 0.5 * (c + c.T)
     return ConnectingKernel(grid=grid, values=c)
+
+
+def connecting_kernel_from_response(r: ResponseData, K: MemoryKernel) -> ConnectingKernel:
+    """Assemble c(t_i, s_j) on [0, T]^2 from boundary data (r, K) only.
+
+    Interior rows come from the probe Galerkin matrix, time reversed,
+    free-march subtracted and scaled by h^-2; see ``_kernel_from_galerkin``
+    for the edge rows.
+    """
+    grid = r.grid
+    if K.grid != grid:
+        raise UsageError("response and memory kernel must share one grid")
+    h = grid.h
+    r_zero = ResponseData(grid, np.zeros(grid.N2 + 1))
+    B = _galerkin(_impulse_responses(r, grid), K.values, grid)
+    B_free = _galerkin(_impulse_responses(r_zero, grid), None, grid)
+    raw = (B - B_free) / (h * h)
+    # exact data gives a symmetric block up to the scheme error; a larger
+    # asymmetry means the response and the kernel do not belong together
+    scale = 1.0 + float(np.max(np.abs(raw)))
+    asym = float(np.max(np.abs(raw - raw.T)))
+    if asym > 1e-8 + _SYM_TOL_FACTOR * h * h * scale:
+        raise AssemblyError(
+            f"probe Galerkin matrix asymmetry {asym:.3e} exceeds the scheme "
+            f"tolerance; boundary data is inconsistent"
+        )
+    return _kernel_from_galerkin(raw, grid)
 
 
 def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:

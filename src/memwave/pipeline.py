@@ -300,7 +300,6 @@ def _check_level(N: int, cap: int = 64) -> int:
 # --------------------------------------------------------------------------
 
 def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
-                    mode: str = "adjoint", threads: int = 1,
                     ridge: float = 0.0) -> dict:
     """Recover the potential from a data directory and write the results."""
     timer = _Timer()
@@ -312,7 +311,7 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
 
     t0 = time.perf_counter()
     if path == "response":
-        cT = connecting_kernel_from_response(r, K, mode=mode, threads=threads)
+        cT = connecting_kernel_from_response(r, K)
     else:
         if q_true is None:
             raise UsageError("path 'w_oracle' is a diagnostic route and needs truth_q.csv")
@@ -358,7 +357,6 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
         "command": "reconstruct",
         "status": "ok",
         "path": path,
-        "mode": mode if path == "response" else None,
         "ridge": ridge,
         "grid": _grid_block(grid),
         "metrics": metrics,
@@ -457,7 +455,7 @@ def _verify_diagonal(grid, r, K, q) -> dict:
                   f"residuals {res} on half/full resolution")
 
 
-def run_verify(datadir: str, outdir: str | None = None, *, threads: int = 1) -> dict:
+def run_verify(datadir: str, outdir: str | None = None) -> dict:
     """Cross-validate a data directory; status 'failed' if any check fails."""
     timer = _Timer()
     grid, r, K, q = _load_data(datadir)
@@ -478,7 +476,7 @@ def run_verify(datadir: str, outdir: str | None = None, *, threads: int = 1) -> 
     try:
         for m in levels:
             cgm, rcm, Kcm, qcm = _subsample(grid, r, K, q, grid.N // m)
-            cTm = connecting_kernel_from_response(rcm, Kcm, threads=threads)
+            cTm = connecting_kernel_from_response(rcm, Kcm)
             if q is not None:
                 cwm = connecting_kernel_from_w(solve_goursat(qcm, Kcm, cgm))
                 rel = np.max(np.abs(cTm.values - cwm.values))
@@ -547,8 +545,7 @@ def run_verify(datadir: str, outdir: str | None = None, *, threads: int = 1) -> 
 # --------------------------------------------------------------------------
 
 def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
-                    path: str = "response", mode: str = "adjoint",
-                    threads: int = 1) -> dict:
+                    path: str = "response") -> dict:
     """Reconstruction error against the truth over a ladder of grids."""
     timer = _Timer()
     if len(grids) < 2 or sorted(set(grids)) != list(grids):
@@ -569,7 +566,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
             values[1:] += c.noise_sigma * rng.standard_normal(values.size - 1)
             r = ResponseData(grid, values)
         if path == "response":
-            cT = connecting_kernel_from_response(r, K, mode=mode, threads=threads)
+            cT = connecting_kernel_from_response(r, K)
         else:
             cT = connecting_kernel_from_w(sol)
         q_hat = recover_potential(solve_gl(cT, ridge=c.ridge))

@@ -73,12 +73,6 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_threads_exit_2(tmp_path, synth_dir):
-    rc = cli.main(["reconstruct", "--data", synth_dir,
-                   "--out", str(tmp_path / "o"), "--threads", "0"])
-    assert rc == 2
-
-
 def test_numerical_failure_exit_3(tmp_path, synth_dir, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(synth_dir, broken)

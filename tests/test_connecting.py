@@ -1,10 +1,12 @@
-"""Correlation march, connecting form, and the two kernel-assembly routes.
+"""Correlation march, connecting form, and the kernel assembly.
 
 The free problem gives machine-exact references (the march telescopes the
 discrete overlap integral exactly at unit Courant).  The small-amplitude
 memory problem has the first-order closed form c(t, s) ~ -(K0/2) t (s - t)
 for t <= s, checked at a spot value.  Everything data-driven is compared
-against the w-oracle route, which never sees boundary data.
+against the w-oracle route, which never sees boundary data, and the
+adjoint assembly against a test-local sweep that marches every probe pair
+on its own.
 """
 
 import numpy as np
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.connecting import _galerkin_adjoint, _probe_matrix, _response_of_probes
-from memwave.model import trapezoid
+from memwave import connecting
+from memwave.connecting import _galerkin, _impulse_responses, _kernel_from_galerkin
+from memwave.model import bump_profile, trapezoid, trapz_weights
 
 
 def _free_setup(n):
@@ -192,21 +195,106 @@ def test_kernel_symmetric_both_routes(full_ct_response, full_ct_oracle):
         assert np.abs(ct.values - ct.values.T).max() < 1e-12
 
 
-def test_sweep_matches_adjoint_and_threads_deterministic():
+# ------------------------------------- test-local oracle: the probe sweep
+#
+# The sweep marches the correlation field of every probe pair to s = T with
+# a dense Toeplitz matrix for the history convolution, and builds its probes
+# as C^2 bumps of half-width h with one response call each - no part of it
+# is shared with the production assembly.
+
+
+def _dense_conv_matrix(kernel, h, n):
+    """Matrix of v -> trapezoid of int_0^t kernel(t - tau) v(tau) dtau."""
+    M = np.zeros((n, n))
+    i, j = np.tril_indices(n)
+    M[i, j] = kernel[i - j]
+    M *= h
+    M[np.arange(n), np.arange(n)] *= 0.5
+    M[1:, 0] *= 0.5
+    M[0, 0] = 0.0
+    return M
+
+
+def _sweep_final_level(F, G, RF, RG, Kv, grid):
+    """psi(., T) of the level march for a batch of control pairs (columns)."""
+    N, h = grid.N, grid.h
+    CK = _dense_conv_matrix(Kv, h, grid.N2 + 1) if Kv is not None else None
+    hist = np.zeros((N + 1,) + F.shape)
+    for l in range(1, N):
+        acc = RF * G[l] - F * RG[l]
+        if CK is not None:
+            acc = acc + CK @ hist[l]
+            wts = trapz_weights(l + 1, h) * Kv[l::-1]
+            acc = acc - np.tensordot(wts, hist[: l + 1], axes=(0, 0))
+        hist[l + 1, 1:-1] = (hist[l, 2:] + hist[l, :-2] - hist[l - 1, 1:-1]
+                             + h * h * acc[1:-1])
+    return hist[N]
+
+
+def _bump_probe_responses(r, grid):
+    """C^2 bump probes at t_p, p = 2..N-1, and one response call per probe."""
+    n_t = grid.N2 + 1
+    t_idx = np.arange(n_t, dtype=float)
+    P = np.zeros((n_t, grid.N + 1))
+    RP = np.zeros_like(P)
+    for p in range(2, grid.N):
+        P[:, p] = bump_profile(t_idx - p)
+        RP[:, p] = mw.apply_response(r, mw.ControlSignal(grid, P[:, p], admissible=True))
+    return P, RP
+
+
+def _sweep_galerkin(r, Kv, grid):
+    """Upper triangle of the probe Galerkin block, one march per pair p <= q."""
+    N = grid.N
+    P, RP = _bump_probe_responses(r, grid)
+    ps, qs = np.triu_indices(N - 2)
+    ps, qs = ps + 2, qs + 2
+    final = _sweep_final_level(P[:, ps], P[:, qs], RP[:, ps], RP[:, qs], Kv, grid)
+    B = np.zeros((N - 2, N - 2))
+    B[ps - 2, qs - 2] = final[N]
+    return B
+
+
+@pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
+def test_adjoint_matches_oracle_sweep(problem):
+    grid = mw.GridSpec(1.0, 32)
+    q, K = mw.get_problem(problem).fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
+    raw = (_sweep_galerkin(r, K.values, grid) - _sweep_galerkin(r_zero, None, grid))
+    oracle = _kernel_from_galerkin(raw / (grid.h * grid.h), grid)
+    ca = mw.connecting_kernel_from_response(r, K)
+    assert np.abs(ca.values - oracle.values).max() < 1e-12
+
+
+def test_impulse_responses_equal_per_probe_responses():
+    # the bump of half-width h is a grid impulse, and the response map is
+    # shift-invariant away from t = 0: the shifted stencil is exact
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    ca = mw.connecting_kernel_from_response(r, K, mode="adjoint")
-    cs1 = mw.connecting_kernel_from_response(r, K, mode="sweep", threads=1)
-    cs3 = mw.connecting_kernel_from_response(r, K, mode="sweep", threads=3)
-    assert np.abs(ca.values - cs1.values).max() < 1e-12
-    assert np.array_equal(cs1.values, cs3.values)
+    P, RP = _bump_probe_responses(r, grid)
+    assert np.array_equal(P[:, 2 : grid.N], np.eye(grid.N2 + 1)[:, 2 : grid.N])
+    assert np.array_equal(_impulse_responses(r, grid), RP)
 
 
-def test_unknown_mode_rejected():
-    grid, K, r = _free_setup(32)
-    with pytest.raises(mw.UsageError):
-        mw.connecting_kernel_from_response(r, K, mode="magic")
+@pytest.mark.parametrize("n", [16, 64])
+def test_assembly_calls_apply_response_twice(monkeypatch, n):
+    calls = []
+    real = connecting.apply_response
+
+    def counting(r, f):
+        calls.append(r)
+        return real(r, f)
+
+    monkeypatch.setattr(connecting, "apply_response", counting)
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    mw.connecting_kernel_from_response(r, K)
+    assert len(calls) == 2
+    assert calls[0] is r  # data route
+    assert not np.any(calls[1].values)  # free route
 
 
 def test_probe_gram_matrix_is_psd():
@@ -215,11 +303,8 @@ def test_probe_gram_matrix_is_psd():
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    P = _probe_matrix(grid)
-    RP = _response_of_probes(r, P, grid)
-    B = _galerkin_adjoint(P, RP, K.values, grid)
-    block = B[2 : grid.N, 2 : grid.N]
-    eigs = np.linalg.eigvalsh(0.5 * (block + block.T))
+    B = _galerkin(_impulse_responses(r, grid), K.values, grid)
+    eigs = np.linalg.eigvalsh(0.5 * (B + B.T))
     assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 
 

@@ -204,7 +204,6 @@ def test_reconstruct_non_positive_operator_is_named(data_dir, tmp_path):
 def test_reconstruct_w_oracle_path(data_dir, tmp_path):
     report = run_reconstruct(data_dir, str(tmp_path / "rw"), path="w_oracle")
     assert report["path"] == "w_oracle"
-    assert report["mode"] is None
     assert report["metrics"]["l2_rel_err"] < 1e-2
 
 
@@ -218,16 +217,6 @@ def test_reconstruct_w_oracle_needs_truth(data_dir, tmp_path):
     report = run_reconstruct(str(trimmed), str(tmp_path / "out2"))
     assert "l2_rel_err" not in report["metrics"]
     assert report["metrics"]["gl_residual"] < 1e-12
-
-
-def test_reconstruct_sweep_thread_count_is_invisible(data_dir, tmp_path):
-    r1 = run_reconstruct(data_dir, str(tmp_path / "t1"), mode="sweep", threads=1)
-    r3 = run_reconstruct(data_dir, str(tmp_path / "t3"), mode="sweep", threads=3)
-    assert r1["metrics"] == r3["metrics"]
-    for name in ("q_hat.csv", "cT.csv", "report.json"):
-        assert (tmp_path / "t1" / name).read_bytes() == (
-            tmp_path / "t3" / name
-        ).read_bytes()
 
 
 def test_reconstruct_rejects_unknown_path(data_dir, tmp_path):
