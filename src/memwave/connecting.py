@@ -38,6 +38,7 @@ from .model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
+    causal_convolution,
     trapezoid,
     trapz_weights,
 )
@@ -93,50 +94,24 @@ class ConnectingKernel:
 # level-by-level correlation march
 # --------------------------------------------------------------------------
 
-def _conv_matrix(kernel: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Matrix of v -> trapezoid of int_0^t kernel(t - tau) v(tau) dtau."""
-    M = np.zeros((n, n))
-    i, j = np.tril_indices(n)
-    M[i, j] = kernel[i - j]
-    M *= h
-    M[np.arange(n), np.arange(n)] *= 0.5
-    M[1:, 0] *= 0.5
-    M[0, 0] = 0.0
-    return M
+def _correlation_levels(F, G, RF, RG, Kv, grid: GridSpec) -> np.ndarray:
+    """March psi over the s-levels 0..2N; returns the stack psi[s_l, t].
 
-
-def _correlation_levels(F, G, RF, RG, Kv, grid: GridSpec, n_levels: int,
-                        keep_all: bool):
-    """March psi over s-levels 0..n_levels; batched over trailing axis.
-
-    F, G, RF, RG are samples on [0, 2T] (shape [2N+1] or [2N+1, m]); Kv is
-    the memory kernel on [0, 2T] or None for the memory-free march.  Returns
-    the stack of levels if ``keep_all`` else the final level.
+    F, G, RF, RG are samples on [0, 2T]; Kv is the memory kernel there.
     """
     h = grid.h
-    n_t = grid.N2 + 1
-    shape = F.shape
-    CK = _conv_matrix(Kv, h, n_t) if Kv is not None else None
-    need_hist = keep_all or Kv is not None
-    hist = np.zeros((n_levels + 1,) + shape) if need_hist else None
-    psi_prev = np.zeros(shape)
-    psi_cur = np.zeros(shape)
-    for l in range(1, n_levels):
-        acc = RF * G[l] - F * RG[l]
-        if CK is not None:
-            acc = acc + CK @ psi_cur
-            wts = trapz_weights(l + 1, h) * Kv[l::-1]
-            acc = acc - np.tensordot(wts, hist[: l + 1], axes=(0, 0))
-        psi_next = np.zeros(shape)
-        psi_next[1:-1] = psi_cur[2:] + psi_cur[:-2] - psi_prev[1:-1] + h * h * acc[1:-1]
-        if not np.all(np.isfinite(psi_next)):
+    n = grid.N2 + 1
+    hist = np.zeros((n, n))
+    for l in range(1, n - 1):
+        acc = RF * G[l] - F * RG[l] + causal_convolution(Kv, hist[l], h)
+        acc -= (trapz_weights(l + 1, h) * Kv[l::-1]) @ hist[: l + 1]
+        nxt = hist[l + 1]
+        nxt[1:-1] = hist[l, 2:] + hist[l, :-2] - hist[l - 1, 1:-1] + h * h * acc[1:-1]
+        if not np.all(np.isfinite(nxt)):
             raise NumericalInstabilityError(
                 f"correlation march blew up at s-level {l + 1}"
             )
-        psi_prev, psi_cur = psi_cur, psi_next
-        if need_hist:
-            hist[l + 1] = psi_cur
-    return hist if keep_all else psi_cur
+    return hist
 
 
 def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
@@ -153,8 +128,7 @@ def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
     gw = ControlSignal(grid, G, admissible=True)
     RF = apply_response(r, fw)
     RG = apply_response(r, gw)
-    levels = _correlation_levels(F, G, RF, RG, K.values, grid, grid.N2, keep_all=True)
-    psi = np.ascontiguousarray(levels.T)  # psi[t, s]
+    psi = np.ascontiguousarray(_correlation_levels(F, G, RF, RG, K.values, grid).T)
     tt, ss = np.indices(psi.shape)
     psi[tt + ss > grid.N2] = 0.0
     return PsiField(grid=grid, values=psi)
@@ -215,6 +189,20 @@ def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
     return RP
 
 
+def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Transpose of v -> causal_convolution(a, v, h).
+
+    The correlation sum_{i >= j} a[i - j] v[i] with the transposed trapezoid
+    end weights: half weight on the diagonal term a[0] v[j], and at j = 0
+    half the sum over i >= 1 only, because the convolution halves its v[0]
+    column and zeroes its t = 0 row.
+    """
+    c = np.convolve(a, v[::-1])[: v.size][::-1]
+    out = h * (c - 0.5 * a[0] * v)
+    out[0] -= 0.5 * h * c[0]
+    return out
+
+
 def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l) for the march.
 
@@ -225,7 +213,6 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     """
     N, h = grid.N, grid.h
     n_t = grid.N2 + 1
-    CKT = _conv_matrix(Kv, h, n_t).T if Kv is not None else None
     V = np.zeros((N, n_t))  # V[l] = masked lambda_{l+1}, l = 1..N-1
     lam_next = np.zeros(n_t)
     lam_next[N] = 1.0  # lambda_N
@@ -239,8 +226,8 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
         lam_m[1:-1] = vm[2:] + vm[:-2]
         lam_m[0] = vm[1]
         lam_m[-1] = vm[-2]
-        if CKT is not None:
-            lam_m += h * h * (CKT @ vm)
+        if Kv is not None:
+            lam_m += h * h * _causal_correlation(Kv, vm, h)
         vm2 = lam_next2.copy()
         vm2[0] = 0.0
         vm2[-1] = 0.0
@@ -262,9 +249,7 @@ def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
     """
     N, h = grid.N, grid.h
     W = (h * h) * _adjoint_weights(Kv, grid)
-    rows = np.zeros((N - 2, grid.N2 + 1))
-    rows[:, :N] = W[:, 2:N].T
-    return (RP.T @ W.T)[2:N, 2:N] - (rows @ RP)[:, 2:N]
+    return RP[:, 2:N].T @ W[2:N].T - W[:, 2:N].T @ RP[:N, 2:N]
 
 
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:

@@ -17,8 +17,13 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave import connecting
-from memwave.connecting import _galerkin, _impulse_responses, _kernel_from_galerkin
-from memwave.model import bump_profile, trapezoid, trapz_weights
+from memwave.connecting import (
+    _causal_correlation,
+    _galerkin,
+    _impulse_responses,
+    _kernel_from_galerkin,
+)
+from memwave.model import bump_profile, causal_convolution, trapezoid, trapz_weights
 
 
 def _free_setup(n):
@@ -295,6 +300,15 @@ def test_assembly_calls_apply_response_twice(monkeypatch, n):
     assert len(calls) == 2
     assert calls[0] is r  # data route
     assert not np.any(calls[1].values)  # free route
+
+
+@pytest.mark.parametrize("n", [9, 64])
+def test_causal_correlation_is_transposed_convolution(n):
+    rng = np.random.default_rng(n)
+    a, v = rng.standard_normal((2, n))
+    M = _dense_conv_matrix(a, 0.1, n)
+    assert_allclose(causal_convolution(a, v, 0.1), M @ v, rtol=0, atol=1e-13)
+    assert_allclose(_causal_correlation(a, v, 0.1), M.T @ v, rtol=0, atol=1e-13)
 
 
 def test_probe_gram_matrix_is_psd():
