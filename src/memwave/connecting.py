@@ -13,16 +13,17 @@ with psi = 0 on both axes, and (C f, g) = psi(T, T).  Marching this in s on
 the unit-Courant grid gives the form for any admissible control pair.
 
 The reduced kernel c(t, s) of the time-reversed form minus the identity is
-estimated by probing with narrow C^2 bumps b_p (width 2h, discrete mass h)
-centered at the grid nodes: the Galerkin value for the pair (p, q), time
-reversed and with the *same march run without data* subtracted, equals
-h^2 c(t_p, t_q) up to O(h^2).  Subtracting the free march (r = 0, K = 0)
-rather than an analytic bump overlap is essential: it removes the identity
-contribution together with its discretization error, exactly.
+estimated by probing with the grid impulses e_p at t_p (discrete mass h):
+the Galerkin value for the pair (p, q), time reversed and with the *same
+march run without data* subtracted, equals h^2 c(t_p, t_q) up to O(h^2).
+Subtracting the free march (r = 0, K = 0) rather than an analytic overlap
+is essential: it removes the identity contribution together with its
+discretization error, exactly.
 
-Two assembly routes produce identical numbers: a per-pair probe sweep, and
-an adjoint accumulation that marches the transposed scheme once and reads
-all pairs off three matrix products.
+The response of every impulse is a shift of one stencil, so the assembly
+makes one response call per route (data and free).  One adjoint march of
+the transposed scheme gives the weights of psi(T, T) for any right-hand
+side, and all pairs are read off two matrix products.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
         vm2[0] = 0.0
         vm2[-1] = 0.0
         lam_m -= vm2
-        if Kv is not None and m <= N - 1:
+        if Kv is not None:
             coeff = np.full(N - m, h)
             coeff[0] *= 0.5  # trapezoid weight of the alpha = l node
             lam_m -= h * h * ((coeff * Kv[: N - m]) @ V[m:N])
@@ -255,9 +256,9 @@ def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
     """Reduced kernel from the free-subtracted, h^2-scaled Galerkin block.
 
-    Only the upper triangle (p <= q) of ``raw`` is read.  Probe p sits at
-    time reversal of t = T - t_p, so the block fills the interior rows
-    reversed.  The row t = 0 vanishes identically (the kernel does on that
+    Only the upper triangle (p <= q) of ``raw`` is read.  Time reversal
+    sends probe p to the node N - p, so the block fills the interior rows
+    1..N-2 in reverse order.  The row t = 0 vanishes identically (the kernel does on that
     line); the last two rows, which would need probes outside the discretely
     admissible range, are filled by quadratic extrapolation.
     """

@@ -27,7 +27,6 @@ __all__ = [
     "sampled_derivative",
     "causal_convolution",
     "sample_family",
-    "family_cumulative",
     "coefficient_from_family",
     "kernel_from_family",
     "control_from_family",
@@ -219,46 +218,6 @@ def sample_family(name: str, params, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def family_cumulative(name: str, params, points: np.ndarray) -> np.ndarray:
-    """Closed-form running integral int_0^x of a catalogued family.
-
-    Used as a grid-independent reference when checking reconstructed
-    diagonals; every family has an elementary antiderivative.
-    """
-    params = _check_family(name, params)
-    x = np.asarray(points, dtype=float)
-    if name == "zero":
-        return np.zeros_like(x)
-    if name == "constant":
-        return params[0] * x
-    if name == "gaussian_bump":
-        center, width, amplitude = params
-        scale = amplitude * width * math.sqrt(math.pi / 2.0)
-        erf = np.vectorize(math.erf)
-        s = math.sqrt(2.0) * width
-        return scale * (erf((x - center) / s) - math.erf(-center / s))
-    if name == "sine":
-        freq, amplitude = params
-        if freq == 0.0:
-            return np.zeros_like(x)
-        w = 2.0 * np.pi * freq
-        return amplitude * (1.0 - np.cos(w * x)) / w
-    if name == "exp_decay":
-        amplitude, rate = params
-        if rate == 0.0:
-            return amplitude * x
-        return amplitude * (1.0 - np.exp(-rate * x)) / rate
-    if name == "smooth_bump_control":
-        center, width = params
-        xi = np.clip((x - center) / width, -1.0, 1.0)
-
-        def anti(u):
-            return u - u ** 3 + 0.6 * u ** 5 - u ** 7 / 7.0
-
-        return width * (anti(xi) - anti(-1.0))
-    raise UsageError(name)  # pragma: no cover
-
-
 # --------------------------------------------------------------------------
 # sampled field types
 # --------------------------------------------------------------------------
@@ -336,9 +295,8 @@ class ControlSignal:
 class TriangularField:
     """Kernel samples on the triangle {0 <= i <= j, i + j <= 2N}.
 
-    Stored densely with zeros outside the triangle; queries below the
-    characteristic (j < i) return 0 by convention, queries past the data
-    window (i + j > 2N) are a contract violation.
+    Stored densely, with zeros below the characteristic (j < i) and past
+    the data window (i + j > 2N).
     """
 
     grid: GridSpec
@@ -355,13 +313,6 @@ class TriangularField:
         if not np.all(np.isfinite(v)):
             raise UsageError("triangular field has non-finite samples")
         object.__setattr__(self, "values", _frozen(v))
-
-    def at(self, i: int, j: int) -> float:
-        if i < 0 or j < 0 or i + j > self.grid.N2:
-            raise UsageError(f"triangular field query ({i}, {j}) is outside the data window")
-        if j < i:
-            return 0.0
-        return float(self.values[i, j])
 
     def diagonal(self) -> np.ndarray:
         """Values on the characteristic j = i, i = 0..N."""

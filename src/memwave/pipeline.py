@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_PATHS = ("response", "w_oracle")
 
 # verify-stage acceptance bands (tuned on the catalogue problems: clean data
 # passes with at least a 4x margin, a single corrupted response sample fails)
@@ -135,7 +136,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if ridge < 0.0:
         raise UsageError("config: ridge must be >= 0")
     path = raw.get("path", "response")
-    if path not in ("response", "w_oracle"):
+    if path not in _PATHS:
         raise UsageError("config: path must be 'response' or 'w_oracle'")
     noise = raw.get("noise", {})
     if not isinstance(noise, dict) or set(noise) - {"sigma", "seed"}:
@@ -182,6 +183,21 @@ class _Timer:
         return self.laps
 
 
+def _check_path(path: str) -> None:
+    if path not in _PATHS:
+        raise UsageError(f"unknown reconstruction path {path!r}")
+
+
+def _add_noise(r: ResponseData, sigma: float, seed: int) -> ResponseData:
+    """Seeded Gaussian noise of level sigma on every response sample but t = 0."""
+    if not sigma > 0.0:
+        return r
+    values = r.values.copy()
+    rng = np.random.default_rng(seed)
+    values[1:] += sigma * rng.standard_normal(values.size - 1)
+    return ResponseData(r.grid, values)
+
+
 def _grid_block(grid: GridSpec) -> dict:
     return {"T": grid.T, "N": grid.N, "h": grid.h}
 
@@ -215,11 +231,7 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
     r = response_kernel(sol)
     timer.lap("goursat", t0)
 
-    values = r.values.copy()
-    if cfg.noise_sigma > 0.0:
-        rng = np.random.default_rng(cfg.noise_seed)
-        values[1:] += cfg.noise_sigma * rng.standard_normal(values.size - 1)
-        r = ResponseData(grid, values)
+    r = _add_noise(r, cfg.noise_sigma, cfg.noise_seed)
 
     os.makedirs(outdir, exist_ok=True)
     t_full = grid.times_full()
@@ -303,8 +315,7 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
                     ridge: float = 0.0) -> dict:
     """Recover the potential from a data directory and write the results."""
     timer = _Timer()
-    if path not in ("response", "w_oracle"):
-        raise UsageError(f"unknown reconstruction path {path!r}")
+    _check_path(path)
     t0 = time.perf_counter()
     grid, r, K, q_true = _load_data(datadir)
     timer.lap("load", t0)
@@ -550,8 +561,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
     timer = _Timer()
     if len(grids) < 2 or sorted(set(grids)) != list(grids):
         raise UsageError("convergence needs at least two strictly increasing grids")
-    if path not in ("response", "w_oracle"):
-        raise UsageError(f"unknown reconstruction path {path!r}")
+    _check_path(path)
     rows = []
     for N in grids:
         t0 = time.perf_counter()
@@ -559,12 +569,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
         grid = c.grid()
         q, K = c.fields()
         sol = solve_goursat(q, K, grid)
-        r = response_kernel(sol)
-        if c.noise_sigma > 0.0:
-            rng = np.random.default_rng(c.noise_seed)
-            values = r.values.copy()
-            values[1:] += c.noise_sigma * rng.standard_normal(values.size - 1)
-            r = ResponseData(grid, values)
+        r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
         if path == "response":
             cT = connecting_kernel_from_response(r, K)
         else:
