@@ -168,25 +168,25 @@ def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
 # --------------------------------------------------------------------------
 
 def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
-    """Columns p = 2..N-1: the response of the grid impulse at t_p, on [0, 2T].
+    """Responses on [0, 2T] of the grid impulses at t_p, p = 2..N-1 (column p - 2).
 
     Probes start at p = 2 because the march pins its first two levels to
     zero, which is exact only for controls vanishing at t = 0 and t = h; an
     impulse at t = h would be seen with half its dipole missing.  The
     response map is shift-invariant away from t = 0, so one call gives every
-    column: column p >= 3 is the t_2 response from row 1 on, moved to start
-    at row p - 1 (row 0 of the t_2 response is the one-sided derivative
-    stencil at t = 0, which the later impulses never reach).
+    column: the one for p >= 3 is the t_2 response from row 1 on, moved to
+    start at row p - 1 (row 0 of the t_2 response is the one-sided
+    derivative stencil at t = 0, which the later impulses never reach).
     """
     N = grid.N
     n_t = grid.N2 + 1
     impulse = np.zeros(n_t)
     impulse[2] = 1.0
     col = apply_response(r, ControlSignal(grid, impulse, admissible=True))
-    RP = np.zeros((n_t, N + 1))
-    RP[:, 2] = col
-    for p in range(3, N):
-        RP[p - 1 :, p] = col[1 : n_t - p + 2]
+    RP = np.zeros((n_t, N - 2))
+    RP[:, 0] = col
+    for k in range(1, N - 2):
+        RP[k + 1 :, k] = col[1 : n_t - k]
     return RP
 
 
@@ -250,7 +250,7 @@ def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
     """
     N, h = grid.N, grid.h
     W = (h * h) * _adjoint_weights(Kv, grid)
-    return RP[:, 2:N].T @ W[2:N].T - W[:, 2:N].T @ RP[:N, 2:N]
+    return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
 
 
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
@@ -286,7 +286,8 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
     return ConnectingKernel(grid=grid, values=c)
 
 
-def connecting_kernel_from_response(r: ResponseData, K: MemoryKernel) -> ConnectingKernel:
+def connecting_kernel_from_response(r: ResponseData,
+                                    K: MemoryKernel) -> ConnectingKernel:
     """Assemble c(t_i, s_j) on [0, T]^2 from boundary data (r, K) only.
 
     Interior rows come from the probe Galerkin matrix, time reversed,
