@@ -55,7 +55,6 @@ from .model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
-    TriangularField,
     coefficient_from_family,
     control_from_family,
     kernel_from_family,

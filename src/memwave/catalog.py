@@ -1,4 +1,4 @@
-"""Named benchmark problems used by the scripts, the CLI and the test-suite."""
+"""Named benchmark problems used by CLI configs and the test-suite."""
 
 from __future__ import annotations
 

@@ -323,10 +323,11 @@ def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:
     """
     grid = sol.grid
     N, h = grid.N, grid.h
-    W = sol.w.values[: N + 1, : N + 1]  # W[i, j] = w(x_i, t_j), zero below diag
+    W = sol.w[:, : N + 1]  # W[i, j] = w(x_i, t_j), zero below diag
     sym = W + W.T - np.diag(np.diagonal(W))
     gram = h * (W.T @ W)
-    mm = np.minimum.outer(np.arange(N + 1), np.arange(N + 1))
-    ii, jj = np.indices((N + 1, N + 1))
-    gram -= 0.5 * h * W[mm, ii] * W[mm, jj]
+    # trapezoid end weight (h/2) W[m, i] W[m, j] at m = min(i, j): with
+    # E = (h/2) diag(W) W it is E[i, j] for i <= j and E[j, i] for i >= j
+    E = (0.5 * h * np.diagonal(W))[:, None] * W
+    gram -= E + E.T - np.diag(np.diagonal(E))
     return ConnectingKernel(grid=grid, values=sym + gram)

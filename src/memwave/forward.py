@@ -86,7 +86,7 @@ def duhamel_eval(sol: GoursatSolution, f: ControlSignal, t_star: float) -> WaveS
 
     u = np.zeros(N + 1)
     if js > 0:
-        w = sol.w.values[: js + 1, : js + 1]
+        w = sol.w[: js + 1, : js + 1]
         frev = fv[js::-1]  # f(t_star - s) for s = 0..t_star
         weights = trapz_weights(js + 1, h)
         # w[i, s] vanishes for s < i, so the full-range sum only needs its
@@ -118,7 +118,7 @@ def solve_control(sol: GoursatSolution, target: np.ndarray) -> ControlSignal:
     a = np.asarray(target, dtype=float)
     if a.shape != (N + 1,):
         raise UsageError(f"target state needs {N + 1} samples on [0, T], got {a.shape}")
-    w = sol.w.values
+    w = sol.w
     g = np.zeros(N + 1)  # g[k] = f(T - x_k)
     g[N] = a[N]
     for i in range(N - 1, -1, -1):

@@ -170,7 +170,7 @@ def z_from_w(sol: GoursatSolution) -> GLSolution:
     """
     grid = sol.grid
     N, h = grid.N, grid.h
-    W = sol.w.values[: N + 1, : N + 1]
+    W = sol.w[:, : N + 1]
     z = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         z[i, i] = -W[i, i]

@@ -39,7 +39,6 @@ from .model import (
     CoefficientField,
     GridSpec,
     MemoryKernel,
-    TriangularField,
     cumulative_trapezoid,
     trapz_weights,
 )
@@ -58,16 +57,20 @@ __all__ = [
 class GoursatSolution:
     """Kernel w on the triangle plus the data that produced it.
 
-    ``extended`` holds one extra diagonal strip (i + j <= 2N + 2, with the
-    potential continued by its last sample) so that the boundary-derivative
-    stencil stays second order up to t = 2T; only the response extraction
-    reads it.
+    ``w`` is a read-only (N + 1) x (2N + 1) array, w[i, j] = w(x_i, t_j): the
+    triangle has only the N + 1 rows x in [0, T].  It is zero below the
+    characteristic (j < i) and past the data window (i + j > 2N).
+
+    ``extended`` holds the N + 2 march rows, one extra diagonal strip
+    (i + j <= 2N + 2, with the potential continued by its last sample) so
+    that the boundary-derivative stencil stays second order up to t = 2T;
+    only the response extraction reads it.
     """
 
     grid: GridSpec
     q: CoefficientField
     K: MemoryKernel
-    w: TriangularField
+    w: np.ndarray = field(repr=False)
     extended: np.ndarray = field(repr=False)
 
 
@@ -130,34 +133,37 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
     return w
 
 
+def _triangle(w_ext: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Rows 0..N of the march, zeroed outside {j >= i, i + j <= 2N}, read-only."""
+    i = np.arange(grid.N + 1)[:, None]
+    j = np.arange(grid.N2 + 1)
+    w = np.where((j < i) | (i + j > grid.N2), 0.0, w_ext[: grid.N + 1])
+    w.flags.writeable = False
+    return w
+
+
 def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> GoursatSolution:
     """March the diamond scheme for the kernel w over the full triangle."""
     if q.grid != grid or K.grid != grid:
         raise UsageError("coefficient/kernel grids do not match the requested grid")
-    N, N2 = grid.N, grid.N2
     # one extra sample past T (constant continuation) feeds the extended strip;
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])
     diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
     w_ext = _march(q_ext, K.values, diag, grid, with_memory=True)
-
-    dense = np.zeros((N2 + 1, N2 + 1))
-    dense[: N + 2, :] = w_ext
-    field_w = TriangularField(grid, dense)  # masks the extended strip away
-    return GoursatSolution(grid=grid, q=q, K=K, w=field_w, extended=w_ext)
+    return GoursatSolution(grid=grid, q=q, K=K, w=_triangle(w_ext, grid), extended=w_ext)
 
 
-def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> TriangularField:
+def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
     """First-order-in-K kernel: the same march driven by K(t - x) alone.
 
     This is the derivative of the full scheme with respect to the kernel
-    amplitude at q = 0, K = 0; useful as a linearization reference.
+    amplitude at q = 0, K = 0; useful as a linearization reference.  Same
+    shape, mask and read-only flag as ``GoursatSolution.w``.
     """
     diag = np.zeros(grid.N + 2)
     w_ext = _march(np.zeros(grid.N + 2), K.values, diag, grid, with_memory=False)
-    dense = np.zeros((grid.N2 + 1, grid.N2 + 1))
-    dense[: grid.N + 2, :] = w_ext
-    return TriangularField(grid, dense)
+    return _triangle(w_ext, grid)
 
 
 def response_kernel(sol: GoursatSolution) -> ResponseData:
@@ -183,7 +189,7 @@ def response_kernel(sol: GoursatSolution) -> ResponseData:
 def diagonal_residual(sol: GoursatSolution) -> float:
     """Sup of |(d/dx) w(x, x) + q(x)/2| over interior nodes, central differences."""
     grid = sol.grid
-    d = sol.extended[np.arange(grid.N + 1), np.arange(grid.N + 1)]
+    d = np.diagonal(sol.w)
     if grid.N < 2:
         return 0.0
     slope = (d[2:] - d[:-2]) / (2.0 * grid.h)

@@ -9,7 +9,7 @@ and memory kernels on [0, 2T], and triangular kernels on the region
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "CoefficientField",
     "MemoryKernel",
     "ControlSignal",
-    "TriangularField",
     "trapezoid",
     "trapz_weights",
     "cumulative_trapezoid",
@@ -70,9 +69,6 @@ class GridSpec:
     def times_full(self) -> np.ndarray:
         """Grid points of [0, 2T] (2N + 1 values)."""
         return np.linspace(0.0, 2.0 * self.T, self.N2 + 1)
-
-    def refine(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.T, self.N * factor)
 
 
 def _frozen(values) -> np.ndarray:
@@ -289,34 +285,6 @@ class ControlSignal:
         out = np.zeros(self.grid.N2 + 1)
         out[: self.values.size] = self.values
         return out
-
-
-@dataclass(frozen=True)
-class TriangularField:
-    """Kernel samples on the triangle {0 <= i <= j, i + j <= 2N}.
-
-    Stored densely, with zeros below the characteristic (j < i) and past
-    the data window (i + j > 2N).
-    """
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.grid.N2 + 1
-        v = np.array(self.values, dtype=float)
-        if v.shape != (n, n):
-            raise UsageError(f"triangular field needs a {n}x{n} sample array, got {v.shape}")
-        ii, jj = np.indices(v.shape)
-        outside = (jj < ii) | (ii + jj > self.grid.N2)
-        v[outside] = 0.0
-        if not np.all(np.isfinite(v)):
-            raise UsageError("triangular field has non-finite samples")
-        object.__setattr__(self, "values", _frozen(v))
-
-    def diagonal(self) -> np.ndarray:
-        """Values on the characteristic j = i, i = 0..N."""
-        return np.diagonal(self.values)[: self.grid.N + 1].copy()
 
 
 # --------------------------------------------------------------------------

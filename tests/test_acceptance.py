@@ -34,7 +34,7 @@ def test_trivial_problem_vanishes_at_every_stage():
     cT = mw.connecting_kernel_from_response(r, K)
     gl = mw.solve_gl(cT)
     q_hat = mw.recover_potential(gl)
-    assert np.abs(sol.w.values).max() < 1e-8
+    assert np.abs(sol.w).max() < 1e-8
     assert np.abs(r.values).max() < 1e-8
     assert np.abs(cT.values).max() < 1e-8
     assert np.abs(gl.z).max() < 1e-8
@@ -46,12 +46,12 @@ def test_perturbative_memory_kernel_closed_form():
     # K0 = 0.01, q = 0:  w = -(K0/2) x (t - x) + O(K0^2)
     t0 = time.perf_counter()
     grid, q, K, sol = _pipeline_pieces("memory_only_small", 128)
-    n2 = grid.N2
+    n, n2 = grid.N, grid.N2
     x = np.linspace(0.0, 2.0, n2 + 1)
-    i, j = np.meshgrid(np.arange(n2 + 1), np.arange(n2 + 1), indexing="ij")
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
     inside = (i <= j) & (i + j <= n2)
     first_order = -(0.01 / 2.0) * x[i] * (x[j] - x[i])
-    sup = np.abs((sol.w.values - first_order) * inside).max()
+    sup = np.abs((sol.w - first_order) * inside).max()
     assert sup <= 5e-4  # 5 * K0^2
     assert time.perf_counter() - t0 < 10.0
 
@@ -60,12 +60,12 @@ def test_perturbative_potential_closed_form():
     # q0 = 0.01, K = 0:  w = -(q0/2) x + O(q0^2)
     t0 = time.perf_counter()
     grid, q, K, sol = _pipeline_pieces("potential_only_small", 128)
-    n2 = grid.N2
+    n, n2 = grid.N, grid.N2
     x = np.linspace(0.0, 2.0, n2 + 1)
-    i, j = np.meshgrid(np.arange(n2 + 1), np.arange(n2 + 1), indexing="ij")
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
     inside = (i <= j) & (i + j <= n2)
     first_order = -(0.01 / 2.0) * x[i] + 0.0 * x[j]
-    sup = np.abs((sol.w.values - first_order) * inside).max()
+    sup = np.abs((sol.w - first_order) * inside).max()
     assert sup <= 5e-4  # 5 * q0^2
     assert time.perf_counter() - t0 < 10.0
 

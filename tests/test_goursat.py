@@ -13,6 +13,8 @@ dropping quadratic terms; the frozen numbers below are those expressions
 evaluated at the catalogue amplitudes (0.01).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,7 +34,7 @@ def _solve(name, n):
 
 def test_free_problem_kernel_vanishes():
     sol = _solve("free", 32)
-    assert np.abs(sol.w.values).max() == 0.0
+    assert np.abs(sol.w).max() == 0.0
     assert np.abs(sol.extended).max() == 0.0
 
 
@@ -44,15 +46,31 @@ def test_free_problem_response_vanishes():
 def test_diagonal_carries_half_potential_integral():
     sol = _solve("full", 64)
     want = -0.5 * cumulative_trapezoid(sol.q.values, sol.grid.h)
-    assert_allclose(np.diag(sol.w.values)[:65], want, atol=1e-15)
+    assert_allclose(np.diagonal(sol.w), want, atol=1e-15)
 
 
 def test_triangular_masking():
     sol = _solve("full", 32)
-    n2 = sol.grid.N2
-    i, j = np.meshgrid(np.arange(n2 + 1), np.arange(n2 + 1), indexing="ij")
-    assert np.abs(sol.w.values[i > j]).max() == 0.0
-    assert np.abs(sol.w.values[i + j > n2]).max() == 0.0
+    n, n2 = sol.grid.N, sol.grid.N2
+    assert sol.w.shape == (n + 1, n2 + 1)
+    assert not sol.w.flags.writeable
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
+    assert np.abs(sol.w[i > j]).max() == 0.0
+    assert np.abs(sol.w[i + j > n2]).max() == 0.0
+
+
+def test_kernel_memory_is_a_small_multiple_of_the_march():
+    # w keeps rows x in [0, T] only; no (2N+1)^2 copy of the march output
+    grid = mw.GridSpec(1.0, 256)
+    q, K = mw.get_problem("full").fields(grid)
+    march_bytes = (grid.N + 2) * (grid.N2 + 1) * 8
+    tracemalloc.start()
+    try:
+        mw.solve_goursat(q, K, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * march_bytes
 
 
 # ------------------------------------------- small-amplitude closed forms
@@ -61,24 +79,24 @@ def test_triangular_masking():
 def test_memory_kernel_spot_value():
     # -(K0/2) x (t - x) at x = 0.5, t = 1.0 with K0 = 0.01
     sol = _solve("memory_only_small", 128)
-    assert sol.w.values[64, 128] == pytest.approx(-0.00125, abs=2.5e-5)
+    assert sol.w[64, 128] == pytest.approx(-0.00125, abs=2.5e-5)
 
 
 def test_memory_kernel_closed_form_everywhere():
     sol = _solve("memory_only_small", 64)
-    n2 = sol.grid.N2
+    n, n2 = sol.grid.N, sol.grid.N2
     x = np.linspace(0.0, 2.0, n2 + 1)
-    i, j = np.meshgrid(np.arange(n2 + 1), np.arange(n2 + 1), indexing="ij")
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
     inside = (i <= j) & (i + j <= n2)
     approx = -(0.01 / 2.0) * x[i] * (x[j] - x[i])
-    err = np.abs((sol.w.values - approx) * inside).max()
+    err = np.abs((sol.w - approx) * inside).max()
     assert err < 3e-6
 
 
 def test_potential_kernel_spot_value():
     # -(q0/2) x at x = 0.5 with q0 = 0.01
     sol = _solve("potential_only_small", 128)
-    assert sol.w.values[64, 128] == pytest.approx(-0.0025, abs=2.5e-5)
+    assert sol.w[64, 128] == pytest.approx(-0.0025, abs=2.5e-5)
 
 
 def test_memory_response_is_linear_ramp():
@@ -109,7 +127,7 @@ def test_linearized_field_scales_exactly():
     k2 = mw.kernel_from_family("constant", (0.02,), grid)
     lin1 = mw.linearized_memory_field(k1, grid)
     lin2 = mw.linearized_memory_field(k2, grid)
-    assert_allclose(lin2.values, 2.0 * lin1.values, atol=0.0)
+    assert_allclose(lin2, 2.0 * lin1, atol=0.0)
 
 
 def test_full_march_deviates_quadratically_from_linearized():
@@ -120,7 +138,7 @@ def test_full_march_deviates_quadratically_from_linearized():
         k = mw.kernel_from_family("constant", (amp,), grid)
         sol = mw.solve_goursat(q0, k, grid)
         lin = mw.linearized_memory_field(k, grid)
-        devs.append(np.abs(sol.w.values - lin.values).max())
+        devs.append(np.abs(sol.w - lin).max())
     assert devs[0] < 3e-6
     assert devs[1] / devs[0] == pytest.approx(4.0, abs=0.5)
 

@@ -45,11 +45,6 @@ def test_grid_spec_doubled_window():
     assert_allclose(full[:33], g.times_half())
 
 
-def test_grid_spec_refine():
-    g = mw.GridSpec(1.0, 16).refine()
-    assert g.N == 32 and g.h == pytest.approx(1.0 / 32.0)
-
-
 def test_trapz_weights_sum_to_length():
     w = trapz_weights(11, 0.1)
     assert w.size == 11
