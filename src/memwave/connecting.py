@@ -23,7 +23,11 @@ discretization error, exactly.
 The response of every impulse is a shift of one stencil, so the assembly
 makes one response call per route (data and free).  One adjoint march of
 the transposed scheme gives the weights of psi(T, T) for any right-hand
-side, and all pairs are read off two matrix products.
+side, and all pairs are read off two matrix products.  The march forms its
+transposed history convolution as one FFT correlation per level,
+O(N log N) each, and its level memory by blocks of levels, one GEMM per
+block for the rows finished before it and a short product per level for
+the rows inside it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssemblyError, NumericalInstabilityError, UsageError
 from .forward import apply_response, fd_forward
@@ -56,6 +61,8 @@ __all__ = [
 
 # scheme constant for the asymmetry guard of the data-driven assembly
 _SYM_TOL_FACTOR = 50.0
+# levels per block of the adjoint march's level memory (one GEMM per block)
+_LEVEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
     RF = apply_response(r, fw)
     RG = apply_response(r, gw)
     psi = np.ascontiguousarray(_correlation_levels(F, G, RF, RG, K.values, grid).T)
-    tt, ss = np.indices(psi.shape)
+    tt = np.arange(psi.shape[0])[:, None]
+    ss = np.arange(psi.shape[1])
     psi[tt + ss > grid.N2] = 0.0
     return PsiField(grid=grid, values=psi)
 
@@ -190,15 +198,34 @@ def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
     return RP
 
 
-def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+def _correlation_spectrum(a: np.ndarray) -> np.ndarray:
+    """Conjugate spectrum of ``a`` at the FFT length of ``_causal_correlation``.
+
+    The length is the smallest power of two >= 2 len(a) - 2 (4096 at
+    len(a) = 2049), one short of the 2 len(a) - 1 that rules out every
+    wrap-around; ``_causal_correlation`` sets the one entry a wrap can reach.
+    """
+    return np.conj(np.fft.rfft(a, 1 << (2 * a.size - 3).bit_length()))
+
+
+def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
+                        a_hat: np.ndarray | None = None) -> np.ndarray:
     """Transpose of v -> causal_convolution(a, v, h).
 
-    The correlation sum_{i >= j} a[i - j] v[i] with the transposed trapezoid
-    end weights: half weight on the diagonal term a[0] v[j], and at j = 0
-    half the sum over i >= 1 only, because the convolution halves its v[0]
-    column and zeroes its t = 0 row.
+    The correlation sum_{i >= j} a[i - j] v[i], formed by FFT, with the
+    transposed trapezoid end weights: half weight on the diagonal term
+    a[0] v[j], and at j = 0 half the sum over i >= 1 only, because the
+    convolution halves its v[0] column and zeroes its t = 0 row.  ``a_hat``
+    is ``_correlation_spectrum(a)``, for callers that correlate one ``a``
+    with many vectors.
     """
-    c = np.convolve(a, v[::-1])[: v.size][::-1]
+    if a_hat is None:
+        a_hat = _correlation_spectrum(a)
+    L = 2 * (a_hat.size - 1)
+    c = np.fft.irfft(a_hat * np.fft.rfft(v, L), L)[: v.size]
+    # the last sum has the single term a[0] v[-1]; at L = 2 len(a) - 2 the
+    # circular sum adds a[-1] v[0] to it
+    c[-1] = a[0] * v[-1]
     out = h * (c - 0.5 * a[0] * v)
     out[0] -= 0.5 * h * c[0]
     return out
@@ -211,6 +238,14 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     at (t = T, s = T) and each backward step applies the transposed update
     (shift-sum, transposed history convolution, transposed level memory).
     Only the levels l = 1..N-1 carry weight; row 0 stays zero.
+
+    The transposed history convolution is one FFT correlation per level
+    against the spectrum of Kv, taken once: O(N log N) per level.  The level
+    memory of level m, sum_{j >= m} h Kv[j - m] V[j] (half weight at j = m),
+    is split by blocks of ``_LEVEL_BLOCK`` descending levels: the rows
+    finished before a block enter through one Toeplitz-by-rows product at the
+    block's start, and each level adds its at most ``_LEVEL_BLOCK`` near rows
+    of the block itself.
     """
     N, h = grid.N, grid.h
     n_t = grid.N2 + 1
@@ -218,6 +253,10 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     lam_next = np.zeros(n_t)
     lam_next[N] = 1.0  # lambda_N
     lam_next2 = np.zeros(n_t)  # lambda_{N+1}
+    if Kv is not None:
+        K_hat = _correlation_spectrum(Kv)
+        near = h * Kv[:_LEVEL_BLOCK]
+        near[0] *= 0.5  # trapezoid weight of the alpha = l node
     for m in range(N - 1, 0, -1):
         vm = lam_next.copy()
         vm[0] = 0.0
@@ -228,15 +267,22 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
         lam_m[0] = vm[1]
         lam_m[-1] = vm[-2]
         if Kv is not None:
-            lam_m += h * h * _causal_correlation(Kv, vm, h)
+            lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)
         vm2 = lam_next2.copy()
         vm2[0] = 0.0
         vm2[-1] = 0.0
         lam_m -= vm2
         if Kv is not None:
-            coeff = np.full(N - m, h)
-            coeff[0] *= 0.5  # trapezoid weight of the alpha = l node
-            lam_m -= h * h * ((coeff * Kv[: N - m]) @ V[m:N])
+            if (N - 1 - m) % _LEVEL_BLOCK == 0:
+                # a block of the levels top, top - 1, ..., >= 1 starts; the
+                # rows V[top + 1 : N] are final, and level top - i takes
+                # sum_j h Kv[i + 1 + j] V[top + 1 + j] from them
+                top = m
+                toeplitz = sliding_window_view(Kv[1:N], N - 1 - top)
+                toeplitz = np.ascontiguousarray(toeplitz[: min(_LEVEL_BLOCK, top)])
+                far = h * (toeplitz @ V[top + 1 : N])
+            i = top - m
+            lam_m -= h * h * (far[i] + near[: i + 1] @ V[m : top + 1])
         lam_next2, lam_next = lam_next, lam_m
     return V
 

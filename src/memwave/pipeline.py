@@ -555,6 +555,17 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
 # convergence
 # --------------------------------------------------------------------------
 
+def _roundoff_floor(q: np.ndarray, N: int) -> float:
+    """Estimated round-off level of ``interior_rel`` at grid size N.
+
+    The Galerkin block is scaled by h^-2 and q_hat differentiates once more,
+    so rounding errors of relative size eps grow to about eps N^2 in q_hat;
+    relative to max|q|, or absolute when q vanishes, as ``interior_rel`` is.
+    """
+    scale = float(np.max(np.abs(q)))
+    return float(np.finfo(float).eps * N * N / (scale if scale > 1e-14 else 1.0))
+
+
 def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
                     path: str = "response") -> dict:
     """Reconstruction error against the truth over a ladder of grids."""
@@ -576,11 +587,12 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
             cT = connecting_kernel_from_w(sol)
         q_hat = recover_potential(solve_gl(cT, ridge=c.ridge))
         err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
-        rows.append({"N": N, "error": err})
+        rows.append({"N": N, "error": err, "floor": _roundoff_floor(q.values, N)})
         timer.lap(f"N={N}", t0)
     for k, row in enumerate(rows):
-        # order estimates on residuals at noise level are meaningless
-        if k == 0 or rows[k - 1]["error"] < 1e-12 or row["error"] < 1e-12:
+        # order estimates on errors at the round-off floor are meaningless
+        prev = rows[k - 1]
+        if k == 0 or prev["error"] < prev["floor"] or row["error"] < row["floor"]:
             row["ratio"] = float("nan")
             row["order"] = float("nan")
         else:

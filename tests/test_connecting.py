@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 import memwave as mw
 from memwave import connecting
 from memwave.connecting import (
+    _adjoint_weights,
     _causal_correlation,
     _galerkin,
     _impulse_responses,
@@ -273,6 +274,74 @@ def test_adjoint_matches_oracle_sweep(problem):
     assert np.abs(ca.values - oracle.values).max() < 1e-12
 
 
+# ------------------------------ test-local oracle: the direct adjoint march
+#
+# The adjoint march as first written: one full-length np.convolve per level
+# for the transposed history convolution and one product over every finished
+# level for the level memory, both O(N^3) in total.  The production march
+# must give the same weights at sizes that span several level blocks.
+
+
+def _direct_adjoint_weights(Kv, grid):
+    N, h = grid.N, grid.h
+    n_t = grid.N2 + 1
+    V = np.zeros((N, n_t))
+    lam_next = np.zeros(n_t)
+    lam_next[N] = 1.0
+    lam_next2 = np.zeros(n_t)
+    for m in range(N - 1, 0, -1):
+        vm = lam_next.copy()
+        vm[0] = vm[-1] = 0.0
+        V[m] = vm
+        lam_m = np.zeros(n_t)
+        lam_m[1:-1] = vm[2:] + vm[:-2]
+        lam_m[0] = vm[1]
+        lam_m[-1] = vm[-2]
+        if Kv is not None:
+            c = np.convolve(Kv, vm[::-1])[:n_t][::-1]
+            corr = h * (c - 0.5 * Kv[0] * vm)
+            corr[0] -= 0.5 * h * c[0]
+            lam_m += h * h * corr
+        vm2 = lam_next2.copy()
+        vm2[0] = vm2[-1] = 0.0
+        lam_m -= vm2
+        if Kv is not None:
+            coeff = np.full(N - m, h)
+            coeff[0] *= 0.5
+            lam_m -= h * h * ((coeff * Kv[: N - m]) @ V[m:N])
+        lam_next2, lam_next = lam_next, lam_m
+    return V
+
+
+@pytest.mark.parametrize("n", [200, 256])
+@pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
+def test_adjoint_weights_match_direct_march(monkeypatch, problem, n):
+    # 200 is not a multiple of the level block, 256 is; both span several
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem(problem).fields(grid)
+    V = _adjoint_weights(K.values, grid)
+    V_direct = _direct_adjoint_weights(K.values, grid)
+    assert np.abs(V - V_direct).max() <= 1e-12 * (1.0 + np.abs(V_direct).max())
+    assert np.array_equal(_adjoint_weights(None, grid),
+                          _direct_adjoint_weights(None, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    ct = mw.connecting_kernel_from_response(r, K)
+    monkeypatch.setattr(connecting, "_adjoint_weights", _direct_adjoint_weights)
+    ct_direct = mw.connecting_kernel_from_response(r, K)
+    assert np.abs(ct.values - ct_direct.values).max() <= 1e-10
+
+
+def test_adjoint_march_makes_no_direct_convolution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    grid = mw.GridSpec(1.0, 200)
+    _, K = mw.get_problem("full").fields(grid)
+    V = _adjoint_weights(K.values, grid)
+    assert np.all(np.isfinite(V)) and V.shape == (grid.N, grid.N2 + 1)
+
+
 def test_impulse_responses_equal_per_probe_responses():
     # the bump of half-width h is a grid impulse, and the response map is
     # shift-invariant away from t = 0: the shifted stencil is exact
@@ -303,8 +372,9 @@ def test_assembly_calls_apply_response_twice(monkeypatch, n):
     assert not np.any(calls[1].values)  # free route
 
 
-@pytest.mark.parametrize("n", [9, 64])
+@pytest.mark.parametrize("n", [2, 9, 64, 65])
 def test_causal_correlation_is_transposed_convolution(n):
+    # at n = 2, 9, 65 the FFT length is 2n - 2, where the circular sum wraps
     rng = np.random.default_rng(n)
     a, v = rng.standard_normal((2, n))
     M = _dense_conv_matrix(a, 0.1, n)

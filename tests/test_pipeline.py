@@ -344,6 +344,20 @@ def test_convergence_orders(tmp_path):
     assert len(lines) == 4
 
 
+def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
+    # potential_only_small reaches rounding level by N = 128; its errors there
+    # no longer fall and an order read off them would be negative
+    cfg = config_from_dict({"problem": "potential_only_small"})
+    report = run_convergence(cfg, str(tmp_path / "floor"), [32, 64, 128, 256])
+    rows = report["rows"]
+    assert rows[1]["order"] == pytest.approx(2.0, abs=0.1)
+    assert all(np.isnan(row["order"]) for row in rows[2:])
+    assert all(row["error"] < row["floor"] for row in rows[2:])
+    lines = (tmp_path / "floor" / "convergence.csv").read_text().splitlines()
+    orders = [float(line.split(",")[3]) for line in lines[1:]]
+    assert not any(o < 0 for o in orders)
+
+
 def test_convergence_w_oracle_path(tmp_path):
     cfg = config_from_dict({"problem": "full"})
     report = run_convergence(cfg, str(tmp_path / "cw"), [16, 32], path="w_oracle")
