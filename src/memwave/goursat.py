@@ -119,7 +119,7 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
             kshift = Kv[j - idx]
             if with_memory:
                 col = trapz_weights(j + 1, h) * Kv[j::-1]
-                mem = w[idx, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
+                mem = w[1 : i_max + 1, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
                 F = q_ext[idx] * w[idx, j] + mem + kshift
             else:
                 F = kshift
