@@ -25,9 +25,8 @@ makes one response call per route (data and free).  One adjoint march of
 the transposed scheme gives the weights of psi(T, T) for any right-hand
 side, and all pairs are read off two matrix products.  The march forms its
 transposed history convolution as one FFT correlation per level,
-O(N log N) each, and its level memory by blocks of levels, one GEMM per
-block for the rows finished before it and a short product per level for
-the rows inside it.
+O(N log N) each, and its level memory as the blocked causal history of
+``model.CausalHistory``, which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssemblyError, NumericalInstabilityError, UsageError
 from .forward import apply_response, fd_forward
 from .goursat import GoursatSolution, ResponseData
 from .model import (
+    CausalHistory,
     ControlSignal,
     GridSpec,
     MemoryKernel,
@@ -61,8 +60,6 @@ __all__ = [
 
 # scheme constant for the asymmetry guard of the data-driven assembly
 _SYM_TOL_FACTOR = 50.0
-# levels per block of the adjoint march's level memory (one GEMM per block)
-_LEVEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -242,26 +239,24 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     The transposed history convolution is one FFT correlation per level
     against the spectrum of Kv, taken once: O(N log N) per level.  The level
     memory of level m, sum_{j >= m} h Kv[j - m] V[j] (half weight at j = m),
-    is split by blocks of ``_LEVEL_BLOCK`` descending levels: the rows
-    finished before a block enter through one Toeplitz-by-rows product at the
-    block's start, and each level adds its at most ``_LEVEL_BLOCK`` near rows
-    of the block itself.
+    is a causal history on the reversed levels k = N - m, below a zero level
+    k = 0 that carries the trapezoid's other half weight, so
+    ``model.CausalHistory`` forms it by blocks of levels.
     """
     N, h = grid.N, grid.h
     n_t = grid.N2 + 1
-    V = np.zeros((N, n_t))  # V[l] = masked lambda_{l+1}, l = 1..N-1
+    R = np.zeros((N + 1, n_t))  # R[N - l] = V[l] = masked lambda_{l+1}; R[0] = 0
     lam_next = np.zeros(n_t)
     lam_next[N] = 1.0  # lambda_N
     lam_next2 = np.zeros(n_t)  # lambda_{N+1}
     if Kv is not None:
         K_hat = _correlation_spectrum(Kv)
-        near = h * Kv[:_LEVEL_BLOCK]
-        near[0] *= 0.5  # trapezoid weight of the alpha = l node
+        history = CausalHistory(R, Kv, h)
     for m in range(N - 1, 0, -1):
         vm = lam_next.copy()
         vm[0] = 0.0
         vm[-1] = 0.0
-        V[m] = vm
+        R[N - m] = vm
         lam_m = np.zeros(n_t)
         lam_m[1:-1] = vm[2:] + vm[:-2]
         lam_m[0] = vm[1]
@@ -273,18 +268,9 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
         vm2[-1] = 0.0
         lam_m -= vm2
         if Kv is not None:
-            if (N - 1 - m) % _LEVEL_BLOCK == 0:
-                # a block of the levels top, top - 1, ..., >= 1 starts; the
-                # rows V[top + 1 : N] are final, and level top - i takes
-                # sum_j h Kv[i + 1 + j] V[top + 1 + j] from them
-                top = m
-                toeplitz = sliding_window_view(Kv[1:N], N - 1 - top)
-                toeplitz = np.ascontiguousarray(toeplitz[: min(_LEVEL_BLOCK, top)])
-                far = h * (toeplitz @ V[top + 1 : N])
-            i = top - m
-            lam_m -= h * h * (far[i] + near[: i + 1] @ V[m : top + 1])
+            lam_m -= h * h * history.at(N - m, n_t)
         lam_next2, lam_next = lam_next, lam_m
-    return V
+    return R[:0:-1]
 
 
 def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:

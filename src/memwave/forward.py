@@ -21,6 +21,7 @@ import numpy as np
 from .errors import IllConditionedError, NumericalInstabilityError, UsageError
 from .goursat import GoursatSolution, ResponseData
 from .model import (
+    CausalHistory,
     ControlSignal,
     GridSpec,
     causal_convolution,
@@ -160,6 +161,10 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None) -> SpaceTimeF
     [0, t_max]) and rest initial data u(., 0) = u(., 1) = 0 except
     u(0, 1) = f(h).  The potential is continued past T by its last sample;
     by finite speed this cannot affect the solution at x <= t <= t_max.
+
+    Each level updates only the rows up to the wavefront; the memory term is
+    the trapezoid history of the finished levels, formed by blocks of levels
+    through ``model.CausalHistory``.
     """
     grid = f.grid
     h, N = grid.h, grid.N
@@ -179,13 +184,15 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None) -> SpaceTimeF
 
     u = np.zeros((nx + 1, M + 1))
     u[0, :] = fv
+    history = CausalHistory(u.T, Kv, h)
     for j in range(1, M):
-        hist = u[:, : j + 1] @ (trapz_weights(j + 1, h) * Kv[j::-1])
-        u[1:nx, j + 1] = (
-            u[: nx - 1, j]
-            + u[2:, j]
-            - u[1:nx, j - 1]
-            - h * h * (qpad[1:nx] * u[1:nx, j] + hist[1:nx])
+        n = min(j + 2, nx)  # rows past the wavefront j + 1 are still at rest
+        hist = history.at(j, n)
+        u[1:n, j + 1] = (
+            u[: n - 1, j]
+            + u[2 : n + 1, j]
+            - u[1:n, j - 1]
+            - h * h * (qpad[1:n] * u[1:n, j] + hist[1:n])
         )
         if not np.all(np.isfinite(u[:, j + 1])):
             i_bad = int(np.flatnonzero(~np.isfinite(u[:, j + 1]))[0])

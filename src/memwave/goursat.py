@@ -26,6 +26,11 @@ between the two data lines instead,
 which keeps the scheme second order up to the characteristic (the first two
 terms are the exact transport of the diagonal data, the last is the forcing
 integrated over the half cell).
+
+The memory integral is the trapezoid sum over the finished t-levels 0..j,
+with the lower end s = x_i reweighted to h/2.  ``model.CausalHistory`` forms
+it by blocks of levels: one GEMM per block for the levels finished before
+the block, and a short product per level for the levels inside it.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ import numpy as np
 
 from .errors import NumericalInstabilityError, UsageError
 from .model import (
+    CausalHistory,
     CoefficientField,
     GridSpec,
     MemoryKernel,
     cumulative_trapezoid,
-    trapz_weights,
 )
 
 __all__ = [
@@ -106,6 +111,7 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
     w = np.zeros((N + 2, N2 + 1))
     rows = np.arange(N + 2)
     w[rows, np.minimum(rows, N2)] = diag  # characteristic data; w[0, :] stays 0
+    history = CausalHistory(w.T, Kv, h)
 
     for j in range(1, N2):
         # superdiagonal point (j, j+1) from the half characteristic cell
@@ -115,15 +121,15 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
         # interior diamond centres (i, j), i = 1 .. i_max
         i_max = min(j - 1, 2 * N + 1 - j)
         if i_max >= 1:
-            idx = np.arange(1, i_max + 1)
-            kshift = Kv[j - idx]
+            inner = slice(1, i_max + 1)
+            kshift = Kv[j - 1 : j - i_max - 1 : -1]  # K(t_j - x_i)
             if with_memory:
-                col = trapz_weights(j + 1, h) * Kv[j::-1]
-                mem = w[1 : i_max + 1, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
-                F = q_ext[idx] * w[idx, j] + mem + kshift
+                mem = history.at(j, i_max + 1)[1:] - 0.5 * h * kshift * diag[inner]
+                F = q_ext[inner] * w[inner, j] + mem + kshift
             else:
                 F = kshift
-            w[idx, j + 1] = w[idx - 1, j] + w[idx + 1, j] - w[idx, j - 1] - h * h * F
+            w[inner, j + 1] = (w[:i_max, j] + w[2 : i_max + 2, j] - w[inner, j - 1]
+                               - h * h * F)
         row = w[: min(j + 2, N + 2), j + 1]
         if not np.all(np.isfinite(row)):
             i_bad = int(np.flatnonzero(~np.isfinite(row))[0])

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import UsageError
 
@@ -23,6 +24,7 @@ __all__ = [
     "trapezoid",
     "trapz_weights",
     "cumulative_trapezoid",
+    "CausalHistory",
     "sampled_derivative",
     "causal_convolution",
     "sample_family",
@@ -81,6 +83,10 @@ def _frozen(values) -> np.ndarray:
 # quadrature
 # --------------------------------------------------------------------------
 
+# levels per block of a causal history (one GEMM per block)
+_LEVEL_BLOCK = 64
+
+
 def trapezoid(values: np.ndarray, h: float) -> float:
     """Composite trapezoid of uniformly sampled values; 0 for a single sample."""
     v = np.asarray(values, dtype=float)
@@ -107,6 +113,52 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
     if v.size > 1:
         out[1:] = np.cumsum(0.5 * h * (v[1:] + v[:-1]))
     return out
+
+
+class CausalHistory:
+    """Trapezoid history of finished levels, sum_{s <= j} h Kv[j - s] H[s].
+
+    ``H`` is a level-major view, H[s] = level s, that the caller fills as it
+    marches; ``at(j, n)`` needs the levels 0..j final and returns the history
+    of level j on the entries H[:, :n], with the weights of
+    ``trapz_weights(j + 1, h)`` (h/2 on levels 0 and j, zero at j = 0).
+
+    The levels run in blocks of ``_LEVEL_BLOCK`` from the first one asked
+    for.  At a block's start one GEMM of a Toeplitz slice of h Kv by the
+    levels finished before it gives every level of the block its far
+    history; each level then adds its at most ``_LEVEL_BLOCK`` near levels
+    in a short product.  The far history covers the n entries asked for at
+    the block's start, so past them the earlier levels must vanish, as they
+    do behind a wavefront that grows by at most one entry per level.
+    """
+
+    def __init__(self, H: np.ndarray, Kv: np.ndarray, h: float):
+        self._H = H
+        self._kh = h * np.asarray(Kv, dtype=float)
+        near = self._kh[:_LEVEL_BLOCK].copy()
+        near[0] *= 0.5  # the current level is the trapezoid's end
+        self._near = near[::-1].copy()  # the last k + 1 weigh levels j - k..j
+        self._j0 = self._j1 = 0
+        self._far = np.zeros((0, 0))
+
+    def _start_block(self, j0: int, n: int) -> None:
+        j1 = min(j0 + _LEVEL_BLOCK, self._H.shape[0])
+        # toeplitz[k, s] = h Kv[j0 + k - s], levels k of the block, s < j0
+        window = sliding_window_view(self._kh[1:j1], j0)
+        toeplitz = np.ascontiguousarray(window[:, ::-1])
+        self._j0, self._j1 = j0, j1
+        self._far = toeplitz @ self._H[:j0, :n]
+
+    def at(self, j: int, n: int) -> np.ndarray:
+        if not self._j0 <= j < self._j1:
+            self._start_block(j, n)
+        j0 = self._j0
+        out = self._near[-(j - j0 + 1):] @ self._H[j0 : j + 1, :n]
+        m = min(n, self._far.shape[1])
+        out[:m] += self._far[j - j0, :m]
+        # the other end of the trapezoid: half weight on level 0
+        out -= 0.5 * self._kh[j] * self._H[0, :n]
+        return out
 
 
 def sampled_derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.model import causal_convolution, sampled_derivative
+from memwave.model import causal_convolution, sampled_derivative, trapz_weights
 
 
 def _problem(name, n):
@@ -49,6 +49,48 @@ def test_fd_rejects_offgrid_horizon():
         mw.fd_forward(q, K, f, t_max=0.33)
     with pytest.raises(mw.UsageError):
         mw.fd_forward(q, K, f, t_max=3.0)
+
+
+def _direct_leapfrog(q, K, f, M):
+    # the leapfrog loop with one full trapezoid history product per level,
+    # over every row of the padded interval
+    grid = f.grid
+    h, N = grid.h, grid.N
+    fv = f.padded_full()[: M + 1]
+    Kv = K.values[: M + 1]
+    nx = M + 4
+    qpad = np.full(nx + 1, q.values[-1])
+    qpad[: N + 1] = q.values
+    u = np.zeros((nx + 1, M + 1))
+    u[0, :] = fv
+    for j in range(1, M):
+        hist = u[:, : j + 1] @ (trapz_weights(j + 1, h) * Kv[j::-1])
+        u[1:nx, j + 1] = (u[: nx - 1, j] + u[2:, j] - u[1:nx, j - 1]
+                          - h * h * (qpad[1:nx] * u[1:nx, j] + hist[1:nx]))
+    return u
+
+
+@pytest.mark.parametrize("n", [130, 200])
+@pytest.mark.parametrize("window", [1, 2])
+def test_blocked_leapfrog_matches_direct_loop(n, window):
+    # neither N is a multiple of the level block; both end in a partial block
+    grid, q, K = _problem("full", n)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid,
+                               full_window=True)
+    u = mw.fd_forward(q, K, f, window * grid.T).values
+    u_direct = _direct_leapfrog(q, K, f, window * n)
+    assert np.abs(u - u_direct).max() <= 1e-12 * (1.0 + np.abs(u_direct).max())
+
+
+def test_fd_blowup_is_reported():
+    grid = mw.GridSpec(1.0, 64)
+    qbig = mw.CoefficientField(grid=grid, values=np.full(65, 1e12))
+    k = mw.kernel_from_family("zero", (), grid)
+    f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mw.NumericalInstabilityError,
+                           match=r"grid node \(i=\d+, j=\d+\)"):
+            mw.fd_forward(qbig, k, f)
 
 
 # ------------------------------------------------------------- control map

@@ -20,7 +20,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.model import cumulative_trapezoid
+from memwave.errors import NumericalInstabilityError
+from memwave.goursat import _triangle
+from memwave.model import cumulative_trapezoid, trapz_weights
 
 
 def _solve(name, n):
@@ -143,6 +145,56 @@ def test_full_march_deviates_quadratically_from_linearized():
     assert devs[1] / devs[0] == pytest.approx(4.0, abs=0.5)
 
 
+# ------------------------------------------------------- cross-route march
+
+
+def _direct_march(q_ext, Kv, diag, grid, with_memory):
+    # the diamond march with one full trapezoid product per level, the
+    # memory term written out without blocking
+    N, N2, h = grid.N, grid.N2, grid.h
+    w = np.zeros((N + 2, N2 + 1))
+    rows = np.arange(N + 2)
+    w[rows, np.minimum(rows, N2)] = diag
+    for j in range(1, N2):
+        if j <= N:
+            forcing = q_ext[j] * w[j, j] + Kv[0] if with_memory else Kv[0]
+            w[j, j + 1] = w[j - 1, j] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
+        i_max = min(j - 1, 2 * N + 1 - j)
+        if i_max >= 1:
+            idx = np.arange(1, i_max + 1)
+            kshift = Kv[j - idx]
+            if with_memory:
+                col = trapz_weights(j + 1, h) * Kv[j::-1]
+                mem = w[idx, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
+                F = q_ext[idx] * w[idx, j] + mem + kshift
+            else:
+                F = kshift
+            w[idx, j + 1] = w[idx - 1, j] + w[idx + 1, j] - w[idx, j - 1] - h * h * F
+        row = w[: min(j + 2, N + 2), j + 1]
+        if not np.all(np.isfinite(row)):
+            raise NumericalInstabilityError(f"direct march blew up at j={j + 1}")
+    return w
+
+
+@pytest.mark.parametrize("n", [130, 200])
+@pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
+def test_blocked_march_matches_direct_march(problem, n):
+    # neither N is a multiple of the level block; both end in a partial block
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem(problem).fields(grid)
+    sol = mw.solve_goursat(q, K, grid)
+    q_ext = np.append(q.values, q.values[-1])
+    diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
+    ext = _direct_march(q_ext, K.values, diag, grid, True)
+    tol = 1e-12 * (1.0 + np.abs(ext).max())
+    assert np.abs(sol.extended - ext).max() <= tol
+    assert np.abs(sol.w - _triangle(ext, grid)).max() <= tol
+    zeros = np.zeros(grid.N + 2)
+    lin = _triangle(_direct_march(zeros, K.values, zeros, grid, False), grid)
+    lin_tol = 1e-12 * (1.0 + np.abs(lin).max())
+    assert np.abs(mw.linearized_memory_field(K, grid) - lin).max() <= lin_tol
+
+
 # ------------------------------------------------------ consistency checks
 
 
@@ -163,7 +215,8 @@ def test_march_blowup_is_reported():
     qbig = mw.CoefficientField(grid=grid, values=np.full(65, 1e8))
     k = mw.kernel_from_family("zero", (), grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(mw.NumericalInstabilityError):
+        with pytest.raises(mw.NumericalInstabilityError,
+                           match=r"grid node \(i=\d+, j=\d+\)"):
             mw.solve_goursat(qbig, k, grid)
 
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.model import (
+    CausalHistory,
     causal_convolution,
     cumulative_trapezoid,
     sampled_derivative,
@@ -159,6 +160,44 @@ def test_trapezoid_is_linear(alpha, beta):
     lhs = trapezoid(alpha * a + beta * b, 0.05)
     rhs = alpha * trapezoid(a, 0.05) + beta * trapezoid(b, 0.05)
     assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+# ---------------------------------------------------------- causal history
+
+
+def _direct_history(Kv, H, j, h):
+    return (trapz_weights(j + 1, h) * Kv[j::-1]) @ H[: j + 1]
+
+
+@pytest.mark.parametrize("first", [0, 2])
+@pytest.mark.parametrize("levels", [1, 63, 64, 65, 130])
+def test_causal_history_is_the_trapezoid_sum(levels, first):
+    # 1, 63 and the partial last blocks of 65 and 130 levels are blocks
+    # larger than the levels left; later levels hold NaN until they are
+    # marched, so reading one fails
+    rng = np.random.default_rng(levels)
+    Kv = rng.standard_normal(levels)
+    H = rng.standard_normal((levels, 7))
+    marched = np.full_like(H, np.nan)
+    marched[:first] = H[:first]
+    history = CausalHistory(marched, Kv, 0.1)
+    for j in range(first, levels):
+        marched[j] = H[j]
+        assert_allclose(history.at(j, 7), _direct_history(Kv, H, j, 0.1),
+                        rtol=0, atol=1e-13)
+
+
+def test_causal_history_grows_behind_a_wavefront():
+    # level s is zero past entry s + 1, so the width may grow inside a block
+    rng = np.random.default_rng(5)
+    levels = 130
+    Kv = rng.standard_normal(levels)
+    H = np.tril(rng.standard_normal((levels, levels + 1)), 1)
+    history = CausalHistory(H, Kv, 0.1)
+    for j in range(levels):
+        n = min(j + 2, levels)
+        assert_allclose(history.at(j, n), _direct_history(Kv, H, j, 0.1)[:n],
+                        rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------------ field objects
