@@ -61,6 +61,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _PATHS = ("response", "w_oracle")
+# what inconsistent data can raise in verify's assembly and solve
+_BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
 # verify-stage acceptance bands (tuned on the catalogue problems: clean data
 # passes with at least a 4x margin, a single corrupted response sample fails)
@@ -493,10 +495,17 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
                 rel = np.max(np.abs(cTm.values - cwm.values))
                 level_diffs.append(float(rel / (1.0 + np.max(np.abs(cwm.values)))))
             cT = cTm
-        gl = solve_gl(cT)
-    except (AssemblyError, IllConditionedError, NumericalInstabilityError) as exc:
+    except _BREAKAGE as exc:
         breakage = str(exc)
     timer.lap("connecting_assembly", t0)
+
+    t0 = time.perf_counter()
+    if breakage is None:
+        try:
+            gl = solve_gl(cT)
+        except _BREAKAGE as exc:
+            breakage = str(exc)
+    timer.lap("gl_solve", t0)
 
     if q is not None:
         t0 = time.perf_counter()

@@ -284,6 +284,16 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_verify_timings_charge_named_stages(data_dir, tmp_path):
+    run_verify(data_dir, str(tmp_path / "ver"))
+    laps = json.load(open(tmp_path / "ver" / "timings.json"))["wall_times_s"]
+    named = ("connecting_assembly", "gl_solve", "two_path_response",
+             "three_way_connecting", "diagonal_law", "operator_identity",
+             "gl_residual")
+    assert set(laps) == set(named) | {"total"}
+    assert sum(laps[k] for k in named) <= laps["total"]
+
+
 def test_verify_corrupted_sample_is_caught(data_dir, tmp_path):
     def mutate(ls):
         t, _ = ls[65].split(",")
