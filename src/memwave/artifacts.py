@@ -18,7 +18,7 @@ from .errors import UsageError
 __all__ = ["write_csv", "read_csv", "write_json", "read_json"]
 
 
-# rows formatted per write: bounds the text held in memory at once
+# rows formatted per write: bounds the table and the text held in memory at once
 _CSV_BLOCK_ROWS = 1 << 16
 
 
@@ -26,12 +26,11 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(header) or any(c.shape != cols[0].shape for c in cols):
         raise UsageError("write_csv needs one equally-sized column per header field")
-    table = np.column_stack(cols)
     row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

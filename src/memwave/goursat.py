@@ -143,7 +143,7 @@ def _triangle(w_ext: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Rows 0..N of the march, zeroed outside {j >= i, i + j <= 2N}, read-only."""
     i = np.arange(grid.N + 1)[:, None]
     j = np.arange(grid.N2 + 1)
-    w = np.where((j < i) | (i + j > grid.N2), 0.0, w_ext[: grid.N + 1])
+    w = np.where((j < i) | (j > grid.N2 - i), 0.0, w_ext[: grid.N + 1])
     w.flags.writeable = False
     return w
 
