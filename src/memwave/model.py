@@ -145,7 +145,9 @@ class CausalHistory:
         j1 = min(j0 + _LEVEL_BLOCK, self._H.shape[0])
         # toeplitz[k, s] = h Kv[j0 + k - s], levels k of the block, s < j0
         window = sliding_window_view(self._kh[1:j1], j0)
-        toeplitz = np.ascontiguousarray(window[:, ::-1])
+        toeplitz = window[:, ::-1].copy()
+        if j0:
+            toeplitz[:, 0] *= 0.5  # level 0 is the trapezoid's other end
         self._j0, self._j1 = j0, j1
         self._far = toeplitz @ self._H[:j0, :n]
 
@@ -156,8 +158,9 @@ class CausalHistory:
         out = self._near[-(j - j0 + 1):] @ self._H[j0 : j + 1, :n]
         m = min(n, self._far.shape[1])
         out[:m] += self._far[j - j0, :m]
-        # the other end of the trapezoid: half weight on level 0
-        out -= 0.5 * self._kh[j] * self._H[0, :n]
+        if j0 == 0:
+            # level 0 is a near level here; the trapezoid halves its weight
+            out -= 0.5 * self._kh[j] * self._H[0, :n]
         return out
 
 

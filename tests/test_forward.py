@@ -72,11 +72,13 @@ def _direct_leapfrog(q, K, f, M):
 
 @pytest.mark.parametrize("n", [130, 200])
 @pytest.mark.parametrize("window", [1, 2])
-def test_blocked_leapfrog_matches_direct_loop(n, window):
-    # neither N is a multiple of the level block; both end in a partial block
+@pytest.mark.parametrize("control", [("smooth_bump_control", (0.5, 0.25)),
+                                     ("sine", (1.0, 1.0))])
+def test_blocked_leapfrog_matches_direct_loop(n, window, control):
+    # neither N is a multiple of the level block; both end in a partial block.
+    # The sine is nonzero at t = h, so the wavefront row itself carries data
     grid, q, K = _problem("full", n)
-    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid,
-                               full_window=True)
+    f = mw.control_from_family(*control, grid, full_window=True)
     u = mw.fd_forward(q, K, f, window * grid.T).values
     u_direct = _direct_leapfrog(q, K, f, window * n)
     assert np.abs(u - u_direct).max() <= 1e-12 * (1.0 + np.abs(u_direct).max())
