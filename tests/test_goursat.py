@@ -20,7 +20,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.errors import NumericalInstabilityError
 from memwave.goursat import _triangle
 from memwave.model import cumulative_trapezoid, trapz_weights
 
@@ -170,9 +169,6 @@ def _direct_march(q_ext, Kv, diag, grid, with_memory):
             else:
                 F = kshift
             w[idx, j + 1] = w[idx - 1, j] + w[idx + 1, j] - w[idx, j - 1] - h * h * F
-        row = w[: min(j + 2, N + 2), j + 1]
-        if not np.all(np.isfinite(row)):
-            raise NumericalInstabilityError(f"direct march blew up at j={j + 1}")
     return w
 
 
