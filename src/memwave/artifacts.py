@@ -18,8 +18,9 @@ from .errors import UsageError
 __all__ = ["write_csv", "read_csv", "write_json", "read_json"]
 
 
-# rows formatted per write: bounds the table and the text held in memory at once
-_CSV_BLOCK_ROWS = 1 << 16
+# cells formatted per write: bounds the values and the text held in memory at
+# once, whether the table is tall (a few columns) or wide (a matrix)
+_CSV_BLOCK_CELLS = 3 << 16
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -27,10 +28,11 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     if len(cols) != len(header) or any(c.shape != cols[0].shape for c in cols):
         raise UsageError("write_csv needs one equally-sized column per header field")
     row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    rows = max(1, _CSV_BLOCK_CELLS // len(cols))  # a block holds at least one row
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, cols[0].size, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in cols])
+        for start in range(0, cols[0].size, rows):
+            block = np.column_stack([c[start:start + rows] for c in cols])
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

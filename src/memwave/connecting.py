@@ -76,10 +76,15 @@ class PsiField:
 
 @dataclass(frozen=True)
 class ConnectingKernel:
-    """Reduced connecting kernel samples c(t_i, s_j) on [0, T]^2, symmetric."""
+    """Reduced connecting kernel samples c(t_i, s_j) on [0, T]^2, symmetric.
+
+    ``asymmetry`` is max|B - B^T| of the h^-2-scaled Galerkin block the data
+    route assembles from (NaN for the factor route, which has no such block).
+    """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
+    asymmetry: float = float("nan")
 
     def __post_init__(self):
         n = self.grid.N + 1
@@ -285,7 +290,8 @@ def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
     return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
 
 
-def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
+def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
+                          asymmetry: float = float("nan")) -> ConnectingKernel:
     """Reduced kernel from the free-subtracted, h^2-scaled Galerkin block.
 
     Only the upper triangle (p <= q) of ``raw`` is read.  Time reversal
@@ -315,7 +321,7 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec) -> ConnectingKernel:
     c[N, N - 1] = c[N - 1, N]
     c[N, N] = 3.0 * c[N - 1, N - 1] - 3.0 * c[N - 2, N - 2] + c[N - 3, N - 3]
     c = 0.5 * (c + c.T)
-    return ConnectingKernel(grid=grid, values=c)
+    return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
 
 
 def connecting_kernel_from_response(r: ResponseData,
@@ -343,7 +349,7 @@ def connecting_kernel_from_response(r: ResponseData,
             f"probe Galerkin matrix asymmetry {asym:.3e} exceeds the scheme "
             f"tolerance; boundary data is inconsistent"
         )
-    return _kernel_from_galerkin(raw, grid)
+    return _kernel_from_galerkin(raw, grid, asym)
 
 
 def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:

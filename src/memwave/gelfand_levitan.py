@@ -52,7 +52,8 @@ class GLSolution:
 
     From ``solve_gl`` it also carries the one-norm condition number of the
     weighted connecting operator and its smallest Cholesky pivot (a Schur
-    complement, 1 for the free kernel) with the depth where it occurs.
+    complement, 1 for the free kernel) with the depth where it occurs, and
+    the pivot profile: the smallest pivot over each tenth of the depths.
     """
 
     grid: GridSpec
@@ -61,6 +62,7 @@ class GLSolution:
     cond_estimate: float = 0.0
     min_pivot: float = float("nan")
     min_pivot_depth: float = float("nan")
+    pivot_deciles: tuple[float, ...] = ()
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.z).copy()
@@ -158,8 +160,11 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
         )
     # first depth where the smallest pivot is reached (ties to rounding)
     k = int(np.argmax(pivots <= pivots.min() * (1.0 + 1e-12)))
+    # the smallest pivot of each tenth of the depths (N = 8 has only 9 depths)
+    deciles = tuple(float(p.min()) for p in np.array_split(pivots, min(10, N + 1)))
     return GLSolution(grid=grid, z=z, ridge=ridge, cond_estimate=cond,
-                      min_pivot=float(pivots[k]), min_pivot_depth=k * h)
+                      min_pivot=float(pivots[k]), min_pivot_depth=k * h,
+                      pivot_deciles=deciles)
 
 
 def z_from_w(sol: GoursatSolution) -> GLSolution:

@@ -59,7 +59,7 @@ __all__ = [
     "run_convergence",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _PATHS = ("response", "w_oracle")
 # what inconsistent data can raise in verify's assembly and solve
 _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
@@ -340,10 +340,10 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
 
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
+    # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
+    write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
+              list(cT.values.T))
     tt = grid.times_half()
-    mesh_t, mesh_s = np.meshgrid(tt, tt, indexing="ij")
-    write_csv(os.path.join(outdir, "cT.csv"), ["t", "s", "c"],
-              [mesh_t.ravel(), mesh_s.ravel(), cT.values.ravel()])
     truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
     write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
               [tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)])
@@ -357,6 +357,8 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
         "cond_estimate": gl.cond_estimate,
         "min_pivot": gl.min_pivot,
         "min_pivot_depth": gl.min_pivot_depth,
+        "pivot_deciles": list(gl.pivot_deciles),
+        "galerkin_asymmetry": cT.asymmetry,
         "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
     }
     if q_true is not None:
@@ -365,6 +367,9 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
         metrics["linf_err"] = err["interior_linf"]
         metrics["max_abs_err"] = err["max_abs"]
         metrics["window"] = [0.1, 0.9]
+    # free the (N+1)^2 arrays before the JSON encoder's reference cycles can
+    # pin the heap they sit in
+    del cT, gl, q_hat
     timer.lap("metrics", t0)
 
     report = {
@@ -424,6 +429,8 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
     ``level_diffs`` holds the entrywise relative mismatch against the factor
     route at each assembly level; with two or more levels the measured order
     of decrease is reported alongside the absolute gate at the finest level.
+    The check also carries the Galerkin asymmetry of the finest level's
+    assembly with that level's N.
     """
     worst = level_diffs[-1]
     controls = [
@@ -445,10 +452,13 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
         metric = float(np.mean(orders))
         lo, hi = _THREE_WAY_ORDER_BAND
         passed = passed and lo <= metric <= hi
-        return _check("three_way_connecting", passed, metric,
-                      [lo, hi, _THREE_WAY_REL_TOL], detail)
-    return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL,
-                  detail)
+        check = _check("three_way_connecting", passed, metric,
+                       [lo, hi, _THREE_WAY_REL_TOL], detail)
+    else:
+        check = _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL,
+                       detail)
+    check["galerkin_asymmetry"] = {"N": cT_data.grid.N, "value": cT_data.asymmetry}
+    return check
 
 
 def _verify_diagonal(grid, r, K, q) -> dict:
@@ -597,6 +607,9 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
         else:
             cT = connecting_kernel_from_w(sol)
         q_hat = recover_potential(solve_gl(cT, ridge=c.ridge))
+        # the rung's largest arrays: neither the next rung nor the JSON writes
+        # below need them
+        del sol, cT
         err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
         rows.append({"N": N, "error": err, "floor": _roundoff_floor(q.values, N)})
         timer.lap(f"N={N}", t0)

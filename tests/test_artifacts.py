@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import memwave as mw
+from memwave import artifacts
 from memwave.artifacts import read_csv, write_csv
 
 
@@ -54,12 +55,26 @@ def test_one_row_table_matches_reference(tmp_path):
 
 def test_multi_block_table_matches_and_round_trips(tmp_path):
     rng = np.random.default_rng(3)
-    n = (1 << 16) + 7  # spans two write blocks
+    n = artifacts._CSV_BLOCK_CELLS // 2 + 7  # spans two write blocks
     cols = [rng.standard_normal(n), np.exp(40.0 * rng.standard_normal(n))]
     out = _written(tmp_path, ["a", "b"], cols)
     assert out == _reference_csv(["a", "b"], cols)
     _, data = read_csv(str(tmp_path / "t.csv"))
     assert np.array_equal(data[:, 0], cols[0]) and np.array_equal(data[:, 1], cols[1])
+
+
+@pytest.mark.parametrize("shape", [(3, 11), (17, 2), (9, 4)])
+def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
+    # a cap of 5 cells: wider rows get one block each, taller tables many
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal(shape)
+    header = [f"s{j}" for j in range(shape[1])]
+    whole = _written(tmp_path, header, list(table.T))
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 5)
+    assert _written(tmp_path, header, list(table.T)) == whole
+    assert whole == _reference_csv(header, list(table.T))
+    _, data = read_csv(str(tmp_path / "t.csv"))
+    assert np.array_equal(data, table)
 
 
 def test_width_mismatch_raises(tmp_path):

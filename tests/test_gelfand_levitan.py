@@ -183,6 +183,26 @@ def test_free_kernel_pivots(grid32):
     gl = mw.solve_gl(c)
     assert gl.min_pivot == pytest.approx(1.0, rel=1e-14)
     assert gl.min_pivot_depth == 0.0
+    assert gl.pivot_deciles == pytest.approx([1.0] * 10, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_pivot_deciles_are_tenthwise_minima(n):
+    # oracle: the pivots of a direct Cholesky factorization of the weighted
+    # operator A = I + D^1/2 C D^1/2, split into ten parts in depth order
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem("full").fields(grid)
+    ct = mw.connecting_kernel_from_w(mw.solve_goursat(q, K, grid))
+    d = np.full(n + 1, grid.h)
+    d[0] *= 0.5
+    sq = np.sqrt(d)
+    A = np.eye(n + 1) + ct.values * sq[:, None] * sq[None, :]
+    pivots = np.diagonal(np.linalg.cholesky(A)) ** 2
+    parts = np.array_split(pivots, min(10, n + 1))
+    gl = mw.solve_gl(ct)
+    assert len(gl.pivot_deciles) == min(10, n + 1)
+    assert gl.pivot_deciles == pytest.approx([p.min() for p in parts], rel=1e-12)
+    assert min(gl.pivot_deciles) == gl.min_pivot
 
 
 def test_singular_kernel_raises():

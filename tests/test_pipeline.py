@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import memwave as mw
+from memwave.artifacts import read_csv
+from memwave.connecting import _SYM_TOL_FACTOR
 from memwave.pipeline import (
     SCHEMA_VERSION,
+    _load_data,
     config_from_dict,
     load_config,
     run_convergence,
@@ -165,8 +168,14 @@ def test_reconstruct_metrics_and_artifacts(data_dir, tmp_path):
     assert q_lines[0] == "x,q_true,q_hat,abs_err"
     assert len(q_lines) == 1 + 65
     c_lines = (out / "cT.csv").read_text().splitlines()
-    assert c_lines[0] == "t,s,c"
-    assert len(c_lines) == 1 + 65 * 65
+    assert c_lines[0] == ",".join(f"s{j}" for j in range(65))
+    assert len(c_lines) == 1 + 65
+    # the file is the kernel matrix, row i = c(t_i, .), bit for bit
+    _, r, K, _ = _load_data(data_dir)
+    header, c = read_csv(str(out / "cT.csv"))
+    assert header == [f"s{j}" for j in range(65)]
+    assert c.shape == (65, 65)
+    assert np.array_equal(c, mw.connecting_kernel_from_response(r, K).values)
 
 
 def test_reconstruct_timings_charge_named_stages(tmp_path):
@@ -184,6 +193,20 @@ def test_reconstruct_reports_min_pivot(tmp_path):
     m = run_reconstruct(str(tmp_path / "free"), str(tmp_path / "rec"))["metrics"]
     assert m["min_pivot"] == pytest.approx(1.0, rel=1e-14)
     assert m["min_pivot_depth"] == 0.0
+    assert len(m["pivot_deciles"]) == 10
+    assert m["pivot_deciles"] == pytest.approx([1.0] * 10, rel=1e-14)
+    assert min(m["pivot_deciles"]) == m["min_pivot"]
+
+
+def test_reconstruct_reports_galerkin_asymmetry(data_dir, tmp_path):
+    m = run_reconstruct(data_dir, str(tmp_path / "r"))["metrics"]
+    h = 1.0 / 64
+    gate = 1e-8 + _SYM_TOL_FACTOR * h * h * (1.0 + m["cT_max_abs"])
+    assert np.isfinite(m["galerkin_asymmetry"])
+    assert 0.0 <= m["galerkin_asymmetry"] < gate
+    # the factor route assembles no Galerkin block
+    m = run_reconstruct(data_dir, str(tmp_path / "w"), path="w_oracle")["metrics"]
+    assert np.isnan(m["galerkin_asymmetry"])
 
 
 def _scaled_response(src_dir, tmp_path, factor):
@@ -282,6 +305,9 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
     ]
     assert all(c["passed"] for c in report["checks"])
     assert (out / "report.json").exists()
+    asym = report["checks"][1]["galerkin_asymmetry"]
+    assert asym["N"] == 64
+    assert np.isfinite(asym["value"]) and asym["value"] < 1e-8
 
 
 def test_verify_timings_charge_named_stages(data_dir, tmp_path):
