@@ -4,18 +4,18 @@ The forward model is u_tt = u_xx - q(x) u - int_0^t K(t-s) u(x, s) ds on the
 half line, driven from the boundary and observed there.  This package
 simulates the forward system, synthesizes the boundary response, assembles
 the connecting operator from that data alone, solves the resulting integral
-equations and recovers q - with an independent oracle route for every stage.
+equations and recovers q.  ``verify`` checks the data against independent
+routes (the leapfrog solve, the factor product for the connecting kernel);
+the test suite holds the remaining second routes as oracles.
 """
 
 from .catalog import PROBLEMS, ProblemSpec, get_problem
 from .connecting import (
     ConnectingKernel,
-    PsiField,
     connecting_form_from_interior,
     connecting_form_from_kernel,
     connecting_kernel_from_response,
     connecting_kernel_from_w,
-    solve_blagoveshchenskii,
 )
 from .errors import (
     AssemblyError,
@@ -25,13 +25,9 @@ from .errors import (
 )
 from .forward import (
     SpaceTimeField,
-    WaveSnapshot,
-    apply_control_operator,
     apply_response,
     fd_boundary_trace,
     fd_forward,
-    duhamel_eval,
-    solve_control,
 )
 from .gelfand_levitan import (
     GLSolution,
@@ -40,13 +36,11 @@ from .gelfand_levitan import (
     reconstruction_errors,
     recover_potential,
     solve_gl,
-    z_from_w,
 )
 from .goursat import (
     GoursatSolution,
     ResponseData,
     diagonal_residual,
-    linearized_memory_field,
     response_kernel,
     solve_goursat,
 )

@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover the potential from data")
     p.add_argument("--data", required=True, help="directory written by synth")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--path", choices=("response", "w_oracle"), default="response",
-                   help="data route (default) or truth-side diagnostic route")
     p.add_argument("--ridge", type=float, default=0.0,
                    help="regularization for noisy data (adds ridge*I)")
 
@@ -56,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grids", required=True,
                    help="comma-separated increasing N values, e.g. 32,64,128")
-    p.add_argument("--path", choices=("response", "w_oracle"), default=None,
-                   help="default comes from the config (response unless set)")
     return parser
 
 
@@ -68,10 +64,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "reconstruct":
-        report = run_reconstruct(args.data, args.out, path=args.path,
-                                 ridge=args.ridge)
+        report = run_reconstruct(args.data, args.out, ridge=args.ridge)
         m = report["metrics"]
-        line = f"reconstruct[{args.path}]: gl_residual={m['gl_residual']:.3e}"
+        line = f"reconstruct: gl_residual={m['gl_residual']:.3e}"
         if "l2_rel_err" in m:
             line += f", interior rel error={m['l2_rel_err']:.3e}"
         print(line)
@@ -92,9 +87,7 @@ def _dispatch(args) -> int:
         grids = [int(tok) for tok in args.grids.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--grids must be comma-separated integers, got {args.grids!r}")
-    cfg = load_config(args.config)
-    path = args.path if args.path is not None else cfg.path
-    report = run_convergence(cfg, args.out, grids, path=path)
+    report = run_convergence(load_config(args.config), args.out, grids)
     for row in report["rows"]:
         print(f"N={row['N']:>5d}  error={row['error']:.6e}  order={row['order']:.2f}")
     return 0

@@ -10,7 +10,9 @@ right-hand side involves only the boundary response of f and g,
              - int_0^s K(s-alpha) psi(t, alpha) dalpha,
 
 with psi = 0 on both axes, and (C f, g) = psi(T, T).  Marching this in s on
-the unit-Courant grid gives the form for any admissible control pair.
+the unit-Courant grid gives the form for any admissible control pair; the
+assembly below runs only the adjoint of that march, and the test suite keeps
+the forward march for one control pair as its oracle (``tests/oracles.py``).
 
 The reduced kernel c(t, s) of the time-reversed form minus the identity is
 estimated by probing with the grid impulses e_p at t_p (discrete mass h):
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssemblyError, NumericalInstabilityError, UsageError
+from .errors import AssemblyError, UsageError
 from .forward import apply_response, fd_forward
 from .goursat import GoursatSolution, ResponseData
 from .model import (
@@ -43,15 +45,12 @@ from .model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
-    causal_convolution,
     trapezoid,
     trapz_weights,
 )
 
 __all__ = [
-    "PsiField",
     "ConnectingKernel",
-    "solve_blagoveshchenskii",
     "connecting_form_from_interior",
     "connecting_form_from_kernel",
     "connecting_kernel_from_response",
@@ -60,18 +59,6 @@ __all__ = [
 
 # scheme constant for the asymmetry guard of the data-driven assembly
 _SYM_TOL_FACTOR = 50.0
-
-
-@dataclass(frozen=True)
-class PsiField:
-    """Correlation field psi[t_i, s_j] on the triangle {t + s <= 2T}."""
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def at_final(self) -> float:
-        """psi(T, T), the connecting form of the two controls."""
-        return float(self.values[self.grid.N, self.grid.N])
 
 
 @dataclass(frozen=True)
@@ -101,49 +88,8 @@ class ConnectingKernel:
 
 
 # --------------------------------------------------------------------------
-# level-by-level correlation march
+# connecting form of two controls
 # --------------------------------------------------------------------------
-
-def _correlation_levels(F, G, RF, RG, Kv, grid: GridSpec) -> np.ndarray:
-    """March psi over the s-levels 0..2N; returns the stack psi[s_l, t].
-
-    F, G, RF, RG are samples on [0, 2T]; Kv is the memory kernel there.
-    """
-    h = grid.h
-    n = grid.N2 + 1
-    hist = np.zeros((n, n))
-    for l in range(1, n - 1):
-        acc = RF * G[l] - F * RG[l] + causal_convolution(Kv, hist[l], h)
-        acc -= (trapz_weights(l + 1, h) * Kv[l::-1]) @ hist[: l + 1]
-        nxt = hist[l + 1]
-        nxt[1:-1] = hist[l, 2:] + hist[l, :-2] - hist[l - 1, 1:-1] + h * h * acc[1:-1]
-        if not np.all(np.isfinite(nxt)):
-            raise NumericalInstabilityError(
-                f"correlation march blew up at s-level {l + 1}"
-            )
-    return hist
-
-
-def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
-                            g: ControlSignal) -> PsiField:
-    """Correlation field of two admissible controls from boundary data (r, K)."""
-    grid = r.grid
-    if K.grid != grid or f.grid != grid or g.grid != grid:
-        raise UsageError("response, kernel and controls must share one grid")
-    if not (f.admissible and g.admissible):
-        raise UsageError("correlation march needs admissible-smooth controls")
-    F = f.padded_full()
-    G = g.padded_full()
-    fw = ControlSignal(grid, F, admissible=True)
-    gw = ControlSignal(grid, G, admissible=True)
-    RF = apply_response(r, fw)
-    RG = apply_response(r, gw)
-    psi = np.ascontiguousarray(_correlation_levels(F, G, RF, RG, K.values, grid).T)
-    tt = np.arange(psi.shape[0])[:, None]
-    ss = np.arange(psi.shape[1])
-    psi[tt + ss > grid.N2] = 0.0
-    return PsiField(grid=grid, values=psi)
-
 
 def connecting_form_from_interior(q, K, f: ControlSignal, g: ControlSignal) -> float:
     """Oracle for (C f, g): inner product of leapfrog states at t = T."""

@@ -1,15 +1,11 @@
-"""Forward evaluations: kernel-based wave states and an independent oracle.
+"""Forward evaluations: the boundary response map and the leapfrog oracle.
 
-Two routes to the same wave:
-
-* ``duhamel_eval`` pushes a boundary control through the triangular kernel
-  w (fast, used by the reconstruction pipeline);
+* ``apply_response`` maps an admissible control to its boundary response
+  through the response kernel r; the probe assembly of the connecting
+  kernel is built on it;
 * ``fd_forward`` integrates the integro-differential wave equation directly
-  with a unit-Courant leapfrog scheme on a padded interval (slow, knows
-  nothing about w; used to cross-check everything kernel-based).
-
-``solve_control`` inverts the control-to-state map along the diagonal - a
-Volterra system of the second kind solved by back-substitution.
+  with a unit-Courant leapfrog scheme on a padded interval (knows nothing
+  about w; used to cross-check everything kernel-based).
 """
 
 from __future__ import annotations
@@ -18,36 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedError, NumericalInstabilityError, UsageError
-from .goursat import GoursatSolution, ResponseData
+from .errors import NumericalInstabilityError, UsageError
+from .goursat import ResponseData
 from .model import (
     CausalHistory,
     ControlSignal,
     GridSpec,
     causal_convolution,
     sampled_derivative,
-    trapz_weights,
 )
 
 __all__ = [
-    "WaveSnapshot",
     "SpaceTimeField",
-    "duhamel_eval",
-    "apply_control_operator",
-    "solve_control",
     "apply_response",
     "fd_forward",
     "fd_boundary_trace",
 ]
-
-
-@dataclass(frozen=True)
-class WaveSnapshot:
-    """Wave profile u(x_i, t_star) on the x grid of [0, T]."""
-
-    grid: GridSpec
-    t_star: float
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,72 +50,8 @@ class SpaceTimeField:
 
 
 # --------------------------------------------------------------------------
-# kernel route
+# response map
 # --------------------------------------------------------------------------
-
-def duhamel_eval(sol: GoursatSolution, f: ControlSignal, t_star: float) -> WaveSnapshot:
-    """Evaluate u(x, t_star) = f(t_star - x) + int_x^{t_star} w(x, s) f(t_star - s) ds.
-
-    ``t_star`` must be a grid time <= T.  The state vanishes for x > t_star
-    (finite propagation speed).
-    """
-    grid = sol.grid
-    h, N = grid.h, grid.N
-    js = t_star / h
-    if abs(js - round(js)) > 1e-9 or not (0.0 <= t_star <= grid.T + 1e-12):
-        raise UsageError(f"t_star={t_star} is not a grid time within [0, T]")
-    js = int(round(js))
-    fv = f.padded_full()
-
-    u = np.zeros(N + 1)
-    if js > 0:
-        w = sol.w[: js + 1, : js + 1]
-        frev = fv[js::-1]  # f(t_star - s) for s = 0..t_star
-        weights = trapz_weights(js + 1, h)
-        # w[i, s] vanishes for s < i, so the full-range sum only needs its
-        # lower endpoint (s = i) reweighted from h to h/2.
-        conv = w @ (weights * frev)
-        diag = np.diagonal(w)
-        conv -= 0.5 * h * diag * frev[np.arange(js + 1)]
-        m = min(js, N)
-        u[: m + 1] = fv[js - np.arange(m + 1)] + conv[: m + 1]
-    else:
-        u[0] = fv[0]
-    return WaveSnapshot(grid=grid, t_star=t_star, values=u)
-
-
-def apply_control_operator(sol: GoursatSolution, f: ControlSignal) -> WaveSnapshot:
-    """Final-time state x -> u(x, T) of the control f (the control map)."""
-    return duhamel_eval(sol, f, sol.grid.T)
-
-
-def solve_control(sol: GoursatSolution, target: np.ndarray) -> ControlSignal:
-    """Find the control whose final-time state matches ``target`` on [0, T].
-
-    The discrete control map is triangular along characteristics with
-    diagonal coefficients 1 + (h/2) w(x, x); back-substitution from x = T
-    down to 0 inverts it exactly.
-    """
-    grid = sol.grid
-    h, N = grid.h, grid.N
-    a = np.asarray(target, dtype=float)
-    if a.shape != (N + 1,):
-        raise UsageError(f"target state needs {N + 1} samples on [0, T], got {a.shape}")
-    w = sol.w
-    g = np.zeros(N + 1)  # g[k] = f(T - x_k)
-    g[N] = a[N]
-    for i in range(N - 1, -1, -1):
-        weights = np.full(N - i, h)
-        weights[-1] = 0.5 * h
-        s = w[i, i + 1 : N + 1] @ (weights * g[i + 1 : N + 1])
-        denom = 1.0 + 0.5 * h * w[i, i]
-        if abs(denom) < 1e-8:
-            raise IllConditionedError(
-                f"control solve: Volterra diagonal 1 + (h/2) w(x, x) ~ 0 at x index {i}"
-            )
-        g[i] = (a[i] - s) / denom
-    return ControlSignal(grid=grid, values=g[::-1].copy(), admissible=False)
-
 
 def apply_response(r: ResponseData, f: ControlSignal) -> np.ndarray:
     """Boundary response (Rf)(t) = -f'(t) + int_0^t r(s) f(t-s) ds.

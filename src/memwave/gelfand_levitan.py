@@ -16,10 +16,10 @@ where the t = s row is the continuous limit (this is why the assembled
 kernel carries the continuity value on its diagonal).  The potential then
 follows from the diagonal alone: q(x) = 2 (d/dx) z(x, x).
 
-``z_from_w`` inverts the Volterra factor directly (no connecting kernel
-involved) and is the oracle for everything here; ``operator_identity_residual``
-checks the factorization itself in weighted matrix form, which is the
-strongest data-consistency test the pipeline has.
+The test suite's oracle for everything here inverts the Volterra factor
+I + W directly, with no connecting kernel involved (``tests/oracles.py``);
+``operator_identity_residual`` checks the factorization itself in weighted
+matrix form, which is the strongest data-consistency test the pipeline has.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ import numpy as np
 
 from .connecting import ConnectingKernel
 from .errors import IllConditionedError, UsageError
-from .goursat import GoursatSolution
 from .model import CoefficientField, GridSpec, sampled_derivative, trapz_weights
 
 __all__ = [
     "GLSolution",
     "solve_gl",
-    "z_from_w",
     "gl_residual",
     "operator_identity_residual",
     "recover_potential",
@@ -165,25 +163,6 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     return GLSolution(grid=grid, z=z, ridge=ridge, cond_estimate=cond,
                       min_pivot=float(pivots[k]), min_pivot_depth=k * h,
                       pivot_deciles=deciles)
-
-
-def z_from_w(sol: GoursatSolution) -> GLSolution:
-    """Oracle: invert the Volterra factor I + W directly, row by row.
-
-    From (I + Z)(I + W) = I:  z(x, t) = -w(x, t) - int_x^t z(x, s) w(s, t) ds,
-    a forward substitution in t with the exact diagonal z(x, x) = -w(x, x).
-    """
-    grid = sol.grid
-    N, h = grid.N, grid.h
-    W = sol.w[:, : N + 1]
-    z = np.zeros((N + 1, N + 1))
-    for i in range(N + 1):
-        z[i, i] = -W[i, i]
-        for j in range(i + 1, N + 1):
-            wts = trapz_weights(j - i + 1, h)
-            s = z[i, i:j] @ (wts[:-1] * W[i:j, j])
-            z[i, j] = -(W[i, j] + s) / (1.0 + 0.5 * h * W[j, j])
-    return GLSolution(grid=grid, z=z)
 
 
 def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:

@@ -54,7 +54,6 @@ __all__ = [
     "solve_goursat",
     "response_kernel",
     "diagonal_residual",
-    "linearized_memory_field",
 ]
 
 
@@ -100,13 +99,9 @@ class ResponseData:
         object.__setattr__(self, "values", v)
 
 
-def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
-           with_memory: bool) -> np.ndarray:
-    """Shared diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}.
-
-    ``with_memory`` distinguishes the full scheme from the linearized one
-    (forcing K(t - x) only, no q-coupling and no history integral).
-    """
+def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
+           grid: GridSpec) -> np.ndarray:
+    """Diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}."""
     N, N2, h = grid.N, grid.N2, grid.h
     w = np.zeros((N + 2, N2 + 1))
     rows = np.arange(N + 2)
@@ -116,18 +111,15 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray, grid: GridSpec,
     for j in range(1, N2):
         # superdiagonal point (j, j+1) from the half characteristic cell
         if j <= N:
-            forcing = q_ext[j] * w[j, j] + Kv[0] if with_memory else Kv[0]
+            forcing = q_ext[j] * w[j, j] + Kv[0]
             w[j, j + 1] = w[j - 1, j] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
         # interior diamond centres (i, j), i = 1 .. i_max
         i_max = min(j - 1, 2 * N + 1 - j)
         if i_max >= 1:
             inner = slice(1, i_max + 1)
             kshift = Kv[j - 1 : j - i_max - 1 : -1]  # K(t_j - x_i)
-            if with_memory:
-                mem = history.at(j, i_max + 1)[1:] - 0.5 * h * kshift * diag[inner]
-                F = q_ext[inner] * w[inner, j] + mem + kshift
-            else:
-                F = kshift
+            mem = history.at(j, i_max + 1)[1:] - 0.5 * h * kshift * diag[inner]
+            F = q_ext[inner] * w[inner, j] + mem + kshift
             w[inner, j + 1] = (w[:i_max, j] + w[2 : i_max + 2, j] - w[inner, j - 1]
                                - h * h * F)
         row = w[: min(j + 2, N + 2), j + 1]
@@ -156,20 +148,8 @@ def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> Gours
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])
     diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
-    w_ext = _march(q_ext, K.values, diag, grid, with_memory=True)
+    w_ext = _march(q_ext, K.values, diag, grid)
     return GoursatSolution(grid=grid, q=q, K=K, w=_triangle(w_ext, grid), extended=w_ext)
-
-
-def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
-    """First-order-in-K kernel: the same march driven by K(t - x) alone.
-
-    This is the derivative of the full scheme with respect to the kernel
-    amplitude at q = 0, K = 0; useful as a linearization reference.  Same
-    shape, mask and read-only flag as ``GoursatSolution.w``.
-    """
-    diag = np.zeros(grid.N + 2)
-    w_ext = _march(np.zeros(grid.N + 2), K.values, diag, grid, with_memory=False)
-    return _triangle(w_ext, grid)
 
 
 def response_kernel(sol: GoursatSolution) -> ResponseData:

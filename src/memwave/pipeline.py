@@ -59,8 +59,7 @@ __all__ = [
     "run_convergence",
 ]
 
-SCHEMA_VERSION = 2
-_PATHS = ("response", "w_oracle")
+SCHEMA_VERSION = 3
 # what inconsistent data can raise in verify's assembly and solve
 _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
@@ -88,7 +87,6 @@ class PipelineConfig:
     noise_sigma: float = 0.0
     noise_seed: int = 0
     ridge: float = 0.0
-    path: str = "response"
 
     def grid(self) -> GridSpec:
         return GridSpec(self.T, self.N)
@@ -108,7 +106,6 @@ class PipelineConfig:
             "N": self.N,
             "noise": {"sigma": self.noise_sigma, "seed": self.noise_seed},
             "ridge": self.ridge,
-            "path": self.path,
         }
 
 
@@ -123,7 +120,7 @@ def _family_entry(raw, what: str) -> tuple[str, tuple]:
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    allowed = {"problem", "q", "K", "T", "N", "noise", "ridge", "path"}
+    allowed = {"problem", "q", "K", "T", "N", "noise", "ridge"}
     unknown = set(raw) - allowed
     if unknown:
         raise UsageError(f"config: unknown keys {sorted(unknown)}")
@@ -137,9 +134,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise UsageError(f"config: bad scalar field ({exc})") from None
     if ridge < 0.0:
         raise UsageError("config: ridge must be >= 0")
-    path = raw.get("path", "response")
-    if path not in _PATHS:
-        raise UsageError("config: path must be 'response' or 'w_oracle'")
     noise = raw.get("noise", {})
     if not isinstance(noise, dict) or set(noise) - {"sigma", "seed"}:
         raise UsageError("config: noise must be {sigma, seed}")
@@ -158,7 +152,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         name = None
     cfg = PipelineConfig(T=T, N=N, q_family=qf, q_params=qp, k_family=kf,
                          k_params=kp, problem=name, noise_sigma=sigma,
-                         noise_seed=seed, ridge=ridge, path=path)
+                         noise_seed=seed, ridge=ridge)
     cfg.fields()  # fail fast on bad families/params
     return cfg
 
@@ -183,11 +177,6 @@ class _Timer:
     def finish(self) -> dict:
         self.laps["total"] = round(time.perf_counter() - self._t0, 6)
         return self.laps
-
-
-def _check_path(path: str) -> None:
-    if path not in _PATHS:
-        raise UsageError(f"unknown reconstruction path {path!r}")
 
 
 def _add_noise(r: ResponseData, sigma: float, seed: int) -> ResponseData:
@@ -315,22 +304,15 @@ def _check_level(N: int, cap: int = 64) -> int:
 # reconstruct
 # --------------------------------------------------------------------------
 
-def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
-                    ridge: float = 0.0) -> dict:
+def run_reconstruct(datadir: str, outdir: str, *, ridge: float = 0.0) -> dict:
     """Recover the potential from a data directory and write the results."""
     timer = _Timer()
-    _check_path(path)
     t0 = time.perf_counter()
     grid, r, K, q_true = _load_data(datadir)
     timer.lap("load", t0)
 
     t0 = time.perf_counter()
-    if path == "response":
-        cT = connecting_kernel_from_response(r, K)
-    else:
-        if q_true is None:
-            raise UsageError("path 'w_oracle' is a diagnostic route and needs truth_q.csv")
-        cT = connecting_kernel_from_w(solve_goursat(q_true, K, grid))
+    cT = connecting_kernel_from_response(r, K)
     timer.lap("connecting", t0)
 
     t0 = time.perf_counter()
@@ -376,7 +358,6 @@ def run_reconstruct(datadir: str, outdir: str, *, path: str = "response",
         "schema_version": SCHEMA_VERSION,
         "command": "reconstruct",
         "status": "ok",
-        "path": path,
         "ridge": ridge,
         "grid": _grid_block(grid),
         "metrics": metrics,
@@ -429,8 +410,6 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
     ``level_diffs`` holds the entrywise relative mismatch against the factor
     route at each assembly level; with two or more levels the measured order
     of decrease is reported alongside the absolute gate at the finest level.
-    The check also carries the Galerkin asymmetry of the finest level's
-    assembly with that level's N.
     """
     worst = level_diffs[-1]
     controls = [
@@ -452,13 +431,9 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
         metric = float(np.mean(orders))
         lo, hi = _THREE_WAY_ORDER_BAND
         passed = passed and lo <= metric <= hi
-        check = _check("three_way_connecting", passed, metric,
-                       [lo, hi, _THREE_WAY_REL_TOL], detail)
-    else:
-        check = _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL,
-                       detail)
-    check["galerkin_asymmetry"] = {"N": cT_data.grid.N, "value": cT_data.asymmetry}
-    return check
+        return _check("three_way_connecting", passed, metric,
+                      [lo, hi, _THREE_WAY_REL_TOL], detail)
+    return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL, detail)
 
 
 def _verify_diagonal(grid, r, K, q) -> dict:
@@ -495,7 +470,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
     levels = [m for m in (n_top // 4, n_top // 2, n_top)
               if m >= 8 and n_top % m == 0]
     cg, rc, Kc, qc = _subsample(grid, r, K, q, grid.N // n_top)
-    cT = gl = None
+    cT = gl = asymmetry = None
     breakage = None
     level_diffs = []
     try:
@@ -507,6 +482,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
                 rel = np.max(np.abs(cTm.values - cwm.values))
                 level_diffs.append(float(rel / (1.0 + np.max(np.abs(cwm.values)))))
             cT = cTm
+        asymmetry = {"N": cT.grid.N, "value": cT.asymmetry}
     except _BREAKAGE as exc:
         breakage = str(exc)
     timer.lap("connecting_assembly", t0)
@@ -564,6 +540,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
         "status": "failed" if failed else "ok",
         "failed_checks": failed,
         "grid": _grid_block(grid),
+        "galerkin_asymmetry": asymmetry,
         "checks": checks,
     }
     if outdir is not None:
@@ -587,13 +564,11 @@ def _roundoff_floor(q: np.ndarray, N: int) -> float:
     return float(np.finfo(float).eps * N * N / (scale if scale > 1e-14 else 1.0))
 
 
-def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
-                    path: str = "response") -> dict:
+def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
     """Reconstruction error against the truth over a ladder of grids."""
     timer = _Timer()
     if len(grids) < 2 or sorted(set(grids)) != list(grids):
         raise UsageError("convergence needs at least two strictly increasing grids")
-    _check_path(path)
     rows = []
     for N in grids:
         t0 = time.perf_counter()
@@ -602,10 +577,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
         q, K = c.fields()
         sol = solve_goursat(q, K, grid)
         r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
-        if path == "response":
-            cT = connecting_kernel_from_response(r, K)
-        else:
-            cT = connecting_kernel_from_w(sol)
+        cT = connecting_kernel_from_response(r, K)
         q_hat = recover_potential(solve_gl(cT, ridge=c.ridge))
         # the rung's largest arrays: neither the next rung nor the JSON writes
         # below need them
@@ -635,7 +607,6 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int], *,
         "command": "convergence",
         "status": "ok",
         "config": cfg.echo(),
-        "path": path,
         "rows": rows,
         "artifacts": ["convergence.csv"],
     }

@@ -1,0 +1,235 @@
+"""Second routes to the package's objects, kept only as test oracles.
+
+Each production object has one route in ``memwave``; the routes here reach
+the same objects another way and the tests hold the two against each other:
+
+* ``duhamel_eval`` / ``apply_control_operator`` push a control through the
+  triangular kernel w, and ``solve_control`` inverts that control map by
+  back-substitution (against the leapfrog solve ``fd_forward``);
+* ``solve_blagoveshchenskii`` marches the correlation field of one control
+  pair level by level (against the probe assembly of the connecting kernel
+  and the interior wave-state form);
+* ``z_from_w`` inverts the Volterra factor I + W directly (against the
+  Gelfand-Levitan solve ``solve_gl``);
+* ``direct_march`` is the diamond march with its memory term written out
+  without blocking (against ``solve_goursat``), and
+  ``linearized_memory_field`` runs it driven by K(t - x) alone.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from memwave.errors import IllConditionedError, NumericalInstabilityError, UsageError
+from memwave.forward import apply_response
+from memwave.gelfand_levitan import GLSolution
+from memwave.goursat import GoursatSolution, ResponseData, _triangle
+from memwave.model import (
+    ControlSignal,
+    GridSpec,
+    MemoryKernel,
+    causal_convolution,
+    trapz_weights,
+)
+
+
+# --------------------------------------------------------------------------
+# control map through the kernel w
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WaveSnapshot:
+    """Wave profile u(x_i, t_star) on the x grid of [0, T]."""
+
+    grid: GridSpec
+    t_star: float
+    values: np.ndarray
+
+
+def duhamel_eval(sol: GoursatSolution, f: ControlSignal, t_star: float) -> WaveSnapshot:
+    """Evaluate u(x, t_star) = f(t_star - x) + int_x^{t_star} w(x, s) f(t_star - s) ds.
+
+    ``t_star`` must be a grid time <= T.  The state vanishes for x > t_star
+    (finite propagation speed).
+    """
+    grid = sol.grid
+    h, N = grid.h, grid.N
+    js = t_star / h
+    if abs(js - round(js)) > 1e-9 or not (0.0 <= t_star <= grid.T + 1e-12):
+        raise UsageError(f"t_star={t_star} is not a grid time within [0, T]")
+    js = int(round(js))
+    fv = f.padded_full()
+
+    u = np.zeros(N + 1)
+    if js > 0:
+        w = sol.w[: js + 1, : js + 1]
+        frev = fv[js::-1]  # f(t_star - s) for s = 0..t_star
+        weights = trapz_weights(js + 1, h)
+        # w[i, s] vanishes for s < i, so the full-range sum only needs its
+        # lower endpoint (s = i) reweighted from h to h/2.
+        conv = w @ (weights * frev)
+        diag = np.diagonal(w)
+        conv -= 0.5 * h * diag * frev[np.arange(js + 1)]
+        m = min(js, N)
+        u[: m + 1] = fv[js - np.arange(m + 1)] + conv[: m + 1]
+    else:
+        u[0] = fv[0]
+    return WaveSnapshot(grid=grid, t_star=t_star, values=u)
+
+
+def apply_control_operator(sol: GoursatSolution, f: ControlSignal) -> WaveSnapshot:
+    """Final-time state x -> u(x, T) of the control f (the control map)."""
+    return duhamel_eval(sol, f, sol.grid.T)
+
+
+def solve_control(sol: GoursatSolution, target: np.ndarray) -> ControlSignal:
+    """Find the control whose final-time state matches ``target`` on [0, T].
+
+    The discrete control map is triangular along characteristics with
+    diagonal coefficients 1 + (h/2) w(x, x); back-substitution from x = T
+    down to 0 inverts it exactly.
+    """
+    grid = sol.grid
+    h, N = grid.h, grid.N
+    a = np.asarray(target, dtype=float)
+    if a.shape != (N + 1,):
+        raise UsageError(f"target state needs {N + 1} samples on [0, T], got {a.shape}")
+    w = sol.w
+    g = np.zeros(N + 1)  # g[k] = f(T - x_k)
+    g[N] = a[N]
+    for i in range(N - 1, -1, -1):
+        weights = np.full(N - i, h)
+        weights[-1] = 0.5 * h
+        s = w[i, i + 1 : N + 1] @ (weights * g[i + 1 : N + 1])
+        denom = 1.0 + 0.5 * h * w[i, i]
+        if abs(denom) < 1e-8:
+            raise IllConditionedError(
+                f"control solve: Volterra diagonal 1 + (h/2) w(x, x) ~ 0 at x index {i}"
+            )
+        g[i] = (a[i] - s) / denom
+    return ControlSignal(grid=grid, values=g[::-1].copy(), admissible=False)
+
+
+# --------------------------------------------------------------------------
+# correlation field of one control pair
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PsiField:
+    """Correlation field psi[t_i, s_j] on the triangle {t + s <= 2T}."""
+
+    grid: GridSpec
+    values: np.ndarray = field(repr=False)
+
+    def at_final(self) -> float:
+        """psi(T, T), the connecting form of the two controls."""
+        return float(self.values[self.grid.N, self.grid.N])
+
+
+def _correlation_levels(F, G, RF, RG, Kv, grid: GridSpec) -> np.ndarray:
+    """March psi over the s-levels 0..2N; returns the stack psi[s_l, t].
+
+    F, G, RF, RG are samples on [0, 2T]; Kv is the memory kernel there.
+    """
+    h = grid.h
+    n = grid.N2 + 1
+    hist = np.zeros((n, n))
+    for l in range(1, n - 1):
+        acc = RF * G[l] - F * RG[l] + causal_convolution(Kv, hist[l], h)
+        acc -= (trapz_weights(l + 1, h) * Kv[l::-1]) @ hist[: l + 1]
+        nxt = hist[l + 1]
+        nxt[1:-1] = hist[l, 2:] + hist[l, :-2] - hist[l - 1, 1:-1] + h * h * acc[1:-1]
+        if not np.all(np.isfinite(nxt)):
+            raise NumericalInstabilityError(
+                f"correlation march blew up at s-level {l + 1}"
+            )
+    return hist
+
+
+def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
+                            g: ControlSignal) -> PsiField:
+    """Correlation field of two admissible controls from boundary data (r, K)."""
+    grid = r.grid
+    if K.grid != grid or f.grid != grid or g.grid != grid:
+        raise UsageError("response, kernel and controls must share one grid")
+    if not (f.admissible and g.admissible):
+        raise UsageError("correlation march needs admissible-smooth controls")
+    F = f.padded_full()
+    G = g.padded_full()
+    fw = ControlSignal(grid, F, admissible=True)
+    gw = ControlSignal(grid, G, admissible=True)
+    RF = apply_response(r, fw)
+    RG = apply_response(r, gw)
+    psi = np.ascontiguousarray(_correlation_levels(F, G, RF, RG, K.values, grid).T)
+    tt = np.arange(psi.shape[0])[:, None]
+    ss = np.arange(psi.shape[1])
+    psi[tt + ss > grid.N2] = 0.0
+    return PsiField(grid=grid, values=psi)
+
+
+# --------------------------------------------------------------------------
+# direct inverse of the Volterra factor
+# --------------------------------------------------------------------------
+
+def z_from_w(sol: GoursatSolution) -> GLSolution:
+    """Invert the Volterra factor I + W directly, row by row.
+
+    From (I + Z)(I + W) = I:  z(x, t) = -w(x, t) - int_x^t z(x, s) w(s, t) ds,
+    a forward substitution in t with the exact diagonal z(x, x) = -w(x, x).
+    """
+    grid = sol.grid
+    N, h = grid.N, grid.h
+    W = sol.w[:, : N + 1]
+    z = np.zeros((N + 1, N + 1))
+    for i in range(N + 1):
+        z[i, i] = -W[i, i]
+        for j in range(i + 1, N + 1):
+            wts = trapz_weights(j - i + 1, h)
+            s = z[i, i:j] @ (wts[:-1] * W[i:j, j])
+            z[i, j] = -(W[i, j] + s) / (1.0 + 0.5 * h * W[j, j])
+    return GLSolution(grid=grid, z=z)
+
+
+# --------------------------------------------------------------------------
+# unblocked diamond march
+# --------------------------------------------------------------------------
+
+def direct_march(q_ext, Kv, diag, grid: GridSpec, with_memory: bool) -> np.ndarray:
+    """The diamond march with one full trapezoid product per level.
+
+    The memory term is written out without blocking.  ``with_memory=False``
+    keeps the forcing K(t - x) alone: no q-coupling and no history integral.
+    """
+    N, N2, h = grid.N, grid.N2, grid.h
+    w = np.zeros((N + 2, N2 + 1))
+    rows = np.arange(N + 2)
+    w[rows, np.minimum(rows, N2)] = diag
+    for j in range(1, N2):
+        if j <= N:
+            forcing = q_ext[j] * w[j, j] + Kv[0] if with_memory else Kv[0]
+            w[j, j + 1] = w[j - 1, j] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
+        i_max = min(j - 1, 2 * N + 1 - j)
+        if i_max >= 1:
+            idx = np.arange(1, i_max + 1)
+            kshift = Kv[j - idx]
+            if with_memory:
+                col = trapz_weights(j + 1, h) * Kv[j::-1]
+                mem = w[idx, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
+                F = q_ext[idx] * w[idx, j] + mem + kshift
+            else:
+                F = kshift
+            w[idx, j + 1] = w[idx - 1, j] + w[idx + 1, j] - w[idx, j - 1] - h * h * F
+    return w
+
+
+def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
+    """First-order-in-K kernel: the march driven by K(t - x) alone.
+
+    This is the derivative of the full scheme with respect to the kernel
+    amplitude at q = 0, K = 0; useful as a linearization reference.  Same
+    shape, mask and read-only flag as ``GoursatSolution.w``.
+    """
+    zeros = np.zeros(grid.N + 2)
+    return _triangle(direct_march(zeros, K.values, zeros, grid, False), grid)

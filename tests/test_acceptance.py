@@ -149,19 +149,19 @@ def test_operator_identity_second_order():
 def test_end_to_end_reconstruction_quality():
     t0 = time.perf_counter()
 
-    def interior_rel(path, n):
+    def interior_rel(route, n):
         grid, q, K, sol = _pipeline_pieces("full", n)
-        if path == "response":
+        if route == "response":
             cT = mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
         else:
             cT = mw.connecting_kernel_from_w(sol)
         q_hat = mw.recover_potential(mw.solve_gl(cT))
         return mw.reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
 
-    assert interior_rel("w_oracle", 256) <= 0.02
+    assert interior_rel("factor", 256) <= 0.02
     assert interior_rel("response", 64) <= 0.10
-    for path in ("response", "w_oracle"):
-        ladder = [interior_rel(path, n) for n in (32, 64, 128)]
+    for route in ("response", "factor"):
+        ladder = [interior_rel(route, n) for n in (32, 64, 128)]
         assert ladder[0] > ladder[1] > ladder[2]
     assert time.perf_counter() - t0 < 600.0
 

@@ -128,13 +128,19 @@ def test_convergence_bad_grids_exit_2(tmp_path, cfg_file):
     assert rc == 2
 
 
-def test_convergence_path_flag_overrides_config(tmp_path, cfg_file):
-    out = tmp_path / "cw"
-    rc = cli.main(["convergence", "--config", cfg_file, "--out", str(out),
-                   "--grids", "16,32", "--path", "w_oracle"])
-    assert rc == 0
-    report = json.load(open(out / "report.json"))
-    assert report["path"] == "w_oracle"
+def test_reconstruction_path_option_is_gone_exit_2(tmp_path, cfg_file, synth_dir):
+    # one route to c_T: neither a --path flag nor a "path" config key exists
+    for argv in (
+        ["reconstruct", "--data", synth_dir, "--out", str(tmp_path / "r")],
+        ["convergence", "--config", cfg_file, "--out", str(tmp_path / "c"),
+         "--grids", "16,32"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--path", "w_oracle"])
+        assert exc.value.code == 2
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"problem": "full", "N": 32, "path": "w_oracle"}))
+    assert cli.main(["synth", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
 
 
 def test_synth_seed_flag(tmp_path):

@@ -25,6 +25,7 @@ from memwave.connecting import (
     _kernel_from_galerkin,
 )
 from memwave.model import bump_profile, causal_convolution, trapezoid, trapz_weights
+from oracles import solve_blagoveshchenskii
 
 
 def _free_setup(n):
@@ -47,7 +48,7 @@ def test_psi_free_matches_overlap_integral():
     grid, K, r = _free_setup(64)
     f = _bump(grid, 0.3, 0.2)
     g = _bump(grid, 0.6, 0.25)
-    psi = mw.solve_blagoveshchenskii(r, K, f, g)
+    psi = solve_blagoveshchenskii(r, K, f, g)
     fv, gv = f.padded_full(), g.padded_full()
     lag = np.arange(grid.N + 1)
     worst = 0.0
@@ -64,13 +65,13 @@ def test_psi_zero_control_vanishes():
     grid, K, r = _free_setup(32)
     f = _bump(grid, 0.4, 0.2)
     z = mw.control_from_family("zero", (), grid)
-    assert np.abs(mw.solve_blagoveshchenskii(r, K, f, z).values).max() == 0.0
+    assert np.abs(solve_blagoveshchenskii(r, K, f, z).values).max() == 0.0
 
 
 def test_psi_masked_outside_triangle():
     grid, K, r = _free_setup(32)
     f = _bump(grid, 0.4, 0.2)
-    psi = mw.solve_blagoveshchenskii(r, K, f, f)
+    psi = solve_blagoveshchenskii(r, K, f, f)
     tt, ss = np.indices(psi.values.shape)
     assert np.abs(psi.values[tt + ss > grid.N2]).max() == 0.0
 
@@ -79,7 +80,7 @@ def test_psi_needs_admissible_controls():
     grid, K, r = _free_setup(32)
     sine = mw.control_from_family("sine", (1.0, 2.0), grid)
     with pytest.raises(mw.UsageError):
-        mw.solve_blagoveshchenskii(r, K, sine, sine)
+        solve_blagoveshchenskii(r, K, sine, sine)
 
 
 def test_psi_march_blowup_reported():
@@ -88,7 +89,7 @@ def test_psi_march_blowup_reported():
     f = _bump(grid, 0.4, 0.2)
     with np.errstate(all="ignore"):
         with pytest.raises(mw.NumericalInstabilityError):
-            mw.solve_blagoveshchenskii(rbad, K, f, f)
+            solve_blagoveshchenskii(rbad, K, f, f)
 
 
 @given(
@@ -106,9 +107,9 @@ def test_psi_bilinear_in_first_control(alpha, beta):
     combo = mw.ControlSignal(
         grid, alpha * f1.values + beta * f2.values, admissible=True
     )
-    lhs = mw.solve_blagoveshchenskii(r, K, combo, g).values
-    rhs = alpha * mw.solve_blagoveshchenskii(r, K, f1, g).values
-    rhs = rhs + beta * mw.solve_blagoveshchenskii(r, K, f2, g).values
+    lhs = solve_blagoveshchenskii(r, K, combo, g).values
+    rhs = alpha * solve_blagoveshchenskii(r, K, f1, g).values
+    rhs = rhs + beta * solve_blagoveshchenskii(r, K, f2, g).values
     assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -123,7 +124,7 @@ def test_form_from_psi_matches_interior_oracle():
         r = mw.response_kernel(mw.solve_goursat(q, K, grid))
         f = _bump(grid, 0.3, 0.2)
         g = _bump(grid, 0.6, 0.25)
-        data_val = mw.solve_blagoveshchenskii(r, K, f, g).at_final()
+        data_val = solve_blagoveshchenskii(r, K, f, g).at_final()
         oracle = mw.connecting_form_from_interior(q, K, f, g)
         diffs.append(abs(data_val - oracle))
     assert diffs[0] < 5e-5
@@ -139,7 +140,7 @@ def test_form_from_kernel_reproduces_psi_exactly(full_ct_response, full_fields, 
     f = _bump(grid64, 0.35, 0.2)
     g = _bump(grid64, 0.6, 0.25)
     vk = mw.connecting_form_from_kernel(full_ct_response, f, g)
-    vb = mw.solve_blagoveshchenskii(r, K, f, g).at_final()
+    vb = solve_blagoveshchenskii(r, K, f, g).at_final()
     assert vk == pytest.approx(vb, abs=1e-12)
 
 

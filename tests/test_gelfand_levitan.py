@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.model import cumulative_trapezoid, trapz_weights
+from oracles import z_from_w
 
 
 def _w_solution(name, n):
@@ -91,7 +92,7 @@ def test_collocation_matches_back_substitution():
     for n in (32, 64):
         sol = _w_solution("full", n)
         ct = mw.connecting_kernel_from_w(sol)
-        diffs.append(np.abs(mw.solve_gl(ct).z - mw.z_from_w(sol).z).max())
+        diffs.append(np.abs(mw.solve_gl(ct).z - z_from_w(sol).z).max())
     assert diffs[1] < 5e-7
     assert diffs[0] / diffs[1] == pytest.approx(4.0, abs=1.0)
 
@@ -99,7 +100,7 @@ def test_collocation_matches_back_substitution():
 def test_back_substitution_composition_identity():
     # explicit quadrature check of (I + Z)(I + W) = I on the triangle
     sol = _w_solution("full", 16)
-    z = mw.z_from_w(sol).z
+    z = z_from_w(sol).z
     W = sol.w[:, :17]
     h = sol.grid.h
     worst = 0.0
@@ -115,7 +116,7 @@ def test_back_substitution_composition_identity():
 
 
 def test_z_diag_mirrors_w_diag_exactly(full_goursat):
-    z = mw.z_from_w(full_goursat).z
+    z = z_from_w(full_goursat).z
     W = full_goursat.w[:, :65]
     assert np.abs(np.diagonal(z) + np.diagonal(W)).max() == 0.0
 
@@ -125,7 +126,7 @@ def test_z_is_minus_w_to_first_order():
     q, _ = mw.get_problem("free").fields(grid)
     K = mw.kernel_from_family("constant", (1e-3,), grid)
     sol = mw.solve_goursat(q, K, grid)
-    z = mw.z_from_w(sol).z
+    z = z_from_w(sol).z
     W = sol.w[:, :65]
     i, j = np.triu_indices(65)
     # w ~ 1e-4, so the quadratic remainder sits around 1e-8
@@ -133,7 +134,7 @@ def test_z_is_minus_w_to_first_order():
 
 
 def test_diagonal_encodes_potential_integral(full_goursat):
-    z = mw.z_from_w(full_goursat)
+    z = z_from_w(full_goursat)
     want = 0.5 * cumulative_trapezoid(full_goursat.q.values, full_goursat.grid.h)
     assert_allclose(z.diagonal(), want, atol=1e-15)
 
@@ -160,7 +161,7 @@ def test_operator_identity_second_order():
 
 def test_operator_identity_on_back_substitution(full_goursat):
     ct = mw.connecting_kernel_from_w(full_goursat)
-    res = mw.operator_identity_residual(ct, mw.z_from_w(full_goursat))
+    res = mw.operator_identity_residual(ct, z_from_w(full_goursat))
     assert res < 5e-6
 
 
@@ -304,7 +305,7 @@ def test_recover_potential_full_problem():
     errs = []
     for n in (64, 128):
         sol = _w_solution("full", n)
-        qhat = mw.recover_potential(mw.z_from_w(sol))
+        qhat = mw.recover_potential(z_from_w(sol))
         e = mw.reconstruction_errors(sol.q.values, qhat.values, sol.grid)
         errs.append(e["max_abs"])
     assert errs[0] < 1e-2

@@ -21,7 +21,8 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.goursat import _triangle
-from memwave.model import cumulative_trapezoid, trapz_weights
+from memwave.model import cumulative_trapezoid
+from oracles import direct_march, linearized_memory_field
 
 
 def _solve(name, n):
@@ -126,8 +127,8 @@ def test_linearized_field_scales_exactly():
     grid = mw.GridSpec(1.0, 48)
     k1 = mw.kernel_from_family("constant", (0.01,), grid)
     k2 = mw.kernel_from_family("constant", (0.02,), grid)
-    lin1 = mw.linearized_memory_field(k1, grid)
-    lin2 = mw.linearized_memory_field(k2, grid)
+    lin1 = linearized_memory_field(k1, grid)
+    lin2 = linearized_memory_field(k2, grid)
     assert_allclose(lin2, 2.0 * lin1, atol=0.0)
 
 
@@ -138,38 +139,13 @@ def test_full_march_deviates_quadratically_from_linearized():
     for amp in (0.01, 0.02):
         k = mw.kernel_from_family("constant", (amp,), grid)
         sol = mw.solve_goursat(q0, k, grid)
-        lin = mw.linearized_memory_field(k, grid)
+        lin = linearized_memory_field(k, grid)
         devs.append(np.abs(sol.w - lin).max())
     assert devs[0] < 3e-6
     assert devs[1] / devs[0] == pytest.approx(4.0, abs=0.5)
 
 
 # ------------------------------------------------------- cross-route march
-
-
-def _direct_march(q_ext, Kv, diag, grid, with_memory):
-    # the diamond march with one full trapezoid product per level, the
-    # memory term written out without blocking
-    N, N2, h = grid.N, grid.N2, grid.h
-    w = np.zeros((N + 2, N2 + 1))
-    rows = np.arange(N + 2)
-    w[rows, np.minimum(rows, N2)] = diag
-    for j in range(1, N2):
-        if j <= N:
-            forcing = q_ext[j] * w[j, j] + Kv[0] if with_memory else Kv[0]
-            w[j, j + 1] = w[j - 1, j] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
-        i_max = min(j - 1, 2 * N + 1 - j)
-        if i_max >= 1:
-            idx = np.arange(1, i_max + 1)
-            kshift = Kv[j - idx]
-            if with_memory:
-                col = trapz_weights(j + 1, h) * Kv[j::-1]
-                mem = w[idx, : j + 1] @ col - 0.5 * h * kshift * diag[idx]
-                F = q_ext[idx] * w[idx, j] + mem + kshift
-            else:
-                F = kshift
-            w[idx, j + 1] = w[idx - 1, j] + w[idx + 1, j] - w[idx, j - 1] - h * h * F
-    return w
 
 
 @pytest.mark.parametrize("n", [130, 200])
@@ -181,14 +157,10 @@ def test_blocked_march_matches_direct_march(problem, n):
     sol = mw.solve_goursat(q, K, grid)
     q_ext = np.append(q.values, q.values[-1])
     diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
-    ext = _direct_march(q_ext, K.values, diag, grid, True)
+    ext = direct_march(q_ext, K.values, diag, grid, True)
     tol = 1e-12 * (1.0 + np.abs(ext).max())
     assert np.abs(sol.extended - ext).max() <= tol
     assert np.abs(sol.w - _triangle(ext, grid)).max() <= tol
-    zeros = np.zeros(grid.N + 2)
-    lin = _triangle(_direct_march(zeros, K.values, zeros, grid, False), grid)
-    lin_tol = 1e-12 * (1.0 + np.abs(lin).max())
-    assert np.abs(mw.linearized_memory_field(K, grid) - lin).max() <= lin_tol
 
 
 # ------------------------------------------------------ consistency checks

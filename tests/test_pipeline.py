@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import memwave as mw
+from memwave import pipeline
 from memwave.artifacts import read_csv
 from memwave.connecting import _SYM_TOL_FACTOR
 from memwave.pipeline import (
@@ -42,7 +43,6 @@ def test_config_defaults():
     cfg = config_from_dict({})
     assert (cfg.T, cfg.N) == (1.0, 64)
     assert cfg.q_family == "zero" and cfg.k_family == "zero"
-    assert cfg.path == "response"
     assert cfg.noise_sigma == 0.0
 
 
@@ -52,7 +52,7 @@ def test_config_catalogue_expansion():
     assert cfg.q_family == "gaussian_bump"
     assert cfg.k_family == "exp_decay"
     echo = cfg.echo()
-    assert echo["N"] == 32 and echo["path"] == "response"
+    assert echo["N"] == 32
 
 
 def test_config_explicit_fields():
@@ -156,7 +156,7 @@ def test_reconstruct_metrics_and_artifacts(data_dir, tmp_path):
     out = tmp_path / "rec"
     report = run_reconstruct(data_dir, str(out))
     m = report["metrics"]
-    assert report["status"] == "ok" and report["path"] == "response"
+    assert report["status"] == "ok"
     assert m["l2_rel_err"] < 1e-2
     assert m["linf_err"] < 1e-2
     assert m["max_abs_err"] < 5e-2
@@ -205,8 +205,8 @@ def test_reconstruct_reports_galerkin_asymmetry(data_dir, tmp_path):
     assert np.isfinite(m["galerkin_asymmetry"])
     assert 0.0 <= m["galerkin_asymmetry"] < gate
     # the factor route assembles no Galerkin block
-    m = run_reconstruct(data_dir, str(tmp_path / "w"), path="w_oracle")["metrics"]
-    assert np.isnan(m["galerkin_asymmetry"])
+    grid, _, K, q = _load_data(data_dir)
+    assert np.isnan(mw.connecting_kernel_from_w(mw.solve_goursat(q, K, grid)).asymmetry)
 
 
 def _scaled_response(src_dir, tmp_path, factor):
@@ -224,27 +224,25 @@ def test_reconstruct_non_positive_operator_is_named(data_dir, tmp_path):
         run_reconstruct(d, str(tmp_path / "o"))
 
 
-def test_reconstruct_w_oracle_path(data_dir, tmp_path):
-    report = run_reconstruct(data_dir, str(tmp_path / "rw"), path="w_oracle")
-    assert report["path"] == "w_oracle"
-    assert report["metrics"]["l2_rel_err"] < 1e-2
+def test_reconstruct_w_oracle_path(data_dir):
+    # the factor route from the true potential's kernel w, through the same
+    # solve, recovery and error metrics as reconstruct
+    grid, _, K, q_true = _load_data(data_dir)
+    cw = mw.connecting_kernel_from_w(mw.solve_goursat(q_true, K, grid))
+    q_hat = mw.recover_potential(mw.solve_gl(cw))
+    err = mw.reconstruction_errors(q_true.values, q_hat.values, grid)
+    assert err["interior_rel"] < 1e-2
 
 
 def test_reconstruct_w_oracle_needs_truth(data_dir, tmp_path):
+    # without truth_q.csv there is no potential to march the factor route
+    # from; the response route only loses its error metrics
     trimmed = tmp_path / "notruth"
     shutil.copytree(data_dir, trimmed)
     os.remove(trimmed / "truth_q.csv")
-    with pytest.raises(mw.UsageError):
-        run_reconstruct(str(trimmed), str(tmp_path / "out"), path="w_oracle")
-    # the response path only loses its error metrics
     report = run_reconstruct(str(trimmed), str(tmp_path / "out2"))
     assert "l2_rel_err" not in report["metrics"]
     assert report["metrics"]["gl_residual"] < 1e-12
-
-
-def test_reconstruct_rejects_unknown_path(data_dir, tmp_path):
-    with pytest.raises(mw.UsageError):
-        run_reconstruct(data_dir, str(tmp_path / "x"), path="shortcut")
 
 
 # ------------------------------------------------------- data dir validation
@@ -305,7 +303,7 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
     ]
     assert all(c["passed"] for c in report["checks"])
     assert (out / "report.json").exists()
-    asym = report["checks"][1]["galerkin_asymmetry"]
+    asym = report["galerkin_asymmetry"]
     assert asym["N"] == 64
     assert np.isfinite(asym["value"]) and asym["value"] < 1e-8
 
@@ -341,6 +339,25 @@ def test_verify_without_truth_runs_data_only_checks(data_dir, tmp_path):
         "gl_residual",
     ]
     assert report["status"] == "ok"
+    # the assembly ran, so its Galerkin asymmetry is reported without truth
+    _, r, K, _ = _load_data(str(d))
+    cT = mw.connecting_kernel_from_response(r, K)
+    gate = 1e-8 + _SYM_TOL_FACTOR * (1.0 / 64) ** 2 * (1.0 + np.abs(cT.values).max())
+    asym = report["galerkin_asymmetry"]
+    assert asym == {"N": 64, "value": cT.asymmetry}
+    assert np.isfinite(asym["value"]) and 0.0 <= asym["value"] < gate
+
+
+def test_verify_reports_no_asymmetry_when_the_assembly_breaks(data_dir, monkeypatch):
+    def broken(r, K):
+        raise mw.AssemblyError("probe Galerkin matrix asymmetry exceeds the tolerance")
+
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", broken)
+    report = run_verify(data_dir)
+    assert report["galerkin_asymmetry"] is None
+    assert report["failed_checks"] == [
+        "three_way_connecting", "operator_identity", "gl_residual"
+    ]
 
 
 def test_verify_names_non_positive_operator(data_dir, tmp_path):
@@ -392,13 +409,6 @@ def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
     lines = (tmp_path / "floor" / "convergence.csv").read_text().splitlines()
     orders = [float(line.split(",")[3]) for line in lines[1:]]
     assert not any(o < 0 for o in orders)
-
-
-def test_convergence_w_oracle_path(tmp_path):
-    cfg = config_from_dict({"problem": "full"})
-    report = run_convergence(cfg, str(tmp_path / "cw"), [16, 32], path="w_oracle")
-    assert report["path"] == "w_oracle"
-    assert report["rows"][1]["error"] < report["rows"][0]["error"]
 
 
 def test_convergence_needs_increasing_grids(tmp_path):
