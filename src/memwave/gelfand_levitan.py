@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# diagonal blocks of at most this size are inverted and multiplied densely
+_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,80 @@ def _node_weights(N: int, h: float) -> np.ndarray:
     return d
 
 
+def _halves(n: int, split: bool) -> tuple[slice, ...]:
+    k = n // 2
+    return (slice(0, k), slice(k, n)) if split else (slice(0, n),)
+
+
+def _product(a: np.ndarray, b: np.ndarray, sa: str | None = None,
+             sb: str | None = None, upper: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b by 2x2 blocks that skip the zero triangle of a triangular factor.
+
+    ``sa`` / ``sb`` mark a square factor as lower ("L") or upper ("U")
+    triangular, None as full.  With ``upper`` only the upper triangle of the
+    (square) product is formed; the rest is zero.  Every dimension that
+    bounds a triangle is split at its middle, so a block of a factor is
+    either a diagonal block (keeps the triangle), zero (skipped) or full;
+    blocks whose triangles are at most ``_LEAF`` wide are multiplied densely.
+    ``out`` receives the product when given; the recursion uses it to write
+    the first term of each block in place, without a temporary.
+    """
+    n_r, n_p = a.shape
+    n_c = b.shape[1]
+    width = n_p if sa or sb else n_r
+    if (sa is None and sb is None and not upper) or width <= _LEAF:
+        out = np.matmul(a, b, out=out)
+        if upper:
+            out[np.tril_indices(n_r, -1)] = 0.0
+        return out
+    if sa is None and not upper:
+        # BLAS runs the row blocks of (a b)^T = b^T a^T faster than the
+        # column blocks of a b
+        flip = "U" if sb == "L" else "L"
+        return _product(b.T, a.T, flip, out=None if out is None else out.T).T
+    rows = _halves(n_r, bool(sa) or upper)
+    inner = _halves(n_p, bool(sa or sb))
+    cols = _halves(n_c, bool(sb) or upper)
+    if out is None:
+        out = np.empty((n_r, n_c))
+    for i, ri in enumerate(rows):
+        for j, cj in enumerate(cols):
+            block = out[ri, cj]
+            # the inner blocks l whose factor blocks are not both zero
+            terms = [l for l in range(len(inner)) if not (
+                (sa == "L" and l > i) or (sa == "U" and l < i)
+                or (sb == "L" and l < j) or (sb == "U" and l > j)
+                or (upper and i > j))]
+            if not terms:
+                block[...] = 0.0
+            for t, l in enumerate(terms):
+                part = _product(a[ri, inner[l]], b[inner[l], cj],
+                                sa if i == l else None, sb if l == j else None,
+                                upper and i == j, None if t else block)
+                if t:
+                    block += part
+    return out
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 blocks:
+    inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], with a dense
+    inverse only on diagonal blocks of at most ``_LEAF``."""
+    n = L.shape[0]
+    if n <= _LEAF:
+        return np.tril(np.linalg.inv(L))
+    k = n // 2
+    out = np.empty_like(L)
+    out[:k, :k] = _tril_inverse(L[:k, :k])
+    out[k:, k:] = _tril_inverse(L[k:, k:])
+    out[:k, k:] = 0.0
+    B = out[k:, :k]
+    _product(out[k:, k:], _product(L[k:, :k], out[:k, :k], sb="L"), sa="L", out=B)
+    np.negative(B, out=B)
+    return out
+
+
 def _first_non_positive_block(S: np.ndarray) -> int:
     """Index of the node that closes the first non-positive leading block of
     S (bisection over leading-block Cholesky factorizations)."""
@@ -98,7 +174,9 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     weight at the column's last node.  With S = L L^T and Li = L^-1, leading
     blocks of Li invert leading blocks of L, so Li^T triu(Li (-C)) holds
     every S_j^-1 b_j at once; Sherman-Morrison adds the rank-one term, with
-    S_j^-1 e_j = Li[j, j] Li[j, :j+1].
+    S_j^-1 e_j = Li[j, j] Li[j, :j+1].  Li is inverted by blocks, and these
+    products and the Gram matrix of the condition number skip the zero
+    triangles of their factors.
 
     ``ridge`` is lambda (a regularization knob for noisy kernels; 0 for clean
     data).  Raises IllConditionedError when the weighted connecting operator
@@ -124,12 +202,12 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     # A = D^1/2 S D^1/2 factors as (D^1/2 L)(D^1/2 L)^T; its pivots are the
     # squared diagonal of that factor
     pivots = d * np.diagonal(L) ** 2
-    Li = np.tril(np.linalg.inv(L))
+    Li = _tril_inverse(L)
     del L
     li = np.diagonal(Li).copy()
 
     # column j of z starts as S_j^-1 b_j with b_j = -C[:j+1, j]
-    z = Li.T @ np.triu(Li @ C)
+    z = _product(Li.T, _product(Li, C, sa="L", upper=True), sa="U", sb="U")
     np.negative(z, out=z)
     alpha = shift / h
     U = Li.T * li  # column j is S_j^-1 e_j
@@ -145,8 +223,12 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     sq = np.sqrt(d)
     G = Li
     G /= sq[None, :]
-    inv_norm = np.abs(G.T @ G).sum(axis=0).max()
-    del G, Li
+    # only the upper triangle of the symmetric G^T G is formed: column j
+    # of the whole sums column j and row j of it, the diagonal once
+    M = _product(G.T, G, sa="U", sb="L", upper=True)
+    np.abs(M, out=M)
+    inv_norm = (M.sum(axis=0) + M.sum(axis=1) - np.diagonal(M)).max()
+    del G, Li, M
     A = C * sq[:, None]
     A *= sq[None, :]
     A[np.diag_indices(N + 1)] += shift
@@ -201,11 +283,18 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
     D = trapz_weights(N + 1, h)
-    I = np.eye(N + 1)
-    zq = gl.z.copy()
+    zq = np.triu(gl.z)
     didx = np.arange(N + 1)
     zq[didx, didx] *= 0.5
-    E = (I + zq.T * D) @ (I + c.values * D) @ (I + zq * D) - I
+
+    def plus_identity(m):
+        m[didx, didx] += 1.0
+        return m
+
+    # lower x (full x upper), skipping the zero triangles of the z-factors
+    right = _product(plus_identity(c.values * D), plus_identity(zq * D), sb="U")
+    E = _product(plus_identity(zq.T * D), right, sa="L")
+    E[didx, didx] -= 1.0
     return float(np.max(np.abs(E[:N, :N])))
 
 

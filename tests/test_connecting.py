@@ -20,6 +20,7 @@ from memwave import connecting
 from memwave.connecting import (
     _adjoint_weights,
     _causal_correlation,
+    _free_galerkin,
     _galerkin,
     _impulse_responses,
     _kernel_from_galerkin,
@@ -352,6 +353,17 @@ def test_impulse_responses_equal_per_probe_responses():
     P, RP = _bump_probe_responses(r, grid)
     assert np.array_equal(P[:, 2 : grid.N], np.eye(grid.N2 + 1)[:, 2 : grid.N])
     assert np.array_equal(_impulse_responses(r, grid), RP[:, 2 : grid.N])
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 200])
+def test_free_galerkin_matches_dense_products(n):
+    # the stencil slices against the two dense products of the free route
+    grid = mw.GridSpec(1.0, n)
+    r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
+    want = _galerkin(_impulse_responses(r_zero, grid), None, grid)
+    got = _free_galerkin(grid)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [16, 64])

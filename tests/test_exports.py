@@ -1,9 +1,13 @@
-"""Every name a ``memwave`` module exports has a caller inside the package.
+"""Source guards over the ``memwave`` package.
 
-A name that only tests call is a second route or dead code: second routes
-live beside their tests (``tests/oracles.py``), and dead code is deleted.
-The package's ``__init__`` re-exports names without calling them, so it does
+Every name a module exports has a caller inside the package.  A name that
+only tests call is a second route or dead code: second routes live beside
+their tests (``tests/oracles.py``), and dead code is deleted.  The
+package's ``__init__`` re-exports names without calling them, so it does
 not count as a caller.
+
+Every matrix the package inverts is triangular, so a general dense inverse
+runs only on the diagonal leaf blocks of the blocked triangular inverse.
 """
 
 import ast
@@ -47,3 +51,23 @@ def test_every_exported_name_is_used_in_the_package():
         if name not in used
     ]
     assert unused == []
+
+
+def _is_inverse(node):
+    return ((isinstance(node, ast.Attribute) and node.attr == "inv")
+            or (isinstance(node, ast.Name) and node.id == "inv")
+            or (isinstance(node, ast.alias) and node.name == "inv"))
+
+
+def test_dense_inverse_only_in_the_triangular_leaf():
+    found = []
+    for module, tree in _trees().items():
+        # the innermost function around each node: ast.walk visits outer
+        # functions before the functions nested in them
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
+                  for node in ast.walk(tree) if _is_inverse(node)]
+    assert found == ["gelfand_levitan._tril_inverse:np.linalg.inv"]

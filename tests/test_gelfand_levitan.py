@@ -7,7 +7,9 @@ boundary data).  The composition identity (I + Z)(I + W) = I is checked by
 explicit quadrature at a small size, making the oracle self-validating.
 
 The one-factorization solve and the vectorized residual are held against
-their column-by-column originals, kept here as test-local oracles.
+their column-by-column originals, and the blocked triangular inverse, the
+block products and the structured identity check against their dense
+forms, all kept here as test-local oracles.
 """
 
 import functools
@@ -17,6 +19,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
+from memwave.gelfand_levitan import _LEAF, _product, _tril_inverse
 from memwave.model import cumulative_trapezoid, trapz_weights
 from oracles import z_from_w
 
@@ -51,6 +54,18 @@ def _loop_gl_residual(c, z):
         res = z[:n, j] + (C[:n, :n] * w[None, :]) @ z[:n, j] + C[:n, j]
         worst = max(worst, float(np.max(np.abs(res))))
     return worst
+
+
+def _dense_identity_residual(c, gl):
+    """Oracle: the identity residual as one dense triple product."""
+    N, h = gl.grid.N, gl.grid.h
+    D = trapz_weights(N + 1, h)
+    I = np.eye(N + 1)
+    zq = gl.z.copy()
+    didx = np.arange(N + 1)
+    zq[didx, didx] *= 0.5
+    E = (I + zq.T * D) @ (I + c.values * D) @ (I + zq * D) - I
+    return float(np.max(np.abs(E[:N, :N])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,6 +172,18 @@ def test_operator_identity_second_order():
         vals.append(mw.operator_identity_residual(ct, mw.solve_gl(ct)))
     assert vals[1] < 5e-6
     assert vals[0] / vals[1] == pytest.approx(4.0, abs=1.0)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("name", ["full", "classical"])
+def test_operator_identity_matches_dense_triple_product(name, n):
+    # 300 runs the block products beyond the leaf, 64 within it
+    c = _kernel(name, n, "w")
+    gl = mw.solve_gl(c)
+    want = _dense_identity_residual(c, gl)
+    assert want > 0.0
+    got = mw.operator_identity_residual(c, gl)
+    assert abs(got - want) <= 1e-13 * (1.0 + np.abs(c.values).max())
 
 
 def test_operator_identity_on_back_substitution(full_goursat):
@@ -277,6 +304,74 @@ def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
     assert calls == {"cholesky": 1, "solve": 0}
     mw.solve_gl(full_ct_oracle, ridge=1e-4)
     assert calls == {"cholesky": 2, "solve": 0}
+
+    # beyond the leaf, dense inverses only ever see diagonal leaf blocks
+    sizes = []
+    real_inv = np.linalg.inv
+
+    def recorded_inv(a):
+        sizes.append(a.shape[0])
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    mw.solve_gl(_kernel("full", 300, "w"))
+    assert calls == {"cholesky": 3, "solve": 0}
+    assert sum(sizes) == 301 and max(sizes) <= _LEAF
+
+
+def test_blocked_solve_matches_column_solves_beyond_the_leaf():
+    c = _kernel("full", 300, "w")
+    want = _lu_solve_gl(c)
+    gl = mw.solve_gl(c)
+    assert np.abs(gl.z - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    d = np.full(301, c.grid.h)
+    d[0] *= 0.5
+    sq = np.sqrt(d)
+    A = np.eye(301) + c.values * sq[:, None] * sq[None, :]
+    assert gl.cond_estimate == pytest.approx(np.linalg.cond(A, 1), rel=1e-10)
+
+
+# ------------------------------------ block products vs. dense products
+
+_SIZES = [1, 2, 127, 128, 129, 300, 1025]
+
+
+def _triangles(n, seed):
+    """A full matrix and a well-conditioned lower-triangular one of size n."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    X = rng.standard_normal((n, n))
+    Lo = np.linalg.cholesky(np.eye(n) + (0.5 / n) * (X @ X.T))
+    return F, Lo
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_tril_inverse_matches_dense_inverse(n):
+    _, Lo = _triangles(n, n)
+    got = _tril_inverse(Lo)
+    want = np.linalg.inv(Lo)
+    assert not np.any(np.triu(got, 1))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("sa, sb, upper", [
+    ("L", None, False), ("U", None, False), (None, "L", False),
+    (None, "U", False), ("L", None, True), ("U", "U", False),
+    ("U", "L", True), ("L", "U", False),
+])
+def test_block_product_matches_dense_product(n, sa, sb, upper):
+    F, Lo = _triangles(n, n + 1)
+    pick = {"L": Lo, "U": Lo.T, None: F}
+    a, b = pick[sa], pick[sb]
+    want = a @ b
+    if upper:
+        want = np.triu(want)
+    got = _product(a, b, sa, sb, upper)
+    if upper or (sa == "U" and sb == "U"):
+        assert not np.any(np.tril(got, -1))
+    scale = (np.abs(a) @ np.abs(b)).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("route", ["response", "w"])

@@ -360,6 +360,28 @@ def test_verify_reports_no_asymmetry_when_the_assembly_breaks(data_dir, monkeypa
     ]
 
 
+def test_verify_fails_by_name_when_only_the_finest_assembly_breaks(data_dir,
+                                                                  monkeypatch):
+    # the coarser levels assemble; their kernel must not stand in for the
+    # finest one in the three-way check
+    real = pipeline.connecting_kernel_from_response
+
+    def broken_at_64(r, K):
+        if r.grid.N == 64:
+            raise mw.AssemblyError("probe Galerkin matrix asymmetry exceeds the tolerance")
+        return real(r, K)
+
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", broken_at_64)
+    report = run_verify(data_dir)
+    assert report["status"] == "failed"
+    assert report["galerkin_asymmetry"] is None
+    assert report["failed_checks"] == [
+        "three_way_connecting", "operator_identity", "gl_residual"
+    ]
+    three_way = next(c for c in report["checks"] if c["name"] == "three_way_connecting")
+    assert "asymmetry exceeds" in three_way["detail"]
+
+
 def test_verify_names_non_positive_operator(data_dir, tmp_path):
     # a response ten times too strong admits no (q, K): the factor-based
     # checks fail by name with the depth, instead of crashing verify
