@@ -16,21 +16,21 @@ the forward march for one control pair as its oracle (``tests/oracles.py``).
 
 The reduced kernel c(t, s) of the time-reversed form minus the identity is
 estimated by probing with the grid impulses e_p at t_p (discrete mass h):
-the Galerkin value for the pair (p, q), time reversed and with the *same
-march run without data* subtracted, equals h^2 c(t_p, t_q) up to O(h^2).
-Subtracting the free march (r = 0, K = 0) rather than an analytic overlap
-is essential: it removes the identity contribution together with its
-discretization error, exactly.
+the Galerkin value for the pair (p, q), time reversed and with the identity
+block h I subtracted, equals h^2 c(t_p, t_q) up to O(h^2).  h I is the
+block of the same march run without data (r = 0, K = 0), to the last bit:
+at unit Courant the free march telescopes the discrete overlap integral of
+the impulses exactly.  Subtracting it removes the identity contribution
+together with its discretization error, exactly, and the free march runs
+only in the tests, as an oracle.
 
 The response of every impulse is a shift of one stencil, so the assembly
-makes one response call per route (data and free).  One adjoint march of
-the transposed scheme gives the weights of psi(T, T) for any right-hand
-side.  The data route reads all pairs off two matrix products; the free
-route, whose impulse response is a three-point stencil, off shifted slices
-of its weights (``_free_galerkin``).  The march forms its
-transposed history convolution as one FFT correlation per level,
-O(N log N) each, and its level memory as the blocked causal history of
-``model.CausalHistory``, which the Goursat and leapfrog marches share.
+makes one response call.  One adjoint march of the transposed scheme gives
+the weights of psi(T, T) for any right-hand side, and two matrix products
+read all probe pairs off them.  The march forms its transposed history
+convolution as one FFT correlation per level, O(N log N) each, and its
+level memory as the blocked causal history of ``model.CausalHistory``,
+which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
 # probe assembly of the reduced kernel
 # --------------------------------------------------------------------------
 
-def _probe_stencil(r: ResponseData, grid: GridSpec) -> np.ndarray:
-    """Response on [0, 2T] of the grid impulse at t_2, the first probe."""
-    impulse = np.zeros(grid.N2 + 1)
-    impulse[2] = 1.0
-    return apply_response(r, ControlSignal(grid, impulse, admissible=True))
-
-
 def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
     """Responses on [0, 2T] of the grid impulses at t_p, p = 2..N-1 (column p - 2).
 
@@ -145,7 +138,9 @@ def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
     """
     N = grid.N
     n_t = grid.N2 + 1
-    col = _probe_stencil(r, grid)
+    impulse = np.zeros(n_t)
+    impulse[2] = 1.0
+    col = apply_response(r, ControlSignal(grid, impulse, admissible=True))
     RP = np.zeros((n_t, N - 2))
     RP[:, 0] = col
     for k in range(1, N - 2):
@@ -186,7 +181,7 @@ def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
     return out
 
 
-def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
+def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l) for the march.
 
     Reverse accumulation through the level march: lambda_N is the unit load
@@ -207,9 +202,8 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
     lam_next = np.zeros(n_t)
     lam_next[N] = 1.0  # lambda_N
     lam_next2 = np.zeros(n_t)  # lambda_{N+1}
-    if Kv is not None:
-        K_hat = _correlation_spectrum(Kv)
-        history = CausalHistory(R, Kv, h)
+    K_hat = _correlation_spectrum(Kv)
+    history = CausalHistory(R, Kv, h)
     for m in range(N - 1, 0, -1):
         vm = lam_next.copy()
         vm[0] = 0.0
@@ -219,19 +213,17 @@ def _adjoint_weights(Kv, grid: GridSpec) -> np.ndarray:
         lam_m[1:-1] = vm[2:] + vm[:-2]
         lam_m[0] = vm[1]
         lam_m[-1] = vm[-2]
-        if Kv is not None:
-            lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)
+        lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)
         vm2 = lam_next2.copy()
         vm2[0] = 0.0
         vm2[-1] = 0.0
         lam_m -= vm2
-        if Kv is not None:
-            lam_m -= h * h * history.at(N - m, n_t)
+        lam_m -= h * h * history.at(N - m, n_t)
         lam_next2, lam_next = lam_next, lam_m
     return R[:0:-1]
 
 
-def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
+def _galerkin(RP: np.ndarray, Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1.
 
     The march is linear in its right-hand side RF(t) G(s) - F(t) RG(s), and
@@ -243,36 +235,9 @@ def _galerkin(RP, Kv, grid: GridSpec) -> np.ndarray:
     return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
 
 
-def _free_galerkin(grid: GridSpec) -> np.ndarray:
-    """``_galerkin`` of the free march (r = 0, K = 0), from its stencil.
-
-    The free response of an impulse is a central difference with three
-    nonzeros, so each of the two products of ``_galerkin`` is a sum of
-    shifted slices of the free adjoint weights, one per nonzero: O(N^2)
-    instead of two N x 2N x N products.  The slices are added in the order
-    in which the products accumulate their nonzero terms, so the two agree
-    to the last bit wherever BLAS sums each dot product in index order.
-    """
-    N, h = grid.N, grid.h
-    n = N - 2
-    col = _probe_stencil(ResponseData(grid, np.zeros(grid.N2 + 1)), grid)
-    W = (h * h) * _adjoint_weights(None, grid)
-    # RP.T @ W[2:N].T and W[:, 2:N].T @ RP[:N]: column p - 2 of RP holds
-    # col[s] at row p - 2 + s for s >= 1.  The first probe also keeps col[0]
-    # at row 0, which meets only zero weights: the march masks t = 0, and
-    # its level 0 carries no weight.
-    rp_w = np.zeros((n, n))
-    w_rp = np.zeros((n, n))
-    for s in np.flatnonzero(col[1:]) + 1:
-        rp_w += col[s] * W[2:N, s : s + n].T
-        m = min(n, N - s)
-        w_rp[:, :m] += col[s] * W[s : s + m, 2:N].T
-    return rp_w - w_rp
-
-
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
                           asymmetry: float = float("nan")) -> ConnectingKernel:
-    """Reduced kernel from the free-subtracted, h^2-scaled Galerkin block.
+    """Reduced kernel from the identity-subtracted, h^2-scaled Galerkin block.
 
     Only the upper triangle (p <= q) of ``raw`` is read.  Time reversal
     sends probe p to the node N - p, so the block fills the interior rows
@@ -300,7 +265,6 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
     c[N - 1, N] = 3.0 * c[N - 2, N - 1] - 3.0 * c[N - 3, N - 2] + c[N - 4, N - 3]
     c[N, N - 1] = c[N - 1, N]
     c[N, N] = 3.0 * c[N - 1, N - 1] - 3.0 * c[N - 2, N - 2] + c[N - 3, N - 3]
-    c = 0.5 * (c + c.T)
     return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
 
 
@@ -308,16 +272,17 @@ def connecting_kernel_from_response(r: ResponseData,
                                     K: MemoryKernel) -> ConnectingKernel:
     """Assemble c(t_i, s_j) on [0, T]^2 from boundary data (r, K) only.
 
-    Interior rows come from the probe Galerkin matrix, time reversed,
-    free-march subtracted and scaled by h^-2; see ``_kernel_from_galerkin``
-    for the edge rows.
+    Interior rows come from the probe Galerkin matrix, time reversed, with
+    the free block h I subtracted and scaled by h^-2; see
+    ``_kernel_from_galerkin`` for the edge rows.
     """
     grid = r.grid
     if K.grid != grid:
         raise UsageError("response and memory kernel must share one grid")
     h = grid.h
-    B = _galerkin(_impulse_responses(r, grid), K.values, grid)
-    raw = (B - _free_galerkin(grid)) / (h * h)
+    raw = _galerkin(_impulse_responses(r, grid), K.values, grid)
+    raw[np.diag_indices_from(raw)] -= h  # the free march's block, exactly
+    raw /= h * h
     # the block is symmetric by construction, for any r and K, so its
     # asymmetry is a round-off diagnostic (3e-14 to 2e-12 on random and
     # spiked data), not a data check: it cannot tell whether the response

@@ -37,16 +37,7 @@ class SpaceTimeField:
     """Dense leapfrog solution u[i, j] on [0, L] x [0, T_max], L = T_max + 4h."""
 
     grid: GridSpec
-    t_max: float
     values: np.ndarray = field(repr=False)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.grid.h
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.values.shape[1]) * self.grid.h
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +108,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None) -> SpaceTimeF
             raise NumericalInstabilityError(
                 f"leapfrog march blew up at grid node (i={i_bad}, j={j + 1})"
             )
-    return SpaceTimeField(grid=grid, t_max=t_max, values=u)
+    return SpaceTimeField(grid=grid, values=u)
 
 
 def fd_boundary_trace(field: SpaceTimeField) -> np.ndarray:

@@ -58,7 +58,6 @@ class GLSolution:
 
     grid: GridSpec
     z: np.ndarray = field(repr=False)
-    ridge: float = 0.0
     cond_estimate: float = 0.0
     min_pivot: float = float("nan")
     min_pivot_depth: float = float("nan")
@@ -242,7 +241,7 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     k = int(np.argmax(pivots <= pivots.min() * (1.0 + 1e-12)))
     # the smallest pivot of each tenth of the depths (N = 8 has only 9 depths)
     deciles = tuple(float(p.min()) for p in np.array_split(pivots, min(10, N + 1)))
-    return GLSolution(grid=grid, z=z, ridge=ridge, cond_estimate=cond,
+    return GLSolution(grid=grid, z=z, cond_estimate=cond,
                       min_pivot=float(pivots[k]), min_pivot_depth=k * h,
                       pivot_deciles=deciles)
 
@@ -258,13 +257,18 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
-    C, z = c.values, np.triu(gl.z)
-    zw = z * _node_weights(N, h)[:, None]
     didx = np.arange(N + 1)
+    zw = np.triu(gl.z)
+    zw *= _node_weights(N, h)[:, None]
     zw[didx, didx] *= 0.5
     zw[0, 0] = 0.0
-    res = z + C @ zw + C
-    return float(np.max(np.abs(np.triu(res))))
+    # only the upper triangle of C @ zw is read, and zw is upper triangular
+    res = _product(c.values, zw, sb="U", upper=True)
+    del zw
+    res += np.triu(gl.z)
+    res += c.values
+    np.abs(res, out=res)
+    return float(np.triu(res).max())
 
 
 def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
@@ -283,19 +287,27 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
     D = trapz_weights(N + 1, h)
-    zq = np.triu(gl.z)
     didx = np.arange(N + 1)
-    zq[didx, didx] *= 0.5
 
     def plus_identity(m):
         m[didx, didx] += 1.0
         return m
 
+    def z_half():
+        # triu(z) with its diagonal halved, built afresh for each factor so
+        # that it is not kept alive across the products
+        zq = np.triu(gl.z)
+        zq[didx, didx] *= 0.5
+        return zq
+
     # lower x (full x upper), skipping the zero triangles of the z-factors
-    right = _product(plus_identity(c.values * D), plus_identity(zq * D), sb="U")
-    E = _product(plus_identity(zq.T * D), right, sa="L")
+    right = _product(plus_identity(c.values * D), plus_identity(z_half() * D), sb="U")
+    E = _product(plus_identity(z_half().T * D), right, sa="L")
+    del right
     E[didx, didx] -= 1.0
-    return float(np.max(np.abs(E[:N, :N])))
+    E = E[:N, :N]
+    np.abs(E, out=E)
+    return float(E.max())
 
 
 def recover_potential(gl: GLSolution) -> CoefficientField:

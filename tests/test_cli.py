@@ -6,9 +6,11 @@ asserted directly; one subprocess smoke test covers the installed script.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,10 +32,14 @@ def synth_dir(tmp_path, cfg_file):
 
 
 def test_help_smoke_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "memwave.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "reconstruct" in proc.stdout

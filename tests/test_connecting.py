@@ -20,7 +20,6 @@ from memwave import connecting
 from memwave.connecting import (
     _adjoint_weights,
     _causal_correlation,
-    _free_galerkin,
     _galerkin,
     _impulse_responses,
     _kernel_from_galerkin,
@@ -324,7 +323,8 @@ def test_adjoint_weights_match_direct_march(monkeypatch, problem, n):
     V = _adjoint_weights(K.values, grid)
     V_direct = _direct_adjoint_weights(K.values, grid)
     assert np.abs(V - V_direct).max() <= 1e-12 * (1.0 + np.abs(V_direct).max())
-    assert np.array_equal(_adjoint_weights(None, grid),
+    # the free march is the production march with a zero kernel
+    assert np.array_equal(_adjoint_weights(np.zeros(grid.N2 + 1), grid),
                           _direct_adjoint_weights(None, grid))
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     ct = mw.connecting_kernel_from_response(r, K)
@@ -355,19 +355,30 @@ def test_impulse_responses_equal_per_probe_responses():
     assert np.array_equal(_impulse_responses(r, grid), RP[:, 2 : grid.N])
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 65, 200])
-def test_free_galerkin_matches_dense_products(n):
-    # the stencil slices against the two dense products of the free route
+@pytest.mark.parametrize("n", [8, 9, 16, 33])
+def test_free_adjoint_weights_are_the_light_cone_checkerboard(n):
+    # V[l, t] = 1 on the backward light cone of (T, T), on the sites of the
+    # unit-Courant lattice that reach it, and 0 elsewhere
     grid = mw.GridSpec(1.0, n)
+    l, t = np.indices((n, grid.N2 + 1))
+    cone = (l >= 1) & (t >= l + 1) & (t <= 2 * n - l - 1) & ((t - l - 1) % 2 == 0)
+    assert np.array_equal(_direct_adjoint_weights(None, grid), cone.astype(float))
+
+
+@pytest.mark.parametrize("T, n", [(1.0, 8), (1.0, 9), (1.0, 64), (1.0, 65),
+                                  (1.0, 200), (0.7, 100)],
+                         ids=["8", "9", "64", "65", "200", "T0.7-100"])
+def test_free_galerkin_matches_dense_products(T, n):
+    # the two dense products of the free march (r = 0, K = 0) give h I to
+    # the last bit: the block the assembly subtracts without marching
+    grid = mw.GridSpec(T, n)
     r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
-    want = _galerkin(_impulse_responses(r_zero, grid), None, grid)
-    got = _free_galerkin(grid)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    free = _galerkin(_impulse_responses(r_zero, grid), np.zeros(grid.N2 + 1), grid)
+    assert np.array_equal(free, grid.h * np.eye(grid.N - 2))
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_assembly_calls_apply_response_twice(monkeypatch, n):
+def test_assembly_calls_apply_response_once(monkeypatch, n):
     calls = []
     real = connecting.apply_response
 
@@ -375,14 +386,21 @@ def test_assembly_calls_apply_response_twice(monkeypatch, n):
         calls.append(r)
         return real(r, f)
 
+    marches = []
+    real_march = connecting._adjoint_weights
+
+    def counting_march(Kv, grid):
+        marches.append(Kv)
+        return real_march(Kv, grid)
+
     monkeypatch.setattr(connecting, "apply_response", counting)
+    monkeypatch.setattr(connecting, "_adjoint_weights", counting_march)
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     mw.connecting_kernel_from_response(r, K)
-    assert len(calls) == 2
-    assert calls[0] is r  # data route
-    assert not np.any(calls[1].values)  # free route
+    assert len(calls) == 1 and calls[0] is r
+    assert len(marches) == 1 and marches[0] is K.values
 
 
 @pytest.mark.parametrize("n", [2, 9, 64, 65])

@@ -13,6 +13,7 @@ forms, all kept here as test-local oracles.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,30 @@ def test_gl_residual_matches_column_loop(route):
     gl = mw.solve_gl(c)
     scale = (1.0 + np.abs(c.values).max()) * (1.0 + np.abs(gl.z).max())
     assert abs(mw.gl_residual(c, gl) - _loop_gl_residual(c, gl.z)) <= 1e-15 * scale
+
+
+def test_gl_residual_matches_column_loop_beyond_the_leaf():
+    # at N = 300 the product C @ zw runs as block products, not one matmul
+    c = _kernel("full", 300, "w")
+    gl = mw.solve_gl(c)
+    want = _loop_gl_residual(c, gl.z)
+    assert want > 0.0
+    scale = (1.0 + np.abs(c.values).max()) * (1.0 + np.abs(gl.z).max())
+    assert abs(mw.gl_residual(c, gl) - want) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("check", [mw.gl_residual, mw.operator_identity_residual])
+def test_residuals_hold_at_most_four_full_arrays(check):
+    c = _kernel("full", 512, "w")
+    gl = mw.solve_gl(c)
+    full_array = 8 * (c.grid.N + 1) ** 2
+    tracemalloc.start()
+    try:
+        check(c, gl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * full_array
 
 
 def test_gl_residual_matches_column_loop_on_perturbed_z(full_ct_oracle):
