@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover the potential from data")
     p.add_argument("--data", required=True, help="directory written by synth")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ridge", type=float, default=0.0,
-                   help="regularization for noisy data (adds ridge*I)")
 
     p = sub.add_parser("verify", help="cross-validate a data directory")
     p.add_argument("--data", required=True)
@@ -64,7 +62,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "reconstruct":
-        report = run_reconstruct(args.data, args.out, ridge=args.ridge)
+        report = run_reconstruct(args.data, args.out)
         m = report["metrics"]
         line = f"reconstruct: gl_residual={m['gl_residual']:.3e}"
         if "l2_rel_err" in m:

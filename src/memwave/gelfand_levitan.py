@@ -163,32 +163,29 @@ def _first_non_positive_block(S: np.ndarray) -> int:
     return hi - 1
 
 
-def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
+def solve_gl(c: ConnectingKernel) -> GLSolution:
     """Solve every column equation from one Cholesky factorization.
 
-    The Nystrom collocation matrix of column j, I + lambda*I + C_j W_j with
-    the trapezoid weights W_j of [0, t_j], becomes symmetric after scaling by
-    W_j^-1: a leading block of S = C + (1 + lambda) diag(1/d) plus the
-    rank-one term alpha e_j e_j^T, alpha = (1 + lambda)/h, for the half
-    weight at the column's last node.  With S = L L^T and Li = L^-1, leading
-    blocks of Li invert leading blocks of L, so Li^T triu(Li (-C)) holds
-    every S_j^-1 b_j at once; Sherman-Morrison adds the rank-one term, with
-    S_j^-1 e_j = Li[j, j] Li[j, :j+1].  Li is inverted by blocks, and these
-    products and the Gram matrix of the condition number skip the zero
-    triangles of their factors.
+    The Nystrom collocation matrix of column j, I + C_j W_j with the
+    trapezoid weights W_j of [0, t_j], becomes symmetric after scaling by
+    W_j^-1: a leading block of S = C + diag(1/d) plus the rank-one term
+    alpha e_j e_j^T, alpha = 1/h, for the half weight at the column's last
+    node.  With S = L L^T and Li = L^-1, leading blocks of Li invert leading
+    blocks of L, so Li^T triu(Li (-C)) holds every S_j^-1 b_j at once;
+    Sherman-Morrison adds the rank-one term, with S_j^-1 e_j = Li[j, j]
+    Li[j, :j+1].  Li is inverted by blocks, and these products and the Gram
+    matrix of the condition number skip the zero triangles of their factors.
 
-    ``ridge`` is lambda (a regularization knob for noisy kernels; 0 for clean
-    data).  Raises IllConditionedError when the weighted connecting operator
-    A = (1 + lambda) I + D^1/2 C D^1/2 is not positive (the data then come
-    from no (q, K)), naming the depth of its first non-positive leading
-    block, or when its one-norm condition number exceeds 1e12.
+    Raises IllConditionedError when the weighted connecting operator
+    A = I + D^1/2 C D^1/2 is not positive (the data then come from no
+    (q, K)), naming the depth of its first non-positive leading block, or
+    when its one-norm condition number exceeds 1e12.
     """
     grid = c.grid
     N, h = grid.N, grid.h
     C = c.values
-    shift = 1.0 + ridge
     d = _node_weights(N, h)
-    S = C + np.diag(shift / d)
+    S = C + np.diag(1.0 / d)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -208,7 +205,7 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     # column j of z starts as S_j^-1 b_j with b_j = -C[:j+1, j]
     z = _product(Li.T, _product(Li, C, sa="L", upper=True), sa="U", sb="U")
     np.negative(z, out=z)
-    alpha = shift / h
+    alpha = 1.0 / h
     U = Li.T * li  # column j is S_j^-1 e_j
     U *= alpha * np.diagonal(z) / (1.0 + alpha * li * li)
     z -= U
@@ -230,7 +227,7 @@ def solve_gl(c: ConnectingKernel, ridge: float = 0.0) -> GLSolution:
     del G, Li, M
     A = C * sq[:, None]
     A *= sq[None, :]
-    A[np.diag_indices(N + 1)] += shift
+    A[np.diag_indices(N + 1)] += 1.0
     cond = float(np.abs(A).sum(axis=0).max() * inv_norm)
     if cond > _COND_LIMIT:
         raise IllConditionedError(

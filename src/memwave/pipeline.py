@@ -2,7 +2,8 @@
 
 Every stage reads/writes a plain directory of CSV/JSON artifacts, so runs
 can be chained, diffed and replayed.  report.json is deterministic (same
-inputs, same bytes); wall-clock numbers go to timings.json instead.
+inputs, same bytes); wall-clock numbers and facts of the host, such as how
+many processes formatted cT.csv, go to timings.json instead.
 
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
@@ -59,7 +60,7 @@ __all__ = [
     "run_convergence",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # what inconsistent data can raise in verify's assembly and solve
 _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
@@ -86,7 +87,6 @@ class PipelineConfig:
     problem: str | None = None
     noise_sigma: float = 0.0
     noise_seed: int = 0
-    ridge: float = 0.0
 
     def grid(self) -> GridSpec:
         return GridSpec(self.T, self.N)
@@ -105,7 +105,6 @@ class PipelineConfig:
             "T": self.T,
             "N": self.N,
             "noise": {"sigma": self.noise_sigma, "seed": self.noise_seed},
-            "ridge": self.ridge,
         }
 
 
@@ -120,7 +119,7 @@ def _family_entry(raw, what: str) -> tuple[str, tuple]:
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    allowed = {"problem", "q", "K", "T", "N", "noise", "ridge"}
+    allowed = {"problem", "q", "K", "T", "N", "noise"}
     unknown = set(raw) - allowed
     if unknown:
         raise UsageError(f"config: unknown keys {sorted(unknown)}")
@@ -129,11 +128,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     try:
         T = float(raw.get("T", 1.0))
         N = int(raw.get("N", 64))
-        ridge = float(raw.get("ridge", 0.0))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config: bad scalar field ({exc})") from None
-    if ridge < 0.0:
-        raise UsageError("config: ridge must be >= 0")
     noise = raw.get("noise", {})
     if not isinstance(noise, dict) or set(noise) - {"sigma", "seed"}:
         raise UsageError("config: noise must be {sigma, seed}")
@@ -152,7 +148,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         name = None
     cfg = PipelineConfig(T=T, N=N, q_family=qf, q_params=qp, k_family=kf,
                          k_params=kp, problem=name, noise_sigma=sigma,
-                         noise_seed=seed, ridge=ridge)
+                         noise_seed=seed)
     cfg.fields()  # fail fast on bad families/params
     return cfg
 
@@ -193,7 +189,13 @@ def _grid_block(grid: GridSpec) -> dict:
     return {"T": grid.T, "N": grid.N, "h": grid.h}
 
 
-def _write_reports(outdir: str, report: dict, timer: _Timer) -> None:
+def _write_reports(outdir: str, report: dict, timer: _Timer, **host) -> None:
+    """report.json, and timings.json with the laps and ``host`` facts.
+
+    ``host`` holds what depends on the machine, not on the inputs (such as
+    the number of processes that formatted a table), so it stays out of
+    report.json.
+    """
     write_json(os.path.join(outdir, "report.json"), report)
     write_json(
         os.path.join(outdir, "timings.json"),
@@ -201,6 +203,7 @@ def _write_reports(outdir: str, report: dict, timer: _Timer) -> None:
             "schema_version": SCHEMA_VERSION,
             "command": report["command"],
             "wall_times_s": timer.finish(),
+            **host,
         },
     )
 
@@ -304,7 +307,7 @@ def _check_level(N: int, cap: int = 64) -> int:
 # reconstruct
 # --------------------------------------------------------------------------
 
-def run_reconstruct(datadir: str, outdir: str, *, ridge: float = 0.0) -> dict:
+def run_reconstruct(datadir: str, outdir: str) -> dict:
     """Recover the potential from a data directory and write the results."""
     timer = _Timer()
     t0 = time.perf_counter()
@@ -316,15 +319,15 @@ def run_reconstruct(datadir: str, outdir: str, *, ridge: float = 0.0) -> dict:
     timer.lap("connecting", t0)
 
     t0 = time.perf_counter()
-    gl = solve_gl(cT, ridge=ridge)
+    gl = solve_gl(cT)
     q_hat = recover_potential(gl)
     timer.lap("gelfand_levitan", t0)
 
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
-    write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
-              list(cT.values.T))
+    csv_workers = write_csv(os.path.join(outdir, "cT.csv"),
+                            [f"s{j}" for j in range(grid.N + 1)], list(cT.values.T))
     tt = grid.times_half()
     truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
     write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
@@ -358,12 +361,11 @@ def run_reconstruct(datadir: str, outdir: str, *, ridge: float = 0.0) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": "reconstruct",
         "status": "ok",
-        "ridge": ridge,
         "grid": _grid_block(grid),
         "metrics": metrics,
         "artifacts": ["cT.csv", "q_hat.csv"],
     }
-    _write_reports(outdir, report, timer)
+    _write_reports(outdir, report, timer, csv_workers=csv_workers)
     return report
 
 
@@ -580,7 +582,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
         sol = solve_goursat(q, K, grid)
         r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
         cT = connecting_kernel_from_response(r, K)
-        q_hat = recover_potential(solve_gl(cT, ridge=c.ridge))
+        q_hat = recover_potential(solve_gl(cT))
         # the rung's largest arrays: neither the next rung nor the JSON writes
         # below need them
         del sol, cT

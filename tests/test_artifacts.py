@@ -1,8 +1,13 @@
 """Deterministic CSV output: the block formatter against per-value formatting.
 
 ``_reference_csv`` is the original writer (one ``format(v, ".17g")`` per
-value over a full list of lines), kept as the byte-level oracle.
+value over a full list of lines), kept as the byte-level oracle.  The
+worker tests set the CPU count through ``os.sched_getaffinity`` and shrink
+the write blocks, so that small tables split over forked workers.
 """
+
+import os
+import re
 
 import numpy as np
 import pytest
@@ -82,3 +87,87 @@ def test_width_mismatch_raises(tmp_path):
         write_csv(str(tmp_path / "w.csv"), ["a", "b"], [np.zeros(3)])
     with pytest.raises(mw.UsageError):
         write_csv(str(tmp_path / "w.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+def _count_forks(monkeypatch):
+    """Record the pid of every worker ``write_csv`` forks."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+# (shape, block cap in cells): 7 one-row blocks of a wide table, 6 blocks of
+# 20 rows of a tall one, and 5 blocks of 10 rows
+SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("shape,cap", SPLITS)
+def test_worker_split_matches_reference(tmp_path, monkeypatch, shape, cap, cpus):
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal(shape) * np.exp(30.0 * rng.standard_normal(shape))
+    table[0, 0], table[-1, -1] = np.nan, -0.0
+    header = [f"s{j}" for j in range(shape[1])]
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
+    _set_cpus(monkeypatch, cpus)
+    pids = _count_forks(monkeypatch)
+    path = tmp_path / "t.csv"
+    assert write_csv(str(path), header, list(table.T)) == cpus
+    assert len(pids) == cpus - 1
+    assert path.read_bytes() == _reference_csv(header, list(table.T))
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch):
+    pids = _count_forks(monkeypatch)
+    table = np.arange(30.0).reshape(10, 3)
+    _set_cpus(monkeypatch, 3)
+    assert _written(tmp_path, ["a", "b", "c"], list(table.T)) == \
+        _reference_csv(["a", "b", "c"], list(table.T))
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 3)  # now 10 blocks
+    _set_cpus(monkeypatch, 1)
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform that cannot ask
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
+    assert pids == []
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_run_fails_the_write_and_reaps_workers(tmp_path, monkeypatch, failing):
+    parent = os.getpid()
+    real_format = artifacts._format_rows
+
+    def format_rows(*args):
+        if (os.getpid() != parent) == (failing == "worker"):
+            raise RuntimeError("injected formatting fault")
+        return real_format(*args)
+
+    monkeypatch.setattr(artifacts, "_format_rows", format_rows)
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 6)
+    _set_cpus(monkeypatch, 3)
+    pids = _count_forks(monkeypatch)
+    path = tmp_path / "t.csv"
+    table = np.arange(60.0).reshape(20, 3)
+    if failing == "worker":
+        expected = pytest.raises(OSError, match=re.escape(str(path)))
+    else:
+        expected = pytest.raises(RuntimeError, match="injected")
+    with expected:
+        write_csv(str(path), ["a", "b", "c"], list(table.T))
+    assert len(pids) == 2
+    assert os.listdir(tmp_path) == ["t.csv"]  # the temporary files had no name
+    for pid in pids:  # every worker was reaped: none is left to wait for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -31,7 +31,7 @@ def _w_solution(name, n):
     return mw.solve_goursat(q, K, grid)
 
 
-def _lu_solve_gl(c, ridge=0.0):
+def _lu_solve_gl(c):
     """Oracle: one dense LU solve of the Nystrom collocation system per column."""
     N, h = c.grid.N, c.grid.h
     C = c.values
@@ -39,7 +39,7 @@ def _lu_solve_gl(c, ridge=0.0):
     z[0, 0] = -C[0, 0]
     for j in range(1, N + 1):
         n = j + 1
-        M = (1.0 + ridge) * np.eye(n) + C[:n, :n] * trapz_weights(n, h)[None, :]
+        M = np.eye(n) + C[:n, :n] * trapz_weights(n, h)[None, :]
         z[:n, j] = np.linalg.solve(M, -C[:n, j])
     return z
 
@@ -276,14 +276,19 @@ def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
 # --------------------------------------------- one factorization vs. oracle
 
 
-@pytest.mark.parametrize("ridge", [0.0, 1e-4])
+@pytest.mark.parametrize("noise", [0.0, 1e-4])
 @pytest.mark.parametrize("route", ["response", "w"])
 @pytest.mark.parametrize("n", [32, 64, 128])
 @pytest.mark.parametrize("name", ["full", "classical", "memory_only_small"])
-def test_factorized_solve_matches_column_solves(name, n, route, ridge):
+def test_factorized_solve_matches_column_solves(name, n, route, noise):
+    # noise: symmetric white noise of that share of max|c|, as noisy data give
     c = _kernel(name, n, route)
-    want = _lu_solve_gl(c, ridge)
-    got = mw.solve_gl(c, ridge=ridge).z
+    if noise:
+        e = np.random.default_rng(n).standard_normal(c.values.shape)
+        e = noise * np.abs(c.values).max() * 0.5 * (e + e.T)
+        c = mw.ConnectingKernel(grid=c.grid, values=c.values + e)
+    want = _lu_solve_gl(c)
+    got = mw.solve_gl(c).z
     assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
@@ -303,8 +308,6 @@ def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted("solve"))
     mw.solve_gl(full_ct_oracle)
     assert calls == {"cholesky": 1, "solve": 0}
-    mw.solve_gl(full_ct_oracle, ridge=1e-4)
-    assert calls == {"cholesky": 2, "solve": 0}
 
     # beyond the leaf, dense inverses only ever see diagonal leaf blocks
     sizes = []
@@ -316,7 +319,7 @@ def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", recorded_inv)
     mw.solve_gl(_kernel("full", 300, "w"))
-    assert calls == {"cholesky": 3, "solve": 0}
+    assert calls == {"cholesky": 2, "solve": 0}
     assert sum(sizes) == 301 and max(sizes) <= _LEAF
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import memwave as mw
-from memwave import pipeline
+from memwave import artifacts, pipeline
 from memwave.artifacts import read_csv
 from memwave.connecting import _SYM_TOL_FACTOR
 from memwave.pipeline import (
@@ -78,7 +78,7 @@ def test_config_explicit_fields():
         {"path": "teleport"},
         {"noise": {"sigma": -0.1}},
         {"noise": {"level": 0.1}},
-        {"ridge": -1.0},
+        {"ridge": 0.0},  # the Lavrentiev shift is gone: an unknown key
         {"N": "many"},
         {"q": {"family": "constant"}},  # constant needs its level parameter
         {"q": {"family": "constant", "params": [1.0], "extra": 2}},
@@ -186,6 +186,22 @@ def test_reconstruct_timings_charge_named_stages(tmp_path):
     named = ("load", "connecting", "gelfand_levitan", "artifacts", "metrics")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
+
+
+def test_reconstruct_bytes_do_not_depend_on_csv_workers(tmp_path, monkeypatch):
+    run_synth(config_from_dict({"problem": "full", "N": 32}), str(tmp_path / "d"))
+    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "one"))
+    # 99 cells a block: cT.csv is 11 blocks of 3 rows, formatted by 3 processes
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 99)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "three"))
+    for out, workers in (("one", 1), ("three", 3)):
+        timings = json.loads((tmp_path / out / "timings.json").read_text())
+        assert timings["csv_workers"] == workers
+    for name in ("cT.csv", "q_hat.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "three" / name).read_bytes()
+    assert "csv_workers" not in (tmp_path / "one" / "report.json").read_text()
 
 
 def test_reconstruct_reports_min_pivot(tmp_path):
