@@ -4,6 +4,8 @@ The Goursat march and the probe assembly are the expensive pieces, so the
 moderate-resolution solutions used by several test modules are cached here.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,19 @@ def memonly_goursat():
     prob = mw.get_problem("memory_only_small")
     q, K = prob.fields(grid)
     return mw.solve_goursat(q, K, grid)
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pid of every process forked during the test, in fork order."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

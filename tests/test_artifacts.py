@@ -89,21 +89,6 @@ def test_width_mismatch_raises(tmp_path):
         write_csv(str(tmp_path / "w.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
-def _count_forks(monkeypatch):
-    """Record the pid of every worker ``write_csv`` forks."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def _set_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
@@ -115,23 +100,22 @@ SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("shape,cap", SPLITS)
-def test_worker_split_matches_reference(tmp_path, monkeypatch, shape, cap, cpus):
+def test_worker_split_matches_reference(tmp_path, monkeypatch, fork_pids, shape, cap,
+                                        cpus):
     rng = np.random.default_rng(11)
     table = rng.standard_normal(shape) * np.exp(30.0 * rng.standard_normal(shape))
     table[0, 0], table[-1, -1] = np.nan, -0.0
     header = [f"s{j}" for j in range(shape[1])]
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
     _set_cpus(monkeypatch, cpus)
-    pids = _count_forks(monkeypatch)
     path = tmp_path / "t.csv"
     assert write_csv(str(path), header, list(table.T)) == cpus
-    assert len(pids) == cpus - 1
+    assert len(fork_pids) == (cpus if cpus > 1 else 0)  # every run goes to a worker
     assert path.read_bytes() == _reference_csv(header, list(table.T))
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
-def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch):
-    pids = _count_forks(monkeypatch)
+def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch, fork_pids):
     table = np.arange(30.0).reshape(10, 3)
     _set_cpus(monkeypatch, 3)
     assert _written(tmp_path, ["a", "b", "c"], list(table.T)) == \
@@ -141,33 +125,81 @@ def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch):
     assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform that cannot ask
     assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
-    assert pids == []
+    assert fork_pids == []
 
 
-@pytest.mark.parametrize("failing", ["worker", "parent"])
-def test_failed_run_fails_the_write_and_reaps_workers(tmp_path, monkeypatch, failing):
+def _failing_write(monkeypatch, failing):
+    """A 3-CPU, 10-block write whose ``failing`` side raises: a worker while
+    formatting its run, the caller while appending the runs, or the body of
+    the caller's ``with`` block before its wait."""
     parent = os.getpid()
-    real_format = artifacts._format_rows
+    real_format, real_append = artifacts._format_rows, artifacts._append
 
     def format_rows(*args):
-        if (os.getpid() != parent) == (failing == "worker"):
+        if failing == "worker" and os.getpid() != parent:
             raise RuntimeError("injected formatting fault")
         return real_format(*args)
 
+    def append(*args):
+        if failing == "parent":
+            raise RuntimeError("injected append fault")
+        return real_append(*args)
+
     monkeypatch.setattr(artifacts, "_format_rows", format_rows)
+    monkeypatch.setattr(artifacts, "_append", append)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 6)
     _set_cpus(monkeypatch, 3)
-    pids = _count_forks(monkeypatch)
-    path = tmp_path / "t.csv"
     table = np.arange(60.0).reshape(20, 3)
-    if failing == "worker":
-        expected = pytest.raises(OSError, match=re.escape(str(path)))
-    else:
-        expected = pytest.raises(RuntimeError, match="injected")
-    with expected:
-        write_csv(str(path), ["a", "b", "c"], list(table.T))
-    assert len(pids) == 2
-    assert os.listdir(tmp_path) == ["t.csv"]  # the temporary files had no name
-    for pid in pids:  # every worker was reaped: none is left to wait for
+
+    def write(path):
+        with artifacts.CsvWrite(str(path), ["a", "b", "c"], list(table.T)) as pending:
+            if failing == "body":
+                raise RuntimeError("injected caller fault")
+            pending.wait()
+
+    return write
+
+
+FAULTS = {"worker": OSError, "parent": RuntimeError, "body": RuntimeError}
+
+
+@pytest.mark.parametrize("failing", list(FAULTS))
+def test_failed_run_fails_the_write_and_reaps_workers(tmp_path, monkeypatch, fork_pids,
+                                                      failing):
+    write = _failing_write(monkeypatch, failing)
+    path = tmp_path / "t.csv"
+    message = re.escape(str(path)) if failing == "worker" else "injected"
+    with pytest.raises(FAULTS[failing], match=message):
+        write(path)
+    assert len(fork_pids) == 3
+    assert os.listdir(tmp_path) == []  # neither a partial table nor a temporary
+    for pid in fork_pids:  # every worker was reaped: none is left to wait for
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", list(FAULTS))
+def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, failing):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n1\n")
+    write = _failing_write(monkeypatch, failing)
+    with pytest.raises(FAULTS[failing]):
+        write(path)
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_bytes() == b"old\n1\n"
+
+
+def test_one_process_write_replaces_the_table_whole(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n1\n")
+    real_format = artifacts._format_rows
+
+    def format_rows(*args):
+        real_format(*args)
+        raise RuntimeError("injected formatting fault")
+
+    monkeypatch.setattr(artifacts, "_format_rows", format_rows)
+    with pytest.raises(RuntimeError, match="injected"):
+        write_csv(str(path), ["a"], [np.arange(4.0)])
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_bytes() == b"old\n1\n"

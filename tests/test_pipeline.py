@@ -240,6 +240,43 @@ def test_reconstruct_non_positive_operator_is_named(data_dir, tmp_path):
         run_reconstruct(d, str(tmp_path / "o"))
 
 
+def _split_cT(monkeypatch):
+    """Split cT.csv at N = 64 into 3 runs, one per worker."""
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 65 * 5)  # 13 blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def test_reconstruct_gl_failure_leaves_no_cT_and_reaps_workers(data_dir, tmp_path,
+                                                               monkeypatch, fork_pids):
+    d = _scaled_response(data_dir, tmp_path, 10.0)
+    _split_cT(monkeypatch)
+    out = tmp_path / "o"
+    with pytest.raises(mw.IllConditionedError, match="not positive.* s = "):
+        run_reconstruct(d, str(out))
+    assert len(fork_pids) == 3
+    assert os.listdir(out) == []  # no cT.csv, whole or partial, and no temporary
+    for pid in fork_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_reconstruct_formats_cT_while_it_solves(data_dir, tmp_path, monkeypatch,
+                                                fork_pids):
+    _split_cT(monkeypatch)
+    forked_at_solve = []
+    real_solve = pipeline.solve_gl
+
+    def solve_gl(cT):
+        forked_at_solve.append(len(fork_pids))
+        return real_solve(cT)
+
+    monkeypatch.setattr(pipeline, "solve_gl", solve_gl)
+    run_reconstruct(data_dir, str(tmp_path / "o"))
+    assert forked_at_solve[0] >= 1  # the workers run during the solve
+    assert sorted(os.listdir(tmp_path / "o")) == \
+        ["cT.csv", "q_hat.csv", "report.json", "timings.json"]
+
+
 def test_reconstruct_w_oracle_path(data_dir):
     # the factor route from the true potential's kernel w, through the same
     # solve, recovery and error metrics as reconstruct
