@@ -1,16 +1,24 @@
-"""Deterministic CSV output: the block formatter against per-value formatting.
+"""Deterministic CSV output: the %.17g kernel against per-value formatting.
 
 ``_reference_csv`` is the original writer (one ``format(v, ".17g")`` per
-value over a full list of lines), kept as the byte-level oracle.  The
-worker tests set the CPU count through ``os.sched_getaffinity`` and shrink
-the write blocks, so that small tables split over forked workers.
+value over a full list of lines), kept as the byte-level oracle; the kernel
+tests hold ``artifacts._csv_text`` to the same text on hard value sets.
+The worker tests set the CPU count through ``os.sched_getaffinity`` and
+shrink the write blocks, so that small tables split over forked workers.
 """
 
+import decimal
+import itertools
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import memwave as mw
 from memwave import artifacts
@@ -80,6 +88,123 @@ def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
     assert whole == _reference_csv(header, list(table.T))
     _, data = read_csv(str(tmp_path / "t.csv"))
     assert np.array_equal(data, table)
+
+
+def _reference_text(block):
+    return "".join(",".join(map(format, row, itertools.repeat(".17g"))) + "\n"
+                   for row in block.tolist()).encode()
+
+
+def _assert_kernel_exact(values, ncols=1):
+    block = np.asarray(values, dtype=float).reshape(-1, ncols)
+    assert artifacts._csv_text(block) == _reference_text(block)
+
+
+def _with_neighbours(values):
+    v = np.asarray(values, dtype=float)
+    v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+    return np.concatenate([v, -v])
+
+
+def test_kernel_matches_format_on_random_bit_patterns():
+    # every finite double is equally likely as a bit pattern, so exponents
+    # span the whole range and subnormals come up (about 1 in 2048)
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    bits[::997] &= np.uint64((1 << 63) | ((1 << 52) - 1))  # explicit subnormals
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    assert np.sum(np.abs(x) < np.finfo(float).tiny) > 1000
+    for part in np.array_split(x, 4):
+        _assert_kernel_exact(part[: part.size // 5 * 5], ncols=5)
+
+
+def test_kernel_matches_format_on_log_uniform_magnitudes():
+    rng = np.random.default_rng(21)
+    n = 10 ** 5
+    x = np.exp(rng.uniform(np.log(5e-324), np.log(1.7e308), n)) * rng.choice([-1.0, 1.0], n)
+    _assert_kernel_exact(x, ncols=4)
+    _assert_kernel_exact(rng.standard_normal(n) * 10.0 ** rng.integers(-6, 19, n), ncols=2)
+
+
+def test_kernel_matches_format_on_powers_of_ten_and_their_neighbours():
+    _assert_kernel_exact(_with_neighbours(10.0 ** np.arange(-323, 309)))
+    _assert_kernel_exact(_with_neighbours([1e-280, 1e280, 9.999999999999999e279]))
+
+
+def test_kernel_matches_format_at_the_g_switch_points():
+    # %g turns from fixed to exponent notation below 1e-4 and from 1e17 on
+    x = _with_neighbours([1e-5, 1e-4, 1e16, 1e17])
+    _assert_kernel_exact(x)
+    text = artifacts._csv_text(np.array([[1e-4, 1e16, 1e17, np.nextafter(1e-4, 0)]]))
+    assert text == b"0.0001,10000000000000000,1e+17,9.9999999999999991e-05\n"
+
+
+def _exact_ties(rng, n):
+    """Doubles whose exact decimal form has 18 significant digits, the last
+    a 5: c * 2**-t with odd c < 2**53 is exact and has the digits of
+    c * 5**t, which has 18 only for t = 2..25."""
+    t = rng.integers(2, 26, n)
+    five = 5 ** t
+    lo = -(-10 ** 17 // five)
+    c = rng.integers(lo, np.minimum(10 ** 18 // five, 2 ** 53)) | 1
+    keep = c * five < 10 ** 18  # | 1 may step over the top
+    return np.ldexp(c[keep].astype(float), -t[keep])
+
+
+def _is_tie(v):
+    digits = "".join(map(str, decimal.Decimal(float(v)).as_tuple().digits)).rstrip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def test_kernel_matches_format_on_exact_ties():
+    rng = np.random.default_rng(22)
+    ties = _exact_ties(rng, 10 ** 5)
+    ties[::2] *= -1
+    assert all(_is_tie(v) for v in ties[:1000])
+    _, _, slow = artifacts._decimal17(ties)
+    assert slow.all()  # a tie is left to format, which rounds it half to even
+    _assert_kernel_exact(ties, ncols=4)
+    _assert_kernel_exact(2.0 ** -np.arange(1, 1075))  # 2**-25 is a tie
+
+
+def test_kernel_matches_format_on_zeros_infinities_and_nans():
+    nan = np.float64(np.nan)
+    negative_nan = np.copysign(nan, -1.0)
+    assert np.signbit(negative_nan)
+    x = np.array([0.0, -0.0, np.inf, -np.inf, nan, negative_nan, 1.0, -1.0])
+    _assert_kernel_exact(x, ncols=2)
+    assert artifacts._csv_text(x.reshape(2, 4)) == b"0,-0,inf,-inf\nnan,nan,1,-1\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats()))
+def test_kernel_matches_format_on_any_float_array(block):
+    assert artifacts._csv_text(block) == _reference_text(block)
+
+
+def test_kernel_formats_cT_with_no_fallback_but_ties():
+    grid = mw.GridSpec(1.0, 256)
+    q, K = mw.get_problem("full").fields(grid)
+    c = mw.connecting_kernel_from_response(
+        mw.response_kernel(mw.solve_goursat(q, K, grid)), K).values.ravel()
+    D, X, slow = artifacts._decimal17(c)
+    zero = c == 0
+    assert zero.sum() == 2 * grid.N + 1  # formatted by the fast path as 0
+    assert np.all(D[zero] == 0) and not slow[zero].any()
+    assert np.array_equal(np.flatnonzero(slow), [i for i, v in enumerate(c) if _is_tie(v)])
+    _assert_kernel_exact(c, ncols=grid.N + 1)
+
+
+def test_kernel_tables_are_built_on_first_use():
+    # importing the package builds none of them; the first table formatted does
+    code = ("import memwave.artifacts as a; n = a._tables.cache_info().currsize; "
+            "a._csv_text(a.np.ones((1, 1))); print(n, a._tables.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(artifacts.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_width_mismatch_raises(tmp_path):
