@@ -25,12 +25,14 @@ from memwave import artifacts
 from memwave.artifacts import read_csv, write_csv
 
 
+def _reference_text(block):
+    return "".join(",".join(map(format, row, itertools.repeat(".17g"))) + "\n"
+                   for row in block.tolist()).encode()
+
+
 def _reference_csv(header, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    lines = [",".join(header)]
-    for row in np.column_stack(cols):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return ("\n".join(lines) + "\n").encode()
+    block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    return (",".join(header) + "\n").encode() + _reference_text(block)
 
 
 def _written(tmp_path, header, columns):
@@ -88,11 +90,6 @@ def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
     assert whole == _reference_csv(header, list(table.T))
     _, data = read_csv(str(tmp_path / "t.csv"))
     assert np.array_equal(data, table)
-
-
-def _reference_text(block):
-    return "".join(",".join(map(format, row, itertools.repeat(".17g"))) + "\n"
-                   for row in block.tolist()).encode()
 
 
 def _assert_kernel_exact(values, ncols=1):
