@@ -21,11 +21,12 @@ makes the file whole (``write_csv`` does both at once).  A table of more
 than one write block (``cT.csv`` at large N) is split into contiguous row
 runs, one per CPU this process may use, and the start forks one worker per
 run, which formats its run into an unnamed temporary file in the target's
-directory; the caller formats none of it and returns to its own work.  A
-smaller table, or one on a single CPU, is formatted by the caller at the
-wait.  The wait writes the header and the runs, in row order, to a
-temporary name in the target's directory and renames it over the target
-only once the table is whole, so a failed write leaves the old file or none.
+directory (``worker.Worker``); the caller formats none of it and returns
+to its own work.  A smaller table, or one on a single CPU, is formatted by
+the caller at the wait.  The wait writes the header and the runs, in row
+order, to a temporary name in the target's directory and renames it over
+the target only once the table is whole, so a failed write leaves the old
+file or none.
 The text of a row does not depend on the process that formats it, so the
 file has the same bytes at any worker count.
 """
@@ -35,14 +36,12 @@ from __future__ import annotations
 import functools
 import json
 import os
-import signal
-import sys
 import tempfile
-import traceback
 
 import numpy as np
 
 from .errors import UsageError
+from .worker import Worker, usable_cpus
 
 __all__ = ["CsvWrite", "write_csv", "read_csv", "write_json", "read_json"]
 
@@ -70,9 +69,9 @@ class CsvWrite:
         self._cols = cols
         self._rows = max(1, _CSV_BLOCK_CELLS // len(cols))  # at least one row a block
         n = cols[0].size
-        runs = max(1, min(_usable_cpus(), -(-n // self._rows)))  # at most one per block
+        runs = max(1, min(usable_cpus(), -(-n // self._rows)))  # at most one per block
         self._bounds = [n * k // runs for k in range(runs + 1)]
-        self._workers: list[tuple[int, object]] = []  # (pid, temporary file) per run
+        self._workers: list[tuple[Worker, object]] = []  # (worker, temporary file) per run
 
     def __enter__(self) -> CsvWrite:
         if len(self._bounds) > 2:
@@ -87,24 +86,17 @@ class CsvWrite:
         self.close()
 
     def _start_workers(self) -> None:
-        """Fork one worker per run, each formatting into its own temporary file.
-
-        The workers only run elementwise numpy kernels and write a file: they
-        call no BLAS and take no lock that another thread of this process could
-        hold at the fork, so forking a process with idle BLAS threads is safe
-        here.
-        """
+        """Start one worker per run, each formatting into its own temporary file."""
         outdir = os.path.dirname(os.path.abspath(self.path))
         for lo, hi in zip(self._bounds, self._bounds[1:]):
             tmp = tempfile.TemporaryFile(dir=outdir)
             try:
-                pid = os.fork()
+                worker = Worker(functools.partial(_format_run, tmp, self._cols, self._rows,
+                                                  lo, hi))
             except BaseException:
                 tmp.close()
                 raise
-            if pid == 0:
-                _run_worker(tmp, self._cols, self._rows, lo, hi)
-            self._workers.append((pid, tmp))
+            self._workers.append((worker, tmp))
 
     def wait(self) -> int:
         """Make the table whole at ``path``; returns how many processes formatted it."""
@@ -128,23 +120,19 @@ class CsvWrite:
 
     def _append_runs(self, out_fd: int) -> None:
         """Wait for each worker in row order and append its run to ``out_fd``."""
-        while self._workers:
-            pid, tmp = self._workers[0]
-            status = os.waitpid(pid, 0)[1]
-            self._workers.pop(0)
-            with tmp:
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise OSError(f"writing {self.path}: formatting worker {pid} "
-                                  f"exited with status {code}")
-                _append(out_fd, tmp.fileno())
+        for worker, tmp in self._workers:
+            try:
+                worker.result()
+            except Exception as exc:
+                raise OSError(f"writing {self.path}: formatting worker {worker.pid} "
+                              f"exited with status {worker.exitcode}") from exc
+            _append(out_fd, tmp.fileno())
 
     def close(self) -> None:
         """Kill and reap the workers not waited for, so no zombie outlives us."""
         while self._workers:
-            pid, tmp = self._workers.pop()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            worker, tmp = self._workers.pop()
+            worker.close()
             tmp.close()
         self._cols = []  # let the caller free the table's arrays
 
@@ -155,36 +143,16 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> int:
         return table.wait()
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot ask or cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _format_rows(fh, cols, rows: int, start: int, stop: int) -> None:
     """Write rows [start, stop) of the table, at most ``rows`` per block."""
     for lo in range(start, stop, rows):
         fh.write(_csv_text(np.column_stack([c[lo:min(lo + rows, stop)] for c in cols])))
 
 
-def _run_worker(tmp, cols, rows: int, start: int, stop: int) -> None:
-    """Body of a forked worker: format its run into ``tmp``, then exit.
-
-    ``os._exit`` is the only way out, so the worker never returns into the
-    caller's stack, flushes none of its inherited buffers and runs none of
-    its exit handlers; the status tells the parent whether the run is whole.
-    """
-    code = 1
-    try:
-        with open(tmp.fileno(), "wb", closefd=False) as out:
-            _format_rows(out, cols, rows, start, stop)
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+def _format_run(tmp, cols, rows: int, start: int, stop: int) -> None:
+    """A worker's job: format rows [start, stop) into the temporary file ``tmp``."""
+    with open(tmp.fileno(), "wb", closefd=False) as out:
+        _format_rows(out, cols, rows, start, stop)
 
 
 def _append(out_fd: int, in_fd: int) -> None:

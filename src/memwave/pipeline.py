@@ -16,11 +16,20 @@ solve and metric laps include the time the workers take CPU from them.
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
 assembly vs. factorization identity) and fails loudly when the artifacts in
-a directory are not mutually consistent.
+a directory are not mutually consistent.  Its diagonal law marches the
+Goursat kernel at N/2 and N.  When both levels run, the march at the native
+N and its diagonal residual start before every other check: from N = 512 on,
+on more than one CPU, a forked worker runs them while this process runs the
+assembly ladder, the GL solve, the two-path and three-way checks and the
+N/2 march; otherwise this process runs them where the law reads the
+residual, so a failure surfaces at the same point either way.  The fork and
+the wait are charged to the ``diagonal_law`` lap, and timings.json records
+the number of forked workers (0 or 1) as ``diagonal_workers``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, replace
@@ -58,6 +67,7 @@ from .model import (
     control_from_family,
     kernel_from_family,
 )
+from .worker import Worker
 
 __all__ = [
     "PipelineConfig",
@@ -80,6 +90,11 @@ _THREE_WAY_ORDER_BAND = (1.2, 3.4)
 _DIAGONAL_RATIO_BAND = (2.5, 6.5)
 _OPERATOR_IDENTITY_FACTOR = 1.0
 _GL_RESIDUAL_FACTOR = 1e-8
+# verify runs the diagonal law's native Goursat march in a forked worker from
+# this N on: on two CPUs the overlap gained 20-41 ms at 512, while below 448
+# the gain stayed within run-to-run noise and changed sign between sets of
+# runs (the crossover table is in CHANGES.md)
+_NATIVE_FORK_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -455,16 +470,23 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
     return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL, detail)
 
 
-def _verify_diagonal(grid, r, K, q) -> dict:
-    """Grid-halving ratio of the diagonal slope law of the factor kernel."""
-    res = []
-    for stride in (2, 1):
-        if grid.N % stride or grid.N // stride < 8:
-            continue
-        cg, _, Kc, qc = _subsample(grid, r, K, q, stride)
-        res.append(diagonal_residual(solve_goursat(qc, Kc, cg)))
-    if len(res) < 2:
+def _native_diagonal(grid, K, q):
+    """The diagonal residual of the Goursat march at the native N, as a
+    ``Worker`` started now, when the diagonal law runs at both N/2 and N;
+    otherwise a context that gives None."""
+    if q is None or grid.N % 2 or grid.N < 16:
+        return contextlib.nullcontext()
+    return Worker(lambda: diagonal_residual(solve_goursat(q, K, grid)),
+                  fork=grid.N >= _NATIVE_FORK_MIN_N)
+
+
+def _verify_diagonal(grid, r, K, q, native: Worker | None) -> dict:
+    """Grid-halving ratio of the diagonal slope law of the factor kernel;
+    ``native`` gives the residual at N (None: the grid is too coarse)."""
+    if native is None:
         return _check("diagonal_law", True, 0.0, None, "grid too coarse, skipped")
+    cg, _, Kc, qc = _subsample(grid, r, K, q, 2)
+    res = [diagonal_residual(solve_goursat(qc, Kc, cg)), native.result()]
     if res[1] < 1e-12:
         return _check("diagonal_law", True, 4.0, list(_DIAGONAL_RATIO_BAND),
                       "residual at machine level on both grids")
@@ -478,6 +500,33 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
     """Cross-validate a data directory; status 'failed' if any check fails."""
     timer = _Timer()
     grid, r, K, q = _load_data(datadir)
+    # the native march of the diagonal law starts first, so that on large
+    # grids a worker runs it while this process runs the other checks
+    t0 = time.perf_counter()
+    with _native_diagonal(grid, K, q) as native:
+        if native is not None:
+            timer.lap("diagonal_law", t0)
+        checks, asymmetry = _verify_checks(grid, r, K, q, native, timer)
+
+    failed = [c["name"] for c in checks if not c["passed"]]
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify",
+        "status": "failed" if failed else "ok",
+        "failed_checks": failed,
+        "grid": _grid_block(grid),
+        "galerkin_asymmetry": asymmetry,
+        "checks": checks,
+    }
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+        _write_reports(outdir, report, timer,
+                       diagonal_workers=int(native is not None and native.pid is not None))
+    return report
+
+
+def _verify_checks(grid, r, K, q, native: Worker | None, timer: _Timer):
+    """Every check of ``run_verify`` in report order, and the Galerkin asymmetry."""
     checks = []
 
     # the data-route kernel feeds several checks; assemble it at a bounded
@@ -530,7 +579,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
         timer.lap("three_way_connecting", t0)
 
         t0 = time.perf_counter()
-        checks.append(_verify_diagonal(grid, r, K, q))
+        checks.append(_verify_diagonal(grid, r, K, q, native))
         timer.lap("diagonal_law", t0)
 
     t0 = time.perf_counter()
@@ -553,21 +602,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
                              breakage))
         checks.append(_check("gl_residual", False, float("inf"), None, breakage))
         timer.lap("operator_identity", t0)
-
-    failed = [c["name"] for c in checks if not c["passed"]]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "status": "failed" if failed else "ok",
-        "failed_checks": failed,
-        "grid": _grid_block(grid),
-        "galerkin_asymmetry": asymmetry,
-        "checks": checks,
-    }
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        _write_reports(outdir, report, timer)
-    return report
+    return checks, asymmetry
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,9 @@ not count as a caller.
 Every matrix the package inverts is triangular, so a general dense inverse
 runs only on the diagonal leaf blocks of the blocked triangular inverse.
 
+The package forks at one site, in ``worker.Worker``, which holds the fork
+policy for every caller.
+
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
 the kernel leaves to it.
@@ -80,6 +83,20 @@ def test_dense_inverse_only_in_the_triangular_leaf():
         found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
                   for node in ast.walk(tree) if _is_inverse(node)]
     assert found == ["gelfand_levitan._tril_inverse:np.linalg.inv"]
+
+
+def _is_fork(node):
+    return ((isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty"))
+            or (isinstance(node, ast.alias) and node.name in ("fork", "forkpty")))
+
+
+def test_one_fork_site_inside_the_worker_helper():
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
+                  for node in ast.walk(tree) if _is_fork(node)]
+    assert found == ["worker._start:os.fork"]
 
 
 def _docstrings(tree):

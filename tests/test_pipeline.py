@@ -8,12 +8,15 @@ quality metrics measured on the clean problems.
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import memwave as mw
-from memwave import artifacts, pipeline
+from memwave import artifacts, cli, pipeline
 from memwave.artifacts import read_csv
 from memwave.connecting import _SYM_TOL_FACTOR
 from memwave.pipeline import (
@@ -26,6 +29,7 @@ from memwave.pipeline import (
     run_synth,
     run_verify,
 )
+from memwave.worker import usable_cpus
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +459,114 @@ def test_verify_free_problem_all_exact(tmp_path):
     assert report["status"] == "ok"
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["operator_identity"]["metric"] == 0.0
+
+
+def _timings(outdir):
+    return json.loads((outdir / "timings.json").read_text())
+
+
+@pytest.mark.parametrize("N", [10, 33])
+def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
+    # at odd N, or N below 16, the diagonal law has no half level and skips
+    d = str(tmp_path / "d")
+    run_synth(config_from_dict({"problem": "full", "N": N}), d)
+    calls = []
+    real = pipeline.solve_goursat
+
+    def solve_goursat(q, K, grid):
+        calls.append(grid.N)
+        return real(q, K, grid)
+
+    monkeypatch.setattr(pipeline, "solve_goursat", solve_goursat)
+    report = run_verify(d, str(tmp_path / "v"))
+    assert calls == [N]  # the assembly's factor route; no diagonal-law march
+    diagonal = next(c for c in report["checks"] if c["name"] == "diagonal_law")
+    assert diagonal == {"name": "diagonal_law", "passed": True, "metric": 0.0,
+                        "threshold": None, "detail": "grid too coarse, skipped"}
+    assert _timings(tmp_path / "v")["diagonal_workers"] == 0
+
+
+def _native_worker(monkeypatch, cpus=2, min_n=64):
+    """Let verify fork its native march from N = ``min_n`` on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(pipeline, "_NATIVE_FORK_MIN_N", min_n)
+
+
+@pytest.mark.parametrize("problem", ["full", "classical"])
+def test_verify_report_does_not_depend_on_the_worker(tmp_path, monkeypatch, fork_pids,
+                                                     problem):
+    d = str(tmp_path / "d")
+    run_synth(config_from_dict({"problem": problem, "N": 64}), d)
+    runs = {"forked": (2, 64), "one_cpu": (1, 64), "below_min_n": (2, 65)}
+    forks = {}
+    for name, (cpus, min_n) in runs.items():
+        _native_worker(monkeypatch, cpus, min_n)
+        run_verify(d, str(tmp_path / name))
+        forks[name] = len(fork_pids) - sum(forks.values())
+    assert forks == {"forked": 1, "one_cpu": 0, "below_min_n": 0}
+    assert {name: _timings(tmp_path / name)["diagonal_workers"] for name in runs} == forks
+    reports = {(tmp_path / name / "report.json").read_bytes() for name in runs}
+    assert len(reports) == 1
+    assert b"diagonal_workers" not in reports.pop()
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(fork_pids[0], os.WNOHANG)
+
+
+def test_verify_worker_instability_reaches_the_cli(data_dir, monkeypatch, fork_pids,
+                                                   capsys):
+    _native_worker(monkeypatch)
+    parent = os.getpid()
+    real = pipeline.solve_goursat
+    message = "non-finite w at row 64, column 3"
+
+    def solve_goursat(q, K, grid):
+        if os.getpid() != parent:
+            raise mw.NumericalInstabilityError(message)
+        return real(q, K, grid)
+
+    monkeypatch.setattr(pipeline, "solve_goursat", solve_goursat)
+    with pytest.raises(mw.NumericalInstabilityError) as exc:
+        run_verify(data_dir)
+    assert str(exc.value) == message
+    assert cli.main(["verify", "--data", data_dir]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert len(fork_pids) == 2
+    for pid in fork_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_verify_fault_before_collection_reaps_the_worker(data_dir, monkeypatch,
+                                                         fork_pids):
+    _native_worker(monkeypatch)
+
+    def fd_forward(*args):
+        raise RuntimeError("injected leapfrog fault")
+
+    monkeypatch.setattr(pipeline, "fd_forward", fd_forward)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_verify(data_dir)
+    assert len(fork_pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(fork_pids[0], os.WNOHANG)
+
+
+def test_verify_worker_is_fork_safe_with_blas_threads(tmp_path):
+    # the worker's march calls BLAS (the GEMMs of the causal history); forking
+    # a process whose BLAS runs a thread pool must neither hang nor break it
+    N = pipeline._NATIVE_FORK_MIN_N
+    d, out = tmp_path / "d", tmp_path / "v"
+    run_synth(config_from_dict({"problem": "full", "N": N}), str(d))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "memwave", "verify", "--data", str(d), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "report.json").read_text())["status"] == "ok"
+    assert _timings(out)["diagonal_workers"] == (1 if usable_cpus() > 1 else 0)
 
 
 # -------------------------------------------------------------- convergence
