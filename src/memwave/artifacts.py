@@ -5,15 +5,21 @@ round-trip) and JSON keys are sorted, so re-running a command with the same
 inputs reproduces every artifact byte for byte.  Wall-clock measurements
 live in their own file (timings.json) for exactly this reason.
 
-The cells of a CSV table are formatted by a numpy kernel that writes the
-same bytes as ``format(v, ".17g")``.  It scales each ``|x|`` by a power of
-ten in double-double arithmetic to the 17-digit integer ``D`` with
+A CSV table is one 2-D float array of rows by header fields, the shape
+``read_csv`` returns.  Its cells are formatted by a numpy kernel that writes
+the same bytes as ``format(v, ".17g")``.  It scales each ``|x|`` by a power
+of ten in double-double arithmetic to the 17-digit integer ``D`` with
 ``1e16 <= D < 1e17``; the scaling errs by less than 2**-45, so rounding it
 gives the correctly rounded digits unless the scaled value lies within 1e-6
-of a half-integer.  Those cells, the non-finite ones and magnitudes outside
-[1e-280, 1e280) are formatted one by one with ``format``; the catalogue
-problems' tables have none.  The digits come from tables of 4-digit words and
-are laid out in space-padded cells, whose spaces are dropped at the end.
+of a half-integer.  The digits come from tables of 4-digit words and are
+laid out in space-padded cells, whose spaces are dropped at the end.  The
+layout puts the decimal point right after the first digit or in front of
+it, so fixed-notation cells with 10 <= |x| < 1e17 (such as 12.5, or integers
+from 10 up) are formatted one by one with ``format``, as are the cells near
+a tie, the non-finite ones and magnitudes outside [1e-280, 1e280).  Of the
+tables the commands write on the catalogue problems, only convergence.csv
+has such cells: its ``N`` column and the NaN ratio and order of its first
+row.
 
 A CSV table is written in two steps, so that a caller can overlap its
 formatting with other work: ``CsvWrite`` starts the write and its ``wait``
@@ -52,7 +58,8 @@ _CSV_BLOCK_CELLS = 3 << 16
 
 
 class CsvWrite:
-    """One CSV table being written: one column per header field.
+    """One CSV table being written: a 2-D float array, one column per
+    header field.
 
     Entering the ``with`` block starts the formatting workers, if the table
     gets any; ``wait`` makes the table whole at ``path`` and returns how many
@@ -60,15 +67,17 @@ class CsvWrite:
     an exception, kills and reaps every worker and leaves ``path`` as it was.
     """
 
-    def __init__(self, path: str, header: list[str], columns: list[np.ndarray]):
-        cols = [np.asarray(c, dtype=float) for c in columns]
-        if len(cols) != len(header) or any(c.shape != cols[0].shape for c in cols):
-            raise UsageError("write_csv needs one equally-sized column per header field")
+    def __init__(self, path: str, header: list[str], table: np.ndarray):
+        # a list is refused, not read as rows: a square list of columns would
+        # pass the shape check transposed
+        if (not isinstance(table, np.ndarray) or table.ndim != 2
+                or table.shape[1] != len(header)):
+            raise UsageError("write_csv needs a 2-D array with one column per header field")
         self.path = path
         self._header = (",".join(header) + "\n").encode()
-        self._cols = cols
-        self._rows = max(1, _CSV_BLOCK_CELLS // len(cols))  # at least one row a block
-        n = cols[0].size
+        self._table = table.astype(float, copy=False)
+        self._rows = max(1, _CSV_BLOCK_CELLS // len(header))  # at least one row a block
+        n = table.shape[0]
         runs = max(1, min(usable_cpus(), -(-n // self._rows)))  # at most one per block
         self._bounds = [n * k // runs for k in range(runs + 1)]
         self._workers: list[tuple[Worker, object]] = []  # (worker, temporary file) per run
@@ -91,7 +100,7 @@ class CsvWrite:
         for lo, hi in zip(self._bounds, self._bounds[1:]):
             tmp = tempfile.TemporaryFile(dir=outdir)
             try:
-                worker = Worker(functools.partial(_format_run, tmp, self._cols, self._rows,
+                worker = Worker(functools.partial(_format_run, tmp, self._table, self._rows,
                                                   lo, hi))
             except BaseException:
                 tmp.close()
@@ -111,7 +120,7 @@ class CsvWrite:
                     fh.flush()  # the runs go to the descriptor, after the header
                     self._append_runs(fh.fileno())
                 else:
-                    _format_rows(fh, self._cols, self._rows, 0, self._bounds[-1])
+                    _format_rows(fh, self._table, self._rows, 0, self._bounds[-1])
             os.replace(tmp_path, self.path)
         except BaseException:
             os.unlink(tmp_path)
@@ -134,25 +143,26 @@ class CsvWrite:
             worker, tmp = self._workers.pop()
             worker.close()
             tmp.close()
-        self._cols = []  # let the caller free the table's arrays
+        self._table = None  # let the caller free the table
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> int:
-    """Write one column per header field; returns how many processes formatted it."""
-    with CsvWrite(path, header, columns) as table:
-        return table.wait()
+def write_csv(path: str, header: list[str], table: np.ndarray) -> int:
+    """Write a 2-D array of rows by header fields; returns how many
+    processes formatted it."""
+    with CsvWrite(path, header, table) as pending:
+        return pending.wait()
 
 
-def _format_rows(fh, cols, rows: int, start: int, stop: int) -> None:
+def _format_rows(fh, table, rows: int, start: int, stop: int) -> None:
     """Write rows [start, stop) of the table, at most ``rows`` per block."""
     for lo in range(start, stop, rows):
-        fh.write(_csv_text(np.column_stack([c[lo:min(lo + rows, stop)] for c in cols])))
+        fh.write(_csv_text(table[lo:min(lo + rows, stop)]))
 
 
-def _format_run(tmp, cols, rows: int, start: int, stop: int) -> None:
+def _format_run(tmp, table, rows: int, start: int, stop: int) -> None:
     """A worker's job: format rows [start, stop) into the temporary file ``tmp``."""
     with open(tmp.fileno(), "wb", closefd=False) as out:
-        _format_rows(out, cols, rows, start, stop)
+        _format_rows(out, table, rows, start, stop)
 
 
 def _append(out_fd: int, in_fd: int) -> None:
@@ -260,7 +270,8 @@ def _decade_step(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(D, X, slow)``: |x| rounds to ``D * 10**(X - 16)``, with ``D = X = 0``
-    at zero; ``slow`` marks the cells the kernel leaves to ``format``."""
+    at zero; ``slow`` marks the cells whose digits the kernel leaves to
+    ``format``."""
     a = np.abs(x)
     slow = ~((a >= _FAST_MIN) & (a < _FAST_MAX))
     zero = a == 0
@@ -309,7 +320,6 @@ def _slice_text(block: np.ndarray) -> bytes:
     for col in (3, 2, 1, 0):
         cells[:, 2 + col] = words[chunks[:, col] + trailing]
         trailing *= chunks[:, col] == 0
-    # X >= 1 in fixed notation takes kind 4 here and is redone below
     kind = np.where((X >= -4) & (X < 0), X + 4, 4)
     wide = cells.view(np.uint64)
     wide[:, 0] = prefix[((kind * 2 + np.signbit(x)) * 10 + d0) * 2 + (rest != 0)]
@@ -318,29 +328,13 @@ def _slice_text(block: np.ndarray) -> bytes:
     text[:, :-1, -1] = ord(",")
     text[:, -1, -1] = ord("\n")
     text = text.reshape(x.size, _CELL)
-    inside = np.flatnonzero((X >= 1) & (X < 17))
-    if inside.size:
-        _point_inside(text, inside, words[chunks[inside]].view(np.uint8), d0[inside],
-                      X[inside], np.signbit(x[inside]))
+    # fixed notation with 1 <= X < 17 puts the point among the digits, which
+    # this layout cannot (a slow cell has X = 0)
+    slow |= (X >= 1) & (X < 17)
     if slow.any():
         fallback = "".join(format(v, ".17g").ljust(_CELL - 1) for v in x[slow].tolist())
         text[slow, :-1] = np.frombuffer(fallback.encode(), np.uint8).reshape(-1, _CELL - 1)
     return text[text != ord(" ")].tobytes()
-
-
-def _point_inside(text: np.ndarray, rows: np.ndarray, digits: np.ndarray, d0: np.ndarray,
-                  X: np.ndarray, negative: np.ndarray) -> None:
-    """Rewrite the cells of fixed notation with 1 <= X < 17, whose point
-    falls among the digits: d0 and the next X digits, zeros kept, move one
-    byte left over the prefix, and the point takes byte 7 + X when a nonzero
-    digit follows.  ``digits`` holds the 16 digits after d0 without spaces."""
-    text[rows, 5] = np.where(negative, ord("-"), ord(" "))
-    text[rows, 6] = d0 + ord("0")
-    for e in np.flatnonzero(np.bincount(X)):
-        at = X == e
-        cells = rows[at]
-        text[cells, 7:7 + e] = digits[at, :e]
-        text[cells, 7 + e] = np.where(text[cells, 8 + e] != ord(" "), ord("."), ord(" "))
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:

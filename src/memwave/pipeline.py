@@ -111,6 +111,12 @@ class PipelineConfig:
     noise_sigma: float = 0.0
     noise_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.noise_sigma < np.inf:  # NaN fails too
+            raise UsageError("config: noise.sigma must be finite and >= 0")
+        if self.noise_seed < 0:  # numpy's generators take no negative seed
+            raise UsageError(f"config: noise.seed must be >= 0, got {self.noise_seed}")
+
     def grid(self) -> GridSpec:
         return GridSpec(self.T, self.N)
 
@@ -138,7 +144,10 @@ def _family_entry(raw, what: str) -> tuple[str, tuple]:
     params = raw.get("params", [])
     if not isinstance(fam, str) or not isinstance(params, list):
         raise UsageError(f"config: {what}.family is a string, {what}.params a list")
-    return fam, tuple(float(p) for p in params)
+    try:
+        return fam, tuple(float(p) for p in params)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config: bad {what}.params ({exc})") from None
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -148,18 +157,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise UsageError(f"config: unknown keys {sorted(unknown)}")
     if "problem" in raw and ("q" in raw or "K" in raw):
         raise UsageError("config: give either a catalogue problem or explicit q/K")
-    try:
-        T = float(raw.get("T", 1.0))
-        N = int(raw.get("N", 64))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config: bad scalar field ({exc})") from None
     noise = raw.get("noise", {})
     if not isinstance(noise, dict) or set(noise) - {"sigma", "seed"}:
         raise UsageError("config: noise must be {sigma, seed}")
-    sigma = float(noise.get("sigma", 0.0))
-    seed = int(noise.get("seed", 0))
-    if sigma < 0.0:
-        raise UsageError("config: noise.sigma must be >= 0")
+    try:
+        T = float(raw.get("T", 1.0))
+        N = int(raw.get("N", 64))
+        sigma = float(noise.get("sigma", 0.0))
+        seed = int(noise.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config: bad scalar field ({exc})") from None
     if "problem" in raw:
         prob = get_problem(raw["problem"])
         qf, qp = prob.q_family, prob.q_params
@@ -253,12 +260,16 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
 
     r = _add_noise(r, cfg.noise_sigma, cfg.noise_seed)
 
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     t_full = grid.times_full()
-    write_csv(os.path.join(outdir, "response.csv"), ["t", "r"], [t_full, r.values])
-    write_csv(os.path.join(outdir, "kernel_K.csv"), ["t", "value"], [t_full, K.values])
+    write_csv(os.path.join(outdir, "response.csv"), ["t", "r"],
+              np.stack([t_full, r.values], axis=1))
+    write_csv(os.path.join(outdir, "kernel_K.csv"), ["t", "value"],
+              np.stack([t_full, K.values], axis=1))
     write_csv(os.path.join(outdir, "truth_q.csv"), ["x", "value"],
-              [grid.times_half(), q.values])
+              np.stack([grid.times_half(), q.values], axis=1))
+    timer.lap("artifacts", t0)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -347,7 +358,7 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
     # the kernel matrix itself: row i is c(t_i, .), column j holds s_j; its
     # workers format it while this process solves and checks
     with CsvWrite(os.path.join(outdir, "cT.csv"),
-                  [f"s{j}" for j in range(grid.N + 1)], list(cT.values.T)) as cT_csv:
+                  [f"s{j}" for j in range(grid.N + 1)], cT.values) as cT_csv:
         timer.lap("artifacts", t0)
 
         t0 = time.perf_counter()
@@ -359,7 +370,8 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
         tt = grid.times_half()
         truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
         write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
-                  [tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)])
+                  np.stack([tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)],
+                           axis=1))
         timer.lap("artifacts", t0)
 
         t0 = time.perf_counter()
@@ -415,6 +427,13 @@ def _check(name: str, passed: bool, metric: float, threshold, detail: str) -> di
     }
 
 
+def _mean_order(errs: list[float], floor: float) -> float:
+    """Mean of ``log2(coarse / fine)`` over successive levels of ``errs``,
+    taking 2.0 where the finer error is below ``floor``."""
+    return float(np.mean([2.0 if fine < floor else float(np.log2(coarse / fine))
+                          for coarse, fine in zip(errs, errs[1:])]))
+
+
 def _verify_two_path(grid, r, K, q) -> dict:
     """Response route vs. leapfrog boundary trace, across grid levels."""
     levels = [n for n in (grid.N // 4, grid.N // 2, grid.N)
@@ -427,10 +446,7 @@ def _verify_two_path(grid, r, K, q) -> dict:
         rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.T))
         errs.append(float(np.max(np.abs(lhs - rhs))))
     if len(errs) >= 2:
-        orders = []
-        for e_coarse, e_fine in zip(errs, errs[1:]):
-            orders.append(2.0 if e_fine < 1e-15 else float(np.log2(e_coarse / e_fine)))
-        metric = float(np.mean(orders))
+        metric = _mean_order(errs, 1e-15)
         lo, hi = _TWO_PATH_ORDER_BAND
         return _check("two_path_response", lo <= metric <= hi, metric, [lo, hi],
                       f"mismatch {errs} over levels {levels}")
@@ -458,11 +474,7 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
     detail = (f"mismatch {level_diffs} over levels {levels}, "
               f"wave-state forms folded into the finest level")
     if len(level_diffs) >= 2:
-        orders = [
-            2.0 if d_fine < 1e-12 else float(np.log2(d_coarse / d_fine))
-            for d_coarse, d_fine in zip(level_diffs, level_diffs[1:])
-        ]
-        metric = float(np.mean(orders))
+        metric = _mean_order(level_diffs, 1e-12)
         lo, hi = _THREE_WAY_ORDER_BAND
         passed = passed and lo <= metric <= hi
         return _check("three_way_connecting", passed, metric,
@@ -499,7 +511,9 @@ def _verify_diagonal(grid, r, K, q, native: Worker | None) -> dict:
 def run_verify(datadir: str, outdir: str | None = None) -> dict:
     """Cross-validate a data directory; status 'failed' if any check fails."""
     timer = _Timer()
+    t0 = time.perf_counter()
     grid, r, K, q = _load_data(datadir)
+    timer.lap("load", t0)
     # the native march of the diagonal law starts first, so that on large
     # grids a worker runs it while this process runs the other checks
     t0 = time.perf_counter()
@@ -653,11 +667,12 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
             row["ratio"] = float(ratio)
             row["order"] = float(np.log2(ratio) / width)
 
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, "convergence.csv"),
-              ["N", "error", "ratio", "order"],
-              [np.array([float(row[k]) for row in rows], dtype=float)
-               for k in ("N", "error", "ratio", "order")])
+    header = ["N", "error", "ratio", "order"]
+    write_csv(os.path.join(outdir, "convergence.csv"), header,
+              np.array([[row[k] for k in header] for row in rows], dtype=float))
+    timer.lap("artifacts", t0)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "convergence",

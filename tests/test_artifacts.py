@@ -30,14 +30,13 @@ def _reference_text(block):
                    for row in block.tolist()).encode()
 
 
-def _reference_csv(header, columns):
-    block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    return (",".join(header) + "\n").encode() + _reference_text(block)
+def _reference_csv(header, table):
+    return (",".join(header) + "\n").encode() + _reference_text(np.asarray(table, dtype=float))
 
 
-def _written(tmp_path, header, columns):
+def _written(tmp_path, header, table):
     path = tmp_path / "t.csv"
-    write_csv(str(path), header, columns)
+    write_csv(str(path), header, table)
     return path.read_bytes()
 
 
@@ -49,33 +48,33 @@ SPECIAL = [
 
 def test_special_values_match_reference(tmp_path):
     a = np.array(SPECIAL)
-    cols = [a, a[::-1], np.arange(a.size)]
+    table = np.stack([a, a[::-1], np.arange(a.size)], axis=1)
     header = ["a", "b", "i"]
-    out = _written(tmp_path, header, cols)
-    assert out == _reference_csv(header, cols)
+    out = _written(tmp_path, header, table)
+    assert out == _reference_csv(header, table)
     text = out.decode()
     for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324"):
         assert token in text.replace("\n", ",").split(",")
 
 
 def test_integer_columns_match_reference(tmp_path):
-    cols = [np.arange(-5, 5), np.arange(10) ** 3]
-    assert _written(tmp_path, ["i", "j"], cols) == _reference_csv(["i", "j"], cols)
+    table = np.stack([np.arange(-5, 5), np.arange(10) ** 3], axis=1)
+    assert _written(tmp_path, ["i", "j"], table) == _reference_csv(["i", "j"], table)
 
 
 def test_one_row_table_matches_reference(tmp_path):
-    cols = [np.array([0.5]), np.array([-1e-300])]
-    assert _written(tmp_path, ["x", "y"], cols) == _reference_csv(["x", "y"], cols)
+    table = np.array([[0.5, -1e-300]])
+    assert _written(tmp_path, ["x", "y"], table) == _reference_csv(["x", "y"], table)
 
 
 def test_multi_block_table_matches_and_round_trips(tmp_path):
     rng = np.random.default_rng(3)
     n = artifacts._CSV_BLOCK_CELLS // 2 + 7  # spans two write blocks
-    cols = [rng.standard_normal(n), np.exp(40.0 * rng.standard_normal(n))]
-    out = _written(tmp_path, ["a", "b"], cols)
-    assert out == _reference_csv(["a", "b"], cols)
+    table = np.stack([rng.standard_normal(n), np.exp(40.0 * rng.standard_normal(n))], axis=1)
+    out = _written(tmp_path, ["a", "b"], table)
+    assert out == _reference_csv(["a", "b"], table)
     _, data = read_csv(str(tmp_path / "t.csv"))
-    assert np.array_equal(data[:, 0], cols[0]) and np.array_equal(data[:, 1], cols[1])
+    assert np.array_equal(data[:, 0], table[:, 0]) and np.array_equal(data[:, 1], table[:, 1])
 
 
 @pytest.mark.parametrize("shape", [(3, 11), (17, 2), (9, 4)])
@@ -84,10 +83,10 @@ def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
     rng = np.random.default_rng(7)
     table = rng.standard_normal(shape)
     header = [f"s{j}" for j in range(shape[1])]
-    whole = _written(tmp_path, header, list(table.T))
+    whole = _written(tmp_path, header, table)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 5)
-    assert _written(tmp_path, header, list(table.T)) == whole
-    assert whole == _reference_csv(header, list(table.T))
+    assert _written(tmp_path, header, table) == whole
+    assert whole == _reference_csv(header, table)
     _, data = read_csv(str(tmp_path / "t.csv"))
     assert np.array_equal(data, table)
 
@@ -204,11 +203,35 @@ def test_kernel_tables_are_built_on_first_use():
     assert out.stdout.split() == ["0", "1"]
 
 
+def test_kernel_matches_format_with_the_point_among_the_digits():
+    # fixed notation with 10 <= |x| < 1e17: these cells go to format
+    x = np.array([10.0, 11.0, 99.0, 100.0, 12345.0, 2.0 ** 53, 12.5, np.nextafter(10.0, 11.0),
+                  1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, 1e17),
+                  99999999999999984.0, np.nextafter(99999999999999984.0, 0.0)])
+    x = np.concatenate([x, -x])
+    assert np.all((np.abs(x) >= 10.0) & (np.abs(x) < 1e17))
+    _assert_kernel_exact(x, ncols=2)
+    _assert_kernel_exact(np.arange(10.0, 10010.0), ncols=10)
+
+
 def test_width_mismatch_raises(tmp_path):
-    with pytest.raises(mw.UsageError):
-        write_csv(str(tmp_path / "w.csv"), ["a", "b"], [np.zeros(3)])
-    with pytest.raises(mw.UsageError):
-        write_csv(str(tmp_path / "w.csv"), ["a", "b"], [np.zeros(3), np.zeros(4)])
+    path = str(tmp_path / "w.csv")
+    for table in (np.zeros((3, 1)), np.zeros((3, 3)),
+                  [np.zeros(3), np.zeros(3)],  # a list of columns
+                  [[1.0, 2.0], [3.0, 4.0]],  # a square list is not read as rows
+                  np.zeros(2), np.zeros((3, 2, 2))):
+        with pytest.raises(mw.UsageError):
+            write_csv(path, ["a", "b"], table)
+    assert os.listdir(tmp_path) == []
+
+
+def test_square_table_round_trips_row_major(tmp_path):
+    table = np.arange(9.0).reshape(3, 3) / 7.0
+    assert not np.array_equal(table, table.T)
+    out = _written(tmp_path, ["a", "b", "c"], table)
+    assert out.splitlines()[1] == b",".join(format(v, ".17g").encode() for v in table[0])
+    _, data = read_csv(str(tmp_path / "t.csv"))
+    assert np.array_equal(data, table)
 
 
 def _set_cpus(monkeypatch, n):
@@ -231,22 +254,21 @@ def test_worker_split_matches_reference(tmp_path, monkeypatch, fork_pids, shape,
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
     _set_cpus(monkeypatch, cpus)
     path = tmp_path / "t.csv"
-    assert write_csv(str(path), header, list(table.T)) == cpus
+    assert write_csv(str(path), header, table) == cpus
     assert len(fork_pids) == (cpus if cpus > 1 else 0)  # every run goes to a worker
-    assert path.read_bytes() == _reference_csv(header, list(table.T))
+    assert path.read_bytes() == _reference_csv(header, table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch, fork_pids):
     table = np.arange(30.0).reshape(10, 3)
     _set_cpus(monkeypatch, 3)
-    assert _written(tmp_path, ["a", "b", "c"], list(table.T)) == \
-        _reference_csv(["a", "b", "c"], list(table.T))
+    assert _written(tmp_path, ["a", "b", "c"], table) == _reference_csv(["a", "b", "c"], table)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 3)  # now 10 blocks
     _set_cpus(monkeypatch, 1)
-    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 1
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform that cannot ask
-    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], list(table.T)) == 1
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 1
     assert fork_pids == []
 
 
@@ -274,7 +296,7 @@ def _failing_write(monkeypatch, failing):
     table = np.arange(60.0).reshape(20, 3)
 
     def write(path):
-        with artifacts.CsvWrite(str(path), ["a", "b", "c"], list(table.T)) as pending:
+        with artifacts.CsvWrite(str(path), ["a", "b", "c"], table) as pending:
             if failing == "body":
                 raise RuntimeError("injected caller fault")
             pending.wait()
@@ -322,6 +344,6 @@ def test_one_process_write_replaces_the_table_whole(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifacts, "_format_rows", format_rows)
     with pytest.raises(RuntimeError, match="injected"):
-        write_csv(str(path), ["a"], [np.arange(4.0)])
+        write_csv(str(path), ["a"], np.arange(4.0).reshape(4, 1))
     assert os.listdir(tmp_path) == ["t.csv"]
     assert path.read_bytes() == b"old\n1\n"

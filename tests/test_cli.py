@@ -79,6 +79,29 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"noise": {"sigma": "abc"}}',
+    '{"noise": {"sigma": null}}',
+    '{"noise": {"sigma": NaN}}',
+    '{"noise": {"seed": "x"}}',
+    '{"q": {"family": "constant", "params": ["a"]}}',
+    '{"noise": {"sigma": 0.001, "seed": -1}}',
+])
+def test_malformed_config_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    rc = cli.main(["synth", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
+def test_negative_seed_flag_exit_2(tmp_path, cfg_file, capsys):
+    rc = cli.main(["synth", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                   "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: noise.seed must be >= 0")
+
+
 def test_numerical_failure_exit_3(tmp_path, synth_dir, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(synth_dir, broken)

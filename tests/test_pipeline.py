@@ -86,6 +86,15 @@ def test_config_explicit_fields():
         {"N": "many"},
         {"q": {"family": "constant"}},  # constant needs its level parameter
         {"q": {"family": "constant", "params": [1.0], "extra": 2}},
+        {"noise": {"sigma": "abc"}},
+        {"noise": {"sigma": None}},
+        {"noise": {"sigma": float("nan")}},
+        {"noise": {"sigma": float("inf")}},
+        {"noise": {"seed": "x"}},
+        {"noise": {"seed": float("inf")}},
+        {"noise": {"sigma": 0.001, "seed": -1}},
+        {"q": {"family": "constant", "params": ["a"]}},
+        {"q": {"family": "constant", "params": [None]}},
     ],
 )
 def test_config_rejects_bad_input(raw):
@@ -126,6 +135,13 @@ def test_synth_artifacts_and_report(data_dir):
     timings = json.load(open(os.path.join(data_dir, "timings.json")))
     assert timings["command"] == "synth"
     assert timings["wall_times_s"]["total"] > 0.0
+
+
+def test_synth_timings_charge_named_stages(data_dir):
+    laps = json.load(open(os.path.join(data_dir, "timings.json")))["wall_times_s"]
+    named = ("goursat", "artifacts")
+    assert set(laps) == set(named) | {"total"}
+    assert sum(laps[k] for k in named) <= laps["total"]
 
 
 def test_synth_response_header_and_shape(data_dir):
@@ -368,7 +384,7 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
 def test_verify_timings_charge_named_stages(data_dir, tmp_path):
     run_verify(data_dir, str(tmp_path / "ver"))
     laps = json.load(open(tmp_path / "ver" / "timings.json"))["wall_times_s"]
-    named = ("connecting_assembly", "gl_solve", "two_path_response",
+    named = ("load", "connecting_assembly", "gl_solve", "two_path_response",
              "three_way_connecting", "diagonal_law", "operator_identity",
              "gl_residual")
     assert set(laps) == set(named) | {"total"}
@@ -582,6 +598,10 @@ def test_convergence_orders(tmp_path):
     lines = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     assert lines[0] == "N,error,ratio,order"
     assert len(lines) == 4
+    laps = json.load(open(tmp_path / "conv" / "timings.json"))["wall_times_s"]
+    named = ("N=16", "N=32", "N=64", "artifacts")
+    assert set(laps) == set(named) | {"total"}
+    assert sum(laps[k] for k in named) <= laps["total"]
 
 
 def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
