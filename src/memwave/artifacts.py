@@ -23,18 +23,15 @@ row.
 
 A CSV table is written in two steps, so that a caller can overlap its
 formatting with other work: ``CsvWrite`` starts the write and its ``wait``
-makes the file whole (``write_csv`` does both at once).  A table of more
-than one write block (``cT.csv`` at large N) is split into contiguous row
-runs, one per CPU this process may use, and the start forks one worker per
-run, which formats its run into an unnamed temporary file in the target's
-directory (``worker.Worker``); the caller formats none of it and returns
-to its own work.  A smaller table, or one on a single CPU, is formatted by
-the caller at the wait.  The wait writes the header and the runs, in row
-order, to a temporary name in the target's directory and renames it over
-the target only once the table is whole, so a failed write leaves the old
-file or none.
-The text of a row does not depend on the process that formats it, so the
-file has the same bytes at any worker count.
+makes the file whole (``write_csv`` does both at once).  The start creates
+a temporary file beside the target, writes the header and starts one job
+that appends every row to it (``worker.Worker``).  For a table of more than
+one write block (``cT.csv`` at large N) on more than one CPU, the job runs
+in a forked worker and the caller returns to its own work; otherwise the
+caller runs it at the wait.  The wait renames the file over the target
+only once the table is whole, so a failed write leaves the old file or
+none.  The text of a row does not depend on the process that formats it,
+so the file has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -42,12 +39,11 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 
 import numpy as np
 
 from .errors import UsageError
-from .worker import Worker, usable_cpus
+from .worker import Worker
 
 __all__ = ["CsvWrite", "write_csv", "read_csv", "write_json", "read_json"]
 
@@ -61,10 +57,11 @@ class CsvWrite:
     """One CSV table being written: a 2-D float array, one column per
     header field.
 
-    Entering the ``with`` block starts the formatting workers, if the table
-    gets any; ``wait`` makes the table whole at ``path`` and returns how many
-    processes formatted it.  Leaving the block without ``wait``, or through
-    an exception, kills and reaps every worker and leaves ``path`` as it was.
+    Entering the ``with`` block starts the formatting job, in a forked
+    worker if the table gets one; ``wait`` makes the table whole at ``path``
+    and returns how many workers were forked (0 or 1).  Leaving the block
+    without ``wait``, or through an exception, kills and reaps the worker
+    and leaves ``path`` as it was.
     """
 
     def __init__(self, path: str, header: list[str], table: np.ndarray):
@@ -77,99 +74,70 @@ class CsvWrite:
         self._header = (",".join(header) + "\n").encode()
         self._table = table.astype(float, copy=False)
         self._rows = max(1, _CSV_BLOCK_CELLS // len(header))  # at least one row a block
-        n = table.shape[0]
-        runs = max(1, min(usable_cpus(), -(-n // self._rows)))  # at most one per block
-        self._bounds = [n * k // runs for k in range(runs + 1)]
-        self._workers: list[tuple[Worker, object]] = []  # (worker, temporary file) per run
+        self._tmp_path: str | None = None  # until renamed over ``path``
+        self._fh = None
+        self._worker: Worker | None = None
 
     def __enter__(self) -> CsvWrite:
-        if len(self._bounds) > 2:
-            try:
-                self._start_workers()
-            except BaseException:
-                self.close()
-                raise
+        outdir, name = os.path.split(os.path.abspath(self.path))
+        tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
+        self._fh = open(tmp_path, "xb")  # "x": never a file we did not make
+        self._tmp_path = tmp_path
+        try:
+            self._fh.write(self._header)
+            self._fh.flush()  # the rows go to the descriptor, after the header
+            job = functools.partial(_format_rows, self._fh.fileno(), self._table, self._rows)
+            self._worker = Worker(job, fork=self._table.shape[0] > self._rows)
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _start_workers(self) -> None:
-        """Start one worker per run, each formatting into its own temporary file."""
-        outdir = os.path.dirname(os.path.abspath(self.path))
-        for lo, hi in zip(self._bounds, self._bounds[1:]):
-            tmp = tempfile.TemporaryFile(dir=outdir)
-            try:
-                worker = Worker(functools.partial(_format_run, tmp, self._table, self._rows,
-                                                  lo, hi))
-            except BaseException:
-                tmp.close()
-                raise
-            self._workers.append((worker, tmp))
-
     def wait(self) -> int:
-        """Make the table whole at ``path``; returns how many processes formatted it."""
-        outdir, name = os.path.split(os.path.abspath(self.path))
-        tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
-        runs = len(self._workers) or 1
-        fh = open(tmp_path, "xb")  # "x": never a file we did not make
+        """Make the table whole at ``path``; returns how many workers were forked."""
+        worker = self._worker
         try:
-            with fh:
-                fh.write(self._header)
-                if self._workers:
-                    fh.flush()  # the runs go to the descriptor, after the header
-                    self._append_runs(fh.fileno())
-                else:
-                    _format_rows(fh, self._table, self._rows, 0, self._bounds[-1])
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-        return runs
-
-    def _append_runs(self, out_fd: int) -> None:
-        """Wait for each worker in row order and append its run to ``out_fd``."""
-        for worker, tmp in self._workers:
-            try:
-                worker.result()
-            except Exception as exc:
-                raise OSError(f"writing {self.path}: formatting worker {worker.pid} "
-                              f"exited with status {worker.exitcode}") from exc
-            _append(out_fd, tmp.fileno())
+            worker.result()
+        except Exception as exc:
+            if worker.pid is None:
+                raise
+            raise OSError(f"writing {self.path}: formatting worker {worker.pid} "
+                          f"exited with status {worker.exitcode}") from exc
+        self._fh.close()
+        os.replace(self._tmp_path, self.path)
+        self._tmp_path = None
+        return int(worker.pid is not None)
 
     def close(self) -> None:
-        """Kill and reap the workers not waited for, so no zombie outlives us."""
-        while self._workers:
-            worker, tmp = self._workers.pop()
-            worker.close()
-            tmp.close()
+        """Kill and reap the worker if it is not collected, so no zombie
+        outlives us, and remove the temporary file if it was not renamed."""
+        if self._worker is not None:
+            self._worker.close()
+            self._worker = None  # its job holds the table
+        if self._fh is not None:
+            self._fh.close()
+        if self._tmp_path is not None:
+            os.unlink(self._tmp_path)
+            self._tmp_path = None
         self._table = None  # let the caller free the table
 
 
 def write_csv(path: str, header: list[str], table: np.ndarray) -> int:
-    """Write a 2-D array of rows by header fields; returns how many
-    processes formatted it."""
+    """Write a 2-D array of rows by header fields; returns how many workers
+    were forked to format it."""
     with CsvWrite(path, header, table) as pending:
         return pending.wait()
 
 
-def _format_rows(fh, table, rows: int, start: int, stop: int) -> None:
-    """Write rows [start, stop) of the table, at most ``rows`` per block."""
-    for lo in range(start, stop, rows):
-        fh.write(_csv_text(table[lo:min(lo + rows, stop)]))
-
-
-def _format_run(tmp, table, rows: int, start: int, stop: int) -> None:
-    """A worker's job: format rows [start, stop) into the temporary file ``tmp``."""
-    with open(tmp.fileno(), "wb", closefd=False) as out:
-        _format_rows(out, table, rows, start, stop)
-
-
-def _append(out_fd: int, in_fd: int) -> None:
-    """Copy all of ``in_fd`` to the position of ``out_fd`` inside the kernel."""
-    offset = 0
-    while sent := os.sendfile(out_fd, in_fd, offset, 1 << 30):
-        offset += sent
+def _format_rows(fd: int, table, rows: int) -> None:
+    """Append the table's rows to the file descriptor ``fd``, at most
+    ``rows`` per block."""
+    with open(fd, "wb", closefd=False) as out:
+        for lo in range(0, table.shape[0], rows):
+            out.write(_csv_text(table[lo:lo + rows]))
 
 
 # The exact %.17g kernel.  A finite x != 0 is |x| = D * 10**(X - 16) after

@@ -103,11 +103,15 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None) -> SpaceTimeF
             - u[1:n, j - 1]
             - h * h * (qpad[1:n] * u[1:n, j] + hist[1:n])
         )
-        if not np.all(np.isfinite(u[:, j + 1])):
-            i_bad = int(np.flatnonzero(~np.isfinite(u[:, j + 1]))[0])
-            raise NumericalInstabilityError(
-                f"leapfrog march blew up at grid node (i={i_bad}, j={j + 1})"
-            )
+    # level j writes column j + 1 alone, so the first non-finite column from
+    # 2 on is where the march blew up
+    finite = np.isfinite(u[:, 2:])
+    if not finite.all():
+        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
+        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
+        raise NumericalInstabilityError(
+            f"leapfrog march blew up at grid node (i={i_bad}, j={j_bad + 2})"
+        )
     return SpaceTimeField(grid=grid, values=u)
 
 

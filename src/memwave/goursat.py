@@ -122,12 +122,15 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
             F = q_ext[inner] * w[inner, j] + mem + kshift
             w[inner, j + 1] = (w[:i_max, j] + w[2 : i_max + 2, j] - w[inner, j - 1]
                                - h * h * F)
-        row = w[: min(j + 2, N + 2), j + 1]
-        if not np.all(np.isfinite(row)):
-            i_bad = int(np.flatnonzero(~np.isfinite(row))[0])
-            raise NumericalInstabilityError(
-                f"kernel march blew up at grid node (i={i_bad}, j={j + 1})"
-            )
+    # level j writes column j + 1 alone, so the first non-finite column from
+    # 2 on is where the march blew up
+    finite = np.isfinite(w[:, 2:])
+    if not finite.all():
+        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
+        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
+        raise NumericalInstabilityError(
+            f"kernel march blew up at grid node (i={i_bad}, j={j_bad + 2})"
+        )
     return w
 
 

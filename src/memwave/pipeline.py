@@ -2,16 +2,18 @@
 
 Every stage reads/writes a plain directory of CSV/JSON artifacts, so runs
 can be chained, diffed and replayed.  report.json is deterministic (same
-inputs, same bytes); wall-clock numbers and facts of the host, such as how
-many processes formatted cT.csv, go to timings.json instead.
+inputs, same bytes); wall-clock numbers and facts of the host, such as
+whether a forked worker formatted cT.csv, go to timings.json instead.
 
 ``reconstruct`` starts writing cT.csv as soon as the kernel is assembled;
-on more than one CPU, forked workers format it while this process runs the
-Gelfand-Levitan solve, writes q_hat.csv and computes the residual metrics,
-and the file is made whole after them.  Its laps stay ``load``,
-``connecting``, ``gelfand_levitan``, ``artifacts`` and ``metrics``: the
-fork and the final wait and append are charged to ``artifacts``, and the
-solve and metric laps include the time the workers take CPU from them.
+on more than one CPU, one forked worker formats it into a temporary file
+while this process runs the Gelfand-Levitan solve, writes q_hat.csv and
+computes the residual metrics, and the file is renamed into place after
+them.  Its laps stay ``load``, ``connecting``, ``gelfand_levitan``,
+``artifacts`` and ``metrics``: the fork and the final wait and rename are
+charged to ``artifacts``, and the solve and metric laps include the time
+the worker takes CPU from them.  timings.json records the number of
+forked workers (0 or 1) as ``csv_workers``.
 
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
@@ -137,6 +139,18 @@ class PipelineConfig:
         }
 
 
+def _number(value, what: str, kind: type = float):
+    """``value`` as ``kind``: a float from any JSON number, an int from a
+    JSON integer only; a bool or a string is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        need = "a number" if kind is float else "an integer"
+        raise UsageError(f"config: {what} must be {need}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise UsageError(f"config: {what} is out of range, got {value!r}") from None
+
+
 def _family_entry(raw, what: str) -> tuple[str, tuple]:
     if not isinstance(raw, dict) or set(raw) - {"family", "params"}:
         raise UsageError(f"config: {what} must be {{family, params}}")
@@ -144,10 +158,7 @@ def _family_entry(raw, what: str) -> tuple[str, tuple]:
     params = raw.get("params", [])
     if not isinstance(fam, str) or not isinstance(params, list):
         raise UsageError(f"config: {what}.family is a string, {what}.params a list")
-    try:
-        return fam, tuple(float(p) for p in params)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"config: bad {what}.params ({exc})") from None
+    return fam, tuple(_number(p, f"{what}.params") for p in params)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -160,13 +171,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     noise = raw.get("noise", {})
     if not isinstance(noise, dict) or set(noise) - {"sigma", "seed"}:
         raise UsageError("config: noise must be {sigma, seed}")
-    try:
-        T = float(raw.get("T", 1.0))
-        N = int(raw.get("N", 64))
-        sigma = float(noise.get("sigma", 0.0))
-        seed = int(noise.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"config: bad scalar field ({exc})") from None
+    T = _number(raw.get("T", 1.0), "T")
+    N = _number(raw.get("N", 64), "N", int)
+    sigma = _number(noise.get("sigma", 0.0), "noise.sigma")
+    seed = _number(noise.get("seed", 0), "noise.seed", int)
     if "problem" in raw:
         prob = get_problem(raw["problem"])
         qf, qp = prob.q_family, prob.q_params
@@ -224,7 +232,7 @@ def _write_reports(outdir: str, report: dict, timer: _Timer, **host) -> None:
     """report.json, and timings.json with the laps and ``host`` facts.
 
     ``host`` holds what depends on the machine, not on the inputs (such as
-    the number of processes that formatted a table), so it stays out of
+    the number of workers forked to format a table), so it stays out of
     report.json.
     """
     write_json(os.path.join(outdir, "report.json"), report)
@@ -356,7 +364,7 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
     # the kernel matrix itself: row i is c(t_i, .), column j holds s_j; its
-    # workers format it while this process solves and checks
+    # worker formats it while this process solves and checks
     with CsvWrite(os.path.join(outdir, "cT.csv"),
                   [f"s{j}" for j in range(grid.N + 1)], cT.values) as cT_csv:
         timer.lap("artifacts", t0)

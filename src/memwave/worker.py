@@ -1,15 +1,15 @@
 """One callable run in a forked child process, beside the caller's own work.
 
 This module holds the package's fork policy: ``Worker`` is the only place
-that forks, and ``usable_cpus`` is the CPU count every caller sizes its
-workers by.  ``Worker(fn)`` forks a child that runs ``fn()`` at once, and
-``result()`` returns the child's value, or raises the exception the child
-raised, with the same type and message.  It forks only when this process
-may run on more than one CPU and the platform has ``fork``; otherwise, or
-when the caller passes ``fork=False``, ``result()`` runs ``fn`` in the
-caller, so the value and any exception are the same either way.  Leaving
-the ``with`` block without ``result()``, or through an exception, kills
-and reaps the child.
+that forks, and it forks only when ``usable_cpus`` (the CPUs this process
+may run on) is more than one; each caller starts one worker per job.
+``Worker(fn)`` forks a child that runs ``fn()`` at once, and ``result()``
+returns the child's value, or raises the exception the child raised, with
+the same type and message.  When it does not fork (one CPU, no ``fork`` on
+the platform, or ``fork=False`` from the caller), ``result()`` runs ``fn``
+in the caller, so the value and any exception are the same either way.
+Leaving the ``with`` block without ``result()``, or through an exception,
+kills and reaps the child.
 
 Fork safety: the child is a copy of the caller with only the forking
 thread, so it must not need a lock that another thread held at the fork.

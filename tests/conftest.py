@@ -79,3 +79,14 @@ def fork_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """``set_cpus(n)`` makes ``os.sched_getaffinity`` report ``n`` CPUs for
+    the rest of the test."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus

@@ -3,8 +3,8 @@
 ``_reference_csv`` is the original writer (one ``format(v, ".17g")`` per
 value over a full list of lines), kept as the byte-level oracle; the kernel
 tests hold ``artifacts._csv_text`` to the same text on hard value sets.
-The worker tests set the CPU count through ``os.sched_getaffinity`` and
-shrink the write blocks, so that small tables split over forked workers.
+The worker tests set the CPU count (the ``set_cpus`` fixture) and shrink
+the write blocks, so that small tables are formatted by a forked worker.
 """
 
 import decimal
@@ -234,10 +234,6 @@ def test_square_table_round_trips_row_major(tmp_path):
     assert np.array_equal(data, table)
 
 
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 # (shape, block cap in cells): 7 one-row blocks of a wide table, 6 blocks of
 # 20 rows of a tall one, and 5 blocks of 10 rows
 SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
@@ -245,54 +241,55 @@ SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("shape,cap", SPLITS)
-def test_worker_split_matches_reference(tmp_path, monkeypatch, fork_pids, shape, cap,
-                                        cpus):
+def test_worker_split_matches_reference(tmp_path, monkeypatch, fork_pids, set_cpus, shape,
+                                        cap, cpus):
     rng = np.random.default_rng(11)
     table = rng.standard_normal(shape) * np.exp(30.0 * rng.standard_normal(shape))
     table[0, 0], table[-1, -1] = np.nan, -0.0
     header = [f"s{j}" for j in range(shape[1])]
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
-    _set_cpus(monkeypatch, cpus)
+    set_cpus(cpus)
     path = tmp_path / "t.csv"
-    assert write_csv(str(path), header, table) == cpus
-    assert len(fork_pids) == (cpus if cpus > 1 else 0)  # every run goes to a worker
+    forked = 1 if cpus > 1 else 0  # one worker formats every row
+    assert write_csv(str(path), header, table) == forked
+    assert len(fork_pids) == forked
     assert path.read_bytes() == _reference_csv(header, table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
-def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch, fork_pids):
+def test_one_block_or_one_cpu_never_forks(tmp_path, monkeypatch, fork_pids, set_cpus):
     table = np.arange(30.0).reshape(10, 3)
-    _set_cpus(monkeypatch, 3)
+    set_cpus(3)
     assert _written(tmp_path, ["a", "b", "c"], table) == _reference_csv(["a", "b", "c"], table)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 3)  # now 10 blocks
-    _set_cpus(monkeypatch, 1)
-    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 1
+    set_cpus(1)
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 0
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform that cannot ask
-    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 1
+    assert write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], table) == 0
     assert fork_pids == []
 
 
-def _failing_write(monkeypatch, failing):
-    """A 3-CPU, 10-block write whose ``failing`` side raises: a worker while
-    formatting its run, the caller while appending the runs, or the body of
-    the caller's ``with`` block before its wait."""
+def _failing_write(monkeypatch, set_cpus, failing):
+    """A 3-CPU, 10-block write whose ``failing`` side raises: the worker
+    while formatting, the caller at the rename, or the body of the caller's
+    ``with`` block before its wait."""
     parent = os.getpid()
-    real_format, real_append = artifacts._format_rows, artifacts._append
+    real_format, real_replace = artifacts._format_rows, os.replace
 
     def format_rows(*args):
         if failing == "worker" and os.getpid() != parent:
             raise RuntimeError("injected formatting fault")
         return real_format(*args)
 
-    def append(*args):
+    def replace(*args):
         if failing == "parent":
-            raise RuntimeError("injected append fault")
-        return real_append(*args)
+            raise RuntimeError("injected rename fault")
+        return real_replace(*args)
 
     monkeypatch.setattr(artifacts, "_format_rows", format_rows)
-    monkeypatch.setattr(artifacts, "_append", append)
+    monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 6)
-    _set_cpus(monkeypatch, 3)
+    set_cpus(3)
     table = np.arange(60.0).reshape(20, 3)
 
     def write(path):
@@ -307,30 +304,37 @@ def _failing_write(monkeypatch, failing):
 FAULTS = {"worker": OSError, "parent": RuntimeError, "body": RuntimeError}
 
 
+def _reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True
+
+
 @pytest.mark.parametrize("failing", list(FAULTS))
 def test_failed_run_fails_the_write_and_reaps_workers(tmp_path, monkeypatch, fork_pids,
-                                                      failing):
-    write = _failing_write(monkeypatch, failing)
+                                                      set_cpus, failing):
+    write = _failing_write(monkeypatch, set_cpus, failing)
     path = tmp_path / "t.csv"
     message = re.escape(str(path)) if failing == "worker" else "injected"
     with pytest.raises(FAULTS[failing], match=message):
         write(path)
-    assert len(fork_pids) == 3
+    assert len(fork_pids) == 1
     assert os.listdir(tmp_path) == []  # neither a partial table nor a temporary
-    for pid in fork_pids:  # every worker was reaped: none is left to wait for
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert _reaped(fork_pids)  # none is left to wait for
 
 
 @pytest.mark.parametrize("failing", list(FAULTS))
-def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, failing):
+def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, fork_pids, set_cpus,
+                                          failing):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old\n1\n")
-    write = _failing_write(monkeypatch, failing)
+    write = _failing_write(monkeypatch, set_cpus, failing)
     with pytest.raises(FAULTS[failing]):
         write(path)
     assert os.listdir(tmp_path) == ["t.csv"]
     assert path.read_bytes() == b"old\n1\n"
+    assert len(fork_pids) == 1 and _reaped(fork_pids)
 
 
 def test_one_process_write_replaces_the_table_whole(tmp_path, monkeypatch):

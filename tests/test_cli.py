@@ -86,6 +86,12 @@ def test_bad_config_exit_2(tmp_path, capsys):
     '{"noise": {"seed": "x"}}',
     '{"q": {"family": "constant", "params": ["a"]}}',
     '{"noise": {"sigma": 0.001, "seed": -1}}',
+    '{"N": 64.9}',
+    '{"N": "64"}',
+    '{"T": "2"}',
+    '{"noise": {"seed": 1.5}}',
+    '{"noise": {"sigma": true}}',
+    '{"q": {"family": "constant", "params": [false]}}',
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, text):
     p = tmp_path / "bad.json"

@@ -92,7 +92,7 @@ def test_fd_blowup_is_reported():
     f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mw.NumericalInstabilityError,
-                           match=r"grid node \(i=\d+, j=\d+\)"):
+                           match=r"grid node \(i=1, j=48\)$"):
             mw.fd_forward(qbig, k, f)
 
 

@@ -59,6 +59,15 @@ def test_config_catalogue_expansion():
     assert echo["N"] == 32
 
 
+def test_config_keeps_json_numbers():
+    cfg = config_from_dict({"T": 2, "N": 16, "noise": {"sigma": 0, "seed": 3},
+                            "q": {"family": "constant", "params": [1]}})
+    assert (cfg.T, cfg.N, cfg.noise_sigma, cfg.noise_seed) == (2.0, 16, 0.0, 3)
+    assert [type(v) for v in (cfg.T, cfg.N, cfg.noise_sigma, cfg.noise_seed)] == \
+        [float, int, float, int]
+    assert cfg.q_params == (1.0,) and type(cfg.q_params[0]) is float
+
+
 def test_config_explicit_fields():
     cfg = config_from_dict(
         {
@@ -95,6 +104,20 @@ def test_config_explicit_fields():
         {"noise": {"sigma": 0.001, "seed": -1}},
         {"q": {"family": "constant", "params": ["a"]}},
         {"q": {"family": "constant", "params": [None]}},
+        # a scalar of the wrong JSON type is refused, not coerced
+        {"N": 64.9},
+        {"N": 64.0},
+        {"N": "64"},
+        {"N": True},
+        {"T": "2"},
+        {"T": True},
+        {"T": 10 ** 400},
+        {"noise": {"seed": 1.5}},
+        {"noise": {"seed": True}},
+        {"noise": {"sigma": True}},
+        {"noise": {"sigma": "0.1"}},
+        {"q": {"family": "constant", "params": [True]}},
+        {"q": {"family": "constant", "params": ["0.3"]}},
     ],
 )
 def test_config_rejects_bad_input(raw):
@@ -208,19 +231,20 @@ def test_reconstruct_timings_charge_named_stages(tmp_path):
     assert sum(laps[k] for k in named) <= laps["total"]
 
 
-def test_reconstruct_bytes_do_not_depend_on_csv_workers(tmp_path, monkeypatch):
+def test_reconstruct_bytes_do_not_depend_on_csv_workers(tmp_path, monkeypatch, set_cpus):
     run_synth(config_from_dict({"problem": "full", "N": 32}), str(tmp_path / "d"))
-    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "one"))
-    # 99 cells a block: cT.csv is 11 blocks of 3 rows, formatted by 3 processes
+    # 99 cells a block: cT.csv is 11 blocks of 3 rows, formatted by this
+    # process on one CPU and by one forked worker on two
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 99)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "three"))
-    for out, workers in (("one", 1), ("three", 3)):
+    for out, cpus in (("one", 1), ("two", 2)):
+        set_cpus(cpus)
+        run_reconstruct(str(tmp_path / "d"), str(tmp_path / out))
+    for out, workers in (("one", 0), ("two", 1)):
         timings = json.loads((tmp_path / out / "timings.json").read_text())
         assert timings["csv_workers"] == workers
     for name in ("cT.csv", "q_hat.csv", "report.json"):
         assert (tmp_path / "one" / name).read_bytes() == \
-            (tmp_path / "three" / name).read_bytes()
+            (tmp_path / "two" / name).read_bytes()
     assert "csv_workers" not in (tmp_path / "one" / "report.json").read_text()
 
 
@@ -260,29 +284,29 @@ def test_reconstruct_non_positive_operator_is_named(data_dir, tmp_path):
         run_reconstruct(d, str(tmp_path / "o"))
 
 
-def _split_cT(monkeypatch):
-    """Split cT.csv at N = 64 into 3 runs, one per worker."""
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 65 * 5)  # 13 blocks
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+def _fork_cT(monkeypatch, set_cpus):
+    """Make cT.csv at N = 64 13 blocks on 3 CPUs, so a worker formats it."""
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 65 * 5)
+    set_cpus(3)
 
 
 def test_reconstruct_gl_failure_leaves_no_cT_and_reaps_workers(data_dir, tmp_path,
-                                                               monkeypatch, fork_pids):
+                                                               monkeypatch, fork_pids,
+                                                               set_cpus):
     d = _scaled_response(data_dir, tmp_path, 10.0)
-    _split_cT(monkeypatch)
+    _fork_cT(monkeypatch, set_cpus)
     out = tmp_path / "o"
     with pytest.raises(mw.IllConditionedError, match="not positive.* s = "):
         run_reconstruct(d, str(out))
-    assert len(fork_pids) == 3
+    assert len(fork_pids) == 1
     assert os.listdir(out) == []  # no cT.csv, whole or partial, and no temporary
-    for pid in fork_pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(fork_pids[0], os.WNOHANG)
 
 
 def test_reconstruct_formats_cT_while_it_solves(data_dir, tmp_path, monkeypatch,
-                                                fork_pids):
-    _split_cT(monkeypatch)
+                                                fork_pids, set_cpus):
+    _fork_cT(monkeypatch, set_cpus)
     forked_at_solve = []
     real_solve = pipeline.solve_gl
 
@@ -292,7 +316,7 @@ def test_reconstruct_formats_cT_while_it_solves(data_dir, tmp_path, monkeypatch,
 
     monkeypatch.setattr(pipeline, "solve_gl", solve_gl)
     run_reconstruct(data_dir, str(tmp_path / "o"))
-    assert forked_at_solve[0] >= 1  # the workers run during the solve
+    assert forked_at_solve == [1]  # the worker runs during the solve
     assert sorted(os.listdir(tmp_path / "o")) == \
         ["cT.csv", "q_hat.csv", "report.json", "timings.json"]
 
@@ -502,21 +526,21 @@ def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     assert _timings(tmp_path / "v")["diagonal_workers"] == 0
 
 
-def _native_worker(monkeypatch, cpus=2, min_n=64):
+def _native_worker(monkeypatch, set_cpus, cpus=2, min_n=64):
     """Let verify fork its native march from N = ``min_n`` on ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    set_cpus(cpus)
     monkeypatch.setattr(pipeline, "_NATIVE_FORK_MIN_N", min_n)
 
 
 @pytest.mark.parametrize("problem", ["full", "classical"])
 def test_verify_report_does_not_depend_on_the_worker(tmp_path, monkeypatch, fork_pids,
-                                                     problem):
+                                                     set_cpus, problem):
     d = str(tmp_path / "d")
     run_synth(config_from_dict({"problem": problem, "N": 64}), d)
     runs = {"forked": (2, 64), "one_cpu": (1, 64), "below_min_n": (2, 65)}
     forks = {}
     for name, (cpus, min_n) in runs.items():
-        _native_worker(monkeypatch, cpus, min_n)
+        _native_worker(monkeypatch, set_cpus, cpus, min_n)
         run_verify(d, str(tmp_path / name))
         forks[name] = len(fork_pids) - sum(forks.values())
     assert forks == {"forked": 1, "one_cpu": 0, "below_min_n": 0}
@@ -529,8 +553,8 @@ def test_verify_report_does_not_depend_on_the_worker(tmp_path, monkeypatch, fork
 
 
 def test_verify_worker_instability_reaches_the_cli(data_dir, monkeypatch, fork_pids,
-                                                   capsys):
-    _native_worker(monkeypatch)
+                                                   set_cpus, capsys):
+    _native_worker(monkeypatch, set_cpus)
     parent = os.getpid()
     real = pipeline.solve_goursat
     message = "non-finite w at row 64, column 3"
@@ -553,8 +577,8 @@ def test_verify_worker_instability_reaches_the_cli(data_dir, monkeypatch, fork_p
 
 
 def test_verify_fault_before_collection_reaps_the_worker(data_dir, monkeypatch,
-                                                         fork_pids):
-    _native_worker(monkeypatch)
+                                                         fork_pids, set_cpus):
+    _native_worker(monkeypatch, set_cpus)
 
     def fd_forward(*args):
         raise RuntimeError("injected leapfrog fault")

@@ -1,6 +1,6 @@
 """The fork helper: a callable run in a forked child, its outcome returned.
 
-The tests set the CPU count through ``os.sched_getaffinity``; the
+The tests set the CPU count with the ``set_cpus`` fixture; the
 ``fork_pids`` fixture records every child.
 """
 
@@ -13,10 +13,6 @@ import memwave as mw
 from memwave.worker import Worker
 
 
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _reaped(pid):
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
@@ -24,8 +20,8 @@ def _reaped(pid):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_value_and_exception_are_the_callers(monkeypatch, fork_pids, cpus):
-    _set_cpus(monkeypatch, cpus)
+def test_value_and_exception_are_the_callers(fork_pids, set_cpus, cpus):
+    set_cpus(cpus)
     with Worker(lambda: {"pid": os.getpid(), "x": [1.5]}) as worker:
         value = worker.result()
     assert value["x"] == [1.5]
@@ -43,9 +39,10 @@ def test_value_and_exception_are_the_callers(monkeypatch, fork_pids, cpus):
     assert worker.exitcode == (1 if cpus > 1 else None)
 
 
-def test_one_cpu_or_no_fork_runs_in_the_caller_at_result(monkeypatch, fork_pids):
+def test_one_cpu_or_no_fork_runs_in_the_caller_at_result(monkeypatch, fork_pids,
+                                                         set_cpus):
     calls = []
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     worker = Worker(lambda: calls.append(os.getpid()) or len(calls), fork=False)
     assert calls == []  # nothing runs before result()
     assert worker.result() == 1 and calls == [os.getpid()]
@@ -54,8 +51,8 @@ def test_one_cpu_or_no_fork_runs_in_the_caller_at_result(monkeypatch, fork_pids)
     assert fork_pids == [] and worker.pid is None
 
 
-def test_a_child_that_dies_without_a_report_fails_by_status(monkeypatch, fork_pids):
-    _set_cpus(monkeypatch, 2)
+def test_a_child_that_dies_without_a_report_fails_by_status(fork_pids, set_cpus):
+    set_cpus(2)
     with Worker(lambda: os._exit(7)) as worker:
         with pytest.raises(ChildProcessError, match=f"worker {worker.pid} exited "
                                                    "with status 7"):
@@ -63,8 +60,8 @@ def test_a_child_that_dies_without_a_report_fails_by_status(monkeypatch, fork_pi
     assert _reaped(fork_pids[0])
 
 
-def test_leaving_the_block_kills_and_reaps_the_child(monkeypatch, fork_pids):
-    _set_cpus(monkeypatch, 2)
+def test_leaving_the_block_kills_and_reaps_the_child(fork_pids, set_cpus):
+    set_cpus(2)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="caller fault"):
         with Worker(lambda: time.sleep(60)) as worker:
