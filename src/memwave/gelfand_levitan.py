@@ -171,10 +171,11 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     W_j^-1: a leading block of S = C + diag(1/d) plus the rank-one term
     alpha e_j e_j^T, alpha = 1/h, for the half weight at the column's last
     node.  With S = L L^T and Li = L^-1, leading blocks of Li invert leading
-    blocks of L, so Li^T triu(Li (-C)) holds every S_j^-1 b_j at once;
-    Sherman-Morrison adds the rank-one term, with S_j^-1 e_j = Li[j, j]
-    Li[j, :j+1].  Li is inverted by blocks, and these products and the Gram
-    matrix of the condition number skip the zero triangles of their factors.
+    blocks of L, so S_j^-1 e_j = l_j Li[j, :j+1]^T, l_j = Li[j, j].  As
+    b_j = -C[:j+1, j] is e_j / d_j minus column j of S_j, S_j^-1 b_j =
+    (l_j / d_j) Li[j, :j+1]^T - e_j; with the rank-one term (Sherman-Morrison)
+    column j of z is row j of Li, scaled, plus a diagonal term.  The blocked
+    inverse Li and the condition number's Gram matrix skip zero triangles.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive (the data then come from no
@@ -200,19 +201,15 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     pivots = d * np.diagonal(L) ** 2
     Li = _tril_inverse(L)
     del L
-    li = np.diagonal(Li).copy()
+    li = np.diagonal(Li).copy()  # a view would keep Li alive past its del
 
-    # column j of z starts as S_j^-1 b_j with b_j = -C[:j+1, j]
-    z = _product(Li.T, _product(Li, C, sa="L", upper=True), sa="U", sb="U")
-    np.negative(z, out=z)
+    # y_j = e_j^T S_j^-1 b_j = l_j Li[j, :] b_j, then with the rank-one term;
+    # the equal l_j^2 / d_j - 1 cancels when a pivot is near 1
     alpha = 1.0 / h
-    U = Li.T * li  # column j is S_j^-1 e_j
-    U *= alpha * np.diagonal(z) / (1.0 + alpha * li * li)
-    z -= U
-    del U
+    y = -li * np.einsum("jk,kj->j", Li, C) / (1.0 + alpha * li * li)
+    z = Li.T * (li * (1.0 / d - alpha * y))
     z /= d[:, None]
-    didx = np.arange(1, N + 1)
-    z[didx, didx] *= 2.0  # the last node's weight is h/2, not d = h
+    z[np.diag_indices(N + 1)] = 2.0 * y / d  # the last node's weight is h/2
     z[0, 0] = -C[0, 0]
 
     # exact one-norm condition of A, with A^-1 = G^T G for G = Li D^-1/2

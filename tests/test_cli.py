@@ -56,7 +56,7 @@ def test_synth_then_reconstruct_then_verify(tmp_path, cfg_file, synth_dir, capsy
     assert cli.main(["reconstruct", "--data", synth_dir, "--out", str(rec)]) == 0
     out = capsys.readouterr().out
     assert "interior rel error" in out
-    report = json.load(open(rec / "report.json"))
+    report = json.loads((rec / "report.json").read_text())
     assert report["command"] == "reconstruct"
     assert report["metrics"]["l2_rel_err"] < 5e-2
 

@@ -279,17 +279,22 @@ def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
 @pytest.mark.parametrize("noise", [0.0, 1e-4])
 @pytest.mark.parametrize("route", ["response", "w"])
 @pytest.mark.parametrize("n", [32, 64, 128])
-@pytest.mark.parametrize("name", ["full", "classical", "memory_only_small"])
+@pytest.mark.parametrize("name", ["full", "classical", "memory_only_small",
+                                  "potential_only_small"])
 def test_factorized_solve_matches_column_solves(name, n, route, noise):
-    # noise: symmetric white noise of that share of max|c|, as noisy data give
+    # noise: symmetric white noise of that share of max|c|, as noisy data give;
+    # q differentiates the diagonal of z, so it magnifies a diagonal that loses
+    # digits to cancellation (pivots near 1) by 1/h
     c = _kernel(name, n, route)
     if noise:
         e = np.random.default_rng(n).standard_normal(c.values.shape)
         e = noise * np.abs(c.values).max() * 0.5 * (e + e.T)
         c = mw.ConnectingKernel(grid=c.grid, values=c.values + e)
     want = _lu_solve_gl(c)
-    got = mw.solve_gl(c).z
-    assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    gl = mw.solve_gl(c)
+    assert np.abs(gl.z - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    q_want = mw.recover_potential(mw.GLSolution(grid=c.grid, z=want)).values
+    assert np.abs(mw.recover_potential(gl).values - q_want).max() <= 1e-12
 
 
 def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):

@@ -147,7 +147,7 @@ def test_synth_artifacts_and_report(data_dir):
     for name in ("response.csv", "kernel_K.csv", "truth_q.csv",
                  "report.json", "timings.json"):
         assert os.path.exists(os.path.join(data_dir, name))
-    report = json.load(open(os.path.join(data_dir, "report.json")))
+    report = json.loads((Path(data_dir) / "report.json").read_text())
     assert report["schema_version"] == SCHEMA_VERSION
     assert report["command"] == "synth"
     assert report["status"] == "ok"
@@ -155,20 +155,20 @@ def test_synth_artifacts_and_report(data_dir):
     assert report["metrics"]["response_max_abs"] == pytest.approx(0.8, abs=0.1)
     # timing values live in their own file so reports stay reproducible
     assert "wall_times_s" not in report
-    timings = json.load(open(os.path.join(data_dir, "timings.json")))
+    timings = json.loads((Path(data_dir) / "timings.json").read_text())
     assert timings["command"] == "synth"
     assert timings["wall_times_s"]["total"] > 0.0
 
 
 def test_synth_timings_charge_named_stages(data_dir):
-    laps = json.load(open(os.path.join(data_dir, "timings.json")))["wall_times_s"]
+    laps = json.loads((Path(data_dir) / "timings.json").read_text())["wall_times_s"]
     named = ("goursat", "artifacts")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
 
 
 def test_synth_response_header_and_shape(data_dir):
-    lines = open(os.path.join(data_dir, "response.csv")).read().splitlines()
+    lines = (Path(data_dir) / "response.csv").read_text().splitlines()
     assert lines[0] == "t,r"
     assert len(lines) == 1 + 129  # header + 2N+1 samples
     first = lines[1].split(",")
@@ -225,7 +225,7 @@ def test_reconstruct_timings_charge_named_stages(tmp_path):
     cfg = config_from_dict({"problem": "full", "N": 32})
     run_synth(cfg, str(tmp_path / "d"))
     run_reconstruct(str(tmp_path / "d"), str(tmp_path / "rec"))
-    laps = json.load(open(tmp_path / "rec" / "timings.json"))["wall_times_s"]
+    laps = json.loads((tmp_path / "rec" / "timings.json").read_text())["wall_times_s"]
     named = ("load", "connecting", "gelfand_levitan", "artifacts", "metrics")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
@@ -407,7 +407,7 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
 
 def test_verify_timings_charge_named_stages(data_dir, tmp_path):
     run_verify(data_dir, str(tmp_path / "ver"))
-    laps = json.load(open(tmp_path / "ver" / "timings.json"))["wall_times_s"]
+    laps = json.loads((tmp_path / "ver" / "timings.json").read_text())["wall_times_s"]
     named = ("load", "connecting_assembly", "gl_solve", "two_path_response",
              "three_way_connecting", "diagonal_law", "operator_identity",
              "gl_residual")
@@ -622,7 +622,7 @@ def test_convergence_orders(tmp_path):
     lines = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     assert lines[0] == "N,error,ratio,order"
     assert len(lines) == 4
-    laps = json.load(open(tmp_path / "conv" / "timings.json"))["wall_times_s"]
+    laps = json.loads((tmp_path / "conv" / "timings.json").read_text())["wall_times_s"]
     named = ("N=16", "N=32", "N=64", "artifacts")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
