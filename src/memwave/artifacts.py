@@ -21,17 +21,9 @@ tables the commands write on the catalogue problems, only convergence.csv
 has such cells: its ``N`` column and the NaN ratio and order of its first
 row.
 
-A CSV table is written in two steps, so that a caller can overlap its
-formatting with other work: ``CsvWrite`` starts the write and its ``wait``
-makes the file whole (``write_csv`` does both at once).  The start creates
-a temporary file beside the target, writes the header and starts one job
-that appends every row to it (``worker.Worker``).  For a table of more than
-one write block (``cT.csv`` at large N) on more than one CPU, the job runs
-in a forked worker and the caller returns to its own work; otherwise the
-caller runs it at the wait.  The wait renames the file over the target
-only once the table is whole, so a failed write leaves the old file or
-none.  The text of a row does not depend on the process that formats it,
-so the file has the same bytes either way.
+A table is written under a temporary name beside its target, at most
+``_CSV_BLOCK_CELLS`` cells formatted at a time, and renamed over the target
+only once it is whole, so a failed write leaves the old file or none.
 """
 
 from __future__ import annotations
@@ -43,9 +35,8 @@ import os
 import numpy as np
 
 from .errors import UsageError
-from .worker import Worker
 
-__all__ = ["CsvWrite", "write_csv", "read_csv", "write_json", "read_json"]
+__all__ = ["write_csv", "read_csv", "write_json", "read_json"]
 
 
 # cells formatted per write: bounds the values and the text held in memory at
@@ -53,91 +44,27 @@ __all__ = ["CsvWrite", "write_csv", "read_csv", "write_json", "read_json"]
 _CSV_BLOCK_CELLS = 3 << 16
 
 
-class CsvWrite:
-    """One CSV table being written: a 2-D float array, one column per
-    header field.
-
-    Entering the ``with`` block starts the formatting job, in a forked
-    worker if the table gets one; ``wait`` makes the table whole at ``path``
-    and returns how many workers were forked (0 or 1).  Leaving the block
-    without ``wait``, or through an exception, kills and reaps the worker
-    and leaves ``path`` as it was.
-    """
-
-    def __init__(self, path: str, header: list[str], table: np.ndarray):
-        # a list is refused, not read as rows: a square list of columns would
-        # pass the shape check transposed
-        if (not isinstance(table, np.ndarray) or table.ndim != 2
-                or table.shape[1] != len(header)):
-            raise UsageError("write_csv needs a 2-D array with one column per header field")
-        self.path = path
-        self._header = (",".join(header) + "\n").encode()
-        self._table = table.astype(float, copy=False)
-        self._rows = max(1, _CSV_BLOCK_CELLS // len(header))  # at least one row a block
-        self._tmp_path: str | None = None  # until renamed over ``path``
-        self._fh = None
-        self._worker: Worker | None = None
-
-    def __enter__(self) -> CsvWrite:
-        outdir, name = os.path.split(os.path.abspath(self.path))
-        tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
-        self._fh = open(tmp_path, "xb")  # "x": never a file we did not make
-        self._tmp_path = tmp_path
-        try:
-            self._fh.write(self._header)
-            self._fh.flush()  # the rows go to the descriptor, after the header
-            job = functools.partial(_format_rows, self._fh.fileno(), self._table, self._rows)
-            self._worker = Worker(job, fork=self._table.shape[0] > self._rows)
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def wait(self) -> int:
-        """Make the table whole at ``path``; returns how many workers were forked."""
-        worker = self._worker
-        try:
-            worker.result()
-        except Exception as exc:
-            if worker.pid is None:
-                raise
-            raise OSError(f"writing {self.path}: formatting worker {worker.pid} "
-                          f"exited with status {worker.exitcode}") from exc
-        self._fh.close()
-        os.replace(self._tmp_path, self.path)
-        self._tmp_path = None
-        return int(worker.pid is not None)
-
-    def close(self) -> None:
-        """Kill and reap the worker if it is not collected, so no zombie
-        outlives us, and remove the temporary file if it was not renamed."""
-        if self._worker is not None:
-            self._worker.close()
-            self._worker = None  # its job holds the table
-        if self._fh is not None:
-            self._fh.close()
-        if self._tmp_path is not None:
-            os.unlink(self._tmp_path)
-            self._tmp_path = None
-        self._table = None  # let the caller free the table
-
-
-def write_csv(path: str, header: list[str], table: np.ndarray) -> int:
-    """Write a 2-D array of rows by header fields; returns how many workers
-    were forked to format it."""
-    with CsvWrite(path, header, table) as pending:
-        return pending.wait()
-
-
-def _format_rows(fd: int, table, rows: int) -> None:
-    """Append the table's rows to the file descriptor ``fd``, at most
-    ``rows`` per block."""
-    with open(fd, "wb", closefd=False) as out:
-        for lo in range(0, table.shape[0], rows):
-            out.write(_csv_text(table[lo:lo + rows]))
+def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Write a 2-D float array, one column per header field."""
+    # a list is refused, not read as rows: a square list of columns would
+    # pass the shape check transposed
+    if (not isinstance(table, np.ndarray) or table.ndim != 2
+            or table.shape[1] != len(header)):
+        raise UsageError("write_csv needs a 2-D array with one column per header field")
+    table = table.astype(float, copy=False)
+    rows = max(1, _CSV_BLOCK_CELLS // len(header))  # at least one row a block
+    outdir, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp_path, "xb")  # "x": never a file we did not make
+    try:
+        with fh:
+            fh.write((",".join(header) + "\n").encode())
+            for lo in range(0, table.shape[0], rows):
+                fh.write(_csv_text(table[lo:lo + rows]))
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 # The exact %.17g kernel.  A finite x != 0 is |x| = D * 10**(X - 16) after

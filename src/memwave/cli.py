@@ -64,7 +64,8 @@ def _dispatch(args) -> int:
     if args.command == "reconstruct":
         report = run_reconstruct(args.data, args.out)
         m = report["metrics"]
-        line = f"reconstruct: gl_residual={m['gl_residual']:.3e}"
+        line = (f"reconstruct: cond_estimate={m['cond_estimate']:.3e}, "
+                f"min_pivot={m['min_pivot']:.3e}")
         if "l2_rel_err" in m:
             line += f", interior rel error={m['l2_rel_err']:.3e}"
         print(line)

@@ -3,17 +3,17 @@
 Every stage reads/writes a plain directory of CSV/JSON artifacts, so runs
 can be chained, diffed and replayed.  report.json is deterministic (same
 inputs, same bytes); wall-clock numbers and facts of the host, such as
-whether a forked worker formatted cT.csv, go to timings.json instead.
+whether a forked worker ran verify's native Goursat march, go to
+timings.json instead.
 
-``reconstruct`` starts writing cT.csv as soon as the kernel is assembled;
-on more than one CPU, one forked worker formats it into a temporary file
-while this process runs the Gelfand-Levitan solve, writes q_hat.csv and
-computes the residual metrics, and the file is renamed into place after
-them.  Its laps stay ``load``, ``connecting``, ``gelfand_levitan``,
-``artifacts`` and ``metrics``: the fork and the final wait and rename are
-charged to ``artifacts``, and the solve and metric laps include the time
-the worker takes CPU from them.  timings.json records the number of
-forked workers (0 or 1) as ``csv_workers``.
+``reconstruct`` runs in one process and in one order: load the data,
+assemble c_T, solve the Gelfand-Levitan equations and recover q_hat,
+compute the metrics, then create the output directory and write cT.csv and
+q_hat.csv, so a failed solve leaves no directory behind.  Its laps are
+``load``, ``connecting``, ``gelfand_levitan``, ``metrics`` and
+``artifacts``.  Its metrics are what the solve computes anyway (condition
+estimate, pivots, Galerkin asymmetry) and, with truth_q.csv, the errors;
+the residual checks of the solve belong to ``verify``.
 
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import CsvWrite, read_csv, write_csv, write_json
+from .artifacts import read_csv, write_csv, write_json
 from .catalog import get_problem
 from .connecting import (
     connecting_form_from_interior,
@@ -80,7 +80,7 @@ __all__ = [
     "run_convergence",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 # what inconsistent data can raise in verify's assembly and solve
 _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
@@ -232,8 +232,7 @@ def _write_reports(outdir: str, report: dict, timer: _Timer, **host) -> None:
     """report.json, and timings.json with the laps and ``host`` facts.
 
     ``host`` holds what depends on the machine, not on the inputs (such as
-    the number of workers forked to format a table), so it stays out of
-    report.json.
+    the number of workers verify forked), so it stays out of report.json.
     """
     write_json(os.path.join(outdir, "report.json"), report)
     write_json(
@@ -362,51 +361,42 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
     timer.lap("connecting", t0)
 
     t0 = time.perf_counter()
+    gl = solve_gl(cT)
+    q_hat = recover_potential(gl)
+    timer.lap("gelfand_levitan", t0)
+
+    t0 = time.perf_counter()
+    metrics = {
+        "cT_max_abs": float(np.max(np.abs(cT.values))),
+        "cond_estimate": gl.cond_estimate,
+        "min_pivot": gl.min_pivot,
+        "min_pivot_depth": gl.min_pivot_depth,
+        "pivot_deciles": list(gl.pivot_deciles),
+        "galerkin_asymmetry": cT.asymmetry,
+        "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
+    }
+    if q_true is not None:
+        err = reconstruction_errors(q_true.values, q_hat.values, grid)
+        metrics["l2_rel_err"] = err["interior_rel"]
+        metrics["linf_err"] = err["interior_linf"]
+        metrics["max_abs_err"] = err["max_abs"]
+        metrics["window"] = [0.1, 0.9]
+    del gl  # free the (N+1)^2 solution before the tables are formatted
+    timer.lap("metrics", t0)
+
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
-    # the kernel matrix itself: row i is c(t_i, .), column j holds s_j; its
-    # worker formats it while this process solves and checks
-    with CsvWrite(os.path.join(outdir, "cT.csv"),
-                  [f"s{j}" for j in range(grid.N + 1)], cT.values) as cT_csv:
-        timer.lap("artifacts", t0)
-
-        t0 = time.perf_counter()
-        gl = solve_gl(cT)
-        q_hat = recover_potential(gl)
-        timer.lap("gelfand_levitan", t0)
-
-        t0 = time.perf_counter()
-        tt = grid.times_half()
-        truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
-        write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
-                  np.stack([tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)],
-                           axis=1))
-        timer.lap("artifacts", t0)
-
-        t0 = time.perf_counter()
-        metrics = {
-            "cT_max_abs": float(np.max(np.abs(cT.values))),
-            "gl_residual": gl_residual(cT, gl),
-            "operator_identity_residual": operator_identity_residual(cT, gl),
-            "cond_estimate": gl.cond_estimate,
-            "min_pivot": gl.min_pivot,
-            "min_pivot_depth": gl.min_pivot_depth,
-            "pivot_deciles": list(gl.pivot_deciles),
-            "galerkin_asymmetry": cT.asymmetry,
-            "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
-        }
-        if q_true is not None:
-            err = reconstruction_errors(q_true.values, q_hat.values, grid)
-            metrics["l2_rel_err"] = err["interior_rel"]
-            metrics["linf_err"] = err["interior_linf"]
-            metrics["max_abs_err"] = err["max_abs"]
-            metrics["window"] = [0.1, 0.9]
-        # free the (N+1)^2 arrays before the JSON encoder's reference cycles can
-        # pin the heap they sit in
-        del cT, gl, q_hat
-        timer.lap("metrics", t0)
-
-        t0 = time.perf_counter()
-        csv_workers = cT_csv.wait()
+    # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
+    write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
+              cT.values)
+    # free the (N+1)^2 kernel before the JSON encoder's reference cycles can
+    # pin the heap it sits in
+    del cT
+    tt = grid.times_half()
+    truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
+    write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
+              np.stack([tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)],
+                       axis=1))
     timer.lap("artifacts", t0)
 
     report = {
@@ -417,7 +407,7 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
         "metrics": metrics,
         "artifacts": ["cT.csv", "q_hat.csv"],
     }
-    _write_reports(outdir, report, timer, csv_workers=csv_workers)
+    _write_reports(outdir, report, timer)
     return report
 
 

@@ -7,6 +7,7 @@ asserted directly; one subprocess smoke test covers the installed script.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -55,7 +56,8 @@ def test_synth_then_reconstruct_then_verify(tmp_path, cfg_file, synth_dir, capsy
     rec = tmp_path / "rec"
     assert cli.main(["reconstruct", "--data", synth_dir, "--out", str(rec)]) == 0
     out = capsys.readouterr().out
-    assert "interior rel error" in out
+    assert re.fullmatch(r"reconstruct: cond_estimate=\S+e[+-]\d\d, min_pivot=\S+e[+-]\d\d, "
+                        r"interior rel error=\S+e[+-]\d\d\n", out)
     report = json.loads((rec / "report.json").read_text())
     assert report["command"] == "reconstruct"
     assert report["metrics"]["l2_rel_err"] < 5e-2
