@@ -4,10 +4,13 @@
 value over a full list of lines), kept as the byte-level oracle; the kernel
 tests hold ``artifacts._csv_text`` to the same text on hard value sets.
 The writer tests shrink the write blocks, so that small tables span many
-blocks, and inject faults into the formatting and the final rename.
+blocks, set the CPU count (the ``set_cpus`` fixture) to show that none of
+it forks, and inject faults into the formatting, the block writes and the
+final rename.
 """
 
 import decimal
+import errno
 import itertools
 import os
 import subprocess
@@ -238,23 +241,39 @@ def test_square_table_round_trips_row_major(tmp_path):
 SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("shape,cap", SPLITS)
-def test_block_split_matches_reference(tmp_path, monkeypatch, shape, cap):
+def test_block_split_matches_reference(tmp_path, monkeypatch, fork_pids, set_cpus, shape,
+                                       cap, cpus):
     rng = np.random.default_rng(11)
     table = rng.standard_normal(shape) * np.exp(30.0 * rng.standard_normal(shape))
     table[0, 0], table[-1, -1] = np.nan, -0.0
     header = [f"s{j}" for j in range(shape[1])]
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
+    set_cpus(cpus)
     path = tmp_path / "t.csv"
-    write_csv(str(path), header, table)
+    assert write_csv(str(path), header, table) is None
+    assert fork_pids == []  # every block is formatted here, on any CPU count
     assert path.read_bytes() == _reference_csv(header, table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
+def test_write_never_asks_the_cpu_count(tmp_path, monkeypatch, fork_pids):
+    def sched_getaffinity(pid):
+        raise AssertionError("write_csv asked for the CPU count")
+
+    monkeypatch.setattr(os, "sched_getaffinity", sched_getaffinity)
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 3)  # 10 blocks
+    table = np.arange(30.0).reshape(10, 3)
+    assert _written(tmp_path, ["a", "b", "c"], table) == _reference_csv(["a", "b", "c"], table)
+    assert fork_pids == []
+
+
 def _failing_write(monkeypatch, failing):
-    """A 10-block write that raises while formatting its second block, or at
-    the rename once the table is whole."""
-    real_text, real_replace = artifacts._csv_text, os.replace
+    """A 10-block write that raises while formatting its second block, while
+    writing its second block out (a full disk), or at the rename once the
+    table is whole."""
+    real_text, real_open, real_replace = artifacts._csv_text, open, os.replace
     calls = itertools.count(1)
 
     def csv_text(block):
@@ -262,34 +281,64 @@ def _failing_write(monkeypatch, failing):
             raise RuntimeError("injected formatting fault")
         return real_text(block)
 
+    def open_full(path, mode):
+        fh = real_open(path, mode)
+        real_write, writes = fh.write, itertools.count(1)
+
+        def write(data):  # the header, then one write a block
+            if next(writes) == 3 and failing == "write":
+                raise OSError(errno.ENOSPC, "injected full disk")
+            return real_write(data)
+
+        fh.write = write
+        return fh
+
     def replace(*args):
         if failing == "rename":
             raise RuntimeError("injected rename fault")
         return real_replace(*args)
 
     monkeypatch.setattr(artifacts, "_csv_text", csv_text)
+    monkeypatch.setattr(artifacts, "open", open_full, raising=False)
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 6)
     return lambda path: write_csv(str(path), ["a", "b", "c"], np.arange(60.0).reshape(20, 3))
 
 
-FAULTS = ["format", "rename"]
+FAULTS = {"format": RuntimeError, "write": OSError, "rename": RuntimeError}
 
 
-@pytest.mark.parametrize("failing", FAULTS)
+@pytest.mark.parametrize("failing", list(FAULTS))
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, failing):
     write = _failing_write(monkeypatch, failing)
-    with pytest.raises(RuntimeError, match="injected"):
+    with pytest.raises(FAULTS[failing], match="injected"):
         write(tmp_path / "t.csv")
     assert os.listdir(tmp_path) == []  # neither a partial table nor a temporary
 
 
-@pytest.mark.parametrize("failing", FAULTS)
+@pytest.mark.parametrize("failing", list(FAULTS))
 def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, failing):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old\n1\n")
     write = _failing_write(monkeypatch, failing)
-    with pytest.raises(RuntimeError, match="injected"):
+    with pytest.raises(FAULTS[failing], match="injected"):
         write(path)
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert path.read_bytes() == b"old\n1\n"
+
+
+def test_one_block_write_replaces_the_table_whole(tmp_path, monkeypatch):
+    # the default block cap: the table is one block, and it fails once formatted
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n1\n")
+    real_text = artifacts._csv_text
+
+    def csv_text(block):
+        real_text(block)
+        raise RuntimeError("injected formatting fault")
+
+    monkeypatch.setattr(artifacts, "_csv_text", csv_text)
+    with pytest.raises(RuntimeError, match="injected"):
+        write_csv(str(path), ["a"], np.arange(4.0).reshape(4, 1))
     assert os.listdir(tmp_path) == ["t.csv"]
     assert path.read_bytes() == b"old\n1\n"

@@ -243,6 +243,18 @@ def test_reconstruct_and_its_tables_never_fork(data_dir, tmp_path, monkeypatch, 
     assert set(timings) == {"schema_version", "command", "wall_times_s"}
 
 
+def test_reconstruct_bytes_do_not_depend_on_blocks_or_cpus(tmp_path, monkeypatch, set_cpus):
+    run_synth(config_from_dict({"problem": "full", "N": 32}), str(tmp_path / "d"))
+    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "one"))
+    # 99 cells a block: cT.csv is 11 blocks of 3 rows, written on 3 CPUs
+    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 99)
+    set_cpus(3)
+    run_reconstruct(str(tmp_path / "d"), str(tmp_path / "many"))
+    for name in ("cT.csv", "q_hat.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "many" / name).read_bytes()
+
+
 def test_reconstruct_reports_min_pivot(tmp_path):
     run_synth(config_from_dict({"problem": "free", "N": 32}), str(tmp_path / "free"))
     m = run_reconstruct(str(tmp_path / "free"), str(tmp_path / "rec"))["metrics"]
@@ -285,6 +297,21 @@ def test_reconstruct_gl_failure_leaves_no_output_dir(data_dir, tmp_path):
     with pytest.raises(mw.IllConditionedError, match="not positive.* s = "):
         run_reconstruct(d, str(out))
     assert not out.exists()  # the directory is created after the solve
+
+
+def test_reconstruct_creates_its_directory_after_the_solve(data_dir, tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    out_at_solve = []
+    real_solve = pipeline.solve_gl
+
+    def solve_gl(cT):
+        out_at_solve.append(out.exists())
+        return real_solve(cT)
+
+    monkeypatch.setattr(pipeline, "solve_gl", solve_gl)
+    run_reconstruct(data_dir, str(out))
+    assert out_at_solve == [False]
+    assert sorted(os.listdir(out)) == ["cT.csv", "q_hat.csv", "report.json", "timings.json"]
 
 
 def test_reconstruct_w_oracle_path(data_dir):
