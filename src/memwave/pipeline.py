@@ -2,9 +2,8 @@
 
 Every stage reads/writes a plain directory of CSV/JSON artifacts, so runs
 can be chained, diffed and replayed.  report.json is deterministic (same
-inputs, same bytes); wall-clock numbers and facts of the host, such as
-whether a forked worker ran verify's native Goursat march, go to
-timings.json instead.
+inputs, same bytes); wall-clock numbers go to timings.json instead.  Every
+stage runs in this one process.
 
 ``reconstruct`` runs in one process and in one order: load the data,
 assemble c_T, solve the Gelfand-Levitan equations and recover q_hat,
@@ -18,20 +17,15 @@ the residual checks of the solve belong to ``verify``.
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
 assembly vs. factorization identity) and fails loudly when the artifacts in
-a directory are not mutually consistent.  Its diagonal law marches the
-Goursat kernel at N/2 and N.  When both levels run, the march at the native
-N and its diagonal residual start before every other check: from N = 512 on,
-on more than one CPU, a forked worker runs them while this process runs the
-assembly ladder, the GL solve, the two-path and three-way checks and the
-N/2 march; otherwise this process runs them where the law reads the
-residual, so a failure surfaces at the same point either way.  The fork and
-the wait are charged to the ``diagonal_law`` lap, and timings.json records
-the number of forked workers (0 or 1) as ``diagonal_workers``.
+a directory are not mutually consistent.  Its diagonal law compares the
+diagonal residual of the Goursat kernel at N/2 and N; that residual is a
+closed form in q (the march imposes the diagonal as data), so the law reads
+truth_q.csv and the grid alone and marches nothing.  The only Goursat
+marches of ``verify`` are the factor route of its assembly ladder.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass, replace
@@ -69,7 +63,6 @@ from .model import (
     control_from_family,
     kernel_from_family,
 )
-from .worker import Worker
 
 __all__ = [
     "PipelineConfig",
@@ -92,11 +85,6 @@ _THREE_WAY_ORDER_BAND = (1.2, 3.4)
 _DIAGONAL_RATIO_BAND = (2.5, 6.5)
 _OPERATOR_IDENTITY_FACTOR = 1.0
 _GL_RESIDUAL_FACTOR = 1e-8
-# verify runs the diagonal law's native Goursat march in a forked worker from
-# this N on: on two CPUs the overlap gained 20-41 ms at 512, while below 448
-# the gain stayed within run-to-run noise and changed sign between sets of
-# runs (the crossover table is in CHANGES.md)
-_NATIVE_FORK_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -228,12 +216,8 @@ def _grid_block(grid: GridSpec) -> dict:
     return {"T": grid.T, "N": grid.N, "h": grid.h}
 
 
-def _write_reports(outdir: str, report: dict, timer: _Timer, **host) -> None:
-    """report.json, and timings.json with the laps and ``host`` facts.
-
-    ``host`` holds what depends on the machine, not on the inputs (such as
-    the number of workers verify forked), so it stays out of report.json.
-    """
+def _write_reports(outdir: str, report: dict, timer: _Timer) -> None:
+    """report.json, and timings.json with the laps."""
     write_json(os.path.join(outdir, "report.json"), report)
     write_json(
         os.path.join(outdir, "timings.json"),
@@ -241,7 +225,6 @@ def _write_reports(outdir: str, report: dict, timer: _Timer, **host) -> None:
             "schema_version": SCHEMA_VERSION,
             "command": report["command"],
             "wall_times_s": timer.finish(),
-            **host,
         },
     )
 
@@ -261,7 +244,7 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
     t0 = time.perf_counter()
     sol = solve_goursat(q, K, grid)
     r = response_kernel(sol)
-    diag_res = diagonal_residual(sol)
+    diag_res = diagonal_residual(q)
     del sol  # the march arrays are the largest; nothing below needs them
     timer.lap("goursat", t0)
 
@@ -299,31 +282,42 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
 # loading a data directory
 # --------------------------------------------------------------------------
 
+def _read_table(datadir: str, name: str) -> np.ndarray:
+    """The two columns (grid, value) of the data table ``name``."""
+    _, data = read_csv(os.path.join(datadir, name))
+    if data.shape[1] != 2:
+        raise UsageError(f"{name} must hold two columns (grid, value), "
+                         f"got {data.shape[1]}")
+    return data
+
+
 def _load_data(datadir: str):
     """Read (grid, response, kernel, truth-or-None) from a data directory."""
-    _, resp = read_csv(os.path.join(datadir, "response.csv"))
+    resp = _read_table(datadir, "response.csv")
     t = resp[:, 0]
     n_rows = t.size
     if n_rows < 3 or n_rows % 2 == 0:
         raise UsageError("response.csv must hold 2N+1 samples of [0, 2T]")
     h = t[1] - t[0]
-    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-9 * max(h, 1.0) or abs(t[0]) > 1e-12:
+    tol = 1e-9 * max(h, 1.0)
+    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > tol or abs(t[0]) > 1e-12:
         raise UsageError("response.csv time column is not a uniform grid from 0")
     N = (n_rows - 1) // 2
     grid = GridSpec(T=t[N], N=N)
     r = ResponseData(grid, resp[:, 1])
 
-    _, kern = read_csv(os.path.join(datadir, "kernel_K.csv"))
-    if kern.shape[0] != n_rows or np.max(np.abs(kern[:, 0] - t)) > 1e-9 * max(h, 1.0):
+    kern = _read_table(datadir, "kernel_K.csv")
+    if kern.shape[0] != n_rows or np.max(np.abs(kern[:, 0] - t)) > tol:
         raise UsageError("kernel_K.csv does not match the response time grid")
     K = MemoryKernel(grid, kern[:, 1])
 
     q = None
-    truth_path = os.path.join(datadir, "truth_q.csv")
-    if os.path.exists(truth_path):
-        _, tq = read_csv(truth_path)
+    if os.path.exists(os.path.join(datadir, "truth_q.csv")):
+        tq = _read_table(datadir, "truth_q.csv")
         if tq.shape[0] != N + 1:
             raise UsageError("truth_q.csv must hold N+1 samples of [0, T]")
+        if np.max(np.abs(tq[:, 0] - grid.times_half())) > tol:
+            raise UsageError("truth_q.csv x column does not match the grid of [0, T]")
         q = CoefficientField(grid, tq[:, 1])
     return grid, r, K, q
 
@@ -480,23 +474,12 @@ def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
     return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL, detail)
 
 
-def _native_diagonal(grid, K, q):
-    """The diagonal residual of the Goursat march at the native N, as a
-    ``Worker`` started now, when the diagonal law runs at both N/2 and N;
-    otherwise a context that gives None."""
-    if q is None or grid.N % 2 or grid.N < 16:
-        return contextlib.nullcontext()
-    return Worker(lambda: diagonal_residual(solve_goursat(q, K, grid)),
-                  fork=grid.N >= _NATIVE_FORK_MIN_N)
-
-
-def _verify_diagonal(grid, r, K, q, native: Worker | None) -> dict:
-    """Grid-halving ratio of the diagonal slope law of the factor kernel;
-    ``native`` gives the residual at N (None: the grid is too coarse)."""
-    if native is None:
+def _verify_diagonal(grid, q) -> dict:
+    """Grid-halving ratio of the diagonal slope law, from q at N/2 and N."""
+    if grid.N % 2 or grid.N < 16:
         return _check("diagonal_law", True, 0.0, None, "grid too coarse, skipped")
-    cg, _, Kc, qc = _subsample(grid, r, K, q, 2)
-    res = [diagonal_residual(solve_goursat(qc, Kc, cg)), native.result()]
+    qc = CoefficientField(GridSpec(grid.T, grid.N // 2), q.values[::2])
+    res = [diagonal_residual(qc), diagonal_residual(q)]
     if res[1] < 1e-12:
         return _check("diagonal_law", True, 4.0, list(_DIAGONAL_RATIO_BAND),
                       "residual at machine level on both grids")
@@ -512,13 +495,7 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
     t0 = time.perf_counter()
     grid, r, K, q = _load_data(datadir)
     timer.lap("load", t0)
-    # the native march of the diagonal law starts first, so that on large
-    # grids a worker runs it while this process runs the other checks
-    t0 = time.perf_counter()
-    with _native_diagonal(grid, K, q) as native:
-        if native is not None:
-            timer.lap("diagonal_law", t0)
-        checks, asymmetry = _verify_checks(grid, r, K, q, native, timer)
+    checks, asymmetry = _verify_checks(grid, r, K, q, timer)
 
     failed = [c["name"] for c in checks if not c["passed"]]
     report = {
@@ -532,12 +509,11 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
     }
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        _write_reports(outdir, report, timer,
-                       diagonal_workers=int(native is not None and native.pid is not None))
+        _write_reports(outdir, report, timer)
     return report
 
 
-def _verify_checks(grid, r, K, q, native: Worker | None, timer: _Timer):
+def _verify_checks(grid, r, K, q, timer: _Timer):
     """Every check of ``run_verify`` in report order, and the Galerkin asymmetry."""
     checks = []
 
@@ -591,7 +567,7 @@ def _verify_checks(grid, r, K, q, native: Worker | None, timer: _Timer):
         timer.lap("three_way_connecting", t0)
 
         t0 = time.perf_counter()
-        checks.append(_verify_diagonal(grid, r, K, q, native))
+        checks.append(_verify_diagonal(grid, q))
         timer.lap("diagonal_law", t0)
 
     t0 = time.perf_counter()

@@ -9,10 +9,8 @@ not count as a caller.
 Every matrix the package inverts is triangular, so a general dense inverse
 runs only on the diagonal leaf blocks of the blocked triangular inverse.
 
-The package forks at one site, in ``worker.Worker``, which holds the fork
-policy for every caller, and one caller constructs a ``Worker``: verify's
-native Goursat march.  A second fork user comes back only with a
-measurement that it pays.
+Every stage runs in one process: the package has no ``fork`` or
+``forkpty``.  A fork site comes back only with a measurement that it pays.
 
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
@@ -92,17 +90,13 @@ def _is_fork(node):
             or (isinstance(node, ast.alias) and node.name in ("fork", "forkpty")))
 
 
-def test_one_fork_site_inside_the_worker_helper():
-    found, workers = [], []
+def test_package_never_forks():
+    found = []
     for module, tree in _trees().items():
         owner = _owners(tree)
         found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
                   for node in ast.walk(tree) if _is_fork(node)]
-        workers += [f"{module}.{owner.get(node, '<module>')}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and ast.unparse(node.func).split(".")[-1] == "Worker"]
-    assert found == ["worker._start:os.fork"]
-    assert workers == ["pipeline._native_diagonal"]
+    assert found == []
 
 
 def _docstrings(tree):

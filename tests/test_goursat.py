@@ -166,13 +166,30 @@ def test_blocked_march_matches_direct_march(problem, n):
 # ------------------------------------------------------ consistency checks
 
 
+def _potential(name, n):
+    return mw.get_problem(name).fields(mw.GridSpec(1.0, n))[0]
+
+
 def test_diagonal_residual_exact_for_constant_potential():
-    assert mw.diagonal_residual(_solve("potential_only_small", 64)) < 1e-12
+    assert mw.diagonal_residual(_potential("potential_only_small", 64)) < 1e-12
 
 
 def test_diagonal_residual_second_order():
-    vals = [mw.diagonal_residual(_solve("classical", n)) for n in (64, 128)]
+    vals = [mw.diagonal_residual(_potential("classical", n)) for n in (64, 128)]
     assert vals[0] / vals[1] == pytest.approx(4.0, abs=1.0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 200])
+@pytest.mark.parametrize("problem", sorted(mw.PROBLEMS))
+def test_march_diagonal_is_the_characteristic_data(problem, n):
+    # the march imposes the diagonal law as data and never writes the
+    # diagonal again, so the residual of its diagonal is a closed form in q
+    sol = _solve(problem, n)
+    d = np.diagonal(sol.w)
+    assert np.array_equal(d, -0.5 * cumulative_trapezoid(sol.q.values, sol.grid.h))
+    slope = (d[2:] - d[:-2]) / (2.0 * sol.grid.h)
+    marched = float(np.max(np.abs(slope + 0.5 * sol.q.values[1:-1])))
+    assert marched == mw.diagonal_residual(sol.q)
 
 
 # ------------------------------------------------------------- error paths
