@@ -39,7 +39,6 @@ from .gelfand_levitan import (
 )
 from .goursat import (
     GoursatSolution,
-    ResponseData,
     diagonal_residual,
     response_kernel,
     solve_goursat,
@@ -49,6 +48,7 @@ from .model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
+    ResponseData,
     coefficient_from_family,
     control_from_family,
     kernel_from_family,

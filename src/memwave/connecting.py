@@ -41,12 +41,14 @@ import numpy as np
 
 from .errors import AssemblyError, UsageError
 from .forward import apply_response, fd_forward
-from .goursat import GoursatSolution, ResponseData
+from .goursat import GoursatSolution
 from .model import (
     CausalHistory,
     ControlSignal,
     GridSpec,
     MemoryKernel,
+    ResponseData,
+    sample_array,
     trapezoid,
     trapz_weights,
 )
@@ -77,15 +79,11 @@ class ConnectingKernel:
 
     def __post_init__(self):
         n = self.grid.N + 1
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.shape != (n, n):
-            raise UsageError(f"connecting kernel needs a {n}x{n} array, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise UsageError("connecting kernel has non-finite entries")
+        v = sample_array(self.values, [(n, n)], "connecting kernel",
+                         f"needs a {n}x{n} array", "entries")
         scale = 1.0 + float(np.max(np.abs(v)))
         if float(np.max(np.abs(v - v.T))) > 1e-10 * scale:
             raise AssemblyError("connecting kernel lost symmetry during assembly")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 

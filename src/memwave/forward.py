@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, UsageError
-from .goursat import ResponseData
+from .errors import UsageError
 from .model import (
     CausalHistory,
     ControlSignal,
     GridSpec,
+    ResponseData,
     causal_convolution,
+    check_march,
     sampled_derivative,
 )
 
@@ -103,15 +104,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None) -> SpaceTimeF
             - u[1:n, j - 1]
             - h * h * (qpad[1:n] * u[1:n, j] + hist[1:n])
         )
-    # level j writes column j + 1 alone, so the first non-finite column from
-    # 2 on is where the march blew up
-    finite = np.isfinite(u[:, 2:])
-    if not finite.all():
-        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
-        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
-        raise NumericalInstabilityError(
-            f"leapfrog march blew up at grid node (i={i_bad}, j={j_bad + 2})"
-        )
+    check_march(u, "leapfrog")
     return SpaceTimeField(grid=grid, values=u)
 
 

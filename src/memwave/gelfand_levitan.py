@@ -39,9 +39,12 @@ __all__ = [
     "operator_identity_residual",
     "recover_potential",
     "reconstruction_errors",
+    "ERROR_WINDOW",
 ]
 
 _COND_LIMIT = 1e12
+# the interior window of the reconstruction errors, in fractions of T
+ERROR_WINDOW = (0.1, 0.9)
 # diagonal blocks of at most this size are inverted and multiplied densely
 _LEAF = 128
 
@@ -186,7 +189,8 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     N, h = grid.N, grid.h
     C = c.values
     d = _node_weights(N, h)
-    S = C + np.diag(1.0 / d)
+    S = C.copy()
+    S[np.diag_indices(N + 1)] += 1.0 / d
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -320,19 +324,18 @@ def recover_potential(gl: GLSolution) -> CoefficientField:
     return CoefficientField(grid=gl.grid, values=values)
 
 
-def reconstruction_errors(q_true: np.ndarray, q_hat: np.ndarray, grid: GridSpec,
-                          window: tuple[float, float] = (0.1, 0.9)) -> dict:
+def reconstruction_errors(q_true: np.ndarray, q_hat: np.ndarray, grid: GridSpec) -> dict:
     """Error summary of a recovered potential against the truth.
 
-    ``interior_rel`` is the relative L2 error over the window (fractions of
-    T); near the fold point x = T the data constrain q only weakly, so the
-    headline metric excludes the edges.  Falls back to the absolute L2 when
-    the truth is (numerically) zero.
+    ``interior_rel`` is the relative L2 error over ``ERROR_WINDOW``; near
+    the fold point x = T the data constrain q only weakly, so the headline
+    metric excludes the edges.  Falls back to the absolute L2 when the truth
+    is (numerically) zero.
     """
     qt = np.asarray(q_true, dtype=float)
     qh = np.asarray(q_hat, dtype=float)
     x = grid.times_half()
-    lo, hi = window[0] * grid.T, window[1] * grid.T
+    lo, hi = ERROR_WINDOW[0] * grid.T, ERROR_WINDOW[1] * grid.T
     m = (x >= lo - 1e-12) & (x <= hi + 1e-12)
     diff = np.sqrt(np.mean((qh[m] - qt[m]) ** 2))
     base = np.sqrt(np.mean(qt[m] ** 2))

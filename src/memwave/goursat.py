@@ -37,6 +37,11 @@ The diagonal condition is data the march imposes, not a value it computes:
 trapezoid sum) onto the characteristic, and no stencil writes there again.
 ``diagonal_residual`` therefore measures the discrete diagonal law from q
 alone, with no march; the march's own diagonal stays a test oracle for it.
+
+The march runs on N + 2 rows, past the triangle by the strip
+2N < i + j <= 2N + 2 that the response stencil needs at t = 2T, and the
+solution holds it once: ``GoursatSolution.w`` is a read-only view of its
+first N + 1 rows, not a masked copy.
 """
 
 from __future__ import annotations
@@ -45,18 +50,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, UsageError
+from .errors import UsageError
 from .model import (
     CausalHistory,
     CoefficientField,
     GridSpec,
     MemoryKernel,
+    ResponseData,
+    check_march,
     cumulative_trapezoid,
 )
 
 __all__ = [
     "GoursatSolution",
-    "ResponseData",
     "solve_goursat",
     "response_kernel",
     "diagonal_residual",
@@ -67,42 +73,19 @@ __all__ = [
 class GoursatSolution:
     """Kernel w on the triangle plus the data that produced it.
 
-    ``w`` is a read-only (N + 1) x (2N + 1) array, w[i, j] = w(x_i, t_j): the
-    triangle has only the N + 1 rows x in [0, T].  It is zero below the
-    characteristic (j < i) and past the data window (i + j > 2N).
-
-    ``extended`` holds the N + 2 march rows, one extra diagonal strip
-    (i + j <= 2N + 2, with the potential continued by its last sample) so
-    that the boundary-derivative stencil stays second order up to t = 2T;
-    only the response extraction reads it.
+    ``w`` is a read-only (N + 1) x (2N + 1) view of the march, w[i, j] =
+    w(x_i, t_j) for i <= j, i + j <= 2N: the triangle has only the N + 1
+    rows x in [0, T].  It is zero below the characteristic (j < i).  The
+    strip 2N < i + j <= 2N + 2 holds the march's extension (the potential
+    continued by its last sample), which keeps the boundary-derivative
+    stencil of ``response_kernel`` second order up to t = 2T; only that
+    stencil reads it, and everything past the strip is zero.
     """
 
     grid: GridSpec
     q: CoefficientField
     K: MemoryKernel
     w: np.ndarray = field(repr=False)
-    extended: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ResponseData:
-    """Boundary response kernel samples r(t_j) on [0, 2T], r(0) = 0."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.shape != (self.grid.N2 + 1,):
-            raise UsageError(
-                f"response data needs {self.grid.N2 + 1} samples on [0, 2T], got {v.shape}"
-            )
-        if v[0] != 0.0:
-            raise UsageError("response data must start at r(0) = 0")
-        if not np.all(np.isfinite(v)):
-            raise UsageError("response data has non-finite samples")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def _characteristic_data(q_values: np.ndarray, h: float) -> np.ndarray:
@@ -133,24 +116,7 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
             F = q_ext[inner] * w[inner, j] + mem + kshift
             w[inner, j + 1] = (w[:i_max, j] + w[2 : i_max + 2, j] - w[inner, j - 1]
                                - h * h * F)
-    # level j writes column j + 1 alone, so the first non-finite column from
-    # 2 on is where the march blew up
-    finite = np.isfinite(w[:, 2:])
-    if not finite.all():
-        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
-        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
-        raise NumericalInstabilityError(
-            f"kernel march blew up at grid node (i={i_bad}, j={j_bad + 2})"
-        )
-    return w
-
-
-def _triangle(w_ext: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Rows 0..N of the march, zeroed outside {j >= i, i + j <= 2N}, read-only."""
-    i = np.arange(grid.N + 1)[:, None]
-    j = np.arange(grid.N2 + 1)
-    w = np.where((j < i) | (j > grid.N2 - i), 0.0, w_ext[: grid.N + 1])
-    w.flags.writeable = False
+    check_march(w, "kernel")
     return w
 
 
@@ -162,8 +128,9 @@ def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> Gours
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])
     diag = _characteristic_data(q_ext, grid.h)
-    w_ext = _march(q_ext, K.values, diag, grid)
-    return GoursatSolution(grid=grid, q=q, K=K, w=_triangle(w_ext, grid), extended=w_ext)
+    w = _march(q_ext, K.values, diag, grid)[: grid.N + 1]
+    w.flags.writeable = False
+    return GoursatSolution(grid=grid, q=q, K=K, w=w)
 
 
 def response_kernel(sol: GoursatSolution) -> ResponseData:
@@ -178,7 +145,7 @@ def response_kernel(sol: GoursatSolution) -> ResponseData:
     """
     grid = sol.grid
     h, N2 = grid.h, grid.N2
-    w = sol.extended
+    w = sol.w
     r = np.zeros(N2 + 1)
     j = np.arange(2, N2 + 1)
     r[2:] = (4.0 * w[1, j] - w[2, j]) / (2.0 * h)

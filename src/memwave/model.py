@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import UsageError
+from .errors import NumericalInstabilityError, UsageError
 
 __all__ = [
     "GridSpec",
     "CoefficientField",
     "MemoryKernel",
     "ControlSignal",
+    "ResponseData",
+    "sample_array",
+    "check_march",
     "trapezoid",
     "trapz_weights",
     "cumulative_trapezoid",
@@ -71,12 +74,6 @@ class GridSpec:
     def times_full(self) -> np.ndarray:
         """Grid points of [0, 2T] (2N + 1 values)."""
         return np.linspace(0.0, 2.0 * self.T, self.N2 + 1)
-
-
-def _frozen(values) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +159,22 @@ class CausalHistory:
             # level 0 is a near level here; the trapezoid halves its weight
             out -= 0.5 * self._kh[j] * self._H[0, :n]
         return out
+
+
+def check_march(a: np.ndarray, name: str) -> None:
+    """Raise NumericalInstabilityError at the first non-finite node of a march.
+
+    ``a[i, j]`` is the march's value at grid node (i, j); level j writes
+    column j + 1 alone, so the first non-finite column from 2 on is where
+    the march blew up.
+    """
+    finite = np.isfinite(a[:, 2:])
+    if not finite.all():
+        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
+        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
+        raise NumericalInstabilityError(
+            f"{name} march blew up at grid node (i={i_bad}, j={j_bad + 2})"
+        )
 
 
 def sampled_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -273,6 +286,22 @@ def sample_family(name: str, params, points: np.ndarray) -> np.ndarray:
 # sampled field types
 # --------------------------------------------------------------------------
 
+def sample_array(values, shapes, name: str, need: str,
+                 items: str = "samples") -> np.ndarray:
+    """``values`` as a contiguous, finite, read-only float array of one of ``shapes``.
+
+    The UsageError reads "<name> <need>, got <shape>" for a wrong shape and
+    "<name> has non-finite <items>" for a NaN or an infinity.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
+    if v.shape not in shapes:
+        raise UsageError(f"{name} {need}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise UsageError(f"{name} has non-finite {items}")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Potential samples q(x_i) on [0, T] (N + 1 values)."""
@@ -281,14 +310,9 @@ class CoefficientField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
-        if v.shape != (self.grid.N + 1,):
-            raise UsageError(
-                f"coefficient field needs {self.grid.N + 1} samples on [0, T], got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise UsageError("coefficient field has non-finite samples")
-        object.__setattr__(self, "values", v)
+        n = self.grid.N + 1
+        object.__setattr__(self, "values", sample_array(
+            self.values, [(n,)], "coefficient field", f"needs {n} samples on [0, T]"))
 
 
 @dataclass(frozen=True)
@@ -299,13 +323,24 @@ class MemoryKernel:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
-        if v.shape != (self.grid.N2 + 1,):
-            raise UsageError(
-                f"memory kernel needs {self.grid.N2 + 1} samples on [0, 2T], got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise UsageError("memory kernel has non-finite samples")
+        n = self.grid.N2 + 1
+        object.__setattr__(self, "values", sample_array(
+            self.values, [(n,)], "memory kernel", f"needs {n} samples on [0, 2T]"))
+
+
+@dataclass(frozen=True)
+class ResponseData:
+    """Boundary response kernel samples r(t_j) on [0, 2T], r(0) = 0."""
+
+    grid: GridSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.N2 + 1
+        v = sample_array(self.values, [(n,)], "response data",
+                         f"needs {n} samples on [0, 2T]")
+        if v[0] != 0.0:
+            raise UsageError("response data must start at r(0) = 0")
         object.__setattr__(self, "values", v)
 
 
@@ -323,15 +358,10 @@ class ControlSignal:
     admissible: bool = False
 
     def __post_init__(self):
-        v = _frozen(self.values)
-        if v.shape not in ((self.grid.N + 1,), (self.grid.N2 + 1,)):
-            raise UsageError(
-                "control signal must be sampled on [0, T] or [0, 2T] "
-                f"({self.grid.N + 1} or {self.grid.N2 + 1} values), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise UsageError("control signal has non-finite samples")
-        object.__setattr__(self, "values", v)
+        n, n2 = self.grid.N + 1, self.grid.N2 + 1
+        object.__setattr__(self, "values", sample_array(
+            self.values, [(n,), (n2,)], "control signal",
+            f"must be sampled on [0, T] or [0, 2T] ({n} or {n2} values)"))
 
     def padded_full(self) -> np.ndarray:
         """Samples on [0, 2T], zero-extended beyond the original window."""

@@ -25,11 +25,12 @@ import numpy as np
 from memwave.errors import IllConditionedError, NumericalInstabilityError, UsageError
 from memwave.forward import apply_response
 from memwave.gelfand_levitan import GLSolution
-from memwave.goursat import GoursatSolution, ResponseData, _triangle
+from memwave.goursat import GoursatSolution
 from memwave.model import (
     ControlSignal,
     GridSpec,
     MemoryKernel,
+    ResponseData,
     causal_convolution,
     trapz_weights,
 )
@@ -228,8 +229,10 @@ def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
     """First-order-in-K kernel: the march driven by K(t - x) alone.
 
     This is the derivative of the full scheme with respect to the kernel
-    amplitude at q = 0, K = 0; useful as a linearization reference.  Same
-    shape, mask and read-only flag as ``GoursatSolution.w``.
+    amplitude at q = 0, K = 0; useful as a linearization reference.  The
+    march's first N + 1 rows, read-only, as ``GoursatSolution.w`` holds them.
     """
     zeros = np.zeros(grid.N + 2)
-    return _triangle(direct_march(zeros, K.values, zeros, grid, False), grid)
+    w = direct_march(zeros, K.values, zeros, grid, False)[: grid.N + 1]
+    w.flags.writeable = False
+    return w

@@ -68,7 +68,7 @@ def test_psi_zero_control_vanishes():
     assert np.abs(solve_blagoveshchenskii(r, K, f, z).values).max() == 0.0
 
 
-def test_psi_masked_outside_triangle():
+def test_psi_masked_outside_its_domain():
     grid, K, r = _free_setup(32)
     f = _bump(grid, 0.4, 0.2)
     psi = solve_blagoveshchenskii(r, K, f, f)

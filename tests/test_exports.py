@@ -12,6 +12,9 @@ runs only on the diagonal leaf blocks of the blocked triangular inverse.
 Every stage runs in one process: the package has no ``fork`` or
 ``forkpty``.  A fork site comes back only with a measurement that it pays.
 
+The second routes in ``tests/oracles.py`` share no private code with the
+routes they check: they import no underscore-prefixed name from ``memwave``.
+
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
 the kernel leaves to it.
@@ -23,6 +26,7 @@ from pathlib import Path
 import memwave
 
 PACKAGE = Path(memwave.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def _trees():
@@ -131,3 +135,13 @@ def test_csv_cells_have_one_formatting_route():
                   and ".17g" in node.value and node not in docs):
                 found.append(f"{module}.{owner.get(node, '<module>')}:{node.value!r}")
     assert found == ["artifacts._slice_text:'.17g'"]
+
+
+def test_oracles_import_no_private_name():
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(ORACLES.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("memwave")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []

@@ -345,7 +345,7 @@ def test_blocked_solve_matches_column_solves_beyond_the_leaf():
 _SIZES = [1, 2, 127, 128, 129, 300, 1025]
 
 
-def _triangles(n, seed):
+def _full_and_lower(n, seed):
     """A full matrix and a well-conditioned lower-triangular one of size n."""
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((n, n))
@@ -356,7 +356,7 @@ def _triangles(n, seed):
 
 @pytest.mark.parametrize("n", _SIZES)
 def test_tril_inverse_matches_dense_inverse(n):
-    _, Lo = _triangles(n, n)
+    _, Lo = _full_and_lower(n, n)
     got = _tril_inverse(Lo)
     want = np.linalg.inv(Lo)
     assert not np.any(np.triu(got, 1))
@@ -370,7 +370,7 @@ def test_tril_inverse_matches_dense_inverse(n):
     ("U", "L", True), ("L", "U", False),
 ])
 def test_block_product_matches_dense_product(n, sa, sb, upper):
-    F, Lo = _triangles(n, n + 1)
+    F, Lo = _full_and_lower(n, n + 1)
     pick = {"L": Lo, "U": Lo.T, None: F}
     a, b = pick[sa], pick[sb]
     want = a @ b

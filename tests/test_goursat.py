@@ -20,7 +20,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.goursat import _triangle
 from memwave.model import cumulative_trapezoid
 from oracles import direct_march, linearized_memory_field
 
@@ -31,13 +30,18 @@ def _solve(name, n):
     return mw.solve_goursat(q, K, grid)
 
 
+def _direct(q, K, grid):
+    q_ext = np.append(q.values, q.values[-1])
+    diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
+    return direct_march(q_ext, K.values, diag, grid, True)
+
+
 # ------------------------------------------------------------- exact cases
 
 
 def test_free_problem_kernel_vanishes():
     sol = _solve("free", 32)
     assert np.abs(sol.w).max() == 0.0
-    assert np.abs(sol.extended).max() == 0.0
 
 
 def test_free_problem_response_vanishes():
@@ -52,27 +56,51 @@ def test_diagonal_carries_half_potential_integral():
 
 
 def test_triangular_masking():
+    # w is zero below the characteristic and past the march's extension
+    # strip 2N < i + j <= 2N + 2, which holds the march's own rows
     sol = _solve("full", 32)
     n, n2 = sol.grid.N, sol.grid.N2
     assert sol.w.shape == (n + 1, n2 + 1)
     assert not sol.w.flags.writeable
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
     assert np.abs(sol.w[i > j]).max() == 0.0
-    assert np.abs(sol.w[i + j > n2]).max() == 0.0
+    assert np.abs(sol.w[i + j > n2 + 2]).max() == 0.0
+    strip = (i + j > n2) & (i + j <= n2 + 2)
+    assert np.abs(sol.w[strip]).max() > 0.0
+    ext = _direct(sol.q, sol.K, sol.grid)
+    tol = 1e-12 * (1.0 + np.abs(ext).max())
+    assert np.abs(sol.w[strip] - ext[: n + 1][strip]).max() <= tol
+
+
+def _march_bytes(grid):
+    return (grid.N + 2) * (grid.N2 + 1) * 8
 
 
 def test_kernel_memory_is_a_small_multiple_of_the_march():
     # w keeps rows x in [0, T] only; no (2N+1)^2 copy of the march output
     grid = mw.GridSpec(1.0, 256)
     q, K = mw.get_problem("full").fields(grid)
-    march_bytes = (grid.N + 2) * (grid.N2 + 1) * 8
     tracemalloc.start()
     try:
         mw.solve_goursat(q, K, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * march_bytes
+    assert peak <= 5 * _march_bytes(grid)
+
+
+def test_solution_holds_the_march_once():
+    # w is a view of the march's rows, not a second, masked copy of them
+    grid = mw.GridSpec(1.0, 256)
+    q, K = mw.get_problem("full").fields(grid)
+    tracemalloc.start()
+    try:
+        sol = mw.solve_goursat(q, K, grid)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.w.shape == (grid.N + 1, grid.N2 + 1)
+    assert held <= 1.1 * _march_bytes(grid)
 
 
 # ------------------------------------------- small-amplitude closed forms
@@ -155,12 +183,9 @@ def test_blocked_march_matches_direct_march(problem, n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
     sol = mw.solve_goursat(q, K, grid)
-    q_ext = np.append(q.values, q.values[-1])
-    diag = -0.5 * cumulative_trapezoid(q_ext, grid.h)
-    ext = direct_march(q_ext, K.values, diag, grid, True)
+    ext = _direct(q, K, grid)
     tol = 1e-12 * (1.0 + np.abs(ext).max())
-    assert np.abs(sol.extended - ext).max() <= tol
-    assert np.abs(sol.w - _triangle(ext, grid)).max() <= tol
+    assert np.abs(sol.w - ext[: n + 1]).max() <= tol
 
 
 # ------------------------------------------------------ consistency checks

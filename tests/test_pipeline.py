@@ -467,6 +467,25 @@ def test_verify_without_truth_runs_data_only_checks(data_dir, tmp_path):
     assert np.isfinite(asym["value"]) and 0.0 <= asym["value"] < gate
 
 
+def test_verify_without_truth_assembles_only_the_top_level(data_dir, tmp_path,
+                                                           monkeypatch):
+    # the coarser levels only give the three-way check its order, and that
+    # check needs truth_q.csv
+    d = tmp_path / "nt"
+    shutil.copytree(data_dir, d)
+    os.remove(d / "truth_q.csv")
+    calls = []
+    real = pipeline.connecting_kernel_from_response
+
+    def assemble(r, K):
+        calls.append(r.grid.N)
+        return real(r, K)
+
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", assemble)
+    assert run_verify(str(d))["status"] == "ok"
+    assert calls == [64]
+
+
 def test_verify_reports_no_asymmetry_when_the_assembly_breaks(data_dir, monkeypatch):
     def broken(r, K):
         raise mw.AssemblyError("probe Galerkin matrix asymmetry exceeds the tolerance")
