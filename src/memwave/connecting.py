@@ -27,10 +27,14 @@ only in the tests, as an oracle.
 The response of every impulse is a shift of one stencil, so the assembly
 makes one response call.  One adjoint march of the transposed scheme gives
 the weights of psi(T, T) for any right-hand side, and two matrix products
-read all probe pairs off them.  The march forms its transposed history
-convolution as one FFT correlation per level, O(N log N) each, and its
-level memory as the blocked causal history of ``model.CausalHistory``,
-which the Goursat and leapfrog marches share.
+read all probe pairs off them.  The products are streamed by column blocks
+of the probe matrix, each a strided window over the one stencil, so that
+matrix is never formed whole; the rows a block's probes have not reached
+yet are zero by causality and are skipped.  The passes over the full-size
+block (asymmetry, symmetrization) run by row blocks, in place.  The march
+forms its transposed history convolution as one FFT correlation per level,
+O(N log N) each, and its level memory as the blocked causal history of
+``model.CausalHistory``, which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AssemblyError, UsageError
 from .forward import apply_response, fd_forward
@@ -63,6 +68,9 @@ __all__ = [
 
 # scheme constant for the asymmetry guard of the data-driven assembly
 _SYM_TOL_FACTOR = 50.0
+# probe columns per block of the Galerkin products, and rows per block of
+# the full-size passes over the kernel
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,33 @@ class ConnectingKernel:
         n = self.grid.N + 1
         v = sample_array(self.values, [(n, n)], "connecting kernel",
                          f"needs a {n}x{n} array", "entries")
-        scale = 1.0 + float(np.max(np.abs(v)))
-        if float(np.max(np.abs(v - v.T))) > 1e-10 * scale:
+        if _asymmetry(v) > 1e-10 * (1.0 + _max_abs(v)):
             raise AssemblyError("connecting kernel lost symmetry during assembly")
         object.__setattr__(self, "values", v)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max|a|, without an |a| temporary."""
+    return float(max(a.max(), -a.min()))
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max|a - a^T| of a square array, by row blocks: no full-size temporary."""
+    n = a.shape[0]
+    return float(np.max([np.abs(a[i : i + _BLOCK] - a[:, i : i + _BLOCK].T).max()
+                         for i in range(0, n, _BLOCK)]))
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square array onto its lower one,
+    in place, by row blocks."""
+    n = a.shape[0]
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        a[i:j, :i] = a[:i, i:j].T
+        diag = a[i:j, i:j]
+        lower = np.tril_indices(j - i, -1)
+        diag[lower] = diag.T[lower]
 
 
 # --------------------------------------------------------------------------
@@ -123,27 +154,20 @@ def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
 # probe assembly of the reduced kernel
 # --------------------------------------------------------------------------
 
-def _impulse_responses(r: ResponseData, grid: GridSpec) -> np.ndarray:
-    """Responses on [0, 2T] of the grid impulses at t_p, p = 2..N-1 (column p - 2).
+def _impulse_response(r: ResponseData, grid: GridSpec) -> np.ndarray:
+    """Response on [0, 2T] of the grid impulse at t_2: the stencil of every probe.
 
     Probes start at p = 2 because the march pins its first two levels to
     zero, which is exact only for controls vanishing at t = 0 and t = h; an
     impulse at t = h would be seen with half its dipole missing.  The
-    response map is shift-invariant away from t = 0, so one call gives every
-    column: the one for p >= 3 is the t_2 response from row 1 on, moved to
-    start at row p - 1 (row 0 of the t_2 response is the one-sided
-    derivative stencil at t = 0, which the later impulses never reach).
+    response map is shift-invariant away from t = 0, so the response of the
+    impulse at t_p, p >= 3, is this one from row 1 on, moved to start at row
+    p - 1 (row 0 is the one-sided derivative stencil at t = 0, which the
+    later impulses never reach).
     """
-    N = grid.N
-    n_t = grid.N2 + 1
-    impulse = np.zeros(n_t)
+    impulse = np.zeros(grid.N2 + 1)
     impulse[2] = 1.0
-    col = apply_response(r, ControlSignal(grid, impulse, admissible=True))
-    RP = np.zeros((n_t, N - 2))
-    RP[:, 0] = col
-    for k in range(1, N - 2):
-        RP[k + 1 :, k] = col[1 : n_t - k]
-    return RP
+    return apply_response(r, ControlSignal(grid, impulse, admissible=True))
 
 
 def _correlation_spectrum(a: np.ndarray) -> np.ndarray:
@@ -180,12 +204,15 @@ def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
 
 
 def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l) for the march.
+    """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l), levels reversed.
+
+    Row i of the result is V[N - 1 - i], the level order of the march, so
+    that the caller reads it with positive strides.
 
     Reverse accumulation through the level march: lambda_N is the unit load
     at (t = T, s = T) and each backward step applies the transposed update
     (shift-sum, transposed history convolution, transposed level memory).
-    Only the levels l = 1..N-1 carry weight; row 0 stays zero.
+    Only the levels l = 1..N-1 carry weight; V[0], the last row, stays zero.
 
     The transposed history convolution is one FFT correlation per level
     against the spectrum of Kv, taken once: O(N log N) per level.  The level
@@ -218,33 +245,65 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
         lam_m -= vm2
         lam_m -= h * h * history.at(N - m, n_t)
         lam_next2, lam_next = lam_next, lam_m
-    return R[:0:-1]
+    return R[1:]
 
 
-def _galerkin(RP: np.ndarray, Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1.
 
-    The march is linear in its right-hand side RF(t) G(s) - F(t) RG(s), and
-    every probe is a grid impulse, so the two terms are a column slice and a
-    row slice of the adjoint weights.
+    ``stencil`` is ``_impulse_response`` and ``Vr`` the ``_adjoint_weights``
+    of the march, Vr[i] = V[N - 1 - i].  The march is linear in its
+    right-hand side RF(t) G(s) - F(t) RG(s), and every probe is a grid
+    impulse, so with the probe responses RP[:, p - 2] the block is
+    h^2 (RP^T V[2:N]^T - V[:, 2:N]^T RP[:N]): a column slice and a row slice
+    of the adjoint weights.  The factor h^2 scales the block, not V: on free
+    data (V of zeros and ones, a stencil of +-1/(2h)) each entry then sums
+    at most two nonzero terms exactly, so the block is h I to the last bit
+    in any summation order.
+
+    RP is never formed whole.  Its column k is ``stencil`` moved down by k
+    rows, so every block of ``_BLOCK`` columns is a slice of one strided
+    window over the zero-padded stencil.  Each block adds its rows of the
+    first product and its columns of the second into B.  Rows t <= k0 of
+    the block from column k0 vanish by causality and are skipped; row 0 of
+    column 0, the stencil's t = 0 entry, meets only zero weights (V vanishes
+    on level 0 and at t = 0).
     """
     N, h = grid.N, grid.h
-    W = (h * h) * _adjoint_weights(Kv, grid)
-    return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
+    n_p, n_t = N - 2, grid.N2 + 1
+    # RP[t, k] = padded[n_p + t - k]: row a0 + t of the width-w window,
+    # padded[a0 + t : a0 + t + w], holds RP[t, k] for k = k0 + w - 1 down to k0
+    padded = np.zeros(n_p + n_t)
+    padded[n_p + 1 :] = stencil[1:]
+    B = np.zeros((n_p, n_p))
+    for k0 in range(0, n_p, _BLOCK):
+        w = min(_BLOCK, n_p - k0)
+        t0 = k0 + 1  # the rows t <= k0 of the block are zero
+        a0 = n_p - k0 - w + 1
+        window = sliding_window_view(padded, w)[a0 + t0 : a0 + n_t]
+        block = window[:, ::-1].copy()  # RP[t0:, k0:k0 + w]
+        # rows k0.. of RP^T V[2:N]^T; Vr[:n_p] holds the levels N - 1 down to 2
+        B[k0 : k0 + w] += (block.T @ Vr[:n_p, t0:].T)[:, ::-1]
+        # columns k0.. of V[:, 2:N]^T RP[:N], summed over the levels t0..N-1
+        levels = block[N - 1 - t0 :: -1].copy()
+        B[:, k0 : k0 + w] -= Vr[: N - t0, 2:N].T @ levels
+    B *= h * h
+    return B
 
 
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
                           asymmetry: float = float("nan")) -> ConnectingKernel:
     """Reduced kernel from the identity-subtracted, h^2-scaled Galerkin block.
 
-    Only the upper triangle (p <= q) of ``raw`` is read.  Time reversal
-    sends probe p to the node N - p, so the block fills the interior rows
-    1..N-2 in reverse order.  The row t = 0 vanishes identically (the kernel does on that
-    line); the last two rows, which would need probes outside the discretely
-    admissible range, are filled by quadratic extrapolation.
+    Only the upper triangle (p <= q) of ``raw`` is read; its lower triangle
+    is overwritten with the mirror of the upper one.  Time reversal sends
+    probe p to the node N - p, so the block fills the interior rows 1..N-2
+    in reverse order.  The row t = 0 vanishes identically (the kernel does
+    on that line); the last two rows, which would need probes outside the
+    discretely admissible range, are filled by quadratic extrapolation.
     """
     N = grid.N
-    raw = np.triu(raw) + np.triu(raw, 1).T
+    _mirror_upper(raw)
     c = np.zeros((N + 1, N + 1))
     c[1 : N - 1, 1 : N - 1] = raw[::-1, ::-1]
     # row/column t = 0 vanish identically.  The last two rows host no
@@ -278,16 +337,15 @@ def connecting_kernel_from_response(r: ResponseData,
     if K.grid != grid:
         raise UsageError("response and memory kernel must share one grid")
     h = grid.h
-    raw = _galerkin(_impulse_responses(r, grid), K.values, grid)
+    raw = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
     raw[np.diag_indices_from(raw)] -= h  # the free march's block, exactly
     raw /= h * h
     # the block is symmetric by construction, for any r and K, so its
     # asymmetry is a round-off diagnostic (3e-14 to 2e-12 on random and
     # spiked data), not a data check: it cannot tell whether the response
     # and the kernel belong together
-    scale = 1.0 + float(np.max(np.abs(raw)))
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > 1e-8 + _SYM_TOL_FACTOR * h * h * scale:
+    asym = _asymmetry(raw)
+    if asym > 1e-8 + _SYM_TOL_FACTOR * h * h * (1.0 + _max_abs(raw)):
         raise AssemblyError(
             f"probe Galerkin matrix asymmetry {asym:.3e} exceeds the scheme "
             f"tolerance; boundary data is inconsistent"

@@ -45,7 +45,8 @@ __all__ = [
 _COND_LIMIT = 1e12
 # the interior window of the reconstruction errors, in fractions of T
 ERROR_WINDOW = (0.1, 0.9)
-# diagonal blocks of at most this size are inverted and multiplied densely
+# diagonal blocks of at most this size are inverted and multiplied densely;
+# the condition number's Gram runs by column blocks of this width
 _LEAF = 128
 
 
@@ -152,6 +153,30 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
+    """Column sums of |G^T G| for a lower-triangular G, by column blocks.
+
+    Only the upper triangle of the symmetric Gram is formed: column j of
+    the whole sums column j and row j of it, the diagonal once.  Columns
+    j0..j1-1 of the triangle need its rows i < j1 and, as G[k, j] = 0 for
+    k < j, only the rows k >= j0 of G; one block holds at most (N + 1)
+    x ``_LEAF`` entries.
+    """
+    n = G.shape[0]
+    cols = np.zeros(n)  # column sums of the triangle, with the diagonal
+    rows = np.zeros(n)  # row sums of the triangle, without it
+    for j0 in range(0, n, _LEAF):
+        j1 = min(j0 + _LEAF, n)
+        M = G[j0:, :j1].T @ G[j0:, j0:j1]
+        np.abs(M, out=M)
+        corner = M[j0:]
+        corner[np.tril_indices(j1 - j0, -1)] = 0.0
+        cols[j0:j1] += M.sum(axis=0)
+        rows[:j1] += M.sum(axis=1)
+        rows[j0:j1] -= np.diagonal(corner)
+    return cols + rows
+
+
 def _first_non_positive_block(S: np.ndarray) -> int:
     """Index of the node that closes the first non-positive leading block of
     S (bisection over leading-block Cholesky factorizations)."""
@@ -178,7 +203,9 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     b_j = -C[:j+1, j] is e_j / d_j minus column j of S_j, S_j^-1 b_j =
     (l_j / d_j) Li[j, :j+1]^T - e_j; with the rank-one term (Sherman-Morrison)
     column j of z is row j of Li, scaled, plus a diagonal term.  The blocked
-    inverse Li and the condition number's Gram matrix skip zero triangles.
+    inverse Li skips zero triangles.  The exact one-norm condition number
+    takes the column sums of |G^T G| = |A^-1|, G = Li D^-1/2, over column
+    blocks of the Gram's upper triangle, so no (N+1)^2 Gram is held.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive (the data then come from no
@@ -220,16 +247,12 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     sq = np.sqrt(d)
     G = Li
     G /= sq[None, :]
-    # only the upper triangle of the symmetric G^T G is formed: column j
-    # of the whole sums column j and row j of it, the diagonal once
-    M = _product(G.T, G, sa="U", sb="L", upper=True)
-    np.abs(M, out=M)
-    inv_norm = (M.sum(axis=0) + M.sum(axis=1) - np.diagonal(M)).max()
-    del G, Li, M
+    inv_norm = _gram_abs_column_sums(G).max()
+    del G, Li
     A = C * sq[:, None]
     A *= sq[None, :]
     A[np.diag_indices(N + 1)] += 1.0
-    cond = float(np.abs(A).sum(axis=0).max() * inv_norm)
+    cond = float(np.abs(A, out=A).sum(axis=0).max() * inv_norm)
     if cond > _COND_LIMIT:
         raise IllConditionedError(
             f"connecting operator condition {cond:.2e} exceeds {_COND_LIMIT:.0e}; "

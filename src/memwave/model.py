@@ -290,10 +290,15 @@ def sample_array(values, shapes, name: str, need: str,
                  items: str = "samples") -> np.ndarray:
     """``values`` as a contiguous, finite, read-only float array of one of ``shapes``.
 
+    The result is a read-only view.  When ``values`` already is a contiguous
+    float array, the view aliases it without a copy (the (N+1)^2 kernels
+    set the memory peak): the caller's array stays writeable, and what the
+    caller writes into it later shows through the view.
+
     The UsageError reads "<name> <need>, got <shape>" for a wrong shape and
     "<name> has non-finite <items>" for a NaN or an infinity.
     """
-    v = np.ascontiguousarray(values, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float).view()
     if v.shape not in shapes:
         raise UsageError(f"{name} {need}, got {v.shape}")
     if not np.all(np.isfinite(v)):

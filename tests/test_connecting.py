@@ -9,6 +9,8 @@ adjoint assembly against a test-local sweep that marches every probe pair
 on its own.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,14 @@ from numpy.testing import assert_allclose
 import memwave as mw
 from memwave import connecting
 from memwave.connecting import (
+    _BLOCK,
     _adjoint_weights,
+    _asymmetry,
     _causal_correlation,
     _galerkin,
-    _impulse_responses,
+    _impulse_response,
     _kernel_from_galerkin,
+    _mirror_upper,
 )
 from memwave.model import bump_profile, causal_convolution, trapezoid, trapz_weights
 from oracles import solve_blagoveshchenskii
@@ -318,17 +323,19 @@ def _direct_adjoint_weights(Kv, grid):
 @pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
 def test_adjoint_weights_match_direct_march(monkeypatch, problem, n):
     # 200 is not a multiple of the level block, 256 is; both span several
+    # the production march returns its levels in reverse order
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    V = _adjoint_weights(K.values, grid)
+    V = _adjoint_weights(K.values, grid)[::-1]
     V_direct = _direct_adjoint_weights(K.values, grid)
     assert np.abs(V - V_direct).max() <= 1e-12 * (1.0 + np.abs(V_direct).max())
     # the free march is the production march with a zero kernel
-    assert np.array_equal(_adjoint_weights(np.zeros(grid.N2 + 1), grid),
+    assert np.array_equal(_adjoint_weights(np.zeros(grid.N2 + 1), grid)[::-1],
                           _direct_adjoint_weights(None, grid))
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     ct = mw.connecting_kernel_from_response(r, K)
-    monkeypatch.setattr(connecting, "_adjoint_weights", _direct_adjoint_weights)
+    monkeypatch.setattr(connecting, "_adjoint_weights", lambda Kv, g: np.ascontiguousarray(
+        _direct_adjoint_weights(Kv, g)[::-1]))
     ct_direct = mw.connecting_kernel_from_response(r, K)
     assert np.abs(ct.values - ct_direct.values).max() <= 1e-10
 
@@ -352,7 +359,32 @@ def test_impulse_responses_equal_per_probe_responses():
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     P, RP = _bump_probe_responses(r, grid)
     assert np.array_equal(P[:, 2 : grid.N], np.eye(grid.N2 + 1)[:, 2 : grid.N])
-    assert np.array_equal(_impulse_responses(r, grid), RP[:, 2 : grid.N])
+    stencil = _impulse_response(r, grid)
+    assert np.array_equal(stencil, RP[:, 2])
+    for p in range(3, grid.N):
+        assert not np.any(RP[: p - 1, p])
+        assert np.array_equal(RP[p - 1 :, p], stencil[1 : grid.N2 + 3 - p])
+
+
+def _dense_galerkin(RP, V, grid):
+    """The Galerkin block as two dense products of the whole probe matrix."""
+    N, h = grid.N, grid.h
+    W = (h * h) * V
+    return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
+
+
+@pytest.mark.parametrize("n", [9, 200, 256])
+@pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
+def test_streamed_galerkin_matches_dense_products(problem, n):
+    # 9 is a single block; 200 and 256 end on a partial block
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem(problem).fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    _, RP = _bump_probe_responses(r, grid)
+    want = _dense_galerkin(RP[:, 2 : grid.N], _adjoint_weights(K.values, grid)[::-1], grid)
+    B = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    assert (grid.N - 2) // _BLOCK == (0 if n == 9 else 1)
+    assert np.abs(B - want).max() <= 1e-13 * (1.0 + np.abs(B).max())
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 33])
@@ -373,8 +405,34 @@ def test_free_galerkin_matches_dense_products(T, n):
     # the last bit: the block the assembly subtracts without marching
     grid = mw.GridSpec(T, n)
     r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
-    free = _galerkin(_impulse_responses(r_zero, grid), np.zeros(grid.N2 + 1), grid)
+    zero = np.zeros(grid.N2 + 1)
+    free = _galerkin(_impulse_response(r_zero, grid), _adjoint_weights(zero, grid), grid)
     assert np.array_equal(free, grid.h * np.eye(grid.N - 2))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, 300])
+def test_blocked_passes_equal_the_whole_array_forms(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    assert _asymmetry(a) == np.abs(a - a.T).max()
+    want = np.triu(a) + np.triu(a, 1).T
+    _mirror_upper(a)
+    assert np.array_equal(a, want)
+
+
+def test_assembly_holds_at_most_four_and_a_half_full_arrays():
+    # the adjoint weights (two full arrays), the probe block and the probe
+    # column blocks; the whole probe matrix would add two more
+    grid = mw.GridSpec(1.0, 512)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    full_array = 8 * (grid.N + 1) ** 2
+    tracemalloc.start()
+    try:
+        mw.connecting_kernel_from_response(r, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * full_array
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -419,7 +477,7 @@ def test_probe_gram_matrix_is_psd():
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    B = _galerkin(_impulse_responses(r, grid), K.values, grid)
+    B = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
     eigs = np.linalg.eigvalsh(0.5 * (B + B.T))
     assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 

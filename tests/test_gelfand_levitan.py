@@ -415,6 +415,19 @@ def test_residuals_hold_at_most_four_full_arrays(check):
     assert peak <= 4 * full_array
 
 
+def test_solve_holds_at_most_three_and_a_quarter_full_arrays():
+    # the condition number's Gram runs by column blocks, never whole
+    c = _kernel("full", 512, "w")
+    full_array = 8 * (c.grid.N + 1) ** 2
+    tracemalloc.start()
+    try:
+        mw.solve_gl(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * full_array
+
+
 def test_gl_residual_matches_column_loop_on_perturbed_z(full_ct_oracle):
     rng = np.random.default_rng(11)
     gl = mw.solve_gl(full_ct_oracle)

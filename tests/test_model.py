@@ -209,6 +209,15 @@ def test_coefficient_field_needs_matching_length():
         mw.CoefficientField(grid=g, values=np.zeros(5))
 
 
+def test_field_leaves_the_callers_array_writeable():
+    a = np.zeros(9)
+    q = mw.CoefficientField(mw.GridSpec(1.0, 8), a)
+    a[0] = 1.0
+    # a read-only view of the caller's array, not a copy
+    assert not q.values.flags.writeable
+    assert q.values[0] == 1.0
+
+
 def test_memory_kernel_has_doubled_window():
     g = mw.GridSpec(1.0, 10)
     k = mw.kernel_from_family("constant", (2.0,), g)
