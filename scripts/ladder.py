@@ -5,12 +5,13 @@
 
 Runs the `full` catalogue problem (T = 1) at each N of the ladder, in this
 process, with BLAS pinned to one thread.  Each layer is timed as the
-minimum of ``--repeats`` untraced calls (one call at the top rung), and then
-called once more under ``tracemalloc`` for its traced peak: the memory it
-allocates above the level at its entry.  The growth exponents are fitted
-between the two largest rungs.  The JSON also records the process's maxrss
-and the host: CPUs, Python, numpy and its BLAS.  numpy only; nothing here
-is part of the package.
+minimum of ``REPEATS`` untraced calls, and then called once more under
+``tracemalloc`` for its traced peak: the memory it allocates above the level
+at its entry.  The parts of the assembly and of the solve are measured
+inside those same calls, by wrappers around the production functions that
+run them.  The growth exponents are fitted between the two largest rungs.
+The JSON also records the process's maxrss and the host: CPUs, Python,
+numpy and its BLAS.  numpy only; nothing here is part of the package.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ for _var in _THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -44,6 +46,7 @@ from memwave.artifacts import write_csv  # noqa: E402
 
 SCHEMA = 1
 GRIDS = (256, 512, 1024, 2048, 4096)
+REPEATS = 3
 # every layer in pipeline order; a layer "a.b.c" whose "a.b" is also listed
 # runs inside "a.b"
 LAYERS = (
@@ -63,6 +66,72 @@ LAYERS = (
     "gelfand_levitan.operator_identity",
     "artifacts.write_csv.cT",
 )
+# the layers measured from inside the production call that runs them:
+# {layer: (module, function)}
+PARTS = {
+    "connecting.from_response.impulse_response": (connecting, "_impulse_response"),
+    "connecting.from_response.adjoint_weights": (connecting, "_adjoint_weights"),
+    "connecting.from_response.galerkin_products": (connecting, "_galerkin"),
+    "connecting.from_response.kernel_from_galerkin": (connecting, "_kernel_from_galerkin"),
+    "gelfand_levitan.solve_gl.cholesky": (np.linalg, "cholesky"),
+    "gelfand_levitan.solve_gl.tril_inverse": (gelfand_levitan, "_tril_inverse"),
+    "gelfand_levitan.solve_gl.kappa_gram": (gelfand_levitan, "_gram_abs_column_sums"),
+}
+
+
+class Parts:
+    """Seconds and traced peaks of the ``PARTS`` functions, recorded by
+    wrappers that replace them while the ladder runs.
+
+    A wrapper measures the outermost call only (``_tril_inverse`` recurses).
+    Untraced, it keeps the minimum seconds; traced, its peak above the level
+    at its entry.  tracemalloc holds one peak, which the wrapper resets, so
+    it keeps the highest level it hid in ``hidden`` for the enclosing layer.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.peaks: dict[str, int] = {}
+        self.hidden = 0
+
+    def wrap(self, name, fn):
+        depth = 0
+
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            if depth:
+                return fn(*args, **kwargs)
+            traced = tracemalloc.is_tracing()
+            if traced:
+                level, peak = tracemalloc.get_traced_memory()
+                self.hidden = max(self.hidden, peak)
+                tracemalloc.reset_peak()
+            depth += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds = time.perf_counter() - t0
+                depth -= 1
+                if traced:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    self.hidden = max(self.hidden, peak)
+                    self.peaks[name] = peak - level
+                else:
+                    self.seconds[name] = min(self.seconds.get(name, math.inf), seconds)
+
+        return wrapper
+
+    @contextlib.contextmanager
+    def installed(self):
+        saved = {name: getattr(mod, attr) for name, (mod, attr) in PARTS.items()}
+        try:
+            for name, (mod, attr) in PARTS.items():
+                setattr(mod, attr, self.wrap(name, saved[name]))
+            yield self
+        finally:
+            for name, (mod, attr) in PARTS.items():
+                setattr(mod, attr, saved[name])
 
 
 def host_facts() -> dict:
@@ -86,85 +155,50 @@ def host_facts() -> dict:
     }
 
 
-def measure(fn, repeats: int, prepare=None) -> tuple[float, int]:
-    """(min seconds of ``repeats`` untraced calls, traced peak bytes of one more).
-
-    ``prepare()`` builds the arguments of each call outside the timed and
-    traced regions, for layers that write into their input."""
+def measure(fn, parts: Parts):
+    """(min seconds of ``REPEATS`` untraced calls, traced peak bytes of one
+    more, that call's result)."""
     best = math.inf
-    for _ in range(repeats):
-        args = prepare() if prepare else ()
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
-        fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
-    args = prepare() if prepare else ()
+    parts.hidden = 0
     tracemalloc.start()
     try:
-        fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn()
+        peak = max(tracemalloc.get_traced_memory()[1], parts.hidden)
     finally:
         tracemalloc.stop()
-    return best, peak
+    return best, peak, result
 
 
-def rung(N: int, repeats: int, tmpdir: str) -> dict:
+def rung(N: int, tmpdir: str) -> dict:
     """{layer: (seconds, peak bytes)} at one N."""
     grid = mw.GridSpec(1.0, N)
     q, K = mw.get_problem("full").fields(grid)
     out = {}
+    with Parts().installed() as parts:
 
-    def run(name, fn, prepare=None):
-        out[name] = measure(fn, repeats, prepare)
+        def run(name, fn):
+            *out[name], result = measure(fn, parts)
+            return result
 
-    run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K, grid))
-    sol = mw.solve_goursat(q, K, grid)
-    run("goursat.response_kernel", lambda: mw.response_kernel(sol))
-    r = mw.response_kernel(sol)
-    del sol
-
-    run("connecting.from_response", lambda: mw.connecting_kernel_from_response(r, K))
-    stencil = connecting._impulse_response(r, grid)
-    run("connecting.from_response.impulse_response",
-        lambda: connecting._impulse_response(r, grid))
-    run("connecting.from_response.adjoint_weights",
-        lambda: connecting._adjoint_weights(K.values, grid))
-    Vr = connecting._adjoint_weights(K.values, grid)
-    run("connecting.from_response.galerkin_products",
-        lambda: connecting._galerkin(stencil, Vr, grid))
-    raw = connecting._galerkin(stencil, Vr, grid)
-    del Vr
-    raw[np.diag_indices_from(raw)] -= grid.h
-    raw /= grid.h * grid.h
-    # the asymmetry, the gate and the edge rows, as the assembly runs them
-    run("connecting.from_response.kernel_from_galerkin",
-        lambda b: connecting._kernel_from_galerkin(b, grid, connecting._asymmetry(b)),
-        lambda: (raw.copy(),))
-    del raw
-    c = mw.connecting_kernel_from_response(r, K)
-
-    run("gelfand_levitan.solve_gl", lambda: mw.solve_gl(c))
-    d = gelfand_levitan._node_weights(N, grid.h)
-    S = c.values.copy()
-    S[np.diag_indices(N + 1)] += 1.0 / d
-    run("gelfand_levitan.solve_gl.cholesky", lambda: np.linalg.cholesky(S))
-    L = np.linalg.cholesky(S)
-    del S
-    run("gelfand_levitan.solve_gl.tril_inverse", lambda: gelfand_levitan._tril_inverse(L))
-    G = gelfand_levitan._tril_inverse(L)
-    del L
-    G /= np.sqrt(d)[None, :]
-    run("gelfand_levitan.solve_gl.kappa_gram",
-        lambda: gelfand_levitan._gram_abs_column_sums(G))
-    del G
-    gl = mw.solve_gl(c)
-    run("gelfand_levitan.recover_potential", lambda: mw.recover_potential(gl))
-    run("gelfand_levitan.gl_residual", lambda: mw.gl_residual(c, gl))
-    run("gelfand_levitan.operator_identity", lambda: mw.operator_identity_residual(c, gl))
-    del gl
-    path = os.path.join(tmpdir, "cT.csv")
-    header = [f"s{j}" for j in range(N + 1)]
-    run("artifacts.write_csv.cT", lambda: write_csv(path, header, c.values))
-    os.unlink(path)
+        sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K, grid))
+        r = run("goursat.response_kernel", lambda: mw.response_kernel(sol))
+        del sol
+        c = run("connecting.from_response", lambda: mw.connecting_kernel_from_response(r, K))
+        gl = run("gelfand_levitan.solve_gl", lambda: mw.solve_gl(c))
+        run("gelfand_levitan.recover_potential", lambda: mw.recover_potential(gl))
+        run("gelfand_levitan.gl_residual", lambda: mw.gl_residual(c, gl))
+        run("gelfand_levitan.operator_identity", lambda: mw.operator_identity_residual(c, gl))
+        del gl
+        path = os.path.join(tmpdir, "cT.csv")
+        header = [f"s{j}" for j in range(N + 1)]
+        run("artifacts.write_csv.cT", lambda: write_csv(path, header, c.values))
+        os.unlink(path)
+    for name in PARTS:
+        out[name] = (parts.seconds[name], parts.peaks[name])
     return out
 
 
@@ -174,13 +208,12 @@ def growth(values: list[float], grids: list[int]) -> float | None:
     return math.log(values[-1] / values[-2]) / math.log(grids[-1] / grids[-2])
 
 
-def ladder(grids: list[int], repeats: int) -> dict:
+def ladder(grids: list[int]) -> dict:
     t_start = time.perf_counter()
     rungs = {}
     with tempfile.TemporaryDirectory() as tmpdir:
-        for k, N in enumerate(grids):
-            top = k == len(grids) - 1
-            rungs[N] = rung(N, 1 if top else repeats, tmpdir)
+        for N in grids:
+            rungs[N] = rung(N, tmpdir)
             print(f"ladder: N = {N} done at {time.perf_counter() - t_start:.1f} s",
                   file=sys.stderr, flush=True)
     layers = {}
@@ -200,8 +233,8 @@ def ladder(grids: list[int], repeats: int) -> dict:
         "problem": "full",
         "T": 1.0,
         "grids": grids,
-        "repeats": repeats,
-        "timing": "min of `repeats` untraced calls, one call at the top rung",
+        "repeats": REPEATS,
+        "timing": "min of `repeats` untraced calls",
         "peak": "tracemalloc peak of one more call, above the level at its entry",
         "layers": layers,
         "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -213,12 +246,11 @@ def ladder(grids: list[int], repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grids", type=int, nargs="+", default=list(GRIDS))
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_ladder.json"))
     args = parser.parse_args(argv)
-    if sorted(set(args.grids)) != args.grids or args.grids[0] < 16 or args.repeats < 1:
-        parser.error("--grids must be increasing and >= 16, --repeats >= 1")
-    result = ladder(args.grids, args.repeats)
+    if sorted(set(args.grids)) != args.grids or args.grids[0] < 16:
+        parser.error("--grids must be increasing and >= 16")
+    result = ladder(args.grids)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

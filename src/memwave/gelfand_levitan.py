@@ -167,7 +167,9 @@ def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
     rows = np.zeros(n)  # row sums of the triangle, without it
     for j0 in range(0, n, _LEAF):
         j1 = min(j0 + _LEAF, n)
-        M = G[j0:, :j1].T @ G[j0:, j0:j1]
+        # BLAS runs the ``_LEAF`` rows of the transpose faster than the
+        # ``_LEAF`` columns of the block
+        M = (G[j0:, j0:j1].T @ G[j0:, :j1]).T
         np.abs(M, out=M)
         corner = M[j0:]
         corner[np.tril_indices(j1 - j0, -1)] = 0.0

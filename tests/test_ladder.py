@@ -23,12 +23,12 @@ LAYERS = {
 
 def test_ladder_writes_its_schema(tmp_path):
     out = tmp_path / "ladder.json"
-    subprocess.run([sys.executable, SCRIPT, "--grids", "16", "32", "--repeats", "2",
-                    "--out", str(out)], check=True, capture_output=True, timeout=120)
+    subprocess.run([sys.executable, SCRIPT, "--grids", "16", "32", "--out", str(out)],
+                   check=True, capture_output=True, timeout=120)
     with open(out) as fh:
         d = json.load(fh)
     assert d["schema"] == 1 and d["problem"] == "full" and d["grids"] == [16, 32]
-    assert d["repeats"] == 2 and d["maxrss_mib"] > 0.0 and d["total_s"] > 0.0
+    assert d["repeats"] == 3 and d["maxrss_mib"] > 0.0 and d["total_s"] > 0.0
     assert set(d["layers"]) == LAYERS
     for name, layer in d["layers"].items():
         assert set(layer) == {"seconds", "peak_mib", "peak_full_arrays",
