@@ -207,6 +207,30 @@ def test_kernel_symmetric_both_routes(full_ct_response, full_ct_oracle):
         assert np.abs(ct.values - ct.values.T).max() < 1e-12
 
 
+# the Galerkin block is symmetric by construction, for any r and K: its
+# reported asymmetry is round-off, at most this times 1 + max|c|
+ASYMMETRY_ROUND_OFF = 2e-13
+
+
+@pytest.mark.parametrize("data, scale", [("random", 1e-3), ("random", 1.0),
+                                         ("random", 1e3), ("spike", 1e6)])
+def test_galerkin_asymmetry_is_round_off_on_any_data(data, scale):
+    # random r and K over six decades, and a spike in the response of
+    # `full`, each far from any (q, K) pair; measured at most 6.5e-14
+    # (1 + max|c|) over the seeds 0..5
+    grid = mw.GridSpec(1.0, 32)
+    rng = np.random.default_rng(0)
+    if data == "random":
+        rv = scale * rng.standard_normal(grid.N2 + 1)
+        rv[0] = 0.0
+        K = mw.MemoryKernel(grid, scale * rng.standard_normal(grid.N2 + 1))
+    else:
+        q, K = mw.get_problem("full").fields(grid)
+        rv = mw.response_kernel(mw.solve_goursat(q, K, grid)).values.copy()
+        rv[1 + rng.integers(grid.N2)] = scale
+    ct = mw.connecting_kernel_from_response(mw.ResponseData(grid, rv), K)
+    assert 0.0 < ct.asymmetry <= ASYMMETRY_ROUND_OFF * (1.0 + np.abs(ct.values).max())
+
 # ------------------------------------- test-local oracle: the probe sweep
 #
 # The sweep marches the correlation field of every probe pair to s = T with
