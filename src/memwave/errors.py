@@ -24,4 +24,4 @@ class IllConditionedError(RuntimeError):
 
 class AssemblyError(RuntimeError):
     """Data-driven operator assembly produced an inconsistent object, e.g. a
-    connecting kernel whose asymmetry exceeds the scheme tolerance."""
+    connecting kernel that lost its symmetry."""

@@ -20,6 +20,13 @@ The test suite's oracle for everything here inverts the Volterra factor
 I + W directly, with no connecting kernel involved (``tests/oracles.py``);
 ``operator_identity_residual`` checks the factorization itself in weighted
 matrix form, which is the strongest data-consistency test the pipeline has.
+
+Every product with a triangular factor runs as a flat loop of GEMMs over
+blocks of rows or columns (``model._spans``) that skips the factor's zero
+triangle (``model._lower_times``, ``model._times_triangular``).  Only the
+inverse of the Cholesky factor recurses, halving down to dense leaf blocks.
+The two residual checks reduce their last product to its maximum block by
+block, so neither holds a full-size residual.
 """
 
 from __future__ import annotations
@@ -30,7 +37,16 @@ import numpy as np
 
 from .connecting import ConnectingKernel
 from .errors import IllConditionedError, UsageError
-from .model import CoefficientField, GridSpec, sampled_derivative, trapz_weights
+from .model import (
+    _BLOCK,
+    CoefficientField,
+    GridSpec,
+    _lower_times,
+    _spans,
+    _times_triangular,
+    sampled_derivative,
+    trapz_weights,
+)
 
 __all__ = [
     "GLSolution",
@@ -45,9 +61,6 @@ __all__ = [
 _COND_LIMIT = 1e12
 # the interior window of the reconstruction errors, in fractions of T
 ERROR_WINDOW = (0.1, 0.9)
-# diagonal blocks of at most this size are inverted and multiplied densely;
-# the condition number's Gram runs by column blocks of this width
-_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -79,68 +92,13 @@ def _node_weights(N: int, h: float) -> np.ndarray:
     return d
 
 
-def _halves(n: int, split: bool) -> tuple[slice, ...]:
-    k = n // 2
-    return (slice(0, k), slice(k, n)) if split else (slice(0, n),)
-
-
-def _product(a: np.ndarray, b: np.ndarray, sa: str | None = None,
-             sb: str | None = None, upper: bool = False,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b by 2x2 blocks that skip the zero triangle of a triangular factor.
-
-    ``sa`` / ``sb`` mark a square factor as lower ("L") or upper ("U")
-    triangular, None as full.  With ``upper`` only the upper triangle of the
-    (square) product is formed; the rest is zero.  Every dimension that
-    bounds a triangle is split at its middle, so a block of a factor is
-    either a diagonal block (keeps the triangle), zero (skipped) or full;
-    blocks whose triangles are at most ``_LEAF`` wide are multiplied densely.
-    ``out`` receives the product when given; the recursion uses it to write
-    the first term of each block in place, without a temporary.
-    """
-    n_r, n_p = a.shape
-    n_c = b.shape[1]
-    width = n_p if sa or sb else n_r
-    if (sa is None and sb is None and not upper) or width <= _LEAF:
-        out = np.matmul(a, b, out=out)
-        if upper:
-            out[np.tril_indices(n_r, -1)] = 0.0
-        return out
-    if sa is None and not upper:
-        # BLAS runs the row blocks of (a b)^T = b^T a^T faster than the
-        # column blocks of a b
-        flip = "U" if sb == "L" else "L"
-        return _product(b.T, a.T, flip, out=None if out is None else out.T).T
-    rows = _halves(n_r, bool(sa) or upper)
-    inner = _halves(n_p, bool(sa or sb))
-    cols = _halves(n_c, bool(sb) or upper)
-    if out is None:
-        out = np.empty((n_r, n_c))
-    for i, ri in enumerate(rows):
-        for j, cj in enumerate(cols):
-            block = out[ri, cj]
-            # the inner blocks l whose factor blocks are not both zero
-            terms = [l for l in range(len(inner)) if not (
-                (sa == "L" and l > i) or (sa == "U" and l < i)
-                or (sb == "L" and l < j) or (sb == "U" and l > j)
-                or (upper and i > j))]
-            if not terms:
-                block[...] = 0.0
-            for t, l in enumerate(terms):
-                part = _product(a[ri, inner[l]], b[inner[l], cj],
-                                sa if i == l else None, sb if l == j else None,
-                                upper and i == j, None if t else block)
-                if t:
-                    block += part
-    return out
-
-
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix by 2x2 blocks:
     inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], with a dense
-    inverse only on diagonal blocks of at most ``_LEAF``."""
+    inverse only on diagonal blocks of at most ``_BLOCK``; the two products
+    of the off-diagonal block skip the zero triangles of A^-1 and D^-1."""
     n = L.shape[0]
-    if n <= _LEAF:
+    if n <= _BLOCK:
         return np.tril(np.linalg.inv(L))
     k = n // 2
     out = np.empty_like(L)
@@ -148,7 +106,8 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     out[k:, k:] = _tril_inverse(L[k:, k:])
     out[:k, k:] = 0.0
     B = out[k:, :k]
-    _product(out[k:, k:], _product(L[k:, :k], out[:k, :k], sb="L"), sa="L", out=B)
+    _lower_times(out[k:, k:], _times_triangular(L[k:, :k], out[:k, :k], lower=True),
+                 out=B)
     np.negative(B, out=B)
     return out
 
@@ -160,15 +119,15 @@ def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
     the whole sums column j and row j of it, the diagonal once.  Columns
     j0..j1-1 of the triangle need its rows i < j1 and, as G[k, j] = 0 for
     k < j, only the rows k >= j0 of G; one block holds at most (N + 1)
-    x ``_LEAF`` entries.
+    x ``_BLOCK`` entries.
     """
     n = G.shape[0]
     cols = np.zeros(n)  # column sums of the triangle, with the diagonal
     rows = np.zeros(n)  # row sums of the triangle, without it
-    for j0 in range(0, n, _LEAF):
-        j1 = min(j0 + _LEAF, n)
-        # BLAS runs the ``_LEAF`` rows of the transpose faster than the
-        # ``_LEAF`` columns of the block
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        # BLAS runs the ``_BLOCK`` rows of the transpose faster than the
+        # ``_BLOCK`` columns of the block
         M = (G[j0:, j0:j1].T @ G[j0:, :j1]).T
         np.abs(M, out=M)
         corner = M[j0:]
@@ -204,8 +163,10 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     blocks of L, so S_j^-1 e_j = l_j Li[j, :j+1]^T, l_j = Li[j, j].  As
     b_j = -C[:j+1, j] is e_j / d_j minus column j of S_j, S_j^-1 b_j =
     (l_j / d_j) Li[j, :j+1]^T - e_j; with the rank-one term (Sherman-Morrison)
-    column j of z is row j of Li, scaled, plus a diagonal term.  The blocked
-    inverse Li skips zero triangles.  The exact one-norm condition number
+    column j of z is row j of Li, scaled, plus a diagonal term.  Li comes
+    from a 2x2 block recursion, the one recursion here, whose off-diagonal
+    products are flat block loops that skip zero triangles, with dense
+    inverses only on leaf blocks.  The exact one-norm condition number
     takes the column sums of |G^T G| = |A^-1|, G = Li D^-1/2, over column
     blocks of the Gram's upper triangle, so no (N+1)^2 Gram is held.
 
@@ -275,7 +236,9 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     Column j of C @ zw is the quadrature of int_0^s c(t, tau) z(tau, s) over
     its own rows t <= s: zw holds the upper triangle of z times the column
     trapezoid weights (half weight at each column's last node, none for the
-    one-node column 0).
+    one-node column 0).  The residual is reduced to its maximum by column
+    blocks, each formed over its rows t <= s only, as zw is upper
+    triangular: no (N+1)^2 residual is held.
     """
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
@@ -285,13 +248,16 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     zw *= _node_weights(N, h)[:, None]
     zw[didx, didx] *= 0.5
     zw[0, 0] = 0.0
-    # only the upper triangle of C @ zw is read, and zw is upper triangular
-    res = _product(c.values, zw, sb="U", upper=True)
-    del zw
-    res += np.triu(gl.z)
-    res += c.values
-    np.abs(res, out=res)
-    return float(np.triu(res).max())
+    C = c.values
+    worst = 0.0
+    for j0, j1 in _spans(N + 1):
+        res = C[:j1, :j1] @ zw[:j1, j0:j1]
+        res += gl.z[:j1, j0:j1]
+        res += C[:j1, j0:j1]
+        np.abs(res, out=res)
+        # row t of column j0 + k is in the upper triangle when t <= j0 + k
+        worst = max(worst, float(np.triu(res, -j0).max()))
+    return worst
 
 
 def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
@@ -323,14 +289,18 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
         zq[didx, didx] *= 0.5
         return zq
 
-    # lower x (full x upper), skipping the zero triangles of the z-factors
-    right = _product(plus_identity(c.values * D), plus_identity(z_half() * D), sb="U")
-    E = _product(plus_identity(z_half().T * D), right, sa="L")
-    del right
-    E[didx, didx] -= 1.0
-    E = E[:N, :N]
-    np.abs(E, out=E)
-    return float(E.max())
+    # full x upper, skipping the zero triangle of the z-factor
+    right = _times_triangular(plus_identity(c.values * D), plus_identity(z_half() * D),
+                              lower=False)
+    # lower x right, reduced to its maximum by row blocks: the product is
+    # never held whole
+    left = plus_identity(z_half().T * D)
+    worst = 0.0
+    for i0, i1 in _spans(N):
+        E = left[i0:i1, :i1] @ right[:i1, :N]
+        E[:, i0:i1][np.diag_indices(i1 - i0)] -= 1.0
+        worst = max(worst, float(np.abs(E, out=E).max()))
+    return worst
 
 
 def recover_potential(gl: GLSolution) -> CoefficientField:

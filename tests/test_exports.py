@@ -4,7 +4,9 @@ Every name a module exports has a caller inside the package.  A name that
 only tests call is a second route or dead code: second routes live beside
 their tests (``tests/oracles.py``), and dead code is deleted.  The
 package's ``__init__`` re-exports names without calling them, so it does
-not count as a caller.
+not count as a caller.  Every private module-level name is read in the
+package outside its own body, and no function calls itself but the blocked
+triangular inverse.
 
 Every matrix the package inverts is triangular, so a general dense inverse
 runs only on the diagonal leaf blocks of the blocked triangular inverse.
@@ -62,6 +64,55 @@ def test_every_exported_name_is_used_in_the_package():
         if name not in used
     ]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """The private module-level names of a module, each with the statement
+    that defines it; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _reads(tree):
+    """Every name a module reads, as (name, node)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    trees = _trees()
+    reads = [read for tree in trees.values() for read in _reads(tree)]
+    defined = [(module, name, node) for module, tree in trees.items()
+               for name, node in _private_definitions(tree)]
+    assert len(defined) > 50
+    dead = []
+    for module, name, definition in defined:
+        body = set(ast.walk(definition))
+        if not any(read == name and node not in body for read, node in reads):
+            dead.append(f"{module}.{name}")
+    assert dead == []
+
+
+def test_only_the_triangular_inverse_recurses():
+    found = set()
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found |= {f"{module}.{owner[node]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node in owner
+                  and ast.unparse(node.func) in (owner[node], f"self.{owner[node]}")}
+    assert found == {"gelfand_levitan._tril_inverse"}
 
 
 def _owners(tree):

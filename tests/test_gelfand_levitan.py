@@ -8,8 +8,8 @@ explicit quadrature at a small size, making the oracle self-validating.
 
 The one-factorization solve and the vectorized residual are held against
 their column-by-column originals, and the blocked triangular inverse, the
-block products and the structured identity check against their dense
-forms, all kept here as test-local oracles.
+two block-product loops and the structured identity check against their
+dense forms, all kept here as test-local oracles.
 """
 
 import functools
@@ -20,8 +20,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.gelfand_levitan import _LEAF, _product, _tril_inverse
-from memwave.model import cumulative_trapezoid, trapz_weights
+from memwave.gelfand_levitan import _tril_inverse
+from memwave.model import (
+    _BLOCK,
+    _lower_times,
+    _times_triangular,
+    cumulative_trapezoid,
+    trapz_weights,
+)
 from oracles import z_from_w
 
 
@@ -325,7 +331,7 @@ def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", recorded_inv)
     mw.solve_gl(_kernel("full", 300, "w"))
     assert calls == {"cholesky": 2, "solve": 0}
-    assert sum(sizes) == 301 and max(sizes) <= _LEAF
+    assert sum(sizes) == 301 and max(sizes) <= _BLOCK
 
 
 def test_blocked_solve_matches_column_solves_beyond_the_leaf():
@@ -364,23 +370,17 @@ def test_tril_inverse_matches_dense_inverse(n):
 
 
 @pytest.mark.parametrize("n", _SIZES)
-@pytest.mark.parametrize("sa, sb, upper", [
-    ("L", None, False), ("U", None, False), (None, "L", False),
-    (None, "U", False), ("L", None, True), ("U", "U", False),
-    ("U", "L", True), ("L", "U", False),
-])
-def test_block_product_matches_dense_product(n, sa, sb, upper):
+@pytest.mark.parametrize("shape", ["lower @ full", "full @ lower", "full @ upper"])
+def test_block_product_matches_dense_product(n, shape):
     F, Lo = _full_and_lower(n, n + 1)
-    pick = {"L": Lo, "U": Lo.T, None: F}
-    a, b = pick[sa], pick[sb]
-    want = a @ b
-    if upper:
-        want = np.triu(want)
-    got = _product(a, b, sa, sb, upper)
-    if upper or (sa == "U" and sb == "U"):
-        assert not np.any(np.tril(got, -1))
+    if shape == "lower @ full":
+        a, b = Lo, F
+        got = _lower_times(a, b)
+    else:
+        a, b = F, (Lo if shape == "full @ lower" else Lo.T)
+        got = _times_triangular(a, b, lower=shape == "full @ lower")
     scale = (np.abs(a) @ np.abs(b)).max()
-    assert np.abs(got - want).max() <= 1e-13 * scale
+    assert np.abs(got - a @ b).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("route", ["response", "w"])
@@ -401,8 +401,12 @@ def test_gl_residual_matches_column_loop_beyond_the_leaf():
     assert abs(mw.gl_residual(c, gl) - want) <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("check", [mw.gl_residual, mw.operator_identity_residual])
-def test_residuals_hold_at_most_four_full_arrays(check):
+@pytest.mark.parametrize("check, arrays", [(mw.gl_residual, 1.75),
+                                           (mw.operator_identity_residual, 3.25)])
+def test_residual_holds_its_full_array_budget(check, arrays):
+    # gl_residual: the weighted z-factor and one column block of the
+    # residual; operator identity: the right product and both of its
+    # factors, then the left factor and one row block of the last product
     c = _kernel("full", 512, "w")
     gl = mw.solve_gl(c)
     full_array = 8 * (c.grid.N + 1) ** 2
@@ -412,7 +416,7 @@ def test_residuals_hold_at_most_four_full_arrays(check):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * full_array
+    assert peak <= arrays * full_array
 
 
 def test_solve_holds_at_most_three_and_a_quarter_full_arrays():

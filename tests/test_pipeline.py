@@ -16,7 +16,6 @@ import pytest
 import memwave as mw
 from memwave import artifacts, cli, pipeline
 from memwave.artifacts import read_csv
-from memwave.connecting import _SYM_TOL_FACTOR
 from memwave.pipeline import (
     SCHEMA_VERSION,
     _load_data,
@@ -27,6 +26,7 @@ from memwave.pipeline import (
     run_synth,
     run_verify,
 )
+from test_connecting import ASYMMETRY_ROUND_OFF
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +264,9 @@ def test_reconstruct_reports_min_pivot(tmp_path):
 
 def test_reconstruct_reports_galerkin_asymmetry(data_dir, tmp_path):
     m = run_reconstruct(data_dir, str(tmp_path / "r"))["metrics"]
-    h = 1.0 / 64
-    gate = 1e-8 + _SYM_TOL_FACTOR * h * h * (1.0 + m["cT_max_abs"])
+    bound = ASYMMETRY_ROUND_OFF * (1.0 + m["cT_max_abs"])
     assert np.isfinite(m["galerkin_asymmetry"])
-    assert 0.0 <= m["galerkin_asymmetry"] < gate
+    assert 0.0 <= m["galerkin_asymmetry"] <= bound
     # the factor route assembles no Galerkin block
     grid, _, K, q = _load_data(data_dir)
     assert np.isnan(mw.connecting_kernel_from_w(mw.solve_goursat(q, K, grid)).asymmetry)
@@ -461,10 +460,10 @@ def test_verify_without_truth_runs_data_only_checks(data_dir, tmp_path):
     # the assembly ran, so its Galerkin asymmetry is reported without truth
     _, r, K, _ = _load_data(str(d))
     cT = mw.connecting_kernel_from_response(r, K)
-    gate = 1e-8 + _SYM_TOL_FACTOR * (1.0 / 64) ** 2 * (1.0 + np.abs(cT.values).max())
+    bound = ASYMMETRY_ROUND_OFF * (1.0 + np.abs(cT.values).max())
     asym = report["galerkin_asymmetry"]
     assert asym == {"N": 64, "value": cT.asymmetry}
-    assert np.isfinite(asym["value"]) and 0.0 <= asym["value"] < gate
+    assert np.isfinite(asym["value"]) and 0.0 <= asym["value"] <= bound
 
 
 def test_verify_without_truth_assembles_only_the_top_level(data_dir, tmp_path,
@@ -488,7 +487,7 @@ def test_verify_without_truth_assembles_only_the_top_level(data_dir, tmp_path,
 
 def test_verify_reports_no_asymmetry_when_the_assembly_breaks(data_dir, monkeypatch):
     def broken(r, K):
-        raise mw.AssemblyError("probe Galerkin matrix asymmetry exceeds the tolerance")
+        raise mw.AssemblyError("connecting kernel lost symmetry during assembly")
 
     monkeypatch.setattr(pipeline, "connecting_kernel_from_response", broken)
     report = run_verify(data_dir)
@@ -506,7 +505,7 @@ def test_verify_fails_by_name_when_only_the_finest_assembly_breaks(data_dir,
 
     def broken_at_64(r, K):
         if r.grid.N == 64:
-            raise mw.AssemblyError("probe Galerkin matrix asymmetry exceeds the tolerance")
+            raise mw.AssemblyError("connecting kernel lost symmetry during assembly")
         return real(r, K)
 
     monkeypatch.setattr(pipeline, "connecting_kernel_from_response", broken_at_64)
@@ -517,7 +516,7 @@ def test_verify_fails_by_name_when_only_the_finest_assembly_breaks(data_dir,
         "three_way_connecting", "operator_identity", "gl_residual"
     ]
     three_way = next(c for c in report["checks"] if c["name"] == "three_way_connecting")
-    assert "asymmetry exceeds" in three_way["detail"]
+    assert "lost symmetry" in three_way["detail"]
 
 
 def test_verify_names_non_positive_operator(data_dir, tmp_path):
