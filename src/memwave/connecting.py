@@ -32,10 +32,10 @@ of the probe matrix, each a strided window over the one stencil, so that
 matrix is never formed whole; the rows a block's probes have not reached
 yet are zero by causality and are skipped.  The passes over the full-size
 block (asymmetry, symmetrization) run by row blocks, in place.  Every block
-is ``model._BLOCK`` wide, the package's one block width.  The march
-forms its transposed history convolution as one FFT correlation per level,
-O(N log N) each, and its level memory as the blocked causal history of
-``model.CausalHistory``, which the Goursat and leapfrog marches share.
+is ``model._BLOCK`` wide.  The march forms its transposed history
+convolution as one FFT correlation per level, O(N log N) each, and its
+level memory as the blocked causal history of ``model.CausalHistory``,
+which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -260,10 +260,10 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
     RP is never formed whole.  Its column k is ``stencil`` moved down by k
     rows, so every block of ``model._BLOCK`` columns is a slice of one
     strided window over the zero-padded stencil.  Each block adds its rows
-    of the first product and its columns of the second into B.  Rows t <= k0 of
-    the block from column k0 vanish by causality and are skipped; row 0 of
-    column 0, the stencil's t = 0 entry, meets only zero weights (V vanishes
-    on level 0 and at t = 0).
+    of the first product and its columns of the second into B.  Rows
+    t <= k0 of the block from column k0 vanish by causality and are skipped;
+    row 0 of column 0, the stencil's t = 0 entry, meets only zero weights
+    (V vanishes on level 0 and at t = 0).
     """
     N, h = grid.N, grid.h
     n_p, n_t = N - 2, grid.N2 + 1
