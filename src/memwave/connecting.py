@@ -337,9 +337,9 @@ def connecting_kernel_from_response(r: ResponseData,
     raw[np.diag_indices_from(raw)] -= h  # the free march's block, exactly
     raw /= h * h
     # the block is symmetric by construction, for any r and K, so its
-    # asymmetry is a round-off diagnostic (at most 2e-13 (1 + max|c|) on
-    # random and spiked data), not a data check: it cannot tell whether the
-    # response and the kernel belong together
+    # asymmetry is a round-off diagnostic (below eps N^2 (1 + max|c|) at
+    # T = 1 on random, spiked and catalogue data), not a data check: it
+    # cannot tell whether the response and the kernel belong together
     return _kernel_from_galerkin(raw, grid, _asymmetry(raw))
 
 

@@ -26,7 +26,7 @@ from memwave.pipeline import (
     run_synth,
     run_verify,
 )
-from test_connecting import ASYMMETRY_ROUND_OFF
+from test_connecting import asymmetry_round_off
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +264,7 @@ def test_reconstruct_reports_min_pivot(tmp_path):
 
 def test_reconstruct_reports_galerkin_asymmetry(data_dir, tmp_path):
     m = run_reconstruct(data_dir, str(tmp_path / "r"))["metrics"]
-    bound = ASYMMETRY_ROUND_OFF * (1.0 + m["cT_max_abs"])
+    bound = asymmetry_round_off(64, m["cT_max_abs"])
     assert np.isfinite(m["galerkin_asymmetry"])
     assert 0.0 <= m["galerkin_asymmetry"] <= bound
     # the factor route assembles no Galerkin block
@@ -460,7 +460,7 @@ def test_verify_without_truth_runs_data_only_checks(data_dir, tmp_path):
     # the assembly ran, so its Galerkin asymmetry is reported without truth
     _, r, K, _ = _load_data(str(d))
     cT = mw.connecting_kernel_from_response(r, K)
-    bound = ASYMMETRY_ROUND_OFF * (1.0 + np.abs(cT.values).max())
+    bound = asymmetry_round_off(64, np.abs(cT.values).max())
     asym = report["galerkin_asymmetry"]
     assert asym == {"N": 64, "value": cT.asymmetry}
     assert np.isfinite(asym["value"]) and 0.0 <= asym["value"] <= bound
