@@ -369,18 +369,35 @@ def test_tril_inverse_matches_dense_inverse(n):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _loop_product(a, b, sa, sb):
+    """a @ b by the flat loop that skips the zero triangle of a factor: "L"
+    lower, "U" upper, None full.  Upper @ full runs as the transpose of
+    full @ lower, on transposed views of both factors."""
+    if sa == "L":
+        return _lower_times(a, b)
+    if sb is not None:
+        return _times_triangular(a, b, lower=sb == "L")
+    return _times_triangular(b.T, a.T, lower=True).T
+
+
 @pytest.mark.parametrize("n", _SIZES)
-@pytest.mark.parametrize("shape", ["lower @ full", "full @ lower", "full @ upper"])
-def test_block_product_matches_dense_product(n, shape):
+@pytest.mark.parametrize("sa, sb, upper", [
+    ("L", None, False), ("U", None, False), (None, "L", False),
+    (None, "U", False), ("L", None, True), ("U", "U", False),
+    ("U", "L", True), ("L", "U", False),
+])
+def test_block_product_matches_dense_product(n, sa, sb, upper):
     F, Lo = _full_and_lower(n, n + 1)
-    if shape == "lower @ full":
-        a, b = Lo, F
-        got = _lower_times(a, b)
-    else:
-        a, b = F, (Lo if shape == "full @ lower" else Lo.T)
-        got = _times_triangular(a, b, lower=shape == "full @ lower")
+    pick = {"L": Lo, "U": Lo.T, None: F}
+    a, b = pick[sa], pick[sb]
+    want = a @ b
+    got = _loop_product(a, b, sa, sb)
+    if upper:  # a caller that reads the upper triangle alone
+        want, got = np.triu(want), np.triu(got)
+    if sa == "U" and sb == "U":  # so is the product, to the last bit
+        assert not np.any(np.tril(got, -1))
     scale = (np.abs(a) @ np.abs(b)).max()
-    assert np.abs(got - a @ b).max() <= 1e-13 * scale
+    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("route", ["response", "w"])
