@@ -222,25 +222,21 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     R = np.zeros((N + 1, n_t))  # R[N - l] = V[l] = masked lambda_{l+1}; R[0] = 0
     lam_next = np.zeros(n_t)
     lam_next[N] = 1.0  # lambda_N
-    lam_next2 = np.zeros(n_t)  # lambda_{N+1}
     K_hat = _correlation_spectrum(Kv)
     history = CausalHistory(R, Kv, h)
     for m in range(N - 1, 0, -1):
-        vm = lam_next.copy()
-        vm[0] = 0.0
-        vm[-1] = 0.0
-        R[N - m] = vm
+        vm = R[N - m]
+        vm[1:-1] = lam_next[1:-1]  # the mask: t = 0 and t = 2T stay zero
         lam_m = np.zeros(n_t)
         lam_m[1:-1] = vm[2:] + vm[:-2]
         lam_m[0] = vm[1]
         lam_m[-1] = vm[-2]
         lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)
-        vm2 = lam_next2.copy()
-        vm2[0] = 0.0
-        vm2[-1] = 0.0
-        lam_m -= vm2
+        # the masked lambda_{m+2} is the level stored before, and the zero
+        # level R[0] at m = N - 1
+        lam_m -= R[N - m - 1]
         lam_m -= h * h * history.at(N - m, n_t)
-        lam_next2, lam_next = lam_next, lam_m
+        lam_next = lam_m
     return R[1:]
 
 

@@ -22,11 +22,11 @@ I + W directly, with no connecting kernel involved (``tests/oracles.py``);
 matrix form, which is the strongest data-consistency test the pipeline has.
 
 Every product with a triangular factor runs as a flat loop of GEMMs over
-blocks of rows or columns (``model._spans``) that skips the factor's zero
-triangle (``model._lower_times``, ``model._times_triangular``).  Only the
-inverse of the Cholesky factor recurses, halving down to dense leaf blocks.
-The two residual checks reduce their last product to its maximum block by
-block, so neither holds a full-size residual.
+blocks of rows or columns (``_spans``) that skips the factor's zero
+triangle (``_lower_times``, ``_times_triangular``).  Only the inverse of the
+Cholesky factor recurses, halving down to dense leaf blocks.  The two
+residual checks reduce their last product to its maximum block by block, so
+neither holds a full-size residual.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .model import (
     _BLOCK,
     CoefficientField,
     GridSpec,
-    _lower_times,
-    _spans,
-    _times_triangular,
     sampled_derivative,
     trapz_weights,
 )
@@ -90,6 +87,46 @@ def _node_weights(N: int, h: float) -> np.ndarray:
     d = np.full(N + 1, h)
     d[0] = 0.5 * h
     return d
+
+
+def _spans(n: int) -> list[tuple[int, int]]:
+    """The blocks (i0, i1) of a product loop over n rows or columns.
+
+    They are ``_BLOCK`` wide, or n // 8 where that is wider: each block
+    re-reads the whole of the other factor, and 32 blocks of 128 stream it
+    often enough to cost a tenth of a residual check at N = 4096.
+    """
+    step = max(_BLOCK, n // 8)
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _lower_times(L: np.ndarray, F: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """L @ F for a lower-triangular L, by row blocks.
+
+    Rows i0..i1-1 of L vanish past column i1 - 1, so each block is
+    L[i0:i1, :i1] @ F[:i1].  ``out`` receives the product when given.
+    """
+    if out is None:
+        out = np.empty((L.shape[0], F.shape[1]))
+    for i0, i1 in _spans(L.shape[0]):
+        np.matmul(L[i0:i1, :i1], F[:i1], out=out[i0:i1])
+    return out
+
+
+def _times_triangular(F: np.ndarray, T: np.ndarray, lower: bool) -> np.ndarray:
+    """F @ T for a lower (``lower``) or upper triangular T, by column blocks.
+
+    Columns j0..j1-1 of T vanish above row j0 when T is lower and past row
+    j1 - 1 when it is upper, so each block reads only those rows of T and
+    the matching columns of F.  The product is column-major, so that every
+    block is written contiguously.
+    """
+    out = np.empty((F.shape[0], T.shape[1]), order="F")
+    for j0, j1 in _spans(T.shape[1]):
+        inner = slice(j0, None) if lower else slice(0, j1)
+        np.matmul(F[:, inner], T[inner, j0:j1], out=out[:, j0:j1])
+    return out
 
 
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
@@ -238,24 +275,28 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     trapezoid weights (half weight at each column's last node, none for the
     one-node column 0).  The residual is reduced to its maximum by column
     blocks, each formed over its rows t <= s only, as zw is upper
-    triangular: no (N+1)^2 residual is held.
+    triangular; each block of zw is weighted as it is read, so neither zw
+    nor the residual is held whole.
     """
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
-    didx = np.arange(N + 1)
-    zw = np.triu(gl.z)
-    zw *= _node_weights(N, h)[:, None]
-    zw[didx, didx] *= 0.5
-    zw[0, 0] = 0.0
+    d = _node_weights(N, h)
     C = c.values
     worst = 0.0
     for j0, j1 in _spans(N + 1):
-        res = C[:j1, :j1] @ zw[:j1, j0:j1]
+        # columns j0..j1-1 of zw; row t of column j0 + k is in the upper
+        # triangle when t <= j0 + k
+        zw = np.triu(gl.z[:j1, j0:j1], -j0)
+        zw *= d[:j1, None]
+        zw[j0:][np.diag_indices(j1 - j0)] *= 0.5
+        if j0 == 0:
+            zw[0, 0] = 0.0
+        res = C[:j1, :j1] @ zw
+        del zw
         res += gl.z[:j1, j0:j1]
         res += C[:j1, j0:j1]
         np.abs(res, out=res)
-        # row t of column j0 + k is in the upper triangle when t <= j0 + k
         worst = max(worst, float(np.triu(res, -j0).max()))
     return worst
 

@@ -1,4 +1,4 @@
-"""Grids, sampled fields, quadrature and blocked products.
+"""Grids, sampled fields, quadrature and the causal history of the marches.
 
 Everything downstream works on a characteristic grid: the space step and the
 time step are the same h = T/N.  Coefficients live on [0, T], boundary data
@@ -8,8 +8,8 @@ and memory kernels on [0, 2T], and triangular kernels on the region
 Every blocked pass over an (N+1)^2 array runs ``_BLOCK`` rows or columns at
 a time: the streamed Galerkin products and full-size passes of the
 assembly, the dense leaf of the blocked triangular inverse and the
-condition number's Gram.  The loops of GEMMs with triangular factors below
-and in the residual checks take blocks of at least ``_BLOCK`` (``_spans``).
+condition number's Gram.  The loops of GEMMs with triangular factors in
+``gelfand_levitan`` take blocks of at least ``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class GridSpec:
 # levels per block of a causal history (one GEMM per block)
 _LEVEL_BLOCK = 64
 # rows or columns per block of every blocked pass, and the narrowest block
-# of a product loop (``_spans``)
+# of a product loop (``gelfand_levitan._spans``)
 _BLOCK = 128
 
 
@@ -168,46 +168,6 @@ class CausalHistory:
             # level 0 is a near level here; the trapezoid halves its weight
             out -= 0.5 * self._kh[j] * self._H[0, :n]
         return out
-
-
-def _spans(n: int) -> list[tuple[int, int]]:
-    """The blocks (i0, i1) of a product loop over n rows or columns.
-
-    They are ``_BLOCK`` wide, or n // 8 where that is wider: each block
-    re-reads the whole of the other factor, and 32 blocks of 128 stream it
-    often enough to cost a tenth of a residual check at N = 4096.
-    """
-    step = max(_BLOCK, n // 8)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _lower_times(L: np.ndarray, F: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """L @ F for a lower-triangular L, by row blocks.
-
-    Rows i0..i1-1 of L vanish past column i1 - 1, so each block is
-    L[i0:i1, :i1] @ F[:i1].  ``out`` receives the product when given.
-    """
-    if out is None:
-        out = np.empty((L.shape[0], F.shape[1]))
-    for i0, i1 in _spans(L.shape[0]):
-        np.matmul(L[i0:i1, :i1], F[:i1], out=out[i0:i1])
-    return out
-
-
-def _times_triangular(F: np.ndarray, T: np.ndarray, lower: bool) -> np.ndarray:
-    """F @ T for a lower (``lower``) or upper triangular T, by column blocks.
-
-    Columns j0..j1-1 of T vanish above row j0 when T is lower and past row
-    j1 - 1 when it is upper, so each block reads only those rows of T and
-    the matching columns of F.  The product is column-major, so that every
-    block is written contiguously.
-    """
-    out = np.empty((F.shape[0], T.shape[1]), order="F")
-    for j0, j1 in _spans(T.shape[1]):
-        inner = slice(j0, None) if lower else slice(0, j1)
-        np.matmul(F[:, inner], T[inner, j0:j1], out=out[:, j0:j1])
-    return out
 
 
 def check_march(a: np.ndarray, name: str) -> None:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv, write_json
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .catalog import get_problem
 from .connecting import (
     connecting_form_from_interior,
@@ -182,8 +183,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    from .artifacts import read_json
-
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must hold a JSON object")
@@ -195,9 +194,14 @@ class _Timer:
         self.laps: dict[str, float] = {}
         self._t0 = time.perf_counter()
 
-    def lap(self, name: str, start: float) -> None:
-        """Charge the time since ``start`` to ``name``, on top of earlier laps."""
-        self.laps[name] = self.laps.get(name, 0.0) + time.perf_counter() - start
+    @contextmanager
+    def lap(self, name: str):
+        """Charge the time of the ``with`` body to ``name``, on top of earlier laps."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.laps[name] = self.laps.get(name, 0.0) + time.perf_counter() - start
 
     def finish(self) -> dict:
         self.laps["total"] = time.perf_counter() - self._t0
@@ -243,25 +247,23 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
     grid = cfg.grid()
     q, K = cfg.fields()
 
-    t0 = time.perf_counter()
-    sol = solve_goursat(q, K, grid)
-    r = response_kernel(sol)
-    diag_res = diagonal_residual(q)
-    del sol  # the march arrays are the largest; nothing below needs them
-    timer.lap("goursat", t0)
+    with timer.lap("goursat"):
+        sol = solve_goursat(q, K, grid)
+        r = response_kernel(sol)
+        diag_res = diagonal_residual(q)
+        del sol  # the march arrays are the largest; nothing below needs them
 
     r = _add_noise(r, cfg.noise_sigma, cfg.noise_seed)
 
-    t0 = time.perf_counter()
-    os.makedirs(outdir, exist_ok=True)
-    t_full = grid.times_full()
-    write_csv(os.path.join(outdir, "response.csv"), ["t", "r"],
-              np.stack([t_full, r.values], axis=1))
-    write_csv(os.path.join(outdir, "kernel_K.csv"), ["t", "value"],
-              np.stack([t_full, K.values], axis=1))
-    write_csv(os.path.join(outdir, "truth_q.csv"), ["x", "value"],
-              np.stack([grid.times_half(), q.values], axis=1))
-    timer.lap("artifacts", t0)
+    with timer.lap("artifacts"):
+        os.makedirs(outdir, exist_ok=True)
+        t_full = grid.times_full()
+        write_csv(os.path.join(outdir, "response.csv"), ["t", "r"],
+                  np.stack([t_full, r.values], axis=1))
+        write_csv(os.path.join(outdir, "kernel_K.csv"), ["t", "value"],
+                  np.stack([t_full, K.values], axis=1))
+        write_csv(os.path.join(outdir, "truth_q.csv"), ["x", "value"],
+                  np.stack([grid.times_half(), q.values], axis=1))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -325,8 +327,10 @@ def _load_data(datadir: str):
 
 
 def _subsample(grid: GridSpec, r: ResponseData, K: MemoryKernel,
-               q: CoefficientField | None, stride: int):
-    coarse = GridSpec(grid.T, grid.N // stride)
+               q: CoefficientField | None, n: int):
+    """The data on the level of ``n`` cells, which divides ``grid.N``."""
+    stride = grid.N // n
+    coarse = GridSpec(grid.T, n)
     rc = ResponseData(coarse, r.values[::stride])
     Kc = MemoryKernel(coarse, K.values[::stride])
     qc = CoefficientField(coarse, q.values[::stride]) if q is not None else None
@@ -341,6 +345,11 @@ def _check_level(N: int, cap: int = 64) -> int:
     return N
 
 
+def _ladder(n: int) -> list[int]:
+    """The levels n/4, n/2 and n that have at least 8 cells and divide n."""
+    return [m for m in (n // 4, n // 2, n) if m >= 8 and n % m == 0]
+
+
 # --------------------------------------------------------------------------
 # reconstruct
 # --------------------------------------------------------------------------
@@ -348,52 +357,47 @@ def _check_level(N: int, cap: int = 64) -> int:
 def run_reconstruct(datadir: str, outdir: str) -> dict:
     """Recover the potential from a data directory and write the results."""
     timer = _Timer()
-    t0 = time.perf_counter()
-    grid, r, K, q_true = _load_data(datadir)
-    timer.lap("load", t0)
+    with timer.lap("load"):
+        grid, r, K, q_true = _load_data(datadir)
 
-    t0 = time.perf_counter()
-    cT = connecting_kernel_from_response(r, K)
-    timer.lap("connecting", t0)
+    with timer.lap("connecting"):
+        cT = connecting_kernel_from_response(r, K)
 
-    t0 = time.perf_counter()
-    gl = solve_gl(cT)
-    q_hat = recover_potential(gl)
-    timer.lap("gelfand_levitan", t0)
+    with timer.lap("gelfand_levitan"):
+        gl = solve_gl(cT)
+        q_hat = recover_potential(gl)
 
-    t0 = time.perf_counter()
-    metrics = {
-        "cT_max_abs": float(np.max(np.abs(cT.values))),
-        "cond_estimate": gl.cond_estimate,
-        "min_pivot": gl.min_pivot,
-        "min_pivot_depth": gl.min_pivot_depth,
-        "pivot_deciles": list(gl.pivot_deciles),
-        "galerkin_asymmetry": cT.asymmetry,
-        "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
-    }
-    if q_true is not None:
-        err = reconstruction_errors(q_true.values, q_hat.values, grid)
-        metrics["l2_rel_err"] = err["interior_rel"]
-        metrics["linf_err"] = err["interior_linf"]
-        metrics["max_abs_err"] = err["max_abs"]
-        metrics["window"] = list(ERROR_WINDOW)
-    del gl  # free the (N+1)^2 solution before the tables are formatted
-    timer.lap("metrics", t0)
+    with timer.lap("metrics"):
+        metrics = {
+            "cT_max_abs": float(np.max(np.abs(cT.values))),
+            "cond_estimate": gl.cond_estimate,
+            "min_pivot": gl.min_pivot,
+            "min_pivot_depth": gl.min_pivot_depth,
+            "pivot_deciles": list(gl.pivot_deciles),
+            "galerkin_asymmetry": cT.asymmetry,
+            "q_hat_max_abs": float(np.max(np.abs(q_hat.values))),
+        }
+        if q_true is not None:
+            err = reconstruction_errors(q_true.values, q_hat.values, grid)
+            metrics["l2_rel_err"] = err["interior_rel"]
+            metrics["linf_err"] = err["interior_linf"]
+            metrics["max_abs_err"] = err["max_abs"]
+            metrics["window"] = list(ERROR_WINDOW)
+        del gl  # free the (N+1)^2 solution before the tables are formatted
 
-    t0 = time.perf_counter()
-    os.makedirs(outdir, exist_ok=True)
-    # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
-    write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
-              cT.values)
-    # free the (N+1)^2 kernel before the JSON encoder's reference cycles can
-    # pin the heap it sits in
-    del cT
-    tt = grid.times_half()
-    truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
-    write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
-              np.stack([tt, truth_col, q_hat.values, np.abs(q_hat.values - truth_col)],
-                       axis=1))
-    timer.lap("artifacts", t0)
+    with timer.lap("artifacts"):
+        os.makedirs(outdir, exist_ok=True)
+        # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
+        write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
+                  cT.values)
+        # free the (N+1)^2 kernel before the JSON encoder's reference cycles
+        # can pin the heap it sits in
+        del cT
+        tt = grid.times_half()
+        truth_col = q_true.values if q_true is not None else np.full(grid.N + 1, np.nan)
+        write_csv(os.path.join(outdir, "q_hat.csv"), ["x", "q_true", "q_hat", "abs_err"],
+                  np.stack([tt, truth_col, q_hat.values,
+                            np.abs(q_hat.values - truth_col)], axis=1))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -430,11 +434,10 @@ def _mean_order(errs: list[float], floor: float) -> float:
 
 def _verify_two_path(grid, r, K, q) -> dict:
     """Response route vs. leapfrog boundary trace, across grid levels."""
-    levels = [n for n in (grid.N // 4, grid.N // 2, grid.N)
-              if n >= 8 and grid.N % n == 0]
+    levels = _ladder(grid.N)
     errs = []
     for n in levels:
-        cg, rc, Kc, qc = _subsample(grid, r, K, q, grid.N // n)
+        cg, rc, Kc, qc = _subsample(grid, r, K, q, n)
         f = control_from_family("smooth_bump_control", (0.5 * cg.T, 0.25 * cg.T), cg)
         lhs = apply_response(rc, f)
         rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.T))
@@ -448,13 +451,14 @@ def _verify_two_path(grid, r, K, q) -> dict:
                   "grid too coarse for order estimation, skipped")
 
 
-def _verify_three_way(cg, Kc, qc, cT_data, level_diffs, levels) -> dict:
+def _verify_three_way(Kc, qc, cT_data, level_diffs, levels) -> dict:
     """Probe-assembled kernel vs. factor route vs. interior wave states.
 
     ``level_diffs`` holds the entrywise relative mismatch against the factor
     route at each assembly level; with two or more levels the measured order
     of decrease is reported alongside the absolute gate at the finest level.
     """
+    cg = cT_data.grid
     worst = level_diffs[-1]
     controls = [
         control_from_family("smooth_bump_control", (c * cg.T, 0.2 * cg.T), cg)
@@ -494,9 +498,8 @@ def _verify_diagonal(grid, q) -> dict:
 def run_verify(datadir: str, outdir: str | None = None) -> dict:
     """Cross-validate a data directory; status 'failed' if any check fails."""
     timer = _Timer()
-    t0 = time.perf_counter()
-    grid, r, K, q = _load_data(datadir)
-    timer.lap("load", t0)
+    with timer.lap("load"):
+        grid, r, K, q = _load_data(datadir)
     checks, asymmetry = _verify_checks(grid, r, K, q, timer)
 
     failed = [c["name"] for c in checks if not c["passed"]]
@@ -520,79 +523,67 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
     checks = []
 
     # the data-route kernel feeds several checks; assemble it at a bounded
-    # ladder of levels so verify stays cheap on fine data sets.  Inconsistent
-    # data can already derail the assembly or the collocation solve; that
-    # counts as a failure of the dependent checks, not a crash.
-    t0 = time.perf_counter()
-    n_top = _check_level(grid.N)
-    # the coarser levels only give the three-way check its measured order,
-    # and that check needs truth_q.csv
-    coarse = [m for m in (n_top // 4, n_top // 2) if m >= 8 and n_top % m == 0]
-    levels = (coarse if q is not None else []) + [n_top]
-    cT = gl = asymmetry = None
-    breakage = None
+    # ladder of levels so verify stays cheap on fine data sets.  The checks
+    # of the kernel read its top level alone; the coarser ones only give the
+    # three-way check its measured order, and that check needs truth_q.csv.
+    # Inconsistent data can already derail the assembly or the collocation
+    # solve; that counts as a failure of the dependent checks, not a crash.
+    cT = gl = asymmetry = breakage = None
     level_diffs = []
-    try:
-        for m in levels:
-            # the last level is the top one, which the checks below read
-            cg, rc, Kc, qc = _subsample(grid, r, K, q, grid.N // m)
-            cT = connecting_kernel_from_response(rc, Kc)
-            if q is not None:
-                cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
-                rel = np.max(np.abs(cT.values - cw.values))
-                level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
-        asymmetry = {"N": cT.grid.N, "value": cT.asymmetry}
-    except _BREAKAGE as exc:
-        # drop a coarser level's kernel: the checks read the top level
-        cT = None
-        breakage = str(exc)
-    timer.lap("connecting_assembly", t0)
-
-    t0 = time.perf_counter()
-    if breakage is None:
+    with timer.lap("connecting_assembly"):
+        n_top = _check_level(grid.N)
+        _, _, K_top, q_top = _subsample(grid, r, K, q, n_top)
+        levels = _ladder(n_top) if q is not None else [n_top]
         try:
-            gl = solve_gl(cT)
+            for m in levels:
+                cg, rc, Kc, qc = _subsample(grid, r, K, q, m)
+                kernel = connecting_kernel_from_response(rc, Kc)
+                if q is not None:
+                    cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
+                    rel = np.max(np.abs(kernel.values - cw.values))
+                    level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
+                if m == n_top:
+                    cT = kernel
+            asymmetry = {"N": n_top, "value": cT.asymmetry}
         except _BREAKAGE as exc:
             breakage = str(exc)
-    timer.lap("gl_solve", t0)
+
+    with timer.lap("gl_solve"):
+        if cT is not None:
+            try:
+                gl = solve_gl(cT)
+            except _BREAKAGE as exc:
+                breakage = str(exc)
+
+    def broken(name, threshold=None):
+        return _check(name, False, float("inf"), threshold, breakage)
 
     if q is not None:
-        t0 = time.perf_counter()
-        checks.append(_verify_two_path(grid, r, K, q))
-        timer.lap("two_path_response", t0)
+        with timer.lap("two_path_response"):
+            checks.append(_verify_two_path(grid, r, K, q))
+        with timer.lap("three_way_connecting"):
+            checks.append(broken("three_way_connecting", _THREE_WAY_REL_TOL) if cT is None
+                          else _verify_three_way(K_top, q_top, cT, level_diffs, levels))
+        with timer.lap("diagonal_law"):
+            checks.append(_verify_diagonal(grid, q))
 
-        t0 = time.perf_counter()
-        if cT is not None:
-            checks.append(_verify_three_way(cg, Kc, qc, cT, level_diffs, levels))
+    with timer.lap("operator_identity"):
+        if gl is None:
+            checks.append(broken("operator_identity"))
         else:
-            checks.append(_check("three_way_connecting", False, float("inf"),
-                                 _THREE_WAY_REL_TOL, breakage))
-        timer.lap("three_way_connecting", t0)
-
-        t0 = time.perf_counter()
-        checks.append(_verify_diagonal(grid, q))
-        timer.lap("diagonal_law", t0)
-
-    t0 = time.perf_counter()
-    if gl is not None:
-        scale = 1.0 + float(np.max(np.abs(cT.values)))
-        res_id = operator_identity_residual(cT, gl)
-        tol_id = _OPERATOR_IDENTITY_FACTOR * cg.h * cg.h * scale
-        checks.append(_check("operator_identity", res_id <= tol_id, res_id, tol_id,
-                             f"factorization identity at level N={cg.N}"))
-        timer.lap("operator_identity", t0)
-
-        t0 = time.perf_counter()
-        res_gl = gl_residual(cT, gl)
-        tol_gl = _GL_RESIDUAL_FACTOR * scale
-        checks.append(_check("gl_residual", res_gl <= tol_gl, res_gl, tol_gl,
-                             "collocation solve residual"))
-        timer.lap("gl_residual", t0)
-    else:
-        checks.append(_check("operator_identity", False, float("inf"), None,
-                             breakage))
-        checks.append(_check("gl_residual", False, float("inf"), None, breakage))
-        timer.lap("operator_identity", t0)
+            scale = 1.0 + float(np.max(np.abs(cT.values)))
+            res_id = operator_identity_residual(cT, gl)
+            tol_id = _OPERATOR_IDENTITY_FACTOR * cT.grid.h * cT.grid.h * scale
+            checks.append(_check("operator_identity", res_id <= tol_id, res_id, tol_id,
+                                 f"factorization identity at level N={n_top}"))
+    with timer.lap("gl_residual"):
+        if gl is None:
+            checks.append(broken("gl_residual"))
+        else:
+            res_gl = gl_residual(cT, gl)
+            tol_gl = _GL_RESIDUAL_FACTOR * scale
+            checks.append(_check("gl_residual", res_gl <= tol_gl, res_gl, tol_gl,
+                                 "collocation solve residual"))
     return checks, asymmetry
 
 
@@ -618,20 +609,19 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
         raise UsageError("convergence needs at least two strictly increasing grids")
     rows = []
     for N in grids:
-        t0 = time.perf_counter()
-        c = replace(cfg, N=N)
-        grid = c.grid()
-        q, K = c.fields()
-        sol = solve_goursat(q, K, grid)
-        r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
-        cT = connecting_kernel_from_response(r, K)
-        q_hat = recover_potential(solve_gl(cT))
-        # the rung's largest arrays: neither the next rung nor the JSON writes
-        # below need them
-        del sol, cT
-        err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
-        rows.append({"N": N, "error": err, "floor": _roundoff_floor(q.values, N)})
-        timer.lap(f"N={N}", t0)
+        with timer.lap(f"N={N}"):
+            c = replace(cfg, N=N)
+            grid = c.grid()
+            q, K = c.fields()
+            sol = solve_goursat(q, K, grid)
+            r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
+            cT = connecting_kernel_from_response(r, K)
+            q_hat = recover_potential(solve_gl(cT))
+            # the rung's largest arrays: neither the next rung nor the JSON
+            # writes below need them
+            del sol, cT
+            err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
+            rows.append({"N": N, "error": err, "floor": _roundoff_floor(q.values, N)})
     for k, row in enumerate(rows):
         # order estimates on errors at the round-off floor are meaningless
         prev = rows[k - 1]
@@ -644,12 +634,11 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
             row["ratio"] = float(ratio)
             row["order"] = float(np.log2(ratio) / width)
 
-    t0 = time.perf_counter()
-    os.makedirs(outdir, exist_ok=True)
-    header = ["N", "error", "ratio", "order"]
-    write_csv(os.path.join(outdir, "convergence.csv"), header,
-              np.array([[row[k] for k in header] for row in rows], dtype=float))
-    timer.lap("artifacts", t0)
+    with timer.lap("artifacts"):
+        os.makedirs(outdir, exist_ok=True)
+        header = ["N", "error", "ratio", "order"]
+        write_csv(os.path.join(outdir, "convergence.csv"), header,
+                  np.array([[row[k] for k in header] for row in rows], dtype=float))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "convergence",

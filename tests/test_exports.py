@@ -16,6 +16,8 @@ Every stage runs in one process: the package has no ``fork`` or
 
 The second routes in ``tests/oracles.py`` share no private code with the
 routes they check: they import no underscore-prefixed name from ``memwave``.
+Inside the package, private code lives with its callers: the only private
+name one module imports from another is the block width ``model._BLOCK``.
 
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
@@ -196,3 +198,15 @@ def test_oracles_import_no_private_name():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_only_the_block_width_is_imported_privately():
+    found = {
+        f"{node.module}.{alias.name}"
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("memwave"))
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert found == {"model._BLOCK"}

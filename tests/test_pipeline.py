@@ -497,6 +497,21 @@ def test_verify_reports_no_asymmetry_when_the_assembly_breaks(data_dir, monkeypa
     ]
 
 
+def test_verify_times_every_stage_when_the_assembly_breaks(data_dir, tmp_path,
+                                                          monkeypatch):
+    def broken(r, K):
+        raise mw.AssemblyError("connecting kernel lost symmetry during assembly")
+
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", broken)
+    assert run_verify(data_dir, str(tmp_path / "ver"))["status"] == "failed"
+    laps = _timings(tmp_path / "ver")["wall_times_s"]
+    named = ("load", "connecting_assembly", "gl_solve", "two_path_response",
+             "three_way_connecting", "diagonal_law", "operator_identity",
+             "gl_residual")
+    assert set(laps) == set(named) | {"total"}
+    assert sum(laps[k] for k in named) <= laps["total"]
+
+
 def test_verify_fails_by_name_when_only_the_finest_assembly_breaks(data_dir,
                                                                   monkeypatch):
     # the coarser levels assemble; their kernel must not stand in for the
