@@ -1,4 +1,4 @@
-"""Per-layer ladder: time and memory of every reconstruct layer over a ladder of N.
+"""Per-layer ladder: time and memory of every reconstruct layer and the leapfrog over N.
 
     python3 scripts/ladder.py                      # N = 256 ... 4096, writes BENCH_ladder.json
     python3 scripts/ladder.py --grids 16 32 --out /tmp/ladder.json
@@ -9,7 +9,9 @@ minimum of ``REPEATS`` untraced calls, and then called once more under
 ``tracemalloc`` for its traced peak: the memory it allocates above the level
 at its entry.  The parts of the assembly and of the solve are measured
 inside those same calls, by wrappers around the production functions that
-run them.  The growth exponents are fitted between the two largest rungs.
+run them.  The leapfrog runs to t = T with verify's two-path bump control,
+once on the whole padded field and once on the trace's backward cone.  The
+growth exponents are fitted between the two largest rungs.
 The JSON also records the process's maxrss and the host: CPUs, Python,
 numpy and its BLAS.  numpy only; nothing here is part of the package.
 """
@@ -47,8 +49,10 @@ from memwave.artifacts import write_csv  # noqa: E402
 SCHEMA = 1
 GRIDS = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
-# every layer in pipeline order; a layer "a.b.c" whose "a.b" is also listed
-# runs inside "a.b"
+# every layer in pipeline order, then verify's leapfrog; a layer of ``PARTS``
+# runs inside the layer its name extends.  ``forward.fd_forward`` marches the
+# whole padded field and ``forward.fd_forward.trace`` only the backward cone
+# of the rows the boundary trace reads, as verify's two-path check does
 LAYERS = (
     "goursat.solve_goursat",
     "goursat.response_kernel",
@@ -65,6 +69,8 @@ LAYERS = (
     "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity",
     "artifacts.write_csv.cT",
+    "forward.fd_forward",
+    "forward.fd_forward.trace",
 )
 # the layers measured from inside the production call that runs them:
 # {layer: (module, function)}
@@ -197,6 +203,11 @@ def rung(N: int, tmpdir: str) -> dict:
         header = [f"s{j}" for j in range(N + 1)]
         run("artifacts.write_csv.cT", lambda: write_csv(path, header, c.values))
         os.unlink(path)
+        del c
+        f = mw.control_from_family("smooth_bump_control", (0.5 * grid.T, 0.25 * grid.T), grid)
+        run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, grid.T))
+        run("forward.fd_forward.trace",
+            lambda: mw.fd_forward(q, K, f, grid.T, x_max=2 * grid.h))
     for name in PARTS:
         out[name] = (parts.seconds[name], parts.peaks[name])
     return out

@@ -52,6 +52,61 @@ def test_fd_rejects_offgrid_horizon():
         mw.fd_forward(q, K, f, t_max=3.0)
 
 
+def test_fd_short_horizon_is_the_leading_columns():
+    # horizons short of (N - 4)h pad the interval to fewer rows than q has
+    grid, q, K = _problem("full", 64)
+    f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
+    u = mw.fd_forward(q, K, f).values
+    for M in (0, 1, 32, 59):
+        u_short = mw.fd_forward(q, K, f, t_max=M * grid.h).values
+        assert u_short.shape == (M + 5, M + 1)
+        assert np.array_equal(u_short, u[: M + 5, : M + 1])
+
+
+def test_fd_rejects_negative_horizon():
+    grid, q, K = _problem("full", 64)
+    f = mw.control_from_family("zero", (), grid)
+    for t_max in (-grid.h, -0.5):
+        with pytest.raises(mw.UsageError, match="negative"):
+            mw.fd_forward(q, K, f, t_max=t_max)
+
+
+@pytest.mark.parametrize("name", ["full", "classical"])
+@pytest.mark.parametrize("n", [33, 64, 256])
+@pytest.mark.parametrize("window", [1, 2])
+def test_fd_cone_rows_match_the_whole_field(name, n, window):
+    # the cone drops only rows that cannot reach the returned ones; with one
+    # BLAS thread the rows it keeps are the default field's, bit for bit
+    grid, q, K = _problem(name, n)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid,
+                               full_window=True)
+    M = window * n
+    u = mw.fd_forward(q, K, f, window * grid.T).values
+    assert u.shape == (M + 5, M + 1)
+    for R in (0, 2, n // 2):
+        u_cone = mw.fd_forward(q, K, f, window * grid.T, x_max=R * grid.h).values
+        assert u_cone.shape == (R + 1, M + 1)
+        assert np.array_equal(u_cone, u[: R + 1])
+
+
+def test_fd_rejects_bad_x_max():
+    grid, q, K = _problem("full", 32)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
+    for x_max in (0.33, -grid.h, grid.T + 5 * grid.h):
+        with pytest.raises(mw.UsageError, match="x_max"):
+            mw.fd_forward(q, K, f, x_max=x_max)
+    assert mw.fd_forward(q, K, f, x_max=grid.T + 4 * grid.h).values.shape == (37, 33)
+
+
+def test_fd_trace_needs_three_rows():
+    grid, q, K = _problem("full", 32)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
+    with pytest.raises(mw.UsageError, match="rows 0-2"):
+        mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=grid.h))
+    trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=2 * grid.h))
+    assert np.array_equal(trace, mw.fd_boundary_trace(mw.fd_forward(q, K, f)))
+
+
 def _direct_leapfrog(q, K, f, M):
     # the leapfrog loop with one full trapezoid history product per level,
     # over every row of the padded interval

@@ -18,6 +18,7 @@ LAYERS = {
     "gelfand_levitan.solve_gl.tril_inverse", "gelfand_levitan.solve_gl.kappa_gram",
     "gelfand_levitan.recover_potential", "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity", "artifacts.write_csv.cT",
+    "forward.fd_forward", "forward.fd_forward.trace",
 }
 
 
