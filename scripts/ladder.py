@@ -60,6 +60,7 @@ LAYERS = (
     "connecting.from_response.impulse_response",
     "connecting.from_response.adjoint_weights",
     "connecting.from_response.galerkin_products",
+    "connecting.from_response.asymmetry",
     "connecting.from_response.kernel_from_galerkin",
     "gelfand_levitan.solve_gl",
     "gelfand_levitan.solve_gl.cholesky",
@@ -78,6 +79,7 @@ PARTS = {
     "connecting.from_response.impulse_response": (connecting, "_impulse_response"),
     "connecting.from_response.adjoint_weights": (connecting, "_adjoint_weights"),
     "connecting.from_response.galerkin_products": (connecting, "_galerkin"),
+    "connecting.from_response.asymmetry": (connecting, "_diagonal_asymmetry"),
     "connecting.from_response.kernel_from_galerkin": (connecting, "_kernel_from_galerkin"),
     "gelfand_levitan.solve_gl.cholesky": (np.linalg, "cholesky"),
     "gelfand_levitan.solve_gl.tril_inverse": (gelfand_levitan, "_tril_inverse"),

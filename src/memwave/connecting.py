@@ -27,15 +27,22 @@ only in the tests, as an oracle.
 The response of every impulse is a shift of one stencil, so the assembly
 makes one response call.  One adjoint march of the transposed scheme gives
 the weights of psi(T, T) for any right-hand side, and two matrix products
-read all probe pairs off them.  The products are streamed by column blocks
-of the probe matrix, each a strided window over the one stencil, so that
-matrix is never formed whole; the rows a block's probes have not reached
-yet are zero by causality and are skipped.  The passes over the full-size
-block (asymmetry, symmetrization) run by row blocks, in place.  Every block
-is ``model._BLOCK`` wide.  The march forms its transposed history
-convolution as one FFT correlation per level, O(N log N) each, and its
-level memory as the blocked causal history of ``model.CausalHistory``,
-which the Goursat and leapfrog marches share.
+read all probe pairs off them.  The weights of level l vanish from
+t = 2T - l h on, past the backward wavefront of the unit load at (T, T);
+the march writes each level only up to that front, so the zeros are exact
+and neither the products nor the march's level memory spend work on them.
+The products are streamed by column blocks of the probe matrix, each a
+strided window over the one stencil, so that matrix is never formed whole;
+the rows a block's probes have not reached yet are zero by causality and
+are skipped.  Only the upper triangle of the block is read, so each product
+forms only its part of it: the entries below the diagonal blocks are never
+formed, and the asymmetry, a round-off diagnostic, is read on the diagonal
+blocks, which both products fill.  The passes over the full-size block
+(asymmetry, symmetrization) run by blocks, in place.  Every block is
+``model._BLOCK`` wide.  The march forms its transposed history convolution
+as one FFT correlation per level, O(N log N) each, and its level memory as
+the blocked causal history of ``model.CausalHistory``, which the Goursat
+and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -73,8 +80,10 @@ __all__ = [
 class ConnectingKernel:
     """Reduced connecting kernel samples c(t_i, s_j) on [0, T]^2, symmetric.
 
-    ``asymmetry`` is max|B - B^T| of the h^-2-scaled Galerkin block the data
-    route assembles from (NaN for the factor route, which has no such block).
+    ``asymmetry`` is max|B - B^T| over the diagonal ``_BLOCK`` x ``_BLOCK``
+    blocks of the h^-2-scaled Galerkin block the data route assembles from,
+    the only entries both of its products form (the whole block at
+    N <= 130); NaN for the factor route, which has no such block.
     """
 
     grid: GridSpec
@@ -100,6 +109,15 @@ def _asymmetry(a: np.ndarray) -> float:
     n = a.shape[0]
     return float(np.max([np.abs(a[i : i + _BLOCK] - a[:, i : i + _BLOCK].T).max()
                          for i in range(0, n, _BLOCK)]))
+
+
+def _diagonal_asymmetry(a: np.ndarray) -> float:
+    """max|a - a^T| over the diagonal ``_BLOCK`` x ``_BLOCK`` blocks of a
+    square array: the entries of the Galerkin block that both of
+    ``_galerkin``'s products form."""
+    n = a.shape[0]
+    return float(np.max([np.abs(d - d.T).max() for d in
+                         (a[i : i + _BLOCK, i : i + _BLOCK] for i in range(0, n, _BLOCK))]))
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -210,6 +228,15 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     (shift-sum, transposed history convolution, transposed level memory).
     Only the levels l = 1..N-1 carry weight; V[0], the last row, stays zero.
 
+    The shift-sum moves the load's support one node out per level, and the
+    correlation and the level memory only reach back in t, so V[l, t] = 0
+    for t >= 2N - l: the backward wavefront of the load.  Each level writes
+    V[l] on t = 1..2N - l - 1 alone and forms lambda_l on t <= 2N - l alone;
+    the FFT correlation's round-off past the front is dropped, so the zeros
+    there are exact and ``_galerkin`` can skip them.  They also narrow the
+    level memory: level l asks ``CausalHistory`` for 2N - l + 1 entries,
+    and the earlier levels vanish past those, as its contract requires.
+
     The transposed history convolution is one FFT correlation per level
     against the spectrum of Kv, taken once: O(N log N) per level.  The level
     memory of level m, sum_{j >= m} h Kv[j - m] V[j] (half weight at j = m),
@@ -220,28 +247,31 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     N, h = grid.N, grid.h
     n_t = grid.N2 + 1
     R = np.zeros((N + 1, n_t))  # R[N - l] = V[l] = masked lambda_{l+1}; R[0] = 0
-    lam_next = np.zeros(n_t)
+    lam_next = np.zeros(N + 1)
     lam_next[N] = 1.0  # lambda_N
     K_hat = _correlation_spectrum(Kv)
     history = CausalHistory(R, Kv, h)
     for m in range(N - 1, 0, -1):
+        # V[m] vanishes from t = L on, past the load's backward wavefront;
+        # lambda_{m+1} has L entries, lambda_m one more
+        L = 2 * N - m
         vm = R[N - m]
-        vm[1:-1] = lam_next[1:-1]  # the mask: t = 0 and t = 2T stay zero
-        lam_m = np.zeros(n_t)
-        lam_m[1:-1] = vm[2:] + vm[:-2]
+        vm[1:L] = lam_next[1:L]  # the mask: t = 0 stays zero
+        lam_m = np.zeros(L + 1)
+        lam_m[1:] = vm[2 : L + 2] + vm[:L]
         lam_m[0] = vm[1]
-        lam_m[-1] = vm[-2]
-        lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)
+        lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)[: L + 1]
         # the masked lambda_{m+2} is the level stored before, and the zero
         # level R[0] at m = N - 1
-        lam_m -= R[N - m - 1]
-        lam_m -= h * h * history.at(N - m, n_t)
+        lam_m -= R[N - m - 1, : L + 1]
+        lam_m -= h * h * history.at(N - m, L + 1)
         lam_next = lam_m
     return R[1:]
 
 
 def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1.
+    """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1,
+    formed on its diagonal blocks and above them.
 
     ``stencil`` is ``_impulse_response`` and ``Vr`` the ``_adjoint_weights``
     of the march, Vr[i] = V[N - 1 - i].  The march is linear in its
@@ -260,6 +290,15 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
     t <= k0 of the block from column k0 vanish by causality and are skipped;
     row 0 of column 0, the stencil's t = 0 entry, meets only zero weights
     (V vanishes on level 0 and at t = 0).
+
+    Only the upper triangle of B is read (``_kernel_from_galerkin``), so
+    the block from column k0, of width w, forms only its share of that: in
+    the first product the columns from k0 on, that is the levels k0 + 2..
+    (the rows Vr[:N - 2 - k0]), over t < 2N - 2 - k0 only, past which those
+    levels vanish (``_adjoint_weights``); in the second the rows below
+    k0 + w.  That is about 0.83 N^3 multiply-adds against 2 N^3 for the
+    whole block.  Both products fill the diagonal w x w blocks; below them
+    B stays zero.
     """
     N, h = grid.N, grid.h
     n_p, n_t = N - 2, grid.N2 + 1
@@ -270,15 +309,19 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
     B = np.zeros((n_p, n_p))
     for k0 in range(0, n_p, _BLOCK):
         w = min(_BLOCK, n_p - k0)
-        t0 = k0 + 1  # the rows t <= k0 of the block are zero
+        # rows t <= k0 of the block are zero; the levels k0 + 2.. that the
+        # first product reads vanish from t = 2N - 2 - k0 on
+        t0, t1 = k0 + 1, 2 * N - 2 - k0
         a0 = n_p - k0 - w + 1
-        window = sliding_window_view(padded, w)[a0 + t0 : a0 + n_t]
-        block = window[:, ::-1].copy()  # RP[t0:, k0:k0 + w]
-        # rows k0.. of RP^T V[2:N]^T; Vr[:n_p] holds the levels N - 1 down to 2
-        B[k0 : k0 + w] += (block.T @ Vr[:n_p, t0:].T)[:, ::-1]
-        # columns k0.. of V[:, 2:N]^T RP[:N], summed over the levels t0..N-1
+        window = sliding_window_view(padded, w)[a0 + t0 : a0 + t1]
+        block = window[:, ::-1].copy()  # RP[t0:t1, k0:k0 + w]
+        # rows k0.. of RP^T V[2:N]^T, columns k0..; Vr[:n_p - k0] holds the
+        # levels N - 1 down to k0 + 2
+        B[k0 : k0 + w, k0:] += (block.T @ Vr[: n_p - k0, t0:t1].T)[:, ::-1]
+        # rows ..k0 + w - 1 of the columns k0.. of V[:, 2:N]^T RP[:N], summed
+        # over the levels t0..N-1
         levels = block[N - 1 - t0 :: -1].copy()
-        B[:, k0 : k0 + w] -= Vr[: N - t0, 2:N].T @ levels
+        B[: k0 + w, k0 : k0 + w] -= Vr[: N - t0, 2 : k0 + w + 2].T @ levels
     B *= h * h
     return B
 
@@ -333,10 +376,11 @@ def connecting_kernel_from_response(r: ResponseData,
     raw[np.diag_indices_from(raw)] -= h  # the free march's block, exactly
     raw /= h * h
     # the block is symmetric by construction, for any r and K, so its
-    # asymmetry is a round-off diagnostic (below eps N^2 (1 + max|c|) at
-    # T = 1 on random, spiked and catalogue data), not a data check: it
-    # cannot tell whether the response and the kernel belong together
-    return _kernel_from_galerkin(raw, grid, _asymmetry(raw))
+    # asymmetry on the diagonal blocks is a round-off diagnostic (below
+    # eps N^2 (1 + max|c|) at T = 1 on random, spiked and catalogue data),
+    # not a data check: it cannot tell whether the response and the kernel
+    # belong together
+    return _kernel_from_galerkin(raw, grid, _diagonal_asymmetry(raw))
 
 
 def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:

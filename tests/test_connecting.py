@@ -24,6 +24,7 @@ from memwave.connecting import (
     _adjoint_weights,
     _asymmetry,
     _causal_correlation,
+    _diagonal_asymmetry,
     _galerkin,
     _impulse_response,
     _kernel_from_galerkin,
@@ -234,6 +235,17 @@ def test_galerkin_asymmetry_is_round_off_on_any_data(data, scale):
     assert 0.0 < ct.asymmetry <= asymmetry_round_off(32, np.abs(ct.values).max())
 
 
+def test_galerkin_asymmetry_is_read_over_the_diagonal_blocks():
+    # at N = 400 the block spans four column blocks; both products form only
+    # the diagonal ones, and the asymmetry is read there
+    grid = mw.GridSpec(1.0, 400)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    ct = mw.connecting_kernel_from_response(r, K)
+    assert (grid.N - 2) // _BLOCK == 3
+    assert 0.0 < ct.asymmetry <= asymmetry_round_off(400, np.abs(ct.values).max())
+
+
 # ------------------------------------- test-local oracle: the probe sweep
 #
 # The sweep marches the correlation field of every probe pair to s = T with
@@ -400,18 +412,36 @@ def _dense_galerkin(RP, V, grid):
     return RP.T @ W[2:N].T - W[:, 2:N].T @ RP[:N]
 
 
-@pytest.mark.parametrize("n", [9, 200, 256])
+@pytest.mark.parametrize("n", [9, 200, 256, 400])
 @pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
 def test_streamed_galerkin_matches_dense_products(problem, n):
-    # 9 is a single block; 200 and 256 end on a partial block
+    # 9 is a single block; 200 and 256 end on a partial block, and 400 spans
+    # four, the last one partial.  Only the upper triangle is formed whole:
+    # it is all that ``_kernel_from_galerkin`` reads
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     _, RP = _bump_probe_responses(r, grid)
     want = _dense_galerkin(RP[:, 2 : grid.N], _adjoint_weights(K.values, grid)[::-1], grid)
     B = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
-    assert (grid.N - 2) // _BLOCK == (0 if n == 9 else 1)
-    assert np.abs(B - want).max() <= 1e-13 * (1.0 + np.abs(B).max())
+    assert (grid.N - 2) // _BLOCK == {9: 0, 200: 1, 256: 1, 400: 3}[n]
+    assert np.abs(np.triu(B - want)).max() <= 1e-13 * (1.0 + np.abs(B).max())
+
+
+@pytest.mark.parametrize("n", [9, 64, 200])
+@pytest.mark.parametrize("problem", sorted(mw.PROBLEMS) + ["random"])
+def test_adjoint_weights_vanish_past_the_wavefront(problem, n):
+    # V[m, t] = 0 exactly for t >= 2N - m, past the backward wavefront of
+    # the unit load at (T, T), for any kernel; the front itself is reached
+    grid = mw.GridSpec(1.0, n)
+    if problem == "random":
+        Kv = np.random.default_rng(n).standard_normal(grid.N2 + 1)
+    else:
+        Kv = mw.get_problem(problem).fields(grid)[1].values
+    V = _adjoint_weights(Kv, grid)[::-1]
+    m, t = np.indices(V.shape)
+    assert not np.any(V[t >= 2 * n - m])
+    assert np.all(V[np.arange(1, n), 2 * n - 1 - np.arange(1, n)] != 0.0)
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 33])
@@ -441,6 +471,8 @@ def test_free_galerkin_matches_dense_products(T, n):
 def test_blocked_passes_equal_the_whole_array_forms(n):
     a = np.random.default_rng(n).standard_normal((n, n))
     assert _asymmetry(a) == np.abs(a - a.T).max()
+    i, j = np.indices(a.shape)
+    assert _diagonal_asymmetry(a) == np.abs(a - a.T)[i // _BLOCK == j // _BLOCK].max()
     want = np.triu(a) + np.triu(a, 1).T
     _mirror_upper(a)
     assert np.array_equal(a, want)

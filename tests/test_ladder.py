@@ -13,6 +13,7 @@ LAYERS = {
     "connecting.from_response", "connecting.from_response.impulse_response",
     "connecting.from_response.adjoint_weights",
     "connecting.from_response.galerkin_products",
+    "connecting.from_response.asymmetry",
     "connecting.from_response.kernel_from_galerkin",
     "gelfand_levitan.solve_gl", "gelfand_levitan.solve_gl.cholesky",
     "gelfand_levitan.solve_gl.tril_inverse", "gelfand_levitan.solve_gl.kappa_gram",
