@@ -37,12 +37,13 @@ the rows a block's probes have not reached yet are zero by causality and
 are skipped.  Only the upper triangle of the block is read, so each product
 forms only its part of it: the entries below the diagonal blocks are never
 formed, and the asymmetry, a round-off diagnostic, is read on the diagonal
-blocks, which both products fill.  The passes over the full-size block
-(asymmetry, symmetrization) run by blocks, in place.  Every block is
-``model._BLOCK`` wide.  The march forms its transposed history convolution
-as one FFT correlation per level, O(N log N) each, and its level memory as
-the blocked causal history of ``model.CausalHistory``, which the Goursat
-and leapfrog marches share.
+blocks, which both products fill.  Time reversal sends that upper triangle
+onto the lower triangle of the kernel, and the kernel becomes symmetric in
+one place: a mirror of its lower triangle, by blocks, in place.  Every
+block is ``model._BLOCK`` wide.  The march forms its transposed history
+convolution as one FFT correlation per level, O(N log N) each, and its
+level memory as the blocked causal history of ``model.CausalHistory``,
+which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ __all__ = [
 class ConnectingKernel:
     """Reduced connecting kernel samples c(t_i, s_j) on [0, T]^2, symmetric.
 
+    Both routes build the samples exactly symmetric (``_kernel_from_galerkin``
+    by one mirror, ``connecting_kernel_from_w`` by SYRK), so the constructor
+    checks their shape and finiteness alone.
+
     ``asymmetry`` is max|B - B^T| over the diagonal ``_BLOCK`` x ``_BLOCK``
     blocks of the h^-2-scaled Galerkin block the data route assembles from,
     the only entries both of its products form (the whole block at
@@ -92,23 +97,8 @@ class ConnectingKernel:
 
     def __post_init__(self):
         n = self.grid.N + 1
-        v = sample_array(self.values, [(n, n)], "connecting kernel",
-                         f"needs a {n}x{n} array", "entries")
-        if _asymmetry(v) > 1e-10 * (1.0 + _max_abs(v)):
-            raise AssemblyError("connecting kernel lost symmetry during assembly")
-        object.__setattr__(self, "values", v)
-
-
-def _max_abs(a: np.ndarray) -> float:
-    """max|a|, without an |a| temporary."""
-    return float(max(a.max(), -a.min()))
-
-
-def _asymmetry(a: np.ndarray) -> float:
-    """max|a - a^T| of a square array, by row blocks: no full-size temporary."""
-    n = a.shape[0]
-    return float(np.max([np.abs(a[i : i + _BLOCK] - a[:, i : i + _BLOCK].T).max()
-                         for i in range(0, n, _BLOCK)]))
+        object.__setattr__(self, "values", sample_array(
+            self.values, [(n, n)], "connecting kernel", f"needs a {n}x{n} array", "entries"))
 
 
 def _diagonal_asymmetry(a: np.ndarray) -> float:
@@ -120,16 +110,16 @@ def _diagonal_asymmetry(a: np.ndarray) -> float:
                          (a[i : i + _BLOCK, i : i + _BLOCK] for i in range(0, n, _BLOCK))]))
 
 
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of a square array onto its lower one,
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of a square array onto its upper one,
     in place, by row blocks."""
     n = a.shape[0]
     for i in range(0, n, _BLOCK):
         j = min(i + _BLOCK, n)
-        a[i:j, :i] = a[:i, i:j].T
+        a[:i, i:j] = a[i:j, :i].T
         diag = a[i:j, i:j]
-        lower = np.tril_indices(j - i, -1)
-        diag[lower] = diag.T[lower]
+        upper = np.triu_indices(j - i, 1)
+        diag[upper] = diag.T[upper]
 
 
 # --------------------------------------------------------------------------
@@ -195,18 +185,16 @@ def _correlation_spectrum(a: np.ndarray) -> np.ndarray:
 
 
 def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
-                        a_hat: np.ndarray | None = None) -> np.ndarray:
+                        a_hat: np.ndarray) -> np.ndarray:
     """Transpose of v -> causal_convolution(a, v, h).
 
     The correlation sum_{i >= j} a[i - j] v[i], formed by FFT, with the
     transposed trapezoid end weights: half weight on the diagonal term
     a[0] v[j], and at j = 0 half the sum over i >= 1 only, because the
     convolution halves its v[0] column and zeroes its t = 0 row.  ``a_hat``
-    is ``_correlation_spectrum(a)``, for callers that correlate one ``a``
-    with many vectors.
+    is ``_correlation_spectrum(a)``, taken once by a caller that correlates
+    one ``a`` with many vectors.
     """
-    if a_hat is None:
-        a_hat = _correlation_spectrum(a)
     L = 2 * (a_hat.size - 1)
     c = np.fft.irfft(a_hat * np.fft.rfft(v, L), L)[: v.size]
     # the last sum has the single term a[0] v[-1]; at L = 2 len(a) - 2 the
@@ -330,15 +318,18 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
                           asymmetry: float = float("nan")) -> ConnectingKernel:
     """Reduced kernel from the identity-subtracted, h^2-scaled Galerkin block.
 
-    Only the upper triangle (p <= q) of ``raw`` is read; its lower triangle
-    is overwritten with the mirror of the upper one.  Time reversal sends
-    probe p to the node N - p, so the block fills the interior rows 1..N-2
-    in reverse order.  The row t = 0 vanishes identically (the kernel does
-    on that line); the last two rows, which would need probes outside the
-    discretely admissible range, are filled by quadratic extrapolation.
+    Time reversal sends probe p to the node N - p, so the upper triangle
+    (p <= q) of ``raw`` fills the lower triangle of the interior rows
+    1..N-2.  The row t = 0 vanishes identically (the kernel does on that
+    line); the last two rows, which would need probes outside the discretely
+    admissible range, are filled by quadratic extrapolation.  That lower
+    triangle is all that is formed: one in-place mirror of it then makes the
+    kernel exactly symmetric, and the rest of ``raw`` never reaches it.
+
+    Data that overflow the assembly raise AssemblyError at the first
+    non-finite sample (t_i, s_j).
     """
     N = grid.N
-    _mirror_upper(raw)
     c = np.zeros((N + 1, N + 1))
     c[1 : N - 1, 1 : N - 1] = raw[::-1, ::-1]
     # row/column t = 0 vanish identically.  The last two rows host no
@@ -347,16 +338,17 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
     # normal derivative jumps across t = s, so any stencil that straddles the
     # diagonal would cost an order of accuracy.
     for k in (N - 1, N):
-        js = np.arange(3, N - 1)
+        js = np.arange(3, k + 1)
         c[k, js] = 3.0 * c[k - 1, js - 1] - 3.0 * c[k - 2, js - 2] + c[k - 3, js - 3]
         for j in (1, 2):
             # this close to the opposite edge the row direction is kink-free
             c[k, j] = 3.0 * c[k - 1, j] - 3.0 * c[k - 2, j] + c[k - 3, j]
-        c[1 : N - 1, k] = c[k, 1 : N - 1]
-    c[N - 1, N - 1] = 3.0 * c[N - 2, N - 2] - 3.0 * c[N - 3, N - 3] + c[N - 4, N - 4]
-    c[N - 1, N] = 3.0 * c[N - 2, N - 1] - 3.0 * c[N - 3, N - 2] + c[N - 4, N - 3]
-    c[N, N - 1] = c[N - 1, N]
-    c[N, N] = 3.0 * c[N - 1, N - 1] - 3.0 * c[N - 2, N - 2] + c[N - 3, N - 3]
+    _mirror_lower(c)
+    # the first non-finite entry, or (0, 0), which is zero
+    i, j = divmod(int(np.argmin(np.isfinite(c))), N + 1)
+    if not np.isfinite(c[i, j]):
+        raise AssemblyError(f"connecting kernel has a non-finite entry at (t, s) = "
+                            f"({i * grid.h:.6g}, {j * grid.h:.6g})")
     return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
 
 
@@ -389,6 +381,11 @@ def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:
     c(t, s) = w(min, max) + int_0^{min(t,s)} w(tau, t) w(tau, s) dtau, the
     kernel of M + M* + M*M for the Volterra factor (I + M) of the control
     map; on the diagonal the first term is the continuity value w(t, t).
+
+    The samples are exactly symmetric because ``W.T @ W`` is an array times
+    its own transpose, which numpy sends to BLAS SYRK: it forms one triangle
+    and mirrors it.  A copied ``W.T`` would go to GEMM, whose two triangles
+    round differently (max|c - c^T| = 2.8e-17 at N = 400 on ``full``).
     """
     grid = sol.grid
     N, h = grid.N, grid.h

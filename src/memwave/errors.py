@@ -23,5 +23,6 @@ class IllConditionedError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """Data-driven operator assembly produced an inconsistent object, e.g. a
-    connecting kernel that lost its symmetry."""
+    """The connecting kernel assembled from finite data has a non-finite
+    entry: the data overflow the assembly.  The message names the first
+    such sample (t_i, s_j)."""

@@ -160,8 +160,6 @@ def diagonal_residual(q: CoefficientField) -> float:
     needs only q; it works out to max |q[i-1] - 2 q[i] + q[i+1]| / 8.
     """
     grid = q.grid
-    if grid.N < 2:
-        return 0.0
     d = _characteristic_data(q.values, grid.h)
     slope = (d[2:] - d[:-2]) / (2.0 * grid.h)
     return float(np.max(np.abs(slope + 0.5 * q.values[1:-1])))

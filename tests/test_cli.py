@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memwave import cli
@@ -148,6 +149,31 @@ def test_verification_failure_exit_4(tmp_path, synth_dir, capsys):
     captured = capsys.readouterr()
     assert "verification failed:" in captured.err
     assert "FAIL" in captured.out
+
+
+def test_overflowing_kernel_fails_verify_4_and_reconstruct_3(tmp_path, capsys):
+    # a finite response whose connecting kernel overflows: verify fails the
+    # checks that read the kernel by name, reconstruct is a numerical failure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "full", "N": 64}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = (data / "response.csv").read_text().splitlines()
+    for k in range(1, len(lines)):
+        t, _ = lines[k].split(",")
+        if float(t) > 0:
+            lines[k] = f"{t},1e308"
+    (data / "response.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["verify", "--data", str(data)]) == 4
+        assert capsys.readouterr().err == (
+            "verification failed: two_path_response, three_way_connecting, "
+            "operator_identity, gl_residual\n")
+        rc = cli.main(["reconstruct", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: connecting kernel has a non-finite entry at (t, s) = ")
 
 
 def test_convergence_command(tmp_path, cfg_file, capsys):

@@ -269,7 +269,7 @@ def test_non_positive_operator_names_its_depth(full_ct_oracle, grid64, s0):
 
 
 def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
-    # asymmetry below the assembly gate must not move the solution
+    # asymmetry at round-off level must not move the solution
     rng = np.random.default_rng(5)
     pert = 1e-12 * rng.standard_normal((65, 65))
     c1 = mw.ConnectingKernel(grid=grid64, values=full_ct_oracle.values + pert)
