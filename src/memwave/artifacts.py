@@ -21,9 +21,9 @@ tables the commands write on the catalogue problems, only convergence.csv
 has such cells: its ``N`` column and the NaN ratio and order of its first
 row.
 
-A table is written under a temporary name beside its target, at most
-``_CSV_BLOCK_CELLS`` cells formatted at a time, and renamed over the target
-only once it is whole, so a failed write leaves the old file or none.
+A table is written under a temporary name beside its target, one slice of
+``_SLICE_CELLS`` cells at a time, and renamed over the target only once it
+is whole, so a failed write leaves the old file or none.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ from .errors import UsageError
 __all__ = ["write_csv", "read_csv", "write_json", "read_json"]
 
 
-# cells formatted per write: bounds the values and the text held in memory at
-# once, whether the table is tall (a few columns) or wide (a matrix)
-_CSV_BLOCK_CELLS = 3 << 16
-
-
 def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
     """Write a 2-D float array, one column per header field."""
     # a list is refused, not read as rows: a square list of columns would
@@ -52,7 +47,7 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
             or table.shape[1] != len(header)):
         raise UsageError("write_csv needs a 2-D array with one column per header field")
     table = table.astype(float, copy=False)
-    rows = max(1, _CSV_BLOCK_CELLS // len(header))  # at least one row a block
+    rows = max(1, _SLICE_CELLS // len(header))  # at least one row a slice
     outdir, name = os.path.split(os.path.abspath(path))
     tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp_path, "xb")  # "x": never a file we did not make
@@ -60,7 +55,7 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
         with fh:
             fh.write((",".join(header) + "\n").encode())
             for lo in range(0, table.shape[0], rows):
-                fh.write(_csv_text(table[lo:lo + rows]))
+                fh.write(_slice_text(table[lo:lo + rows]))
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
@@ -78,7 +73,7 @@ _X_MIN, _X_MAX = -283, 282  # X over the fast range, with a step to spare
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _TIE = 1e-6  # the scaling errs by < 2**-45; nearer a half-integer goes to format
 _CELL = 32  # bytes of one space-padded cell: prefix, 16 digits, exponent
-_SLICE_CELLS = 1 << 14  # cells per kernel pass: its temporaries stay in cache
+_SLICE_CELLS = 1 << 14  # cells per kernel pass and write: temporaries stay in cache
 
 
 @functools.cache
@@ -190,17 +185,12 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return D, k, slow
 
 
-def _csv_text(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D block, each cell as ``format(v, ".17g")``."""
-    rows = max(1, _SLICE_CELLS // block.shape[1])
-    return b"".join(_slice_text(block[lo:lo + rows])
-                    for lo in range(0, block.shape[0], rows))
-
-
 def _slice_text(block: np.ndarray) -> bytes:
-    """``_csv_text`` of one slice.  A cell is 32 bytes: the prefix (sign and
-    d0, or 0.000 and d0) right-aligned in 0..7, the 16 digits after d0 in
-    8..23, the exponent left-aligned from 24 and the separator in 31."""
+    """The CSV rows of a 2-D block, each cell as ``format(v, ".17g")``.
+
+    A cell is 32 bytes: the prefix (sign and d0, or 0.000 and d0)
+    right-aligned in 0..7, the 16 digits after d0 in 8..23, the exponent
+    left-aligned from 24 and the separator in 31."""
     x = block.ravel()
     D, X, slow = _decimal17(x)
     _, words, prefix, exponent = _tables()
@@ -247,8 +237,11 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: NaN and infinities, which JSON lacks,
+    become ``null``; every other value reads back as it was."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda token: None)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

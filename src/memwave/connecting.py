@@ -126,13 +126,13 @@ def _mirror_lower(a: np.ndarray) -> None:
 # connecting form of two controls
 # --------------------------------------------------------------------------
 
-def connecting_form_from_interior(q, K, f: ControlSignal, g: ControlSignal) -> float:
-    """Oracle for (C f, g): inner product of leapfrog states at t = T."""
-    grid = f.grid
+def connecting_form_from_interior(q, K, controls: list[ControlSignal]) -> np.ndarray:
+    """Oracle for (C f_a, f_b) over every pair of ``controls``: the inner
+    products of their leapfrog states at t = T, each control marched once."""
+    grid = controls[0].grid
     N = grid.N
-    uf = fd_forward(q, K, f, grid.T).values[: N + 1, N]
-    ug = fd_forward(q, K, g, grid.T).values[: N + 1, N]
-    return trapezoid(uf * ug, grid.h)
+    states = [fd_forward(q, K, f, grid.T).values[: N + 1, N] for f in controls]
+    return np.array([[trapezoid(u * v, grid.h) for v in states] for u in states])
 
 
 def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
@@ -314,6 +314,7 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
     return B
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the check below names overflows
 def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
                           asymmetry: float = float("nan")) -> ConnectingKernel:
     """Reduced kernel from the identity-subtracted, h^2-scaled Galerkin block.
@@ -327,7 +328,7 @@ def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
     kernel exactly symmetric, and the rest of ``raw`` never reaches it.
 
     Data that overflow the assembly raise AssemblyError at the first
-    non-finite sample (t_i, s_j).
+    non-finite sample (t_i, s_j), with no numpy warning ahead of it.
     """
     N = grid.N
     c = np.zeros((N + 1, N + 1))

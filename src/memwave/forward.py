@@ -41,7 +41,7 @@ class SpaceTimeField:
     """Leapfrog solution u[i, j] on the window [0, x_max] x [0, t_max].
 
     By default x_max = L = t_max + 4h, the whole padded interval.  ``values``
-    may be a transposed view of the level-major march U[j, i].
+    is a transposed view of the level-major march U[j, i].
     """
 
     grid: GridSpec
@@ -80,6 +80,7 @@ def _grid_steps(value: float, h: float, name: str) -> int:
     return int(round(steps))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_march names a blow-up
 def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
                x_max: float | None = None) -> SpaceTimeField:
     """Leapfrog integration of u_tt = u_xx - q u - int_0^t K(t-s) u(., s) ds.
@@ -133,7 +134,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
             - U[j - 1, 1:n]
             - h * h * (qpad[1:n] * U[j, 1:n] + hist[1:n])
         )
-    check_march(U.T, "leapfrog")
+    check_march(U, "leapfrog")
     return SpaceTimeField(grid=grid, values=U[:, : R + 1].T)
 
 

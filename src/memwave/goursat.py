@@ -17,7 +17,7 @@ stencil centre strictly above the characteristic,
     w[i, j+1] + w[i, j-1] - w[i-1, j] - w[i+1, j] = -h^2 F(x_i, t_j),
     F = q w + (memory integral) + K(t - x),
 
-marched row by row in t.  Points on the first superdiagonal have a stencil
+marched level by level in t.  Points on the first superdiagonal have a stencil
 arm below the characteristic; they are set from the half characteristic cell
 between the two data lines instead,
 
@@ -38,10 +38,11 @@ trapezoid sum) onto the characteristic, and no stencil writes there again.
 ``diagonal_residual`` therefore measures the discrete diagonal law from q
 alone, with no march; the march's own diagonal stays a test oracle for it.
 
-The march runs on N + 2 rows, past the triangle by the strip
-2N < i + j <= 2N + 2 that the response stencil needs at t = 2T, and the
-solution holds it once: ``GoursatSolution.w`` is a read-only view of its
-first N + 1 rows, not a masked copy.
+The march is stored level-major, W[j, i] = w(x_i, t_j), as every march is:
+each level one contiguous row.  It runs on N + 2 entries a level, past the
+triangle by the strip 2N < i + j <= 2N + 2 that the response stencil needs
+at t = 2T, and the solution holds it once: ``GoursatSolution.w`` is a
+read-only transposed view of its first N + 1 entries, not a masked copy.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ __all__ = [
 class GoursatSolution:
     """Kernel w on the triangle plus the data that produced it.
 
-    ``w`` is a read-only (N + 1) x (2N + 1) view of the march, w[i, j] =
-    w(x_i, t_j) for i <= j, i + j <= 2N: the triangle has only the N + 1
-    rows x in [0, T].  It is zero below the characteristic (j < i).  The
+    ``w`` is a read-only (N + 1) x (2N + 1) transposed view of the march,
+    w[i, j] = w(x_i, t_j) for i <= j, i + j <= 2N: the triangle has only the
+    N + 1 rows x in [0, T].  It is zero below the characteristic (j < i).  The
     strip 2N < i + j <= 2N + 2 holds the march's extension (the potential
     continued by its last sample), which keeps the boundary-derivative
     stencil of ``response_kernel`` second order up to t = 2T; only that
@@ -93,31 +94,31 @@ def _characteristic_data(q_values: np.ndarray, h: float) -> np.ndarray:
     return -0.5 * cumulative_trapezoid(q_values, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_march names a blow-up
 def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
            grid: GridSpec) -> np.ndarray:
-    """Diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}."""
+    """Diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}, W[j, i]."""
     N, N2, h = grid.N, grid.N2, grid.h
-    w = np.zeros((N + 2, N2 + 1))
-    rows = np.arange(N + 2)
-    w[rows, np.minimum(rows, N2)] = diag  # characteristic data; w[0, :] stays 0
-    history = CausalHistory(w.T, Kv, h)
+    W = np.zeros((N2 + 1, N + 2))
+    np.fill_diagonal(W, diag)  # characteristic data; W[:, 0] stays 0
+    history = CausalHistory(W, Kv, h)
 
     for j in range(1, N2):
         # superdiagonal point (j, j+1) from the half characteristic cell
         if j <= N:
-            forcing = q_ext[j] * w[j, j] + Kv[0]
-            w[j, j + 1] = w[j - 1, j] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
+            forcing = q_ext[j] * W[j, j] + Kv[0]
+            W[j + 1, j] = W[j, j - 1] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
         # interior diamond centres (i, j), i = 1 .. i_max
         i_max = min(j - 1, 2 * N + 1 - j)
         if i_max >= 1:
             inner = slice(1, i_max + 1)
             kshift = Kv[j - 1 : j - i_max - 1 : -1]  # K(t_j - x_i)
             mem = history.at(j, i_max + 1)[1:] - 0.5 * h * kshift * diag[inner]
-            F = q_ext[inner] * w[inner, j] + mem + kshift
-            w[inner, j + 1] = (w[:i_max, j] + w[2 : i_max + 2, j] - w[inner, j - 1]
+            F = q_ext[inner] * W[j, inner] + mem + kshift
+            W[j + 1, inner] = (W[j, :i_max] + W[j, 2 : i_max + 2] - W[j - 1, inner]
                                - h * h * F)
-    check_march(w, "kernel")
-    return w
+    check_march(W, "kernel")
+    return W
 
 
 def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> GoursatSolution:
@@ -128,7 +129,7 @@ def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> Gours
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])
     diag = _characteristic_data(q_ext, grid.h)
-    w = _march(q_ext, K.values, diag, grid)[: grid.N + 1]
+    w = _march(q_ext, K.values, diag, grid)[:, : grid.N + 1].T
     w.flags.writeable = False
     return GoursatSolution(grid=grid, q=q, K=K, w=w)
 

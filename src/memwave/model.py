@@ -124,7 +124,7 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
 class CausalHistory:
     """Trapezoid history of finished levels, sum_{s <= j} h Kv[j - s] H[s].
 
-    ``H`` is a level-major view, H[s] = level s, that the caller fills as it
+    ``H`` is the march array, H[s] = level s, that the caller fills as it
     marches; ``at(j, n)`` needs the levels 0..j final and returns the history
     of level j on the entries H[:, :n], with the weights of
     ``trapz_weights(j + 1, h)`` (h/2 on levels 0 and j, zero at j = 0).
@@ -173,14 +173,14 @@ class CausalHistory:
 def check_march(a: np.ndarray, name: str) -> None:
     """Raise NumericalInstabilityError at the first non-finite node of a march.
 
-    ``a[i, j]`` is the march's value at grid node (i, j); level j writes
-    column j + 1 alone, so the first non-finite column from 2 on is where
-    the march blew up.
+    ``a`` is the march array as it is stored, a[j, i] = value at grid node
+    (i, j); level j writes row j + 1 alone, so the first non-finite row from
+    2 on is where the march blew up.
     """
-    finite = np.isfinite(a[:, 2:])
+    finite = np.isfinite(a[2:])
     if not finite.all():
-        j_bad = int(np.flatnonzero(~finite.all(axis=0))[0])
-        i_bad = int(np.flatnonzero(~finite[:, j_bad])[0])
+        j_bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+        i_bad = int(np.flatnonzero(~finite[j_bad])[0])
         raise NumericalInstabilityError(
             f"{name} march blew up at grid node (i={i_bad}, j={j_bad + 2})"
         )

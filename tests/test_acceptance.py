@@ -107,7 +107,7 @@ def test_connecting_kernel_three_way_consistency():
         w1, w2 = rng.uniform(0.1, 0.2, size=2)
         f = mw.control_from_family("smooth_bump_control", (c1, w1), grid)
         g = mw.control_from_family("smooth_bump_control", (c2, w2), grid)
-        oracle = mw.connecting_form_from_interior(q, K, f, g)
+        oracle = mw.connecting_form_from_interior(q, K, [f, g])[0, 1]
         assert abs(mw.connecting_form_from_kernel(cT_resp, f, g) - oracle) <= tol
         assert abs(mw.connecting_form_from_kernel(cT_w, f, g) - oracle) <= tol
     assert time.perf_counter() - t0 < 300.0

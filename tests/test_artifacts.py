@@ -2,10 +2,10 @@
 
 ``_reference_csv`` is the original writer (one ``format(v, ".17g")`` per
 value over a full list of lines), kept as the byte-level oracle; the kernel
-tests hold ``artifacts._csv_text`` to the same text on hard value sets.
-The writer tests shrink the write blocks, so that small tables span many
-blocks, set the CPU count (the ``set_cpus`` fixture) to show that none of
-it forks, and inject faults into the formatting, the block writes and the
+tests hold ``artifacts._slice_text`` to the same text on hard value sets.
+The writer tests shrink the slices, so that small tables span many
+slices, set the CPU count (the ``set_cpus`` fixture) to show that none of
+it forks, and inject faults into the formatting, the slice writes and the
 final rename.
 """
 
@@ -71,7 +71,7 @@ def test_one_row_table_matches_reference(tmp_path):
 
 def test_multi_block_table_matches_and_round_trips(tmp_path):
     rng = np.random.default_rng(3)
-    n = artifacts._CSV_BLOCK_CELLS // 2 + 7  # spans two write blocks
+    n = artifacts._SLICE_CELLS // 2 + 7  # spans two slices
     table = np.stack([rng.standard_normal(n), np.exp(40.0 * rng.standard_normal(n))], axis=1)
     out = _written(tmp_path, ["a", "b"], table)
     assert out == _reference_csv(["a", "b"], table)
@@ -81,12 +81,12 @@ def test_multi_block_table_matches_and_round_trips(tmp_path):
 
 @pytest.mark.parametrize("shape", [(3, 11), (17, 2), (9, 4)])
 def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
-    # a cap of 5 cells: wider rows get one block each, taller tables many
+    # a cap of 5 cells: wider rows get one slice each, taller tables many
     rng = np.random.default_rng(7)
     table = rng.standard_normal(shape)
     header = [f"s{j}" for j in range(shape[1])]
     whole = _written(tmp_path, header, table)
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 5)
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", 5)
     assert _written(tmp_path, header, table) == whole
     assert whole == _reference_csv(header, table)
     _, data = read_csv(str(tmp_path / "t.csv"))
@@ -95,7 +95,7 @@ def test_cell_bounded_blocks_match_one_pass(tmp_path, monkeypatch, shape):
 
 def _assert_kernel_exact(values, ncols=1):
     block = np.asarray(values, dtype=float).reshape(-1, ncols)
-    assert artifacts._csv_text(block) == _reference_text(block)
+    assert artifacts._slice_text(block) == _reference_text(block)
 
 
 def _with_neighbours(values):
@@ -134,7 +134,7 @@ def test_kernel_matches_format_at_the_g_switch_points():
     # %g turns from fixed to exponent notation below 1e-4 and from 1e17 on
     x = _with_neighbours([1e-5, 1e-4, 1e16, 1e17])
     _assert_kernel_exact(x)
-    text = artifacts._csv_text(np.array([[1e-4, 1e16, 1e17, np.nextafter(1e-4, 0)]]))
+    text = artifacts._slice_text(np.array([[1e-4, 1e16, 1e17, np.nextafter(1e-4, 0)]]))
     assert text == b"0.0001,10000000000000000,1e+17,9.9999999999999991e-05\n"
 
 
@@ -172,14 +172,14 @@ def test_kernel_matches_format_on_zeros_infinities_and_nans():
     assert np.signbit(negative_nan)
     x = np.array([0.0, -0.0, np.inf, -np.inf, nan, negative_nan, 1.0, -1.0])
     _assert_kernel_exact(x, ncols=2)
-    assert artifacts._csv_text(x.reshape(2, 4)) == b"0,-0,inf,-inf\nnan,nan,1,-1\n"
+    assert artifacts._slice_text(x.reshape(2, 4)) == b"0,-0,inf,-inf\nnan,nan,1,-1\n"
 
 
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
                   elements=st.floats()))
 def test_kernel_matches_format_on_any_float_array(block):
-    assert artifacts._csv_text(block) == _reference_text(block)
+    assert artifacts._slice_text(block) == _reference_text(block)
 
 
 def test_kernel_formats_cT_with_no_fallback_but_ties():
@@ -198,7 +198,7 @@ def test_kernel_formats_cT_with_no_fallback_but_ties():
 def test_kernel_tables_are_built_on_first_use():
     # importing the package builds none of them; the first table formatted does
     code = ("import memwave.artifacts as a; n = a._tables.cache_info().currsize; "
-            "a._csv_text(a.np.ones((1, 1))); print(n, a._tables.cache_info().currsize)")
+            "a._slice_text(a.np.ones((1, 1))); print(n, a._tables.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(artifacts.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -236,8 +236,8 @@ def test_square_table_round_trips_row_major(tmp_path):
     assert np.array_equal(data, table)
 
 
-# (shape, block cap in cells): 7 one-row blocks of a wide table, 6 blocks of
-# 20 rows of a tall one, and 5 blocks of 10 rows
+# (shape, slice cap in cells): 7 one-row slices of a wide table, 6 slices of
+# 20 rows of a tall one, and 5 slices of 10 rows
 SPLITS = [((7, 50), 5), ((101, 2), 40), ((45, 3), 30)]
 
 
@@ -249,11 +249,11 @@ def test_block_split_matches_reference(tmp_path, monkeypatch, fork_pids, set_cpu
     table = rng.standard_normal(shape) * np.exp(30.0 * rng.standard_normal(shape))
     table[0, 0], table[-1, -1] = np.nan, -0.0
     header = [f"s{j}" for j in range(shape[1])]
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", cap)
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", cap)
     set_cpus(cpus)
     path = tmp_path / "t.csv"
     assert write_csv(str(path), header, table) is None
-    assert fork_pids == []  # every block is formatted here, on any CPU count
+    assert fork_pids == []  # every slice is formatted here, on any CPU count
     assert path.read_bytes() == _reference_csv(header, table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
@@ -263,17 +263,17 @@ def test_write_never_asks_the_cpu_count(tmp_path, monkeypatch, fork_pids):
         raise AssertionError("write_csv asked for the CPU count")
 
     monkeypatch.setattr(os, "sched_getaffinity", sched_getaffinity)
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 3)  # 10 blocks
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", 3)  # 10 slices
     table = np.arange(30.0).reshape(10, 3)
     assert _written(tmp_path, ["a", "b", "c"], table) == _reference_csv(["a", "b", "c"], table)
     assert fork_pids == []
 
 
 def _failing_write(monkeypatch, failing):
-    """A 10-block write that raises while formatting its second block, while
-    writing its second block out (a full disk), or at the rename once the
+    """A 10-slice write that raises while formatting its second slice, while
+    writing its second slice out (a full disk), or at the rename once the
     table is whole."""
-    real_text, real_open, real_replace = artifacts._csv_text, open, os.replace
+    real_text, real_open, real_replace = artifacts._slice_text, open, os.replace
     calls = itertools.count(1)
 
     def csv_text(block):
@@ -285,7 +285,7 @@ def _failing_write(monkeypatch, failing):
         fh = real_open(path, mode)
         real_write, writes = fh.write, itertools.count(1)
 
-        def write(data):  # the header, then one write a block
+        def write(data):  # the header, then one write a slice
             if next(writes) == 3 and failing == "write":
                 raise OSError(errno.ENOSPC, "injected full disk")
             return real_write(data)
@@ -298,10 +298,10 @@ def _failing_write(monkeypatch, failing):
             raise RuntimeError("injected rename fault")
         return real_replace(*args)
 
-    monkeypatch.setattr(artifacts, "_csv_text", csv_text)
+    monkeypatch.setattr(artifacts, "_slice_text", csv_text)
     monkeypatch.setattr(artifacts, "open", open_full, raising=False)
     monkeypatch.setattr(os, "replace", replace)
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 6)
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", 6)
     return lambda path: write_csv(str(path), ["a", "b", "c"], np.arange(60.0).reshape(20, 3))
 
 
@@ -328,16 +328,16 @@ def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, failing):
 
 
 def test_one_block_write_replaces_the_table_whole(tmp_path, monkeypatch):
-    # the default block cap: the table is one block, and it fails once formatted
+    # the default slice cap: the table is one slice, and it fails once formatted
     path = tmp_path / "t.csv"
     path.write_bytes(b"old\n1\n")
-    real_text = artifacts._csv_text
+    real_text = artifacts._slice_text
 
     def csv_text(block):
         real_text(block)
         raise RuntimeError("injected formatting fault")
 
-    monkeypatch.setattr(artifacts, "_csv_text", csv_text)
+    monkeypatch.setattr(artifacts, "_slice_text", csv_text)
     with pytest.raises(RuntimeError, match="injected"):
         write_csv(str(path), ["a"], np.arange(4.0).reshape(4, 1))
     assert os.listdir(tmp_path) == ["t.csv"]

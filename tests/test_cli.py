@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from memwave import cli
@@ -151,6 +150,15 @@ def test_verification_failure_exit_4(tmp_path, synth_dir, capsys):
     assert "FAIL" in captured.out
 
 
+def _strict_json(path):
+    """The JSON file at ``path``, refusing the bare NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+# a warning raises, so that no numpy warning can precede the named failure
+@pytest.mark.filterwarnings("error")
 def test_overflowing_kernel_fails_verify_4_and_reconstruct_3(tmp_path, capsys):
     # a finite response whose connecting kernel overflows: verify fails the
     # checks that read the kernel by name, reconstruct is a numerical failure
@@ -165,12 +173,15 @@ def test_overflowing_kernel_fails_verify_4_and_reconstruct_3(tmp_path, capsys):
             lines[k] = f"{t},1e308"
     (data / "response.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["verify", "--data", str(data)]) == 4
-        assert capsys.readouterr().err == (
-            "verification failed: two_path_response, three_way_connecting, "
-            "operator_identity, gl_residual\n")
-        rc = cli.main(["reconstruct", "--data", str(data), "--out", str(tmp_path / "o")])
+    assert cli.main(["verify", "--data", str(data), "--out", str(tmp_path / "v")]) == 4
+    assert capsys.readouterr().err == (
+        "verification failed: two_path_response, three_way_connecting, "
+        "operator_identity, gl_residual\n")
+    # the broken checks' infinite metrics and the two-path NaN are nulls
+    checks = {c["name"]: c for c in _strict_json(tmp_path / "v" / "report.json")["checks"]}
+    assert checks["two_path_response"]["metric"] is None
+    assert checks["gl_residual"]["metric"] is None
+    rc = cli.main(["reconstruct", "--data", str(data), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: connecting kernel has a non-finite entry at (t, s) = ")
@@ -183,6 +194,10 @@ def test_convergence_command(tmp_path, cfg_file, capsys):
     assert rc == 0
     assert (out / "convergence.csv").exists()
     assert "N=   32" in capsys.readouterr().out
+    # the first row has no ratio and no order: null, not a bare NaN
+    rows = _strict_json(out / "report.json")["rows"]
+    assert rows[0]["ratio"] is None and rows[0]["order"] is None
+    assert rows[1]["order"] > 0
 
 
 def test_convergence_bad_grids_exit_2(tmp_path, cfg_file):

@@ -131,7 +131,7 @@ def test_form_from_psi_matches_interior_oracle():
         f = _bump(grid, 0.3, 0.2)
         g = _bump(grid, 0.6, 0.25)
         data_val = solve_blagoveshchenskii(r, K, f, g).at_final()
-        oracle = mw.connecting_form_from_interior(q, K, f, g)
+        oracle = mw.connecting_form_from_interior(q, K, [f, g])[0, 1]
         diffs.append(abs(data_val - oracle))
     assert diffs[0] < 5e-5
     assert diffs[0] / diffs[1] == pytest.approx(4.0, abs=1.0)

@@ -200,6 +200,35 @@ def test_causal_history_grows_behind_a_wavefront():
                         rtol=0, atol=1e-13)
 
 
+def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
+    # the Goursat, leapfrog and adjoint marches share one layout: level j is
+    # the contiguous row j of the march array, which the history reads itself
+    handed = []
+    init = CausalHistory.__init__
+
+    def record(self, H, Kv, h):
+        handed.append(H)
+        init(self, H, Kv, h)
+
+    monkeypatch.setattr(CausalHistory, "__init__", record)
+    grid = mw.GridSpec(1.0, 16)
+    q, K = mw.get_problem("full").fields(grid)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
+    sol = mw.solve_goursat(q, K, grid)
+    whole = mw.fd_forward(q, K, f)
+    cone = mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
+    mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
+    goursat, leapfrog, leapfrog_cone, adjoint = handed
+    levels = [grid.N2 + 1, grid.N + 1, grid.N + 1, grid.N + 1]
+    assert [H.shape[0] for H in handed] == levels
+    assert all(H.flags.c_contiguous and H.base is None for H in handed)
+    # the solution and the fields are transposed views of the march rows
+    for field, march in ((sol.w, goursat), (whole.values, leapfrog),
+                         (cone.values, leapfrog_cone)):
+        assert np.shares_memory(field, march)
+        assert np.array_equal(field, march[:, : field.shape[0]].T)
+
+
 # ------------------------------------------------------------ field objects
 
 

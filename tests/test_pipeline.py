@@ -230,8 +230,8 @@ def test_reconstruct_timings_charge_named_stages(tmp_path):
 
 def test_reconstruct_and_its_tables_never_fork(data_dir, tmp_path, monkeypatch, fork_pids,
                                               set_cpus):
-    # 3 CPUs and 65 * 5 cells a block: cT.csv at N = 64 is 13 blocks
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 65 * 5)
+    # 3 CPUs and 65 * 5 cells a slice: cT.csv at N = 64 is 13 slices
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", 65 * 5)
     set_cpus(3)
     artifacts.write_csv(str(tmp_path / "t.csv"), ["a", "b"], np.ones((1000, 2)))
     run_reconstruct(data_dir, str(tmp_path / "o"))
@@ -243,8 +243,8 @@ def test_reconstruct_and_its_tables_never_fork(data_dir, tmp_path, monkeypatch, 
 def test_reconstruct_bytes_do_not_depend_on_blocks_or_cpus(tmp_path, monkeypatch, set_cpus):
     run_synth(config_from_dict({"problem": "full", "N": 32}), str(tmp_path / "d"))
     run_reconstruct(str(tmp_path / "d"), str(tmp_path / "one"))
-    # 99 cells a block: cT.csv is 11 blocks of 3 rows, written on 3 CPUs
-    monkeypatch.setattr(artifacts, "_CSV_BLOCK_CELLS", 99)
+    # 99 cells a slice: cT.csv is 11 slices of 3 rows, written on 3 CPUs
+    monkeypatch.setattr(artifacts, "_SLICE_CELLS", 99)
     set_cpus(3)
     run_reconstruct(str(tmp_path / "d"), str(tmp_path / "many"))
     for name in ("cT.csv", "q_hat.csv", "report.json"):
