@@ -12,7 +12,14 @@ inside those same calls, by wrappers around the production functions that
 run them.  The leapfrog runs to t = T with verify's two-path bump control,
 once on the whole padded field and once on the trace's backward cone.  The
 growth exponents are fitted between the two largest rungs.
-The JSON also records the process's maxrss and the host: CPUs, Python,
+
+tracemalloc sees only the arrays numpy allocates itself, not the work copy
+LAPACK makes of a matrix it factors: a Cholesky factorization of a whole
+(N+1)^2 matrix holds one more such array than its traced peak shows.  So
+each rung also runs ``run_reconstruct`` on a synthesized `full` set in one
+fresh process and records that process's own maxrss, LAPACK copies
+included (``reconstruct_maxrss_mib``, with the interpreter and numpy).
+The JSON also records this process's maxrss and the host: CPUs, Python,
 numpy and its BLAS.  numpy only; nothing here is part of the package.
 """
 
@@ -32,6 +39,8 @@ import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -46,7 +55,7 @@ import memwave as mw  # noqa: E402
 from memwave import connecting, gelfand_levitan  # noqa: E402
 from memwave.artifacts import write_csv  # noqa: E402
 
-SCHEMA = 1
+SCHEMA = 2
 GRIDS = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
 # every layer in pipeline order, then verify's leapfrog; a layer of ``PARTS``
@@ -63,8 +72,7 @@ LAYERS = (
     "connecting.from_response.asymmetry",
     "connecting.from_response.kernel_from_galerkin",
     "gelfand_levitan.solve_gl",
-    "gelfand_levitan.solve_gl.cholesky",
-    "gelfand_levitan.solve_gl.tril_inverse",
+    "gelfand_levitan.solve_gl.inverse_cholesky",
     "gelfand_levitan.solve_gl.kappa_gram",
     "gelfand_levitan.recover_potential",
     "gelfand_levitan.gl_residual",
@@ -81,8 +89,7 @@ PARTS = {
     "connecting.from_response.galerkin_products": (connecting, "_galerkin"),
     "connecting.from_response.asymmetry": (connecting, "_diagonal_asymmetry"),
     "connecting.from_response.kernel_from_galerkin": (connecting, "_kernel_from_galerkin"),
-    "gelfand_levitan.solve_gl.cholesky": (np.linalg, "cholesky"),
-    "gelfand_levitan.solve_gl.tril_inverse": (gelfand_levitan, "_tril_inverse"),
+    "gelfand_levitan.solve_gl.inverse_cholesky": (gelfand_levitan, "_inverse_cholesky"),
     "gelfand_levitan.solve_gl.kappa_gram": (gelfand_levitan, "_gram_abs_column_sums"),
 }
 
@@ -91,7 +98,8 @@ class Parts:
     """Seconds and traced peaks of the ``PARTS`` functions, recorded by
     wrappers that replace them while the ladder runs.
 
-    A wrapper measures the outermost call only (``_tril_inverse`` recurses).
+    A wrapper measures the outermost call only (``_inverse_cholesky``
+    recurses).
     Untraced, it keeps the minimum seconds; traced, its peak above the level
     at its entry.  tracemalloc holds one peak, which the wrapper resets, so
     it keeps the highest level it hid in ``hidden`` for the enclosing layer.
@@ -215,6 +223,34 @@ def rung(N: int, tmpdir: str) -> dict:
     return out
 
 
+# run by a fresh interpreter: argv is the package's source dir, the data
+# dir and the output dir; prints the process's maxrss in KiB
+_RECONSTRUCT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from memwave import run_reconstruct
+run_reconstruct(sys.argv[2], sys.argv[3])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def reconstruct_maxrss(N: int, tmpdir: str) -> float:
+    """maxrss in MiB of one fresh process that runs ``run_reconstruct`` on a
+    `full` set synthesized here at N, BLAS pinned as in this process."""
+    cfg, data, out = (os.path.join(tmpdir, name) for name in ("cfg.json", "data", "out"))
+    with open(cfg, "w") as fh:
+        json.dump({"problem": "full", "T": 1.0, "N": N}, fh)
+    mw.run_synth(mw.load_config(cfg), data)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _RECONSTRUCT, os.path.join(ROOT, "src"), data, out],
+            check=True, capture_output=True, text=True)
+    finally:
+        shutil.rmtree(data)
+        shutil.rmtree(out, ignore_errors=True)
+    return int(proc.stdout.split()[-1]) / 1024.0
+
+
 def growth(values: list[float], grids: list[int]) -> float | None:
     if len(grids) < 2 or min(values[-2:]) <= 0.0:
         return None
@@ -224,8 +260,10 @@ def growth(values: list[float], grids: list[int]) -> float | None:
 def ladder(grids: list[int]) -> dict:
     t_start = time.perf_counter()
     rungs = {}
+    reconstruct_rss = []
     with tempfile.TemporaryDirectory() as tmpdir:
         for N in grids:
+            reconstruct_rss.append(reconstruct_maxrss(N, tmpdir))
             rungs[N] = rung(N, tmpdir)
             print(f"ladder: N = {N} done at {time.perf_counter() - t_start:.1f} s",
                   file=sys.stderr, flush=True)
@@ -248,9 +286,12 @@ def ladder(grids: list[int]) -> dict:
         "grids": grids,
         "repeats": REPEATS,
         "timing": "min of `repeats` untraced calls",
-        "peak": "tracemalloc peak of one more call, above the level at its entry",
+        "peak": "tracemalloc peak of one more call, above the level at its entry; "
+                "blind to LAPACK's work copies",
         "layers": layers,
         "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        # one fresh process per rung: run_reconstruct on a synthesized set
+        "reconstruct_maxrss_mib": reconstruct_rss,
         "total_s": time.perf_counter() - t_start,
         "host": host_facts(),
     }

@@ -23,10 +23,12 @@ matrix form, which is the strongest data-consistency test the pipeline has.
 
 Every product with a triangular factor runs as a flat loop of GEMMs over
 blocks of rows or columns (``_spans``) that skips the factor's zero
-triangle (``_lower_times``, ``_times_triangular``).  Only the inverse of the
-Cholesky factor recurses, halving down to dense leaf blocks.  The two
-residual checks reduce their last product to its maximum block by block, so
-neither holds a full-size residual.
+triangle (``_lower_times``, ``_times_triangular``).  Only the inverse
+Cholesky factor recurses: one 2x2 block recursion overwrites the solve's
+matrix with the inverse of its Cholesky factor, halving down to dense leaf
+blocks, so neither the factor nor a LAPACK copy of the whole matrix is held.
+The two residual checks reduce their last product to its maximum block by
+block, so neither holds a full-size residual.
 """
 
 from __future__ import annotations
@@ -129,24 +131,32 @@ def _times_triangular(F: np.ndarray, T: np.ndarray, lower: bool) -> np.ndarray:
     return out
 
 
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 blocks:
-    inv([[A, 0], [B, D]]) = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], with a dense
-    inverse only on diagonal blocks of at most ``_BLOCK``; the two products
-    of the off-diagonal block skip the zero triangles of A^-1 and D^-1."""
-    n = L.shape[0]
+def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
+    """Overwrite a symmetric positive S with L^-1, S = L L^T, in place, and
+    return the diagonal of L.
+
+    By 2x2 blocks S = [[A, B^T], [B, D]]: A recurses to L11^-1, then
+    L21 = B L11^-T, D - L21 L21^T (the Schur complement) recurses to L22^-1
+    and -L22^-1 L21 L11^-1 overwrites B.  Only the lower triangle of S is
+    read.  Leaf blocks of at most ``_BLOCK`` rows factor and invert densely;
+    the products skip the zero triangles of the inverses.  A leaf that is not
+    positive raises LinAlgError and leaves S partly overwritten.
+    """
+    n = S.shape[0]
     if n <= _BLOCK:
-        return np.tril(np.linalg.inv(L))
+        L = np.linalg.cholesky(S)
+        S[...] = np.tril(np.linalg.inv(L))
+        return np.diagonal(L).copy()
     k = n // 2
-    out = np.empty_like(L)
-    out[:k, :k] = _tril_inverse(L[:k, :k])
-    out[k:, k:] = _tril_inverse(L[k:, k:])
-    out[:k, k:] = 0.0
-    B = out[k:, :k]
-    _lower_times(out[k:, k:], _times_triangular(L[k:, :k], out[:k, :k], lower=True),
-                 out=B)
+    A, B, D = S[:k, :k], S[k:, :k], S[k:, k:]
+    top = _inverse_cholesky(A)
+    L21 = _times_triangular(B, A.T, lower=False)
+    D -= L21 @ L21.T  # the transposed view of the same array runs as SYRK
+    bottom = _inverse_cholesky(D)
+    _lower_times(D, _times_triangular(L21, A, lower=True), out=B)
     np.negative(B, out=B)
-    return out
+    S[:k, k:] = 0.0
+    return np.concatenate((top, bottom))
 
 
 def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
@@ -190,7 +200,7 @@ def _first_non_positive_block(S: np.ndarray) -> int:
 
 
 def solve_gl(c: ConnectingKernel) -> GLSolution:
-    """Solve every column equation from one Cholesky factorization.
+    """Solve every column equation from one in-place inverse Cholesky factor.
 
     The Nystrom collocation matrix of column j, I + C_j W_j with the
     trapezoid weights W_j of [0, t_j], becomes symmetric after scaling by
@@ -200,12 +210,14 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     blocks of L, so S_j^-1 e_j = l_j Li[j, :j+1]^T, l_j = Li[j, j].  As
     b_j = -C[:j+1, j] is e_j / d_j minus column j of S_j, S_j^-1 b_j =
     (l_j / d_j) Li[j, :j+1]^T - e_j; with the rank-one term (Sherman-Morrison)
-    column j of z is row j of Li, scaled, plus a diagonal term.  Li comes
-    from a 2x2 block recursion, the one recursion here, whose off-diagonal
-    products are flat block loops that skip zero triangles, with dense
-    inverses only on leaf blocks.  The exact one-norm condition number
-    takes the column sums of |G^T G| = |A^-1|, G = Li D^-1/2, over column
-    blocks of the Gram's upper triangle, so no (N+1)^2 Gram is held.
+    column j of z is row j of Li, scaled, plus a diagonal term.  Li
+    overwrites S in place: one 2x2 block recursion, the one recursion here,
+    factors and inverts at once, with flat block loops for its off-diagonal
+    products that skip zero triangles and dense Cholesky factors and inverses
+    only on leaf blocks, so L is never held whole.  The exact one-norm
+    condition number takes the column sums of |G^T G| = |A^-1|,
+    G = Li D^-1/2, over column blocks of the Gram's upper triangle, so no
+    (N+1)^2 Gram is held.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive (the data then come from no
@@ -216,22 +228,22 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     N, h = grid.N, grid.h
     C = c.values
     d = _node_weights(N, h)
-    S = C.copy()
-    S[np.diag_indices(N + 1)] += 1.0 / d
+    # S, overwritten with Li in place
+    Li = C.copy()
+    Li[np.diag_indices(N + 1)] += 1.0 / d
     try:
-        L = np.linalg.cholesky(S)
+        diagonal = _inverse_cholesky(Li)
     except np.linalg.LinAlgError:
-        s = _first_non_positive_block(S) * h
+        Li[...] = C  # S again, to search for its failing block
+        Li[np.diag_indices(N + 1)] += 1.0 / d
+        s = _first_non_positive_block(Li) * h
         raise IllConditionedError(
             f"connecting operator I + D^1/2 C D^1/2 is not positive: its leading "
             f"block first fails at s = {s:.6g}; the data come from no (q, K)"
         ) from None
-    del S
     # A = D^1/2 S D^1/2 factors as (D^1/2 L)(D^1/2 L)^T; its pivots are the
     # squared diagonal of that factor
-    pivots = d * np.diagonal(L) ** 2
-    Li = _tril_inverse(L)
-    del L
+    pivots = d * diagonal ** 2
     li = np.diagonal(Li).copy()  # a view would keep Li alive past its del
 
     # y_j = e_j^T S_j^-1 b_j = l_j Li[j, :] b_j, then with the rank-one term;

@@ -530,7 +530,7 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
     # three-way check its measured order, and that check needs truth_q.csv.
     # Inconsistent data can already derail the assembly or the collocation
     # solve; that counts as a failure of the dependent checks, not a crash.
-    cT = gl = asymmetry = breakage = None
+    cT = gl = asymmetry = breakage = truth_breakage = None
     level_diffs = []
     with timer.lap("connecting_assembly"):
         n_top = _check_level(grid.N)
@@ -540,10 +540,16 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
             for m in levels:
                 cg, rc, Kc, qc = _subsample(grid, r, K, q, m)
                 kernel = connecting_kernel_from_response(rc, Kc)
-                if q is not None:
-                    cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
-                    rel = np.max(np.abs(kernel.values - cw.values))
-                    level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
+                if q is not None and truth_breakage is None:
+                    # a truth that does not fit the data can blow up its own
+                    # march; that fails the three-way check alone
+                    try:
+                        cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
+                    except _BREAKAGE as exc:
+                        truth_breakage = str(exc)
+                    else:
+                        rel = np.max(np.abs(kernel.values - cw.values))
+                        level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
                 if m == n_top:
                     cT = kernel
             asymmetry = {"N": n_top, "value": cT.asymmetry}
@@ -557,15 +563,29 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
             except _BREAKAGE as exc:
                 breakage = str(exc)
 
-    def broken(name, threshold=None):
-        return _check(name, False, float("inf"), threshold, breakage)
+    def broken(name, threshold=None, detail=None):
+        return _check(name, False, float("inf"), threshold, detail or breakage)
+
+    def guarded(name, threshold, check):
+        # a truth that does not fit the data can blow up the check's own
+        # marches too
+        try:
+            return check()
+        except _BREAKAGE as exc:
+            return broken(name, threshold, str(exc))
 
     if q is not None:
         with timer.lap("two_path_response"):
-            checks.append(_verify_two_path(grid, r, K, q))
+            checks.append(guarded("two_path_response", list(_TWO_PATH_ORDER_BAND),
+                                  lambda: _verify_two_path(grid, r, K, q)))
         with timer.lap("three_way_connecting"):
-            checks.append(broken("three_way_connecting", _THREE_WAY_REL_TOL) if cT is None
-                          else _verify_three_way(K_top, q_top, cT, level_diffs, levels))
+            if cT is None or truth_breakage is not None:
+                checks.append(broken("three_way_connecting", _THREE_WAY_REL_TOL,
+                                     truth_breakage))
+            else:
+                checks.append(guarded("three_way_connecting", _THREE_WAY_REL_TOL,
+                                      lambda: _verify_three_way(K_top, q_top, cT,
+                                                                level_diffs, levels)))
         with timer.lap("diagonal_law"):
             checks.append(_verify_diagonal(grid, q))
 

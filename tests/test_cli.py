@@ -187,6 +187,34 @@ def test_overflowing_kernel_fails_verify_4_and_reconstruct_3(tmp_path, capsys):
         "numerical failure: connecting kernel has a non-finite entry at (t, s) = ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_unfit_truth_fails_verify_4_by_name(tmp_path, capsys):
+    # a truth so far from the response that its own marches blow up fails
+    # the two checks that march it, by name; the checks of the data alone
+    # still run and pass
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "full", "N": 64}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = (data / "truth_q.csv").read_text().splitlines()
+    for k in range(1, len(lines)):
+        x, _ = lines[k].split(",")
+        lines[k] = f"{x},1e12"
+    (data / "truth_q.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for out in ([], ["--out", str(tmp_path / "v")]):
+        assert cli.main(["verify", "--data", str(data)] + out) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "verification failed: two_path_response, three_way_connecting\n")
+        assert "PASS operator_identity" in captured.out
+        assert "PASS gl_residual" in captured.out
+    checks = {c["name"]: c for c in _strict_json(tmp_path / "v" / "report.json")["checks"]}
+    assert checks["two_path_response"]["detail"].startswith("leapfrog march blew up")
+    assert checks["three_way_connecting"]["detail"].startswith("kernel march blew up")
+    assert checks["two_path_response"]["metric"] is None
+
+
 def test_convergence_command(tmp_path, cfg_file, capsys):
     out = tmp_path / "conv"
     rc = cli.main(["convergence", "--config", cfg_file, "--out", str(out),

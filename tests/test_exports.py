@@ -5,11 +5,12 @@ only tests call is a second route or dead code: second routes live beside
 their tests (``tests/oracles.py``), and dead code is deleted.  The
 package's ``__init__`` re-exports names without calling them, so it does
 not count as a caller.  Every private module-level name is read in the
-package outside its own body, and no function calls itself but the blocked
-triangular inverse.
+package outside its own body, and no function calls itself but the in-place
+inverse Cholesky factor.
 
 Every matrix the package inverts is triangular, so a general dense inverse
-runs only on the diagonal leaf blocks of the blocked triangular inverse.
+runs only on the diagonal leaf blocks of the in-place inverse Cholesky
+factor, on the leaf's own Cholesky factor.
 
 Every stage runs in one process: the package has no ``fork`` or
 ``forkpty``.  A fork site comes back only with a measurement that it pays.
@@ -114,7 +115,7 @@ def test_only_the_triangular_inverse_recurses():
         found |= {f"{module}.{owner[node]}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and node in owner
                   and ast.unparse(node.func) in (owner[node], f"self.{owner[node]}")}
-    assert found == {"gelfand_levitan._tril_inverse"}
+    assert found == {"gelfand_levitan._inverse_cholesky"}
 
 
 def _owners(tree):
@@ -139,7 +140,7 @@ def test_dense_inverse_only_in_the_triangular_leaf():
         owner = _owners(tree)
         found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
                   for node in ast.walk(tree) if _is_inverse(node)]
-    assert found == ["gelfand_levitan._tril_inverse:np.linalg.inv"]
+    assert found == ["gelfand_levitan._inverse_cholesky:np.linalg.inv"]
 
 
 def _is_fork(node):

@@ -7,8 +7,8 @@ boundary data).  The composition identity (I + Z)(I + W) = I is checked by
 explicit quadrature at a small size, making the oracle self-validating.
 
 The one-factorization solve and the vectorized residual are held against
-their column-by-column originals, and the blocked triangular inverse, the
-two block-product loops and the structured identity check against their
+their column-by-column originals, and the in-place inverse Cholesky factor,
+the two block-product loops and the structured identity check against their
 dense forms, all kept here as test-local oracles.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.gelfand_levitan import _lower_times, _times_triangular, _tril_inverse
+from memwave.gelfand_levitan import _inverse_cholesky, _lower_times, _times_triangular
 from memwave.model import (
     _BLOCK,
     cumulative_trapezoid,
@@ -302,34 +302,29 @@ def test_factorized_solve_matches_column_solves(name, n, route, noise):
 
 
 def test_solve_gl_factors_once_and_never_solves(full_ct_oracle, monkeypatch):
-    calls = {"cholesky": 0, "solve": 0}
+    # dense factors and inverses only ever see the diagonal leaf blocks of
+    # the one factorization, which tile the matrix; nothing solves
+    sizes = {"cholesky": [], "inv": [], "solve": []}
 
-    def counted(name):
+    def recorded(name):
         real = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            sizes[name].append(a.shape[0])
+            return real(a, *args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky"))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve"))
+    for name in sizes:
+        monkeypatch.setattr(np.linalg, name, recorded(name))
     mw.solve_gl(full_ct_oracle)
-    assert calls == {"cholesky": 1, "solve": 0}
+    assert sizes == {"cholesky": [65], "inv": [65], "solve": []}
 
-    # beyond the leaf, dense inverses only ever see diagonal leaf blocks
-    sizes = []
-    real_inv = np.linalg.inv
-
-    def recorded_inv(a):
-        sizes.append(a.shape[0])
-        return real_inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    for leaves in sizes.values():
+        leaves.clear()
     mw.solve_gl(_kernel("full", 300, "w"))
-    assert calls == {"cholesky": 2, "solve": 0}
-    assert sum(sizes) == 301 and max(sizes) <= _BLOCK
+    assert sizes["cholesky"] == sizes["inv"] and sizes["solve"] == []
+    assert sum(sizes["cholesky"]) == 301 and max(sizes["cholesky"]) <= _BLOCK
 
 
 def test_blocked_solve_matches_column_solves_beyond_the_leaf():
@@ -349,22 +344,35 @@ def test_blocked_solve_matches_column_solves_beyond_the_leaf():
 _SIZES = [1, 2, 127, 128, 129, 300, 1025]
 
 
-def _full_and_lower(n, seed):
-    """A full matrix and a well-conditioned lower-triangular one of size n."""
+def _full_and_positive(n, seed):
+    """A full matrix and a well-conditioned symmetric positive one of size n."""
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((n, n))
     X = rng.standard_normal((n, n))
-    Lo = np.linalg.cholesky(np.eye(n) + (0.5 / n) * (X @ X.T))
-    return F, Lo
+    return F, np.eye(n) + (0.5 / n) * (X @ X.T)
+
+
+def _full_and_lower(n, seed):
+    """A full matrix and a well-conditioned lower-triangular one of size n."""
+    F, S = _full_and_positive(n, seed)
+    return F, np.linalg.cholesky(S)
 
 
 @pytest.mark.parametrize("n", _SIZES)
 def test_tril_inverse_matches_dense_inverse(n):
-    _, Lo = _full_and_lower(n, n)
-    got = _tril_inverse(Lo)
-    want = np.linalg.inv(Lo)
+    # the triangular inverse that the in-place recursion leaves over S
+    _, S = _full_and_positive(n, n)
+    L = np.linalg.cholesky(S)
+    want = np.linalg.inv(L)
+    got = S.copy()
+    diagonal = _inverse_cholesky(got)
     assert not np.any(np.triu(got, 1))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(diagonal - np.diagonal(L)).max() <= 1e-13 * np.abs(np.diagonal(L)).max()
+    # an indefinite S fails in its last leaf
+    S[-1, -1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_cholesky(S)
 
 
 def _loop_product(a, b, sa, sb):
@@ -446,6 +454,22 @@ def test_solve_holds_at_most_three_and_a_quarter_full_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * full_array
+
+
+def test_solve_factors_in_place_within_its_traced_peak():
+    # S is overwritten with the inverse factor, so the peak is that and z
+    # with one column block of the condition number's Gram; a separate
+    # factor, or a separate inverse of it, would cost another array
+    # (tracemalloc does not see LAPACK's work copies at all)
+    c = _kernel("full", 1024, "w")
+    full_array = 8 * (c.grid.N + 1) ** 2
+    tracemalloc.start()
+    try:
+        mw.solve_gl(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * full_array
 
 
 def test_gl_residual_matches_column_loop_on_perturbed_z(full_ct_oracle):

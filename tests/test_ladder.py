@@ -15,8 +15,8 @@ LAYERS = {
     "connecting.from_response.galerkin_products",
     "connecting.from_response.asymmetry",
     "connecting.from_response.kernel_from_galerkin",
-    "gelfand_levitan.solve_gl", "gelfand_levitan.solve_gl.cholesky",
-    "gelfand_levitan.solve_gl.tril_inverse", "gelfand_levitan.solve_gl.kappa_gram",
+    "gelfand_levitan.solve_gl", "gelfand_levitan.solve_gl.inverse_cholesky",
+    "gelfand_levitan.solve_gl.kappa_gram",
     "gelfand_levitan.recover_potential", "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity", "artifacts.write_csv.cT",
     "forward.fd_forward", "forward.fd_forward.trace",
@@ -29,8 +29,11 @@ def test_ladder_writes_its_schema(tmp_path):
                    check=True, capture_output=True, timeout=120)
     with open(out) as fh:
         d = json.load(fh)
-    assert d["schema"] == 1 and d["problem"] == "full" and d["grids"] == [16, 32]
+    assert d["schema"] == 2 and d["problem"] == "full" and d["grids"] == [16, 32]
     assert d["repeats"] == 3 and d["maxrss_mib"] > 0.0 and d["total_s"] > 0.0
+    # each rung's reconstruct ran in its own process, which loads numpy
+    rss = d["reconstruct_maxrss_mib"]
+    assert len(rss) == 2 and all(10.0 < m < 200.0 for m in rss)
     assert set(d["layers"]) == LAYERS
     for name, layer in d["layers"].items():
         assert set(layer) == {"seconds", "peak_mib", "peak_full_arrays",

@@ -589,20 +589,28 @@ def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     assert set(_timings(tmp_path / "v")) == {"schema_version", "command", "wall_times_s"}
 
 
-def test_verify_instability_reaches_the_cli(data_dir, monkeypatch, capsys):
-    # verify does not catch the errors of its leapfrog march: they reach
-    # the CLI as a numerical failure (exit 3)
+@pytest.mark.parametrize("march, check, threshold", [
+    ("fd_forward", "two_path_response", [1.4, 2.6]),
+    ("connecting_form_from_interior", "three_way_connecting", 2e-2),
+], ids=["fd_forward", "connecting_form_from_interior"])
+def test_verify_instability_fails_its_check_by_name(data_dir, tmp_path, monkeypatch,
+                                                   capsys, march, check, threshold):
+    # a blow-up of a check's own leapfrog march fails that check by name;
+    # the other checks still run, and the CLI exits 4 with the report written
     message = "leapfrog blew up at level 7"
 
-    def fd_forward(*args):
+    def blown(*args):
         raise mw.NumericalInstabilityError(message)
 
-    monkeypatch.setattr(pipeline, "fd_forward", fd_forward)
-    with pytest.raises(mw.NumericalInstabilityError) as exc:
-        run_verify(data_dir)
-    assert str(exc.value) == message
-    assert cli.main(["verify", "--data", data_dir]) == 3
-    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    monkeypatch.setattr(pipeline, march, blown)
+    report = run_verify(data_dir)
+    assert report["failed_checks"] == [check]
+    assert next(c for c in report["checks"] if c["name"] == check) == {
+        "name": check, "passed": False, "metric": float("inf"),
+        "threshold": threshold, "detail": message}
+    assert cli.main(["verify", "--data", data_dir, "--out", str(tmp_path / "v")]) == 4
+    assert capsys.readouterr().err == f"verification failed: {check}\n"
+    assert json.loads((tmp_path / "v" / "report.json").read_text())["failed_checks"] == [check]
 
 
 def test_verify_passes_on_a_large_grid(tmp_path):
