@@ -9,16 +9,24 @@ minimum of ``REPEATS`` untraced calls, and then called once more under
 ``tracemalloc`` for its traced peak: the memory it allocates above the level
 at its entry.  The parts of the assembly and of the solve are measured
 inside those same calls, by wrappers around the production functions that
-run them.  The leapfrog runs to t = T with verify's two-path bump control,
-once on the whole padded field and once on the trace's backward cone.  The
-growth exponents are fitted between the two largest rungs.
+run them; a part may run inside another (the asymmetry inside
+``_kernel_from_galerkin``).  The leapfrog runs to t = T with verify's
+two-path bump control, once on the whole padded field and once on the
+trace's backward cone.  The growth exponents are fitted between the two
+largest rungs.
 
 tracemalloc sees only the arrays numpy allocates itself, not the work copy
 LAPACK makes of a matrix it factors: a Cholesky factorization of a whole
 (N+1)^2 matrix holds one more such array than its traced peak shows.  So
 each rung also runs ``run_reconstruct`` on a synthesized `full` set in one
-fresh process and records that process's own maxrss, LAPACK copies
-included (``reconstruct_maxrss_mib``, with the interpreter and numpy).
+fresh process and records that process's own peak resident set, LAPACK
+copies included (``reconstruct_maxrss_mib``, with the interpreter and
+numpy), and once more with ``MALLOC_MMAP_THRESHOLD_=131072``
+(``reconstruct_maxrss_mmap_mib``): glibc then maps every block of more than
+128 KiB on its own and unmaps it when it is freed, so that the peak does not
+depend on where the heap placed the freed arrays.  The peak is the child's
+``VmHWM``: Linux carries the spawning process's peak into the child's
+``ru_maxrss`` across exec, so that would never read below this process's.
 The JSON also records this process's maxrss and the host: CPUs, Python,
 numpy and its BLAS.  numpy only; nothing here is part of the package.
 """
@@ -55,7 +63,7 @@ import memwave as mw  # noqa: E402
 from memwave import connecting, gelfand_levitan  # noqa: E402
 from memwave.artifacts import write_csv  # noqa: E402
 
-SCHEMA = 2
+SCHEMA = 3
 GRIDS = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
 # every layer in pipeline order, then verify's leapfrog; a layer of ``PARTS``
@@ -74,6 +82,7 @@ LAYERS = (
     "gelfand_levitan.solve_gl",
     "gelfand_levitan.solve_gl.inverse_cholesky",
     "gelfand_levitan.solve_gl.kappa_gram",
+    "gelfand_levitan.solve_gl.z_in_place",
     "gelfand_levitan.recover_potential",
     "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity",
@@ -91,6 +100,7 @@ PARTS = {
     "connecting.from_response.kernel_from_galerkin": (connecting, "_kernel_from_galerkin"),
     "gelfand_levitan.solve_gl.inverse_cholesky": (gelfand_levitan, "_inverse_cholesky"),
     "gelfand_levitan.solve_gl.kappa_gram": (gelfand_levitan, "_gram_abs_column_sums"),
+    "gelfand_levitan.solve_gl.z_in_place": (gelfand_levitan, "_z_in_place"),
 }
 
 
@@ -101,14 +111,18 @@ class Parts:
     A wrapper measures the outermost call only (``_inverse_cholesky``
     recurses).
     Untraced, it keeps the minimum seconds; traced, its peak above the level
-    at its entry.  tracemalloc holds one peak, which the wrapper resets, so
-    it keeps the highest level it hid in ``hidden`` for the enclosing layer.
+    at its entry.  tracemalloc holds one peak, which each wrapper resets at
+    its entry, so ``open`` keeps, for every measurement still running (the
+    layer's, then each enclosing part's), the highest peak hidden from it.
     """
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
         self.peaks: dict[str, int] = {}
-        self.hidden = 0
+        self.open: list[int] = []
+
+    def fold(self, peak: int) -> None:
+        self.open = [max(p, peak) for p in self.open]
 
     def wrap(self, name, fn):
         depth = 0
@@ -120,8 +134,9 @@ class Parts:
             traced = tracemalloc.is_tracing()
             if traced:
                 level, peak = tracemalloc.get_traced_memory()
-                self.hidden = max(self.hidden, peak)
+                self.fold(peak)
                 tracemalloc.reset_peak()
+                self.open.append(0)
             depth += 1
             t0 = time.perf_counter()
             try:
@@ -130,8 +145,8 @@ class Parts:
                 seconds = time.perf_counter() - t0
                 depth -= 1
                 if traced:
-                    peak = tracemalloc.get_traced_memory()[1]
-                    self.hidden = max(self.hidden, peak)
+                    peak = max(self.open.pop(), tracemalloc.get_traced_memory()[1])
+                    self.fold(peak)
                     self.peaks[name] = peak - level
                 else:
                     self.seconds[name] = min(self.seconds.get(name, math.inf), seconds)
@@ -179,11 +194,11 @@ def measure(fn, parts: Parts):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
-    parts.hidden = 0
+    parts.open = [0]
     tracemalloc.start()
     try:
         result = fn()
-        peak = max(tracemalloc.get_traced_memory()[1], parts.hidden)
+        peak = max(tracemalloc.get_traced_memory()[1], parts.open.pop())
     finally:
         tracemalloc.stop()
     return best, peak, result
@@ -224,31 +239,38 @@ def rung(N: int, tmpdir: str) -> dict:
 
 
 # run by a fresh interpreter: argv is the package's source dir, the data
-# dir and the output dir; prints the process's maxrss in KiB
+# dir and the output dir; prints the process's own peak resident set in KiB
 _RECONSTRUCT = """
-import resource, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from memwave import run_reconstruct
 run_reconstruct(sys.argv[2], sys.argv[3])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 
-def reconstruct_maxrss(N: int, tmpdir: str) -> float:
-    """maxrss in MiB of one fresh process that runs ``run_reconstruct`` on a
-    `full` set synthesized here at N, BLAS pinned as in this process."""
+def reconstruct_maxrss(N: int, tmpdir: str) -> tuple[float, float]:
+    """Peak resident set in MiB of a fresh process that runs
+    ``run_reconstruct`` on a `full` set synthesized here at N, BLAS pinned
+    as in this process: with glibc's default heap, then with its mmap
+    threshold fixed at 128 KiB."""
     cfg, data, out = (os.path.join(tmpdir, name) for name in ("cfg.json", "data", "out"))
     with open(cfg, "w") as fh:
         json.dump({"problem": "full", "T": 1.0, "N": N}, fh)
     mw.run_synth(mw.load_config(cfg), data)
+    rss = []
     try:
-        proc = subprocess.run(
-            [sys.executable, "-c", _RECONSTRUCT, os.path.join(ROOT, "src"), data, out],
-            check=True, capture_output=True, text=True)
+        for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}):
+            proc = subprocess.run(
+                [sys.executable, "-c", _RECONSTRUCT, os.path.join(ROOT, "src"), data, out],
+                check=True, capture_output=True, text=True, env={**os.environ, **extra})
+            shutil.rmtree(out)
+            rss.append(int(proc.stdout.split()[-1]) / 1024.0)
     finally:
         shutil.rmtree(data)
         shutil.rmtree(out, ignore_errors=True)
-    return int(proc.stdout.split()[-1]) / 1024.0
+    return rss[0], rss[1]
 
 
 def growth(values: list[float], grids: list[int]) -> float | None:
@@ -290,8 +312,10 @@ def ladder(grids: list[int]) -> dict:
                 "blind to LAPACK's work copies",
         "layers": layers,
         "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        # one fresh process per rung: run_reconstruct on a synthesized set
-        "reconstruct_maxrss_mib": reconstruct_rss,
+        # fresh processes per rung: run_reconstruct on a synthesized set,
+        # then the same under MALLOC_MMAP_THRESHOLD_=131072
+        "reconstruct_maxrss_mib": [rss for rss, _ in reconstruct_rss],
+        "reconstruct_maxrss_mmap_mib": [rss for _, rss in reconstruct_rss],
         "total_s": time.perf_counter() - t_start,
         "host": host_facts(),
     }

@@ -35,12 +35,13 @@ The products are streamed by column blocks of the probe matrix, each a
 strided window over the one stencil, so that matrix is never formed whole;
 the rows a block's probes have not reached yet are zero by causality and
 are skipped.  Only the upper triangle of the block is read, so each product
-forms only its part of it: the entries below the diagonal blocks are never
-formed, and the asymmetry, a round-off diagnostic, is read on the diagonal
-blocks, which both products fill.  Time reversal sends that upper triangle
-onto the lower triangle of the kernel, and the kernel becomes symmetric in
-one place: a mirror of its lower triangle, by blocks, in place.  Every
-block is ``model._BLOCK`` wide.  The march forms its transposed history
+forms only its part of it, and the block is held as its row blocks from the
+diagonal on, about half of it: the entries below the diagonal blocks are
+never formed or stored, and the asymmetry, a round-off diagnostic, is read
+on the diagonal blocks, which both products fill.  Time reversal sends each
+row block onto the lower triangle of the kernel, and the kernel becomes
+symmetric in one place: a mirror of its lower triangle, by blocks, in place.
+Every block is ``model._BLOCK`` wide.  The march forms its transposed history
 convolution as one FFT correlation per level, O(N log N) each, and its
 level memory as the blocked causal history of ``model.CausalHistory``,
 which the Goursat and leapfrog marches share.
@@ -99,15 +100,6 @@ class ConnectingKernel:
         n = self.grid.N + 1
         object.__setattr__(self, "values", sample_array(
             self.values, [(n, n)], "connecting kernel", f"needs a {n}x{n} array", "entries"))
-
-
-def _diagonal_asymmetry(a: np.ndarray) -> float:
-    """max|a - a^T| over the diagonal ``_BLOCK`` x ``_BLOCK`` blocks of a
-    square array: the entries of the Galerkin block that both of
-    ``_galerkin``'s products form."""
-    n = a.shape[0]
-    return float(np.max([np.abs(d - d.T).max() for d in
-                         (a[i : i + _BLOCK, i : i + _BLOCK] for i in range(0, n, _BLOCK))]))
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -257,9 +249,9 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
     return R[1:]
 
 
-def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1,
-    formed on its diagonal blocks and above them.
+    formed on its diagonal blocks and above them, as row blocks.
 
     ``stencil`` is ``_impulse_response`` and ``Vr`` the ``_adjoint_weights``
     of the march, Vr[i] = V[N - 1 - i].  The march is linear in its
@@ -273,20 +265,21 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
 
     RP is never formed whole.  Its column k is ``stencil`` moved down by k
     rows, so every block of ``model._BLOCK`` columns is a slice of one
-    strided window over the zero-padded stencil.  Each block adds its rows
-    of the first product and its columns of the second into B.  Rows
-    t <= k0 of the block from column k0 vanish by causality and are skipped;
-    row 0 of column 0, the stencil's t = 0 entry, meets only zero weights
-    (V vanishes on level 0 and at t = 0).
+    strided window over the zero-padded stencil.  Rows t <= k0 of the block
+    from column k0 vanish by causality and are skipped; row 0 of column 0,
+    the stencil's t = 0 entry, meets only zero weights (V vanishes on level
+    0 and at t = 0).
 
-    Only the upper triangle of B is read (``_kernel_from_galerkin``), so
-    the block from column k0, of width w, forms only its share of that: in
-    the first product the columns from k0 on, that is the levels k0 + 2..
-    (the rows Vr[:N - 2 - k0]), over t < 2N - 2 - k0 only, past which those
-    levels vanish (``_adjoint_weights``); in the second the rows below
-    k0 + w.  That is about 0.83 N^3 multiply-adds against 2 N^3 for the
-    whole block.  Both products fill the diagonal w x w blocks; below them
-    B stays zero.
+    Only the upper triangle of B is read (``_kernel_from_galerkin``), so B
+    is never held whole either: the result is the list of its row blocks,
+    block k0 holding rows k0..k0 + w - 1 over the columns k0.. (about half
+    of B).  The column block from k0, of width w, forms only its share of
+    that: the first product writes row block k0, over the levels k0 + 2..
+    (the rows Vr[:N - 2 - k0]) and t < 2N - 2 - k0 only, past which those
+    levels vanish (``_adjoint_weights``); the second is subtracted from the
+    columns k0..k0 + w - 1 of the row blocks up to k0.  That is about
+    0.83 N^3 multiply-adds against 2 N^3 for the whole block.  Both products
+    fill the diagonal w x w blocks, the first w columns of each row block.
     """
     N, h = grid.N, grid.h
     n_p, n_t = N - 2, grid.N2 + 1
@@ -294,7 +287,7 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
     # padded[a0 + t : a0 + t + w], holds RP[t, k] for k = k0 + w - 1 down to k0
     padded = np.zeros(n_p + n_t)
     padded[n_p + 1 :] = stencil[1:]
-    B = np.zeros((n_p, n_p))
+    rows = []
     for k0 in range(0, n_p, _BLOCK):
         w = min(_BLOCK, n_p - k0)
         # rows t <= k0 of the block are zero; the levels k0 + 2.. that the
@@ -305,34 +298,58 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> np.ndarray
         block = window[:, ::-1].copy()  # RP[t0:t1, k0:k0 + w]
         # rows k0.. of RP^T V[2:N]^T, columns k0..; Vr[:n_p - k0] holds the
         # levels N - 1 down to k0 + 2
-        B[k0 : k0 + w, k0:] += (block.T @ Vr[: n_p - k0, t0:t1].T)[:, ::-1]
+        rows.append((block.T @ Vr[: n_p - k0, t0:t1].T)[:, ::-1])
         # rows ..k0 + w - 1 of the columns k0.. of V[:, 2:N]^T RP[:N], summed
         # over the levels t0..N-1
         levels = block[N - 1 - t0 :: -1].copy()
-        B[: k0 + w, k0 : k0 + w] -= Vr[: N - t0, 2 : k0 + w + 2].T @ levels
-    B *= h * h
-    return B
+        second = Vr[: N - t0, 2 : k0 + w + 2].T @ levels
+        for i0, row in zip(range(0, k0 + 1, _BLOCK), rows):
+            row[:, k0 - i0 : k0 - i0 + w] -= second[i0 : i0 + row.shape[0]]
+    for row in rows:
+        row *= h * h
+    return rows
+
+
+def _diagonal_asymmetry(rows: list[np.ndarray]) -> float:
+    """max|B - B^T| over the diagonal blocks of ``_galerkin``'s row blocks:
+    the entries of the Galerkin block that both of its products form."""
+    return float(np.max([np.abs(d - d.T).max()
+                         for d in (row[:, : row.shape[0]] for row in rows)]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the check below names overflows
-def _kernel_from_galerkin(raw: np.ndarray, grid: GridSpec,
-                          asymmetry: float = float("nan")) -> ConnectingKernel:
-    """Reduced kernel from the identity-subtracted, h^2-scaled Galerkin block.
+def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingKernel:
+    """Reduced kernel from the row blocks of the Galerkin block (``_galerkin``).
 
+    The free march's block h I is subtracted and the blocks are scaled by
+    h^-2, in place; the asymmetry is then read on their diagonal blocks.
     Time reversal sends probe p to the node N - p, so the upper triangle
-    (p <= q) of ``raw`` fills the lower triangle of the interior rows
-    1..N-2.  The row t = 0 vanishes identically (the kernel does on that
-    line); the last two rows, which would need probes outside the discretely
-    admissible range, are filled by quadratic extrapolation.  That lower
-    triangle is all that is formed: one in-place mirror of it then makes the
-    kernel exactly symmetric, and the rest of ``raw`` never reaches it.
+    (p <= q) of the block fills the lower triangle of the interior rows
+    1..N-2; each row block is written there on its own, so the block is
+    never held whole.  The row t = 0 vanishes identically (the kernel does
+    on that line); the last two rows, which would need probes outside the
+    discretely admissible range, are filled by quadratic extrapolation.
+    That lower triangle is all that is read: one in-place mirror of it then
+    makes the kernel exactly symmetric.
 
     Data that overflow the assembly raise AssemblyError at the first
     non-finite sample (t_i, s_j), with no numpy warning ahead of it.
     """
-    N = grid.N
+    N, h = grid.N, grid.h
+    for row in rows:
+        w = row.shape[0]
+        row[:, :w][np.diag_indices(w)] -= h  # the free march's block, exactly
+        row /= h * h
+    # the block is symmetric by construction, for any r and K, so its
+    # asymmetry on the diagonal blocks is a round-off diagnostic (below
+    # eps N^2 (1 + max|c|) at T = 1 on random, spiked and catalogue data),
+    # not a data check: it cannot tell whether the response and the kernel
+    # belong together
+    asymmetry = _diagonal_asymmetry(rows)
     c = np.zeros((N + 1, N + 1))
-    c[1 : N - 1, 1 : N - 1] = raw[::-1, ::-1]
+    for k0, row in zip(range(0, N - 2, _BLOCK), rows):
+        # B[p - 2, q - 2] -> c[N - p, N - q]
+        c[N - 1 - k0 - row.shape[0] : N - 1 - k0, 1 : N - 1 - k0] = row[::-1, ::-1]
     # row/column t = 0 vanish identically.  The last two rows host no
     # discretely admissible probe; extrapolate quadratically, but only along
     # lines of constant t - s: the kernel is smooth along those, while its
@@ -364,16 +381,8 @@ def connecting_kernel_from_response(r: ResponseData,
     grid = r.grid
     if K.grid != grid:
         raise UsageError("response and memory kernel must share one grid")
-    h = grid.h
-    raw = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
-    raw[np.diag_indices_from(raw)] -= h  # the free march's block, exactly
-    raw /= h * h
-    # the block is symmetric by construction, for any r and K, so its
-    # asymmetry on the diagonal blocks is a round-off diagnostic (below
-    # eps N^2 (1 + max|c|) at T = 1 on random, spiked and catalogue data),
-    # not a data check: it cannot tell whether the response and the kernel
-    # belong together
-    return _kernel_from_galerkin(raw, grid, _diagonal_asymmetry(raw))
+    rows = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    return _kernel_from_galerkin(rows, grid)
 
 
 def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:

@@ -27,6 +27,8 @@ triangle (``_lower_times``, ``_times_triangular``).  Only the inverse
 Cholesky factor recurses: one 2x2 block recursion overwrites the solve's
 matrix with the inverse of its Cholesky factor, halving down to dense leaf
 blocks, so neither the factor nor a LAPACK copy of the whole matrix is held.
+The condition number reads that inverse by column blocks, and z is then
+formed in its storage, so the solve holds one array beside the kernel.
 The two residual checks reduce their last product to its maximum block by
 block, so neither holds a full-size residual.
 """
@@ -66,10 +68,12 @@ ERROR_WINDOW = (0.1, 0.9)
 class GLSolution:
     """Inverse-factor kernel z[i, j] = z(x_i, t_j) on {j >= i}, zero below.
 
-    From ``solve_gl`` it also carries the one-norm condition number of the
-    weighted connecting operator and its smallest Cholesky pivot (a Schur
-    complement, 1 for the free kernel) with the depth where it occurs, and
-    the pivot profile: the smallest pivot over each tenth of the depths.
+    From ``solve_gl``, z is the array the solve factored in: it held S, then
+    the inverse Cholesky factor, then z (``_z_in_place``).  It also carries
+    the one-norm condition number of the weighted connecting operator and
+    its smallest Cholesky pivot (a Schur complement, 1 for the free kernel)
+    with the depth where it occurs, and the pivot profile: the smallest
+    pivot over each tenth of the depths.
     """
 
     grid: GridSpec
@@ -159,23 +163,27 @@ def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     return np.concatenate((top, bottom))
 
 
-def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
-    """Column sums of |G^T G| for a lower-triangular G, by column blocks.
+def _gram_abs_column_sums(Li: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Column sums of |G^T G| for G = Li diag(sq)^-1 and a lower-triangular
+    Li, by column blocks, with Li left as it is.
 
     Only the upper triangle of the symmetric Gram is formed: column j of
     the whole sums column j and row j of it, the diagonal once.  Columns
-    j0..j1-1 of the triangle need its rows i < j1 and, as G[k, j] = 0 for
-    k < j, only the rows k >= j0 of G; one block holds at most (N + 1)
-    x ``_BLOCK`` entries.
+    j0..j1-1 of the triangle need its rows i < j1 and, as Li[k, j] = 0 for
+    k < j, only the rows k >= j0 of Li; one block holds at most (N + 1)
+    x ``_BLOCK`` entries.  Each block of the Gram of Li is scaled to that
+    of G, entry (i, j) by 1 / (sq_i sq_j), once it is formed.
     """
-    n = G.shape[0]
+    n = Li.shape[0]
     cols = np.zeros(n)  # column sums of the triangle, with the diagonal
     rows = np.zeros(n)  # row sums of the triangle, without it
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
         # BLAS runs the ``_BLOCK`` rows of the transpose faster than the
         # ``_BLOCK`` columns of the block
-        M = (G[j0:, j0:j1].T @ G[j0:, :j1]).T
+        M = (Li[j0:, j0:j1].T @ Li[j0:, :j1]).T
+        M /= sq[:j1, None]
+        M /= sq[None, j0:j1]
         np.abs(M, out=M)
         corner = M[j0:]
         corner[np.tril_indices(j1 - j0, -1)] = 0.0
@@ -183,6 +191,51 @@ def _gram_abs_column_sums(G: np.ndarray) -> np.ndarray:
         rows[:j1] += M.sum(axis=1)
         rows[j0:j1] -= np.diagonal(corner)
     return cols + rows
+
+
+def _column_abs_sums(C: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Column sums of |I + diag(sq) C diag(sq)|, by column blocks of C."""
+    n = C.shape[0]
+    sums = np.empty(n)
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        A = C[:, j0:j1] * sq[:, None]
+        A *= sq[None, j0:j1]
+        A[j0:j1][np.diag_indices(j1 - j0)] += 1.0
+        sums[j0:j1] = np.abs(A, out=A).sum(axis=0)
+    return sums
+
+
+def _z_in_place(Li: np.ndarray, C: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
+    """Overwrite the inverse factor Li with z (``solve_gl``) and return it.
+
+    Column j of z is row j of Li scaled by f_j = l_j (1/d_j - alpha y_j),
+    then divided row-wise by d, so Li is transposed in place by blocks of
+    ``_BLOCK`` rows, each scaled as it is moved: the diagonal block, then
+    the column block below it into the row block right of it, which is
+    zeroed.  Each element takes the same two scalings, in the same order, as
+    (Li^T * f) / d.  The diagonal holds the columns' last nodes, which take
+    the half weight.
+    """
+    n = Li.shape[0]
+    li = np.diagonal(Li).copy()  # a view would change with Li
+    # y_j = e_j^T S_j^-1 b_j = l_j Li[j, :] b_j, then with the rank-one term;
+    # the equal l_j^2 / d_j - 1 cancels when a pivot is near 1
+    alpha = 1.0 / h
+    y = -li * np.einsum("jk,kj->j", Li, C) / (1.0 + alpha * li * li)
+    f = li * (1.0 / d - alpha * y)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        corner = Li[i0:i1, i0:i1]
+        corner[...] = corner.T * f[i0:i1]
+        corner /= d[i0:i1, None]
+        right = Li[i0:i1, i1:]
+        np.multiply(Li[i1:, i0:i1].T, f[i1:], out=right)
+        right /= d[i0:i1, None]
+        Li[i1:, i0:i1] = 0.0
+    Li[np.diag_indices(n)] = 2.0 * y / d  # the last node's weight is h/2
+    Li[0, 0] = -C[0, 0]
+    return Li
 
 
 def _first_non_positive_block(S: np.ndarray) -> int:
@@ -216,8 +269,11 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     products that skip zero triangles and dense Cholesky factors and inverses
     only on leaf blocks, so L is never held whole.  The exact one-norm
     condition number takes the column sums of |G^T G| = |A^-1|,
-    G = Li D^-1/2, over column blocks of the Gram's upper triangle, so no
-    (N+1)^2 Gram is held.
+    G = Li D^-1/2, over column blocks of the Gram's upper triangle, each
+    formed from Li and then scaled, and the column sums of |A| over column
+    blocks of C, so neither a Gram, G nor A is held whole.  Last, z is
+    formed in Li's storage by a blocked in-place transpose
+    (``_z_in_place``), so the solve holds C and that one array.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive (the data then come from no
@@ -244,27 +300,11 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     # A = D^1/2 S D^1/2 factors as (D^1/2 L)(D^1/2 L)^T; its pivots are the
     # squared diagonal of that factor
     pivots = d * diagonal ** 2
-    li = np.diagonal(Li).copy()  # a view would keep Li alive past its del
-
-    # y_j = e_j^T S_j^-1 b_j = l_j Li[j, :] b_j, then with the rank-one term;
-    # the equal l_j^2 / d_j - 1 cancels when a pivot is near 1
-    alpha = 1.0 / h
-    y = -li * np.einsum("jk,kj->j", Li, C) / (1.0 + alpha * li * li)
-    z = Li.T * (li * (1.0 / d - alpha * y))
-    z /= d[:, None]
-    z[np.diag_indices(N + 1)] = 2.0 * y / d  # the last node's weight is h/2
-    z[0, 0] = -C[0, 0]
 
     # exact one-norm condition of A, with A^-1 = G^T G for G = Li D^-1/2
     sq = np.sqrt(d)
-    G = Li
-    G /= sq[None, :]
-    inv_norm = _gram_abs_column_sums(G).max()
-    del G, Li
-    A = C * sq[:, None]
-    A *= sq[None, :]
-    A[np.diag_indices(N + 1)] += 1.0
-    cond = float(np.abs(A, out=A).sum(axis=0).max() * inv_norm)
+    inv_norm = _gram_abs_column_sums(Li, sq).max()
+    cond = float(_column_abs_sums(C, sq).max() * inv_norm)
     if cond > _COND_LIMIT:
         raise IllConditionedError(
             f"connecting operator condition {cond:.2e} exceeds {_COND_LIMIT:.0e}; "
@@ -274,7 +314,7 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     k = int(np.argmax(pivots <= pivots.min() * (1.0 + 1e-12)))
     # the smallest pivot of each tenth of the depths (N = 8 has only 9 depths)
     deciles = tuple(float(p.min()) for p in np.array_split(pivots, min(10, N + 1)))
-    return GLSolution(grid=grid, z=z, cond_estimate=cond,
+    return GLSolution(grid=grid, z=_z_in_place(Li, C, d, h), cond_estimate=cond,
                       min_pivot=float(pivots[k]), min_pivot_depth=k * h,
                       pivot_deciles=deciles)
 

@@ -321,8 +321,9 @@ def test_adjoint_matches_oracle_sweep(problem):
     q, K = mw.get_problem(problem).fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
-    raw = (_sweep_galerkin(r, K.values, grid) - _sweep_galerkin(r_zero, None, grid))
-    oracle = _kernel_from_galerkin(raw / (grid.h * grid.h), grid)
+    # the production assembly subtracts h I for the free march's block
+    assert np.array_equal(_sweep_galerkin(r_zero, None, grid), grid.h * np.eye(grid.N - 2))
+    oracle = _kernel_from_galerkin(_row_blocks(_sweep_galerkin(r, K.values, grid)), grid)
     ca = mw.connecting_kernel_from_response(r, K)
     assert np.abs(ca.values - oracle.values).max() < 1e-12
 
@@ -413,6 +414,12 @@ def test_impulse_responses_equal_per_probe_responses():
         assert np.array_equal(RP[p - 1 :, p], stencil[1 : grid.N2 + 3 - p])
 
 
+def _row_blocks(a):
+    """The row blocks of a square array in ``_galerkin``'s layout: rows
+    k0..k0 + ``_BLOCK`` - 1 over the columns k0.., as copies."""
+    return [a[k0 : k0 + _BLOCK, k0:].copy() for k0 in range(0, a.shape[0], _BLOCK)]
+
+
 def _dense_galerkin(RP, V, grid):
     """The Galerkin block as two dense products of the whole probe matrix."""
     N, h = grid.N, grid.h
@@ -424,16 +431,20 @@ def _dense_galerkin(RP, V, grid):
 @pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
 def test_streamed_galerkin_matches_dense_products(problem, n):
     # 9 is a single block; 200 and 256 end on a partial block, and 400 spans
-    # four, the last one partial.  Only the upper triangle is formed whole:
-    # it is all that ``_kernel_from_galerkin`` reads
+    # four, the last one partial.  Only the row blocks of the upper triangle
+    # are formed: they are all that ``_kernel_from_galerkin`` reads
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     _, RP = _bump_probe_responses(r, grid)
     want = _dense_galerkin(RP[:, 2 : grid.N], _adjoint_weights(K.values, grid)[::-1], grid)
-    B = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    rows = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
     assert (grid.N - 2) // _BLOCK == {9: 0, 200: 1, 256: 1, 400: 3}[n]
-    assert np.abs(np.triu(B - want)).max() <= 1e-13 * (1.0 + np.abs(B).max())
+    want_rows = _row_blocks(want)
+    assert [row.shape for row in rows] == [row.shape for row in want_rows]
+    b_max = max(np.abs(row).max() for row in rows)
+    for row, w in zip(rows, want_rows):
+        assert np.abs(row - w).max() <= 1e-13 * (1.0 + b_max)
 
 
 @pytest.mark.parametrize("n", [9, 64, 200])
@@ -472,14 +483,17 @@ def test_free_galerkin_matches_dense_products(T, n):
     r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
     zero = np.zeros(grid.N2 + 1)
     free = _galerkin(_impulse_response(r_zero, grid), _adjoint_weights(zero, grid), grid)
-    assert np.array_equal(free, grid.h * np.eye(grid.N - 2))
+    want = _row_blocks(grid.h * np.eye(grid.N - 2))
+    assert len(free) == len(want)
+    assert all(np.array_equal(row, w) for row, w in zip(free, want))
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, 300])
 def test_blocked_passes_equal_the_whole_array_forms(n):
     a = np.random.default_rng(n).standard_normal((n, n))
     i, j = np.indices(a.shape)
-    assert _diagonal_asymmetry(a) == np.abs(a - a.T)[i // _BLOCK == j // _BLOCK].max()
+    assert (_diagonal_asymmetry(_row_blocks(a))
+            == np.abs(a - a.T)[i // _BLOCK == j // _BLOCK].max())
     want = np.tril(a) + np.tril(a, -1).T
     _mirror_lower(a)
     assert np.array_equal(a, want)
@@ -499,6 +513,24 @@ def test_assembly_holds_at_most_four_and_a_half_full_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * full_array
+
+
+def test_assembly_holds_at_most_three_full_arrays_at_1024():
+    # the adjoint weights (two full arrays), the row blocks of the Galerkin
+    # block's upper triangle (about half of one) and one column block's
+    # products: 2.85 arrays; the whole Galerkin block in their place would
+    # read 3.59
+    grid = mw.GridSpec(1.0, 1024)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    full_array = 8 * (grid.N + 1) ** 2
+    tracemalloc.start()
+    try:
+        mw.connecting_kernel_from_response(r, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * full_array
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -544,7 +576,8 @@ def test_probe_gram_matrix_is_psd():
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    B = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    (B,) = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    assert B.shape == (grid.N - 2, grid.N - 2)  # one row block: the whole block
     eigs = np.linalg.eigvalsh(0.5 * (B + B.T))
     assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 

@@ -8,6 +8,7 @@ quality metrics measured on the clean problems.
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,30 @@ def test_reconstruct_creates_its_directory_after_the_solve(data_dir, tmp_path, m
     run_reconstruct(data_dir, str(out))
     assert out_at_solve == [False]
     assert sorted(os.listdir(out)) == ["cT.csv", "q_hat.csv", "report.json", "timings.json"]
+
+
+def test_reconstruct_holds_the_kernel_and_one_more_array_from_the_solve_on(tmp_path,
+                                                                           monkeypatch):
+    # from the solve on, reconstruct holds c_T, then the solve's one array
+    # (z forms in the inverse factor's storage) with its block temporaries,
+    # 0.7 of an array at this N (2.77 in all); a separate z, or a |c_T|
+    # temporary beside z (3.08), would add a whole array
+    N = 512
+    run_synth(config_from_dict({"problem": "full", "N": N}), str(tmp_path / "d"))
+    real_solve = pipeline.solve_gl
+
+    def solve_gl(cT):
+        tracemalloc.reset_peak()  # the assembly's peak is its own test's
+        return real_solve(cT)
+
+    monkeypatch.setattr(pipeline, "solve_gl", solve_gl)
+    tracemalloc.start()
+    try:
+        run_reconstruct(str(tmp_path / "d"), str(tmp_path / "o"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.9 * 8 * (N + 1) ** 2
 
 
 def test_reconstruct_w_oracle_path(data_dir):
