@@ -31,20 +31,26 @@ read all probe pairs off them.  The weights of level l vanish from
 t = 2T - l h on, past the backward wavefront of the unit load at (T, T);
 the march writes each level only up to that front, so the zeros are exact
 and neither the products nor the march's level memory spend work on them.
+Nor are they stored: the weights are held as blocks of ``model._BLOCK``
+levels, each only as wide as its widest level needs, about three quarters
+of the dense (N+1) x (2N+1) array.
 The products are streamed by column blocks of the probe matrix, each a
 strided window over the one stencil, so that matrix is never formed whole;
 the rows a block's probes have not reached yet are zero by causality and
-are skipped.  Only the upper triangle of the block is read, so each product
-forms only its part of it, and the block is held as its row blocks from the
-diagonal on, about half of it: the entries below the diagonal blocks are
-never formed or stored, and the asymmetry, a round-off diagnostic, is read
-on the diagonal blocks, which both products fill.  Time reversal sends each
-row block onto the lower triangle of the kernel, and the kernel becomes
-symmetric in one place: a mirror of its lower triangle, by blocks, in place.
-Every block is ``model._BLOCK`` wide.  The march forms its transposed history
-convolution as one FFT correlation per level, O(N log N) each, and its
-level memory as the blocked causal history of ``model.CausalHistory``,
-which the Goursat and leapfrog marches share.
+are skipped.  Each block of weights feeds the first product its own output
+columns, and the second product sums over the blocks.  Only the upper
+triangle of the Galerkin block is read, so each product forms only its part
+of it, and the block is held as its row blocks from the diagonal on, about
+half of it: the entries below the diagonal blocks are never formed or
+stored, and the asymmetry, a round-off diagnostic, is read on the diagonal
+blocks, which both products fill.  The weights' widest blocks are released
+as soon as the column blocks left no longer read them.  Time reversal sends each row block onto the
+lower triangle of the kernel, and the kernel becomes symmetric in one
+place: a mirror of its lower triangle, by blocks, in place.  Every block is
+``model._BLOCK`` wide.  The march forms its transposed history convolution
+as one FFT correlation per level, O(N log N) each, at a length fitted to
+its block, and its level memory as the blocked causal history of
+``model.CausalHistory``, which the Goursat and leapfrog marches share.
 """
 
 from __future__ import annotations
@@ -166,14 +172,27 @@ def _impulse_response(r: ResponseData, grid: GridSpec) -> np.ndarray:
     return apply_response(r, ControlSignal(grid, impulse, admissible=True))
 
 
-def _correlation_spectrum(a: np.ndarray) -> np.ndarray:
-    """Conjugate spectrum of ``a`` at the FFT length of ``_causal_correlation``.
+def _fft_length(m: int) -> int:
+    """The smallest even FFT length >= m of the form 2^k {1, 9/8, 5/4, 3/2}:
+    2^j times 2, 18, 10 or 6."""
+    def up(f):
+        while f < m:
+            f *= 2
+        return f
+    return min(up(f) for f in (2, 18, 10, 6))
 
-    The length is the smallest power of two >= 2 len(a) - 2 (4096 at
-    len(a) = 2049), one short of the 2 len(a) - 1 that rules out every
-    wrap-around; ``_causal_correlation`` sets the one entry a wrap can reach.
+
+def _correlation_spectrum(a: np.ndarray, n: int) -> np.ndarray:
+    """Conjugate spectrum of ``a`` for ``_causal_correlation`` with vectors of
+    at most n entries.
+
+    The FFT length P is ``_fft_length(2 n - 2)``, one short of the 2 n - 1
+    that rules out every wrap-around, and ``a`` is cut to its first P/2 + 1
+    entries, all that a correlation of n entries reads; the wrap then reaches
+    only the last entry at P = 2 n - 2, which ``_causal_correlation`` sets.
     """
-    return np.conj(np.fft.rfft(a, 1 << (2 * a.size - 3).bit_length()))
+    P = _fft_length(2 * n - 2)
+    return np.conj(np.fft.rfft(a[: P // 2 + 1], P))
 
 
 def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
@@ -184,79 +203,91 @@ def _causal_correlation(a: np.ndarray, v: np.ndarray, h: float,
     transposed trapezoid end weights: half weight on the diagonal term
     a[0] v[j], and at j = 0 half the sum over i >= 1 only, because the
     convolution halves its v[0] column and zeroes its t = 0 row.  ``a_hat``
-    is ``_correlation_spectrum(a)``, taken once by a caller that correlates
-    one ``a`` with many vectors.
+    is ``_correlation_spectrum(a, n)`` for some n >= len(v), taken once by a
+    caller that correlates one ``a`` with many vectors.
     """
     L = 2 * (a_hat.size - 1)
     c = np.fft.irfft(a_hat * np.fft.rfft(v, L), L)[: v.size]
-    # the last sum has the single term a[0] v[-1]; at L = 2 len(a) - 2 the
-    # circular sum adds a[-1] v[0] to it
+    # the last sum has the single term a[0] v[-1]; at L = 2 len(v) - 2 the
+    # circular sum adds a[L / 2] v[0] to it
     c[-1] = a[0] * v[-1]
     out = h * (c - 0.5 * a[0] * v)
     out[0] -= 0.5 * h * c[0]
     return out
 
 
-def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l), levels reversed.
+def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """Weights V with psi(T, T) = h^2 sum_{l,t} V[l, t] rhs(t, l), levels
+    reversed, as blocks of ``_BLOCK`` levels, each up to its wavefront.
 
-    Row i of the result is V[N - 1 - i], the level order of the march, so
-    that the caller reads it with positive strides.
+    Row i of the stacked blocks is Vr[i] = V[N - 1 - i], i = 0..N-2, the
+    level order of the march, so that the caller reads them with positive
+    strides; V[0] is zero and not stored.  The block of the rows i0..i1-1
+    is N + i1 + 2 entries wide, t = 0..N + i1 + 1: its last level's
+    wavefront (below) and the entries the march reads past it.
 
     Reverse accumulation through the level march: lambda_N is the unit load
     at (t = T, s = T) and each backward step applies the transposed update
     (shift-sum, transposed history convolution, transposed level memory).
-    Only the levels l = 1..N-1 carry weight; V[0], the last row, stays zero.
+    Only the levels l = 1..N-1 carry weight.
 
     The shift-sum moves the load's support one node out per level, and the
     correlation and the level memory only reach back in t, so V[l, t] = 0
     for t >= 2N - l: the backward wavefront of the load.  Each level writes
     V[l] on t = 1..2N - l - 1 alone and forms lambda_l on t <= 2N - l alone;
     the FFT correlation's round-off past the front is dropped, so the zeros
-    there are exact and ``_galerkin`` can skip them.  They also narrow the
-    level memory: level l asks ``CausalHistory`` for 2N - l + 1 entries,
-    and the earlier levels vanish past those, as its contract requires.
+    there are exact, ``_galerkin`` can skip them and no block stores more
+    than its widest level needs.  They also narrow the level memory: level
+    l asks ``CausalHistory`` for 2N - l + 1 entries, and the earlier levels
+    vanish past those, as its contract requires.
 
     The transposed history convolution is one FFT correlation per level
-    against the spectrum of Kv, taken once: O(N log N) per level.  The level
-    memory of level m, sum_{j >= m} h Kv[j - m] V[j] (half weight at j = m),
-    is a causal history on the reversed levels k = N - m, below a zero level
-    k = 0 that carries the trapezoid's other half weight, so
-    ``model.CausalHistory`` forms it by blocks of levels.
+    against a spectrum of Kv, taken once per block at a length fitted to
+    the block's width (``_correlation_spectrum``): O(N log N) per level.  The level memory of level m, sum_{j >= m} h Kv[j - m] V[j]
+    (half weight at j = m), is a causal history on the reversed levels
+    k = N - m, below a zero level k = 0 that carries the trapezoid's other
+    half weight, so ``model.CausalHistory`` forms it by blocks of levels,
+    the zero level heading the first storage block.
     """
     N, h = grid.N, grid.h
-    n_t = grid.N2 + 1
-    R = np.zeros((N + 1, n_t))  # R[N - l] = V[l] = masked lambda_{l+1}; R[0] = 0
+    # the march levels k = N - m = 0..N-1 in blocks that end at k1 - 1 and
+    # are N + k1 + 1 wide; level k >= 1 is the row Vr[k - 1]
+    stops = [*range(1 + _BLOCK, N, _BLOCK), N]
+    blocks = [np.zeros((k1 - k0, N + k1 + 1)) for k0, k1 in zip([0, *stops], stops)]
     lam_next = np.zeros(N + 1)
     lam_next[N] = 1.0  # lambda_N
-    K_hat = _correlation_spectrum(Kv)
-    history = CausalHistory(R, Kv, h)
-    for m in range(N - 1, 0, -1):
-        # V[m] vanishes from t = L on, past the load's backward wavefront;
-        # lambda_{m+1} has L entries, lambda_m one more
-        L = 2 * N - m
-        vm = R[N - m]
-        vm[1:L] = lam_next[1:L]  # the mask: t = 0 stays zero
-        lam_m = np.zeros(L + 1)
-        lam_m[1:] = vm[2 : L + 2] + vm[:L]
-        lam_m[0] = vm[1]
-        lam_m += h * h * _causal_correlation(Kv, vm, h, K_hat)[: L + 1]
-        # the masked lambda_{m+2} is the level stored before, and the zero
-        # level R[0] at m = N - 1
-        lam_m -= R[N - m - 1, : L + 1]
-        lam_m -= h * h * history.at(N - m, L + 1)
-        lam_next = lam_m
-    return R[1:]
+    history = CausalHistory(blocks, Kv, h)
+    prev = blocks[0][0]  # the zero level
+    for k0, block in zip([0, *stops], blocks):
+        # the widest level of the block correlates N + k1 entries
+        K_hat = _correlation_spectrum(Kv, block.shape[1] - 1)
+        for k in range(max(k0, 1), k0 + block.shape[0]):
+            # V[m], m = N - k, vanishes from t = L on, past the load's
+            # backward wavefront; lambda_{m+1} has L entries, lambda_m one more
+            L = N + k
+            vm = block[k - k0]
+            vm[1:L] = lam_next[1:L]  # the mask: t = 0 stays zero
+            lam_m = np.empty(L + 1)
+            lam_m[1:] = vm[2 : L + 2] + vm[:L]
+            lam_m[0] = vm[1]
+            lam_m += h * h * _causal_correlation(Kv, vm[: L + 1], h, K_hat)
+            # the masked lambda_{m+2} is the level stored before, and the
+            # zero level at m = N - 1
+            lam_m -= prev[: L + 1]
+            lam_m -= h * h * history.at(k, L + 1)
+            lam_next, prev = lam_m, vm
+    return [blocks[0][1:], *blocks[1:]]
 
 
-def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+def _galerkin(stencil: np.ndarray, Vr: list[np.ndarray],
+              grid: GridSpec) -> list[np.ndarray]:
     """Galerkin block B[p - 2, q - 2] = psi_pq(T, T) for probes p, q = 2..N-1,
     formed on its diagonal blocks and above them, as row blocks.
 
     ``stencil`` is ``_impulse_response`` and ``Vr`` the ``_adjoint_weights``
-    of the march, Vr[i] = V[N - 1 - i].  The march is linear in its
-    right-hand side RF(t) G(s) - F(t) RG(s), and every probe is a grid
-    impulse, so with the probe responses RP[:, p - 2] the block is
+    of the march, blocks of the rows Vr[i] = V[N - 1 - i].  The march is
+    linear in its right-hand side RF(t) G(s) - F(t) RG(s), and every probe
+    is a grid impulse, so with the probe responses RP[:, p - 2] the block is
     h^2 (RP^T V[2:N]^T - V[:, 2:N]^T RP[:N]): a column slice and a row slice
     of the adjoint weights.  The factor h^2 scales the block, not V: on free
     data (V of zeros and ones, a stencil of +-1/(2h)) each entry then sums
@@ -276,38 +307,93 @@ def _galerkin(stencil: np.ndarray, Vr: np.ndarray, grid: GridSpec) -> list[np.nd
     of B).  The column block from k0, of width w, forms only its share of
     that: the first product writes row block k0, over the levels k0 + 2..
     (the rows Vr[:N - 2 - k0]) and t < 2N - 2 - k0 only, past which those
-    levels vanish (``_adjoint_weights``); the second is subtracted from the
-    columns k0..k0 + w - 1 of the row blocks up to k0.  That is about
-    0.83 N^3 multiply-adds against 2 N^3 for the whole block.  Both products
-    fill the diagonal w x w blocks, the first w columns of each row block.
+    levels vanish (``_adjoint_weights``); each block of Vr writes its own
+    columns of it, over t up to its own width.  The second is summed over
+    the blocks of Vr and subtracted from the columns k0..k0 + w - 1 of the
+    row blocks up to k0.  That is about 0.83 N^3 multiply-adds against
+    2 N^3 for the whole block.  Both products fill the diagonal w x w
+    blocks, the first w columns of each row block.
+
+    The list ``Vr`` is consumed: the column block from k0 reads the rows
+    Vr[:N - 1 - k0] alone, so once a block of Vr lies past the rows that the
+    column blocks left read, it is dropped from the list, the widest first.
     """
     N, h = grid.N, grid.h
     n_p, n_t = N - 2, grid.N2 + 1
-    # RP[t, k] = padded[n_p + t - k]: row a0 + t of the width-w window,
-    # padded[a0 + t : a0 + t + w], holds RP[t, k] for k = k0 + w - 1 down to k0
+    # RP[t, k] = padded[n_p + t - k]
     padded = np.zeros(n_p + n_t)
     padded[n_p + 1 :] = stencil[1:]
+    starts = [0]
+    for v in Vr[:-1]:
+        starts.append(starts[-1] + v.shape[0])
+    # the row blocks are views of one array, taken before any block of Vr
+    # is released, so that they do not fill the spans the released blocks
+    # leave: with glibc's default heap, the benchmark's reconstruct at
+    # N = 1024 peaked at 60 MiB resident this way, and at 64 MiB with one
+    # array per row block
+    columns = range(0, n_p, _BLOCK)
+    store = np.empty(sum(min(_BLOCK, n_p - k0) * (n_p - k0) for k0 in columns))
     rows = []
-    for k0 in range(0, n_p, _BLOCK):
+    for k0 in columns:
         w = min(_BLOCK, n_p - k0)
-        # rows t <= k0 of the block are zero; the levels k0 + 2.. that the
-        # first product reads vanish from t = 2N - 2 - k0 on
-        t0, t1 = k0 + 1, 2 * N - 2 - k0
-        a0 = n_p - k0 - w + 1
-        window = sliding_window_view(padded, w)[a0 + t0 : a0 + t1]
-        block = window[:, ::-1].copy()  # RP[t0:t1, k0:k0 + w]
-        # rows k0.. of RP^T V[2:N]^T, columns k0..; Vr[:n_p - k0] holds the
-        # levels N - 1 down to k0 + 2
-        rows.append((block.T @ Vr[: n_p - k0, t0:t1].T)[:, ::-1])
-        # rows ..k0 + w - 1 of the columns k0.. of V[:, 2:N]^T RP[:N], summed
-        # over the levels t0..N-1
-        levels = block[N - 1 - t0 :: -1].copy()
-        second = Vr[: N - t0, 2 : k0 + w + 2].T @ levels
-        for i0, row in zip(range(0, k0 + 1, _BLOCK), rows):
-            row[:, k0 - i0 : k0 - i0 + w] -= second[i0 : i0 + row.shape[0]]
+        first = store[: w * (n_p - k0)].reshape(w, n_p - k0)
+        store = store[first.size :]
+        rows.append(first[:, ::-1])
+        _add_column_block(first, rows, padded, Vr, k0, grid)
+        # the column blocks left read the rows Vr[:N - 1 - k0 - _BLOCK]
+        # alone; the blocks of Vr past those, the widest, are released
+        while Vr and starts[len(Vr) - 1] >= N - 1 - k0 - _BLOCK:
+            Vr.pop()
     for row in rows:
         row *= h * h
     return rows
+
+
+def _add_column_block(first: np.ndarray, rows: list[np.ndarray], padded: np.ndarray,
+                      Vr: list[np.ndarray], k0: int, grid: GridSpec) -> None:
+    """The two products of ``_galerkin`` for the probe columns k0..k0 + w - 1.
+
+    Writes rows k0..k0 + w - 1 of RP^T V[2:N]^T over the columns k0.., in
+    reversed column order, into ``first`` (w x (N - 2 - k0)), the last of
+    ``rows`` turned round; then subtracts rows ..k0 + w - 1 of the columns
+    k0.. of V[:, 2:N]^T RP[:N], summed over the blocks of Vr, from the row
+    blocks.  The probe columns and the second product live only in this
+    call.
+    """
+    N, n_p = grid.N, grid.N - 2
+    w = first.shape[0]
+    # rows t <= k0 of the block are zero; the levels k0 + 2.. that the first
+    # product reads vanish from t = 2N - 2 - k0 on
+    t0, t1 = k0 + 1, 2 * N - 2 - k0
+    # row a0 + t of the width-w window, padded[a0 + t : a0 + t + w], holds
+    # RP[t, k] for k = k0 + w - 1 down to k0
+    a0 = n_p - k0 - w + 1
+    window = sliding_window_view(padded, w)[a0 + t0 : a0 + t1]
+    block = window[:, ::-1].copy()  # RP[t0:t1, k0:k0 + w]
+    # Vr[:n_p - k0] holds the levels N - 1 down to k0 + 2; each block of Vr
+    # writes its own columns, over t up to its own width
+    i0 = 0
+    for v in Vr:
+        i1 = min(i0 + v.shape[0], n_p - k0)
+        if i1 > i0:
+            t = min(t1, v.shape[1])
+            np.matmul(block[: t - t0].T, v[: i1 - i0, t0:t].T, out=first[:, i0:i1])
+        i0 += v.shape[0]
+    # the second product sums over the levels t0..N-1, the rows Vr[:N - t0];
+    # the row Vr[i] meets the probe row t = N - 1 - i
+    i0 = 0
+    for v in Vr:
+        i1 = min(i0 + v.shape[0], N - t0)
+        if i1 > i0:
+            levels = block[N - t0 - i1 : N - t0 - i0][::-1]
+            part = v[: i1 - i0, 2 : k0 + w + 2].T @ levels
+            if i0:
+                second += part
+            else:
+                second = part
+        i0 += v.shape[0]
+    for j0, row in zip(range(0, k0 + 1, _BLOCK), rows):
+        row[:, k0 - j0 : k0 - j0 + w] -= second[j0 : j0 + row.shape[0]]
 
 
 def _diagonal_asymmetry(rows: list[np.ndarray]) -> float:

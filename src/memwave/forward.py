@@ -125,7 +125,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
 
     U = np.zeros((M + 1, width))
     U[:, 0] = fv
-    history = CausalHistory(U, Kv, h)
+    history = CausalHistory([U], Kv, h)
     for j, n in enumerate(rows, start=1):
         hist = history.at(j, n)
         U[j + 1, 1:n] = (

@@ -23,12 +23,14 @@ matrix form, which is the strongest data-consistency test the pipeline has.
 
 Every product with a triangular factor runs as a flat loop of GEMMs over
 blocks of rows or columns (``_spans``) that skips the factor's zero
-triangle (``_lower_times``, ``_times_triangular``).  Only the inverse
-Cholesky factor recurses: one 2x2 block recursion overwrites the solve's
-matrix with the inverse of its Cholesky factor, halving down to dense leaf
-blocks, so neither the factor nor a LAPACK copy of the whole matrix is held.
-The condition number reads that inverse by column blocks, and z is then
-formed in its storage, so the solve holds one array beside the kernel.
+triangle.  Only the inverse Cholesky factor recurses: one 2x2 block
+recursion overwrites the solve's matrix with the inverse of its Cholesky
+factor, halving down to dense leaf blocks, so neither the factor nor a
+LAPACK copy of the whole matrix is held.  Its products overwrite their
+operand block by block in place, so no temporary is larger than one block
+of rows or columns.  The condition number reads that inverse by column
+blocks, and z is then formed in its storage, so the solve holds one array
+beside the kernel.
 The two residual checks reduce their last product to its maximum block by
 block, so neither holds a full-size residual.
 """
@@ -106,20 +108,6 @@ def _spans(n: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _lower_times(L: np.ndarray, F: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """L @ F for a lower-triangular L, by row blocks.
-
-    Rows i0..i1-1 of L vanish past column i1 - 1, so each block is
-    L[i0:i1, :i1] @ F[:i1].  ``out`` receives the product when given.
-    """
-    if out is None:
-        out = np.empty((L.shape[0], F.shape[1]))
-    for i0, i1 in _spans(L.shape[0]):
-        np.matmul(L[i0:i1, :i1], F[:i1], out=out[i0:i1])
-    return out
-
-
 def _times_triangular(F: np.ndarray, T: np.ndarray, lower: bool) -> np.ndarray:
     """F @ T for a lower (``lower``) or upper triangular T, by column blocks.
 
@@ -140,10 +128,17 @@ def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     return the diagonal of L.
 
     By 2x2 blocks S = [[A, B^T], [B, D]]: A recurses to L11^-1, then
-    L21 = B L11^-T, D - L21 L21^T (the Schur complement) recurses to L22^-1
-    and -L22^-1 L21 L11^-1 overwrites B.  Only the lower triangle of S is
-    read.  Leaf blocks of at most ``_BLOCK`` rows factor and invert densely;
-    the products skip the zero triangles of the inverses.  A leaf that is not
+    L21 = B L11^-T overwrites B, D - L21 L21^T (the Schur complement)
+    recurses to L22^-1, and L21 L11^-1, then -L22^-1 L21 L11^-1 overwrite
+    B.  Each product runs over blocks of B in the order that reads no block
+    it has already overwritten, through one temporary block: columns from
+    the right for L21 (column j reads the columns up to j), from the left
+    for L21 L11^-1 (column j reads the columns from j on), and rows from the
+    bottom for the last one (row i reads the rows up to i).  The Schur update
+    runs by column blocks on and below the diagonal, so only the lower
+    triangle of D is updated, and only the lower triangle of S is read.
+    Leaf blocks of at most ``_BLOCK`` rows factor and invert densely; the
+    products skip the zero triangles of the inverses.  A leaf that is not
     positive raises LinAlgError and leaves S partly overwritten.
     """
     n = S.shape[0]
@@ -154,11 +149,17 @@ def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     k = n // 2
     A, B, D = S[:k, :k], S[k:, :k], S[k:, k:]
     top = _inverse_cholesky(A)
-    L21 = _times_triangular(B, A.T, lower=False)
-    D -= L21 @ L21.T  # the transposed view of the same array runs as SYRK
+    for j0, j1 in reversed(_spans(k)):
+        B[:, j0:j1] = B[:, :j1] @ A[j0:j1, :j1].T
+    for j0, j1 in _spans(n - k):
+        # the diagonal block runs as SYRK, on the transposed view of its rows
+        D[j0:j1, j0:j1] -= B[j0:j1] @ B[j0:j1].T
+        D[j1:, j0:j1] -= B[j1:] @ B[j0:j1].T
     bottom = _inverse_cholesky(D)
-    _lower_times(D, _times_triangular(L21, A, lower=True), out=B)
-    np.negative(B, out=B)
+    for j0, j1 in _spans(k):
+        B[:, j0:j1] = B[:, j0:] @ A[j0:, j0:j1]
+    for i0, i1 in reversed(_spans(n - k)):
+        np.negative(D[i0:i1, :i1] @ B[:i1], out=B[i0:i1])
     S[:k, k:] = 0.0
     return np.concatenate((top, bottom))
 
@@ -177,11 +178,13 @@ def _gram_abs_column_sums(Li: np.ndarray, sq: np.ndarray) -> np.ndarray:
     n = Li.shape[0]
     cols = np.zeros(n)  # column sums of the triangle, with the diagonal
     rows = np.zeros(n)  # row sums of the triangle, without it
+    work = np.empty(_BLOCK * n)  # every block's transpose, in turn
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
         # BLAS runs the ``_BLOCK`` rows of the transpose faster than the
         # ``_BLOCK`` columns of the block
-        M = (Li[j0:, j0:j1].T @ Li[j0:, :j1]).T
+        out = work[: (j1 - j0) * j1].reshape(j1 - j0, j1)
+        M = np.matmul(Li[j0:, j0:j1].T, Li[j0:, :j1], out=out).T
         M /= sq[:j1, None]
         M /= sq[None, j0:j1]
         np.abs(M, out=M)
@@ -197,9 +200,10 @@ def _column_abs_sums(C: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Column sums of |I + diag(sq) C diag(sq)|, by column blocks of C."""
     n = C.shape[0]
     sums = np.empty(n)
+    work = np.empty(n * _BLOCK)  # every block, in turn
     for j0 in range(0, n, _BLOCK):
         j1 = min(j0 + _BLOCK, n)
-        A = C[:, j0:j1] * sq[:, None]
+        A = np.multiply(C[:, j0:j1], sq[:, None], out=work[: n * (j1 - j0)].reshape(n, -1))
         A *= sq[None, j0:j1]
         A[j0:j1][np.diag_indices(j1 - j0)] += 1.0
         sums[j0:j1] = np.abs(A, out=A).sum(axis=0)
@@ -266,19 +270,23 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     column j of z is row j of Li, scaled, plus a diagonal term.  Li
     overwrites S in place: one 2x2 block recursion, the one recursion here,
     factors and inverts at once, with flat block loops for its off-diagonal
-    products that skip zero triangles and dense Cholesky factors and inverses
-    only on leaf blocks, so L is never held whole.  The exact one-norm
+    products that skip zero triangles and overwrite their operand in place,
+    and dense Cholesky factors and inverses only on leaf blocks, so neither
+    L nor a half-size temporary is ever held.  The exact one-norm
     condition number takes the column sums of |G^T G| = |A^-1|,
     G = Li D^-1/2, over column blocks of the Gram's upper triangle, each
     formed from Li and then scaled, and the column sums of |A| over column
-    blocks of C, so neither a Gram, G nor A is held whole.  Last, z is
-    formed in Li's storage by a blocked in-place transpose
-    (``_z_in_place``), so the solve holds C and that one array.
+    blocks of C, each block in one work array, so neither a Gram, G nor A
+    is held whole.  Last, z is formed in Li's storage by a blocked in-place
+    transpose (``_z_in_place``), so the solve holds C and that one array.
 
     Raises IllConditionedError when the weighted connecting operator
-    A = I + D^1/2 C D^1/2 is not positive (the data then come from no
-    (q, K)), naming the depth of its first non-positive leading block, or
-    when its one-norm condition number exceeds 1e12.
+    A = I + D^1/2 C D^1/2 is not positive, naming the depth of its first
+    non-positive leading block: either the data come from no (q, K), or the
+    grid under-resolves them (clean data of a potential 100 times the
+    catalogue's fail this way at N = 64 and solve at N = 96), so the message
+    suggests twice the N; or when its one-norm condition number exceeds
+    1e12.
     """
     grid = c.grid
     N, h = grid.N, grid.h
@@ -292,10 +300,12 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     except np.linalg.LinAlgError:
         Li[...] = C  # S again, to search for its failing block
         Li[np.diag_indices(N + 1)] += 1.0 / d
-        s = _first_non_positive_block(Li) * h
+        k = _first_non_positive_block(Li)
         raise IllConditionedError(
             f"connecting operator I + D^1/2 C D^1/2 is not positive: its leading "
-            f"block first fails at s = {s:.6g}; the data come from no (q, K)"
+            f"block first fails at depth s = {k * h:.6g}; node {k} of N = {N}. Either "
+            f"the data come from no (q, K), or a grid this coarse under-resolves "
+            f"them: try a finer grid, N = {2 * N}"
         ) from None
     # A = D^1/2 S D^1/2 factors as (D^1/2 L)(D^1/2 L)^T; its pivots are the
     # squared diagonal of that factor

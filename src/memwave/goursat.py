@@ -101,7 +101,7 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
     N, N2, h = grid.N, grid.N2, grid.h
     W = np.zeros((N2 + 1, N + 2))
     np.fill_diagonal(W, diag)  # characteristic data; W[:, 0] stays 0
-    history = CausalHistory(W, Kv, h)
+    history = CausalHistory([W], Kv, h)
 
     for j in range(1, N2):
         # superdiagonal point (j, j+1) from the half characteristic cell

@@ -6,14 +6,16 @@ and memory kernels on [0, 2T], and triangular kernels on the region
 {0 <= x <= t, x + t <= 2T}.
 
 Every blocked pass over an (N+1)^2 array runs ``_BLOCK`` rows or columns at
-a time: the streamed Galerkin products and full-size passes of the
-assembly, the dense leaf of the blocked triangular inverse and the
-condition number's Gram.  The loops of GEMMs with triangular factors in
-``gelfand_levitan`` take blocks of at least ``_BLOCK``.
+a time: the levels of the packed adjoint weights, the streamed Galerkin
+products and full-size passes of the assembly, the dense leaf of the
+blocked triangular inverse and the condition number's Gram.  The loops of
+GEMMs with triangular factors in ``gelfand_levitan`` take blocks of at
+least ``_BLOCK``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -124,49 +126,71 @@ def cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
 class CausalHistory:
     """Trapezoid history of finished levels, sum_{s <= j} h Kv[j - s] H[s].
 
-    ``H`` is the march array, H[s] = level s, that the caller fills as it
-    marches; ``at(j, n)`` needs the levels 0..j final and returns the history
-    of level j on the entries H[:, :n], with the weights of
+    ``blocks`` hold the march's levels H[s] in order, level-major: block b
+    holds the levels from the end of block b - 1 on, one per row, and may be
+    narrower than later blocks; its levels vanish past its width.  The
+    Goursat and leapfrog marches hand in their march array as the one block.
+    The caller fills the blocks as it marches; ``at(j, n)`` needs the levels
+    0..j final and the block of level j at least n wide, and returns the
+    history of level j on its first n entries, with the weights of
     ``trapz_weights(j + 1, h)`` (h/2 on levels 0 and j, zero at j = 0).
 
     The levels run in blocks of ``_LEVEL_BLOCK`` from the first one asked
-    for.  At a block's start one GEMM of a Toeplitz slice of h Kv by the
-    levels finished before it gives every level of the block its far
-    history; each level then adds its at most ``_LEVEL_BLOCK`` near levels
-    in a short product.  The far history covers the n entries asked for at
-    the block's start, so past them the earlier levels must vanish, as they
-    do behind a wavefront that grows by at most one entry per level.
+    for, cut at the ends of the storage blocks.  At a level block's start
+    one GEMM per storage block, of a Toeplitz slice of h Kv by the finished
+    levels it holds over its own width, gives every level of the block its
+    far history; each level then adds its at most ``_LEVEL_BLOCK`` near
+    levels in a short product.  The far history covers the n entries asked
+    for at the block's start, so past them the earlier levels must vanish,
+    as they do behind a wavefront that grows by at most one entry per level.
     """
 
-    def __init__(self, H: np.ndarray, Kv: np.ndarray, h: float):
-        self._H = H
+    def __init__(self, blocks: list[np.ndarray], Kv: np.ndarray, h: float):
+        self._blocks = blocks
+        self._starts = [0]
+        for block in blocks:
+            self._starts.append(self._starts[-1] + block.shape[0])
         self._kh = h * np.asarray(Kv, dtype=float)
         near = self._kh[:_LEVEL_BLOCK].copy()
         near[0] *= 0.5  # the current level is the trapezoid's end
         self._near = near[::-1].copy()  # the last k + 1 weigh levels j - k..j
         self._j0 = self._j1 = 0
+        self._b = 0
         self._far = np.zeros((0, 0))
 
     def _start_block(self, j0: int, n: int) -> None:
-        j1 = min(j0 + _LEVEL_BLOCK, self._H.shape[0])
+        b = bisect.bisect_right(self._starts, j0) - 1
+        j1 = min(j0 + _LEVEL_BLOCK, self._starts[b + 1])
         # toeplitz[k, s] = h Kv[j0 + k - s], levels k of the block, s < j0
         window = sliding_window_view(self._kh[1:j1], j0)
         toeplitz = window[:, ::-1].copy()
         if j0:
             toeplitz[:, 0] *= 0.5  # level 0 is the trapezoid's other end
-        self._j0, self._j1 = j0, j1
-        self._far = toeplitz @ self._H[:j0, :n]
+        self._j0, self._j1, self._b = j0, j1, b
+        self._far = None  # the block before's, released first
+        self._far = far = np.zeros((j1 - j0, n))
+        for s0, block in zip(self._starts, self._blocks):
+            s1 = min(s0 + block.shape[0], j0)
+            if s1 <= s0:
+                break
+            m = min(n, block.shape[1])
+            weights, levels = toeplitz[:, s0:s1], block[: s1 - s0, :m]
+            if s0:
+                far[:, :m] += weights @ levels
+            else:
+                np.matmul(weights, levels, out=far[:, :m])
 
     def at(self, j: int, n: int) -> np.ndarray:
         if not self._j0 <= j < self._j1:
             self._start_block(j, n)
-        j0 = self._j0
-        out = self._near[-(j - j0 + 1):] @ self._H[j0 : j + 1, :n]
+        j0, s0 = self._j0, self._starts[self._b]
+        block = self._blocks[self._b]
+        out = self._near[-(j - j0 + 1):] @ block[j0 - s0 : j - s0 + 1, :n]
         m = min(n, self._far.shape[1])
         out[:m] += self._far[j - j0, :m]
         if j0 == 0:
             # level 0 is a near level here; the trapezoid halves its weight
-            out -= 0.5 * self._kh[j] * self._H[0, :n]
+            out -= 0.5 * self._kh[j] * block[0, :n]
         return out
 
 

@@ -17,11 +17,9 @@ the residual checks of the solve belong to ``verify``.
 The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
 assembly vs. factorization identity) and fails loudly when the artifacts in
-a directory are not mutually consistent.  Its diagonal law compares the
-diagonal residual of the Goursat kernel at N/2 and N; that residual is a
-closed form in q (the march imposes the diagonal as data), so the law reads
-truth_q.csv and the grid alone and marches nothing.  The only Goursat
-marches of ``verify`` are the factor route of its assembly ladder.
+a directory are not mutually consistent.  Every check reads the data, not
+truth_q.csv alone.  The only Goursat marches of ``verify`` are the factor
+route of its assembly ladder.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ __all__ = [
     "run_convergence",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 # what inconsistent data can raise in verify's assembly and solve
 _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
@@ -85,7 +83,6 @@ _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 _TWO_PATH_ORDER_BAND = (1.4, 2.6)
 _THREE_WAY_REL_TOL = 2e-2
 _THREE_WAY_ORDER_BAND = (1.2, 3.4)
-_DIAGONAL_RATIO_BAND = (2.5, 6.5)
 _OPERATOR_IDENTITY_FACTOR = 1.0
 _GL_RESIDUAL_FACTOR = 1e-8
 
@@ -487,21 +484,6 @@ def _verify_three_way(Kc, qc, cT_data, level_diffs, levels) -> dict:
     return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL, detail)
 
 
-def _verify_diagonal(grid, q) -> dict:
-    """Grid-halving ratio of the diagonal slope law, from q at N/2 and N."""
-    if grid.N % 2 or grid.N < 16:
-        return _check("diagonal_law", True, 0.0, None, "grid too coarse, skipped")
-    qc = CoefficientField(GridSpec(grid.T, grid.N // 2), q.values[::2])
-    res = [diagonal_residual(qc), diagonal_residual(q)]
-    if res[1] < 1e-12:
-        return _check("diagonal_law", True, 4.0, list(_DIAGONAL_RATIO_BAND),
-                      "residual at machine level on both grids")
-    ratio = res[0] / res[1]
-    lo, hi = _DIAGONAL_RATIO_BAND
-    return _check("diagonal_law", lo <= ratio <= hi, ratio, [lo, hi],
-                  f"residuals {res} on half/full resolution")
-
-
 def run_verify(datadir: str, outdir: str | None = None) -> dict:
     """Cross-validate a data directory; status 'failed' if any check fails."""
     timer = _Timer()
@@ -591,8 +573,6 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
                 checks.append(guarded("three_way_connecting", _THREE_WAY_REL_TOL,
                                       lambda: _verify_three_way(K_top, q_top, cT,
                                                                 level_diffs, levels)))
-        with timer.lap("diagonal_law"):
-            checks.append(_verify_diagonal(grid, q))
 
     with timer.lap("operator_identity"):
         if gl is None:

@@ -13,7 +13,10 @@ the same objects another way and the tests hold the two against each other:
   Gelfand-Levitan solve ``solve_gl``);
 * ``direct_march`` is the diamond march with its memory term written out
   without blocking (against ``solve_goursat``), and
-  ``linearized_memory_field`` runs it driven by K(t - x) alone.
+  ``linearized_memory_field`` runs it driven by K(t - x) alone;
+* ``dense_adjoint_weights`` runs the adjoint march of the assembly on one
+  dense array, every level over the whole window and every FFT correlation
+  at one length (against the packed blocks of ``_adjoint_weights``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from memwave.forward import apply_response
 from memwave.gelfand_levitan import GLSolution
 from memwave.goursat import GoursatSolution
 from memwave.model import (
+    CausalHistory,
     ControlSignal,
     GridSpec,
     MemoryKernel,
@@ -236,3 +240,46 @@ def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
     w = direct_march(zeros, K.values, zeros, grid, False)[: grid.N + 1]
     w.flags.writeable = False
     return w
+
+
+# --------------------------------------------------------------------------
+# dense adjoint weights
+# --------------------------------------------------------------------------
+
+def dense_adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The weights of ``connecting._adjoint_weights`` as one dense array.
+
+    Row i is V[N - 1 - i], i = 0..N-1, over the whole window t = 0..2N
+    (the last row, V[0], is zero), so the zeros past each level's wavefront
+    are stored.  The march is the production one, level by level, with its
+    history on the one array and every FFT correlation at one power-of-two
+    length, long enough for the whole window.
+    """
+    N, h = grid.N, grid.h
+    n_t = grid.N2 + 1
+    R = np.zeros((N + 1, n_t))  # R[N - l] = V[l] = masked lambda_{l+1}; R[0] = 0
+    lam_next = np.zeros(N + 1)
+    lam_next[N] = 1.0  # lambda_N
+    # every correlation at the power of two >= 2 n_t - 3; the one entry a
+    # wrap-around reaches is set below
+    P = 1 << (2 * n_t - 3).bit_length()
+    K_hat = np.conj(np.fft.rfft(Kv, P))
+    history = CausalHistory([R], Kv, h)
+    for m in range(N - 1, 0, -1):
+        L = 2 * N - m
+        vm = R[N - m]
+        vm[1:L] = lam_next[1:L]
+        lam_m = np.zeros(L + 1)
+        lam_m[1:] = vm[2 : L + 2] + vm[:L]
+        lam_m[0] = vm[1]
+        # the transposed history convolution, sum_{i >= j} Kv[i - j] vm[i]
+        # with the transposed trapezoid end weights
+        c = np.fft.irfft(K_hat * np.fft.rfft(vm, P), P)[:n_t]
+        c[-1] = Kv[0] * vm[-1]
+        corr = h * (c - 0.5 * Kv[0] * vm)
+        corr[0] -= 0.5 * h * c[0]
+        lam_m += h * h * corr[: L + 1]
+        lam_m -= R[N - m - 1, : L + 1]
+        lam_m -= h * h * history.at(N - m, L + 1)
+        lam_next = lam_m
+    return R[1:]

@@ -64,7 +64,7 @@ def test_synth_then_reconstruct_then_verify(tmp_path, cfg_file, synth_dir, capsy
 
     assert cli.main(["verify", "--data", synth_dir]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert out.count("PASS") == 4 and "FAIL" not in out
 
 
 def test_missing_config_file_exit_2(tmp_path):
@@ -185,6 +185,31 @@ def test_overflowing_kernel_fails_verify_4_and_reconstruct_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: connecting kernel has a non-finite entry at (t, s) = ")
+
+
+def test_under_resolved_strong_potential_names_the_grid(tmp_path, capsys):
+    # clean data of a potential 100 times the catalogue's: at N = 64 the
+    # march under-resolves them and the operator loses positivity near
+    # s = T, so reconstruct exits 3 naming the depth and a finer grid, at
+    # which the same problem solves
+    def reconstruct(n):
+        cfg = tmp_path / f"cfg{n}.json"
+        cfg.write_text(json.dumps({
+            "N": n, "q": {"family": "gaussian_bump", "params": [0.5, 0.1, 100]},
+            "K": {"family": "exp_decay", "params": [1, 1]}}))
+        data = tmp_path / f"data{n}"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["reconstruct", "--data", str(data), "--out", str(tmp_path / f"o{n}")])
+        return rc, capsys.readouterr().err
+
+    rc, err = reconstruct(64)
+    assert rc == 3
+    assert err.startswith("numerical failure: connecting operator I + D^1/2 C D^1/2 is not "
+                          "positive: its leading block first fails at depth s = 0.953125; "
+                          "node 61 of N = 64.")
+    assert err.endswith("a grid this coarse under-resolves them: try a finer grid, N = 128\n")
+    assert reconstruct(128) == (0, "")
 
 
 @pytest.mark.filterwarnings("error")

@@ -25,13 +25,14 @@ from memwave.connecting import (
     _causal_correlation,
     _correlation_spectrum,
     _diagonal_asymmetry,
+    _fft_length,
     _galerkin,
     _impulse_response,
     _kernel_from_galerkin,
     _mirror_lower,
 )
 from memwave.model import bump_profile, causal_convolution, trapezoid, trapz_weights
-from oracles import solve_blagoveshchenskii
+from oracles import dense_adjoint_weights, solve_blagoveshchenskii
 
 
 def _free_setup(n):
@@ -367,23 +368,41 @@ def _direct_adjoint_weights(Kv, grid):
     return V
 
 
+def _unpacked(blocks, grid):
+    """The packed blocks of ``_adjoint_weights`` as one dense array in the
+    levels' own order, V[l] for l = 0..N-1 over t = 0..2N, zero past each
+    block's width and on level 0."""
+    Vr = np.zeros((grid.N, grid.N2 + 1))
+    i0 = 0
+    for block in blocks:
+        Vr[i0 : i0 + block.shape[0], : block.shape[1]] = block
+        i0 += block.shape[0]
+    assert i0 == grid.N - 1
+    return Vr[::-1]
+
+
 @pytest.mark.parametrize("n", [200, 256])
 @pytest.mark.parametrize("problem", ["full", "classical", "memory_only_small"])
 def test_adjoint_weights_match_direct_march(monkeypatch, problem, n):
-    # 200 is not a multiple of the level block, 256 is; both span several
-    # the production march returns its levels in reverse order
+    # 200 is not a multiple of the level block, 256 is; both span several.
+    # The production march returns its levels in reverse order, as blocks;
+    # the dense march of the oracles module agrees with both to round-off
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    V = _adjoint_weights(K.values, grid)[::-1]
+    V = _unpacked(_adjoint_weights(K.values, grid), grid)
     V_direct = _direct_adjoint_weights(K.values, grid)
-    assert np.abs(V - V_direct).max() <= 1e-12 * (1.0 + np.abs(V_direct).max())
+    V_dense = dense_adjoint_weights(K.values, grid)[::-1]
+    for want in (V_direct, V_dense):
+        assert np.abs(V - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
     # the free march is the production march with a zero kernel
-    assert np.array_equal(_adjoint_weights(np.zeros(grid.N2 + 1), grid)[::-1],
+    zero = np.zeros(grid.N2 + 1)
+    assert np.array_equal(_unpacked(_adjoint_weights(zero, grid), grid),
                           _direct_adjoint_weights(None, grid))
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     ct = mw.connecting_kernel_from_response(r, K)
-    monkeypatch.setattr(connecting, "_adjoint_weights", lambda Kv, g: np.ascontiguousarray(
-        _direct_adjoint_weights(Kv, g)[::-1]))
+    # ``_galerkin`` reads the dense weights as one block of the whole window
+    monkeypatch.setattr(connecting, "_adjoint_weights", lambda Kv, g: [np.ascontiguousarray(
+        _direct_adjoint_weights(Kv, g)[::-1])])
     ct_direct = mw.connecting_kernel_from_response(r, K)
     assert np.abs(ct.values - ct_direct.values).max() <= 1e-10
 
@@ -395,8 +414,9 @@ def test_adjoint_march_makes_no_direct_convolution(monkeypatch):
     monkeypatch.setattr(np, "convolve", refuse)
     grid = mw.GridSpec(1.0, 200)
     _, K = mw.get_problem("full").fields(grid)
-    V = _adjoint_weights(K.values, grid)
-    assert np.all(np.isfinite(V)) and V.shape == (grid.N, grid.N2 + 1)
+    blocks = _adjoint_weights(K.values, grid)
+    assert all(np.all(np.isfinite(b)) for b in blocks)
+    assert [b.shape for b in blocks] == [(128, 330), (71, 401)]
 
 
 def test_impulse_responses_equal_per_probe_responses():
@@ -437,8 +457,9 @@ def test_streamed_galerkin_matches_dense_products(problem, n):
     q, K = mw.get_problem(problem).fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
     _, RP = _bump_probe_responses(r, grid)
-    want = _dense_galerkin(RP[:, 2 : grid.N], _adjoint_weights(K.values, grid)[::-1], grid)
-    rows = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
+    blocks = _adjoint_weights(K.values, grid)
+    want = _dense_galerkin(RP[:, 2 : grid.N], _unpacked(blocks, grid), grid)
+    rows = _galerkin(_impulse_response(r, grid), blocks, grid)
     assert (grid.N - 2) // _BLOCK == {9: 0, 200: 1, 256: 1, 400: 3}[n]
     want_rows = _row_blocks(want)
     assert [row.shape for row in rows] == [row.shape for row in want_rows]
@@ -447,20 +468,29 @@ def test_streamed_galerkin_matches_dense_products(problem, n):
         assert np.abs(row - w).max() <= 1e-13 * (1.0 + b_max)
 
 
-@pytest.mark.parametrize("n", [9, 64, 200])
+@pytest.mark.parametrize("n", [9, 64, 200, 300])
 @pytest.mark.parametrize("problem", sorted(mw.PROBLEMS) + ["random"])
 def test_adjoint_weights_vanish_past_the_wavefront(problem, n):
     # V[m, t] = 0 exactly for t >= 2N - m, past the backward wavefront of
-    # the unit load at (T, T), for any kernel; the front itself is reached
+    # the unit load at (T, T), for any kernel; the front itself is reached.
+    # Each block stores its rows Vr[i0..i1-1] = V[N-1-i0..N-i1] up to
+    # t = N + i1 + 1 only: its last level's front and the two entries the
+    # march reads past it
     grid = mw.GridSpec(1.0, n)
     if problem == "random":
         Kv = np.random.default_rng(n).standard_normal(grid.N2 + 1)
     else:
         Kv = mw.get_problem(problem).fields(grid)[1].values
-    V = _adjoint_weights(Kv, grid)[::-1]
-    m, t = np.indices(V.shape)
-    assert not np.any(V[t >= 2 * n - m])
-    assert np.all(V[np.arange(1, n), 2 * n - 1 - np.arange(1, n)] != 0.0)
+    i0 = 0
+    for block in _adjoint_weights(Kv, grid):
+        i1 = i0 + block.shape[0]
+        assert block.shape[1] == n + i1 + 2
+        m = n - 1 - np.arange(i0, i1)[:, None]  # the level of each row
+        t = np.arange(block.shape[1])
+        assert not np.any(block[t >= 2 * n - m])
+        assert np.all(block[np.arange(i1 - i0), 2 * n - 1 - m[:, 0]] != 0.0)
+        i0 = i1
+    assert i0 == n - 1
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 33])
@@ -499,38 +529,40 @@ def test_blocked_passes_equal_the_whole_array_forms(n):
     assert np.array_equal(a, want)
 
 
-def test_assembly_holds_at_most_four_and_a_half_full_arrays():
-    # the adjoint weights (two full arrays), the probe block and the probe
-    # column blocks; the whole probe matrix would add two more
-    grid = mw.GridSpec(1.0, 512)
+def _assembly_peak_arrays(n):
+    """The traced peak of the assembly of `full` at N = n, in (N+1)^2 arrays."""
+    grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    full_array = 8 * (grid.N + 1) ** 2
     tracemalloc.start()
     try:
         mw.connecting_kernel_from_response(r, K)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * full_array
+    return peak / (8 * (grid.N + 1) ** 2)
+
+
+def test_assembly_holds_at_most_four_and_a_half_full_arrays():
+    # the adjoint weights, the probe block's row blocks and one block of
+    # probe columns; the whole probe matrix would add two more arrays
+    assert _assembly_peak_arrays(512) <= 4.5
+
+
+def test_assembly_peak_at_512_holds_the_packed_weights():
+    # the adjoint weights packed up to their wavefront (1.62 arrays at
+    # N = 512, 1.5 + 64/N in general), the row blocks of the Galerkin
+    # block's upper triangle (0.62) and the first column block's probe
+    # columns (0.5): 2.93 arrays.  The dense weights (two arrays) read 3.49
+    assert _assembly_peak_arrays(512) <= 3.2
 
 
 def test_assembly_holds_at_most_three_full_arrays_at_1024():
-    # the adjoint weights (two full arrays), the row blocks of the Galerkin
-    # block's upper triangle (about half of one) and one column block's
-    # products: 2.85 arrays; the whole Galerkin block in their place would
-    # read 3.59
-    grid = mw.GridSpec(1.0, 1024)
-    q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    full_array = 8 * (grid.N + 1) ** 2
-    tracemalloc.start()
-    try:
-        mw.connecting_kernel_from_response(r, K)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * full_array
+    # the packed adjoint weights (1.56 arrays), the row blocks of the
+    # Galerkin block's upper triangle (0.56) and the first column block's
+    # probe columns: 2.42 arrays.  The dense weights in their place read
+    # 2.85, and the whole Galerkin block in the row blocks' place 3.59
+    assert _assembly_peak_arrays(1024) <= 3.0
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -566,8 +598,24 @@ def test_causal_correlation_is_transposed_convolution(n):
     a, v = rng.standard_normal((2, n))
     M = _dense_conv_matrix(a, 0.1, n)
     assert_allclose(causal_convolution(a, v, 0.1), M @ v, rtol=0, atol=1e-13)
-    assert_allclose(_causal_correlation(a, v, 0.1, _correlation_spectrum(a)), M.T @ v,
+    assert_allclose(_causal_correlation(a, v, 0.1, _correlation_spectrum(a, n)), M.T @ v,
                     rtol=0, atol=1e-13)
+    # the spectrum of a longer kernel reads only what n entries need, and a
+    # shorter vector correlates at the same length
+    longer = np.concatenate((a, rng.standard_normal(2 * n)))
+    spectrum = _correlation_spectrum(longer, n)
+    assert_allclose(_causal_correlation(longer, v, 0.1, spectrum), M.T @ v,
+                    rtol=0, atol=1e-13)
+    assert_allclose(_causal_correlation(longer, v[:-1], 0.1, spectrum),
+                    M[:-1, :-1].T @ v[:-1], rtol=0, atol=1e-13)
+
+
+def test_fft_lengths_are_the_smallest_fast_even_lengths():
+    # 2^k {1, 9/8, 5/4, 3/2}, even: the lengths whose odd part is 1, 3, 5 or 9
+    fast = sorted(f << j for f in (2, 6, 10, 18) for j in range(14))
+    for m in range(2, 9000):
+        assert _fft_length(m) == next(c for c in fast if c >= m)
+    assert [_fft_length(m) for m in (2050, 2306, 4094, 4100)] == [2304, 2560, 4096, 4608]
 
 
 def test_probe_gram_matrix_is_psd():

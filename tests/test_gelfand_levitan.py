@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.gelfand_levitan import _inverse_cholesky, _lower_times, _times_triangular
+from memwave.gelfand_levitan import _inverse_cholesky, _times_triangular
 from memwave.model import (
     _BLOCK,
     cumulative_trapezoid,
@@ -365,6 +365,7 @@ def test_tril_inverse_matches_dense_inverse(n):
     L = np.linalg.cholesky(S)
     want = np.linalg.inv(L)
     got = S.copy()
+    got[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
     diagonal = _inverse_cholesky(got)
     assert not np.any(np.triu(got, 1))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -377,13 +378,11 @@ def test_tril_inverse_matches_dense_inverse(n):
 
 def _loop_product(a, b, sa, sb):
     """a @ b by the flat loop that skips the zero triangle of a factor: "L"
-    lower, "U" upper, None full.  Upper @ full runs as the transpose of
-    full @ lower, on transposed views of both factors."""
-    if sa == "L":
-        return _lower_times(a, b)
+    lower, "U" upper, None full.  Triangular @ full runs as the transpose of
+    full @ triangular, on transposed views of both factors."""
     if sb is not None:
         return _times_triangular(a, b, lower=sb == "L")
-    return _times_triangular(b.T, a.T, lower=True).T
+    return _times_triangular(b.T, a.T, lower=sa == "U").T
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -443,33 +442,38 @@ def test_residual_holds_its_full_array_budget(check, arrays):
     assert peak <= arrays * full_array
 
 
-def test_solve_holds_at_most_three_and_a_quarter_full_arrays():
-    # the condition number's Gram runs by column blocks, never whole
-    c = _kernel("full", 512, "w")
-    full_array = 8 * (c.grid.N + 1) ** 2
+def _solve_peak_arrays(n):
+    """The traced peak of ``solve_gl`` on the `full` kernel at N = n, in
+    (N+1)^2 arrays above the live kernel."""
+    c = _kernel("full", n, "w")
     tracemalloc.start()
     try:
         mw.solve_gl(c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * full_array
+    return peak / (8 * (c.grid.N + 1) ** 2)
+
+
+def test_solve_holds_at_most_three_and_a_quarter_full_arrays():
+    # the condition number's Gram runs by column blocks, never whole
+    assert _solve_peak_arrays(512) <= 3.25
+
+
+def test_solve_peak_at_512_is_one_array_and_its_blocks():
+    # above the live kernel, the solve holds the one array it factors in
+    # and forms z in, and a column block of the condition number's sums
+    # (1.33 arrays at N = 512).  Half-size temporaries of the factor's 2x2
+    # blocks, or a second block of the sums, read 1.57
+    assert _solve_peak_arrays(512) <= 1.45
 
 
 def test_solve_factors_in_place_within_its_traced_peak():
     # S is overwritten with the inverse factor and z forms in its storage,
-    # so the peak is that one array with the factor's block temporaries
-    # (1.52 arrays); a separate z, factor or inverse of it would cost
-    # another array (tracemalloc does not see LAPACK's work copies at all)
-    c = _kernel("full", 1024, "w")
-    full_array = 8 * (c.grid.N + 1) ** 2
-    tracemalloc.start()
-    try:
-        mw.solve_gl(c)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.7 * full_array
+    # so the peak is that one array with block temporaries (1.15 arrays);
+    # a separate z, factor or inverse of it would cost another array
+    # (tracemalloc does not see LAPACK's work copies at all)
+    assert _solve_peak_arrays(1024) <= 1.7
 
 
 def test_gl_residual_matches_column_loop_on_perturbed_z(full_ct_oracle):

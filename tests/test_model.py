@@ -180,7 +180,7 @@ def test_causal_history_is_the_trapezoid_sum(levels, first):
     H = rng.standard_normal((levels, 7))
     marched = np.full_like(H, np.nan)
     marched[:first] = H[:first]
-    history = CausalHistory(marched, Kv, 0.1)
+    history = CausalHistory([marched], Kv, 0.1)
     for j in range(first, levels):
         marched[j] = H[j]
         assert_allclose(history.at(j, 7), _direct_history(Kv, H, j, 0.1),
@@ -193,22 +193,53 @@ def test_causal_history_grows_behind_a_wavefront():
     levels = 130
     Kv = rng.standard_normal(levels)
     H = np.tril(rng.standard_normal((levels, levels + 1)), 1)
-    history = CausalHistory(H, Kv, 0.1)
+    history = CausalHistory([H], Kv, 0.1)
     for j in range(levels):
         n = min(j + 2, levels)
         assert_allclose(history.at(j, n), _direct_history(Kv, H, j, 0.1)[:n],
                         rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("sizes", [(129, 1), (129, 128, 60), (70, 3, 64, 100)])
+def test_causal_history_reads_level_blocks_up_to_their_widths(sizes):
+    # the levels stored as blocks, each only as wide as its last level's
+    # front (level s is zero past entry s + 1) plus one entry; the level
+    # blocks of the history run from level 1 and stop at each block's end
+    rng = np.random.default_rng(len(sizes))
+    levels = sum(sizes)
+    Kv = rng.standard_normal(levels)
+    H = np.tril(rng.standard_normal((levels, levels + 2)), 1)
+    ends = np.cumsum(sizes)
+    blocks = [np.full((size, end + 2), np.nan) for size, end in zip(sizes, ends)]
+    history = CausalHistory(blocks, Kv, 0.1)
+    for s0, block in zip(ends - sizes, blocks):
+        for s in range(block.shape[0]):
+            # a level is final when it is asked for; later ones hold NaN
+            block[s] = H[s0 + s, : block.shape[1]]
+            j = s0 + s
+            if j:
+                n = j + 2
+                assert_allclose(history.at(j, n), _direct_history(Kv, H, j, 0.1)[:n],
+                                rtol=0, atol=1e-13)
+
+
+def _full_response(grid):
+    q, K = mw.get_problem("full").fields(grid)
+    return mw.response_kernel(mw.solve_goursat(q, K, grid)), K
+
+
 def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     # the Goursat, leapfrog and adjoint marches share one layout: level j is
-    # the contiguous row j of the march array, which the history reads itself
+    # a contiguous row of the march's storage, which the history reads
+    # itself.  The Goursat and leapfrog marches hand in one array as the one
+    # block; the adjoint march hands in its blocks of ``_BLOCK`` levels from
+    # level 1, the zero level heading the first
     handed = []
     init = CausalHistory.__init__
 
-    def record(self, H, Kv, h):
-        handed.append(H)
-        init(self, H, Kv, h)
+    def record(self, blocks, Kv, h):
+        handed.append(blocks)
+        init(self, blocks, Kv, h)
 
     monkeypatch.setattr(CausalHistory, "__init__", record)
     grid = mw.GridSpec(1.0, 16)
@@ -218,10 +249,17 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     whole = mw.fd_forward(q, K, f)
     cone = mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
     mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
-    goursat, leapfrog, leapfrog_cone, adjoint = handed
-    levels = [grid.N2 + 1, grid.N + 1, grid.N + 1, grid.N + 1]
-    assert [H.shape[0] for H in handed] == levels
-    assert all(H.flags.c_contiguous and H.base is None for H in handed)
+    big = mw.GridSpec(1.0, 300)
+    mw.connecting_kernel_from_response(*_full_response(big))
+    (goursat,), (leapfrog,), (leapfrog_cone,), (adjoint,), _, blocks = handed
+    levels = [grid.N2 + 1, grid.N + 1, grid.N + 1, grid.N]
+    assert [H.shape[0] for H in (goursat, leapfrog, leapfrog_cone, adjoint)] == levels
+    # the adjoint levels k = 0..N-1 end their blocks at k1 - 1 = 128, 256, N - 1,
+    # each block N + k1 + 1 wide, the last one the whole window
+    assert adjoint.shape[1] == grid.N2 + 1
+    assert [b.shape for b in blocks] == [(129, 430), (128, 558), (43, 601)]
+    assert all(H.flags.c_contiguous and H.base is None
+               for H in (goursat, leapfrog, leapfrog_cone, adjoint, *blocks))
     # the solution and the fields are transposed views of the march rows
     for field, march in ((sol.w, goursat), (whole.values, leapfrog),
                          (cone.values, leapfrog_cone)):

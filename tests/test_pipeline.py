@@ -432,7 +432,6 @@ def test_verify_clean_data_passes(data_dir, tmp_path):
     assert names == [
         "two_path_response",
         "three_way_connecting",
-        "diagonal_law",
         "operator_identity",
         "gl_residual",
     ]
@@ -451,8 +450,7 @@ def test_verify_timings_charge_named_stages(data_dir, tmp_path):
     run_verify(data_dir, str(tmp_path / "ver"))
     laps = json.loads((tmp_path / "ver" / "timings.json").read_text())["wall_times_s"]
     named = ("load", "connecting_assembly", "gl_solve", "two_path_response",
-             "three_way_connecting", "diagonal_law", "operator_identity",
-             "gl_residual")
+             "three_way_connecting", "operator_identity", "gl_residual")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
 
@@ -534,8 +532,7 @@ def test_verify_times_every_stage_when_the_assembly_breaks(data_dir, tmp_path,
     assert run_verify(data_dir, str(tmp_path / "ver"))["status"] == "failed"
     laps = _timings(tmp_path / "ver")["wall_times_s"]
     named = ("load", "connecting_assembly", "gl_solve", "two_path_response",
-             "three_way_connecting", "diagonal_law", "operator_identity",
-             "gl_residual")
+             "three_way_connecting", "operator_identity", "gl_residual")
     assert set(laps) == set(named) | {"total"}
     assert sum(laps[k] for k in named) <= laps["total"]
 
@@ -591,8 +588,7 @@ def _timings(outdir):
 @pytest.mark.parametrize("N", [10, 33, 64])
 def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     # verify marches the Goursat kernel only for the factor route of its
-    # assembly ladder: the diagonal law reads q alone, and at odd N, or N
-    # below 16, it has no half level and skips
+    # assembly ladder, and no check reads the truth alone
     d = str(tmp_path / "d")
     run_synth(config_from_dict({"problem": "full", "N": N}), d)
     calls = []
@@ -605,12 +601,8 @@ def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     monkeypatch.setattr(pipeline, "solve_goursat", solve_goursat)
     report = run_verify(d, str(tmp_path / "v"))
     assert calls == {10: [10], 33: [33], 64: [16, 32, 64]}[N]
-    diagonal = next(c for c in report["checks"] if c["name"] == "diagonal_law")
-    if N % 2 or N < 16:
-        assert diagonal == {"name": "diagonal_law", "passed": True, "metric": 0.0,
-                            "threshold": None, "detail": "grid too coarse, skipped"}
-    else:
-        assert diagonal["passed"] and diagonal["threshold"] == [2.5, 6.5]
+    assert [c["name"] for c in report["checks"]] == [
+        "two_path_response", "three_way_connecting", "operator_identity", "gl_residual"]
     assert set(_timings(tmp_path / "v")) == {"schema_version", "command", "wall_times_s"}
 
 
@@ -643,8 +635,6 @@ def test_verify_passes_on_a_large_grid(tmp_path):
     run_synth(config_from_dict({"problem": "full", "N": 512}), d)
     report = run_verify(d)
     assert report["status"] == "ok", report["failed_checks"]
-    diagonal = next(c for c in report["checks"] if c["name"] == "diagonal_law")
-    assert 3.5 <= diagonal["metric"] <= 4.5
 
 
 # -------------------------------------------------------------- convergence
