@@ -70,6 +70,8 @@ from .model import (
     GridSpec,
     MemoryKernel,
     ResponseData,
+    first_nonfinite,
+    level_blocks,
     sample_array,
     trapezoid,
     trapz_weights,
@@ -250,15 +252,16 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     the zero level heading the first storage block.
     """
     N, h = grid.N, grid.h
-    # the march levels k = N - m = 0..N-1 in blocks that end at k1 - 1 and
-    # are N + k1 + 1 wide; level k >= 1 is the row Vr[k - 1]
-    stops = [*range(1 + _BLOCK, N, _BLOCK), N]
-    blocks = [np.zeros((k1 - k0, N + k1 + 1)) for k0, k1 in zip([0, *stops], stops)]
+    # the march levels k = N - m = 0..N-1; level k needs N + k + 2 entries,
+    # so the block ending at k1 - 1 is N + k1 + 1 wide; level k >= 1 is the
+    # row Vr[k - 1]
+    blocks = level_blocks(N + 2 + np.arange(N), 1 + _BLOCK)
     lam_next = np.zeros(N + 1)
     lam_next[N] = 1.0  # lambda_N
     history = CausalHistory(blocks, Kv, h)
     prev = blocks[0][0]  # the zero level
-    for k0, block in zip([0, *stops], blocks):
+    k0 = 0
+    for block in blocks:
         # the widest level of the block correlates N + k1 entries
         K_hat = _correlation_spectrum(Kv, block.shape[1] - 1)
         for k in range(max(k0, 1), k0 + block.shape[0]):
@@ -276,6 +279,7 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
             lam_m -= prev[: L + 1]
             lam_m -= h * h * history.at(k, L + 1)
             lam_next, prev = lam_m, vm
+        k0 += block.shape[0]
     return [blocks[0][1:], *blocks[1:]]
 
 
@@ -416,10 +420,12 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
     on that line); the last two rows, which would need probes outside the
     discretely admissible range, are filled by quadratic extrapolation.
     That lower triangle is all that is read: one in-place mirror of it then
-    makes the kernel exactly symmetric.
+    makes the kernel exactly symmetric.  The list ``rows`` is emptied once
+    its blocks are copied, so that they are released ahead of the mirror.
 
     Data that overflow the assembly raise AssemblyError at the first
-    non-finite sample (t_i, s_j), with no numpy warning ahead of it.
+    non-finite sample (t_i, s_j), with no numpy warning ahead of it; the
+    scan runs by row blocks (``model.first_nonfinite``).
     """
     N, h = grid.N, grid.h
     for row in rows:
@@ -436,6 +442,10 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
     for k0, row in zip(range(0, N - 2, _BLOCK), rows):
         # B[p - 2, q - 2] -> c[N - p, N - q]
         c[N - 1 - k0 - row.shape[0] : N - 1 - k0, 1 : N - 1 - k0] = row[::-1, ::-1]
+    # the row blocks are views of one array, which the caller's list keeps
+    # alive; emptying it releases them ahead of the mirror
+    rows.clear()
+    del row
     # row/column t = 0 vanish identically.  The last two rows host no
     # discretely admissible probe; extrapolate quadratically, but only along
     # lines of constant t - s: the kernel is smooth along those, while its
@@ -448,9 +458,9 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
             # this close to the opposite edge the row direction is kink-free
             c[k, j] = 3.0 * c[k - 1, j] - 3.0 * c[k - 2, j] + c[k - 3, j]
     _mirror_lower(c)
-    # the first non-finite entry, or (0, 0), which is zero
-    i, j = divmod(int(np.argmin(np.isfinite(c))), N + 1)
-    if not np.isfinite(c[i, j]):
+    bad = first_nonfinite(c)
+    if bad is not None:
+        i, j = bad
         raise AssemblyError(f"connecting kernel has a non-finite entry at (t, s) = "
                             f"({i * grid.h:.6g}, {j * grid.h:.6g})")
     return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
@@ -485,6 +495,7 @@ def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:
     """
     grid = sol.grid
     N, h = grid.N, grid.h
+    # the dense w, which the solution builds for its oracle readers alone
     W = sol.w[:, : N + 1]  # W[i, j] = w(x_i, t_j), zero below diag
     sym = W + W.T - np.diag(np.diagonal(W))
     gram = h * (W.T @ W)

@@ -134,7 +134,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
             - U[j - 1, 1:n]
             - h * h * (qpad[1:n] * U[j, 1:n] + hist[1:n])
         )
-    check_march(U, "leapfrog")
+    check_march([U], "leapfrog")
     return SpaceTimeField(grid=grid, values=U[:, : R + 1].T)
 
 

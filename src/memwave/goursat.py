@@ -39,15 +39,23 @@ trapezoid sum) onto the characteristic, and no stencil writes there again.
 alone, with no march; the march's own diagonal stays a test oracle for it.
 
 The march is stored level-major, W[j, i] = w(x_i, t_j), as every march is:
-each level one contiguous row.  It runs on N + 2 entries a level, past the
-triangle by the strip 2N < i + j <= 2N + 2 that the response stencil needs
-at t = 2T, and the solution holds it once: ``GoursatSolution.w`` is a
-read-only transposed view of its first N + 1 entries, not a masked copy.
+each level one contiguous row.  It runs on the extended triangle
+{i <= j, i + j <= 2N + 2}, past the triangle by the strip
+2N < i + j <= 2N + 2 that the response stencil needs at t = 2T, so level j
+holds the min(j, 2N + 2 - j) + 1 entries i <= min(j, 2N + 2 - j), and no
+stencil reads past them.  It is held as the blocks of
+``model.level_blocks``: ``_BLOCK`` levels each, each its own array and as
+wide as its widest level, about half of a dense (2N + 1) x (N + 2) array.
+The history's far products then skip the zero triangle below the
+characteristic, ``response_kernel`` reads its rows x = h and 2h from the
+blocks, and the dense ``GoursatSolution.w`` is built only when an oracle
+reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from .model import (
     ResponseData,
     check_march,
     cumulative_trapezoid,
+    level_blocks,
 )
 
 __all__ = [
@@ -74,19 +83,36 @@ __all__ = [
 class GoursatSolution:
     """Kernel w on the triangle plus the data that produced it.
 
-    ``w`` is a read-only (N + 1) x (2N + 1) transposed view of the march,
-    w[i, j] = w(x_i, t_j) for i <= j, i + j <= 2N: the triangle has only the
-    N + 1 rows x in [0, T].  It is zero below the characteristic (j < i).  The
-    strip 2N < i + j <= 2N + 2 holds the march's extension (the potential
-    continued by its last sample), which keeps the boundary-derivative
-    stencil of ``response_kernel`` second order up to t = 2T; only that
-    stencil reads it, and everything past the strip is zero.
+    ``march`` holds the read-only level blocks of the march, stacked
+    march[j, i] = w(x_i, t_j): level j holds the x-samples i <= j,
+    i + j <= 2N + 2 and is zero past them, below the characteristic (i > j)
+    and past the extension strip 2N < i + j <= 2N + 2.  The strip holds the
+    march's extension (the potential continued by its last sample), which
+    keeps the boundary-derivative stencil of ``response_kernel`` second
+    order up to t = 2T; only that stencil reads it.
+
+    ``w`` is the dense read-only (N + 1) x (2N + 1) array w[i, j] =
+    w(x_i, t_j) of the rows x in [0, T], built from the blocks when first
+    read and kept: only the oracle routes read it
+    (``connecting_kernel_from_w`` and the test oracles).
     """
 
     grid: GridSpec
     q: CoefficientField
     K: MemoryKernel
-    w: np.ndarray = field(repr=False)
+    march: list[np.ndarray] = field(repr=False)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        N = self.grid.N
+        w = np.zeros((N + 1, self.grid.N2 + 1))
+        j0 = 0
+        for block in self.march:
+            m = min(block.shape[1], N + 1)
+            w[:m, j0 : j0 + block.shape[0]] = block[:, :m].T
+            j0 += block.shape[0]
+        w.flags.writeable = False
+        return w
 
 
 def _characteristic_data(q_values: np.ndarray, h: float) -> np.ndarray:
@@ -96,29 +122,41 @@ def _characteristic_data(q_values: np.ndarray, h: float) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # check_march names a blow-up
 def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
-           grid: GridSpec) -> np.ndarray:
-    """Diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}, W[j, i]."""
+           grid: GridSpec) -> list[np.ndarray]:
+    """Diamond march on the extended triangle {i+j <= 2N+2, j <= 2N}, as the
+    level blocks of W[j, i]."""
     N, N2, h = grid.N, grid.N2, grid.h
-    W = np.zeros((N2 + 1, N + 2))
-    np.fill_diagonal(W, diag)  # characteristic data; W[:, 0] stays 0
-    history = CausalHistory([W], Kv, h)
+    s = np.arange(N2 + 1)
+    blocks = level_blocks(np.minimum(s, N2 + 2 - s) + 1)
+    j0 = 0
+    for block in blocks:
+        # characteristic data W[j, j], j <= N + 1; W[:, 0] stays 0
+        js = np.arange(j0, min(j0 + block.shape[0], N + 2))
+        block[js - j0, js] = diag[js]
+        j0 += block.shape[0]
+    history = CausalHistory(blocks, Kv, h)
 
+    levels = (row for block in blocks for row in block)
+    prev, cur = next(levels), next(levels)
     for j in range(1, N2):
+        nxt = next(levels)  # levels j - 1, j and j + 1
         # superdiagonal point (j, j+1) from the half characteristic cell
         if j <= N:
-            forcing = q_ext[j] * W[j, j] + Kv[0]
-            W[j + 1, j] = W[j, j - 1] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
+            forcing = q_ext[j] * cur[j] + Kv[0]
+            nxt[j] = cur[j - 1] - 0.5 * h * q_ext[j] - 0.5 * h * h * forcing
         # interior diamond centres (i, j), i = 1 .. i_max
         i_max = min(j - 1, 2 * N + 1 - j)
         if i_max >= 1:
             inner = slice(1, i_max + 1)
             kshift = Kv[j - 1 : j - i_max - 1 : -1]  # K(t_j - x_i)
             mem = history.at(j, i_max + 1)[1:] - 0.5 * h * kshift * diag[inner]
-            F = q_ext[inner] * W[j, inner] + mem + kshift
-            W[j + 1, inner] = (W[j, :i_max] + W[j, 2 : i_max + 2] - W[j - 1, inner]
-                               - h * h * F)
-    check_march(W, "kernel")
-    return W
+            F = q_ext[inner] * cur[inner] + mem + kshift
+            nxt[inner] = cur[:i_max] + cur[2 : i_max + 2] - prev[inner] - h * h * F
+        prev, cur = cur, nxt
+    check_march(blocks, "kernel")
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> GoursatSolution:
@@ -129,9 +167,7 @@ def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> Gours
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])
     diag = _characteristic_data(q_ext, grid.h)
-    w = _march(q_ext, K.values, diag, grid)[:, : grid.N + 1].T
-    w.flags.writeable = False
-    return GoursatSolution(grid=grid, q=q, K=K, w=w)
+    return GoursatSolution(grid=grid, q=q, K=K, march=_march(q_ext, K.values, diag, grid))
 
 
 def response_kernel(sol: GoursatSolution) -> ResponseData:
@@ -145,11 +181,13 @@ def response_kernel(sol: GoursatSolution) -> ResponseData:
     extrapolation of the three second-order neighbours instead.
     """
     grid = sol.grid
-    h, N2 = grid.h, grid.N2
-    w = sol.w
-    r = np.zeros(N2 + 1)
-    j = np.arange(2, N2 + 1)
-    r[2:] = (4.0 * w[1, j] - w[2, j]) / (2.0 * h)
+    r = np.empty(grid.N2 + 1)
+    j0 = 0
+    for block in sol.march:
+        # the rows x = h and 2h of the levels in the block
+        r[j0 : j0 + block.shape[0]] = (4.0 * block[:, 1] - block[:, 2]) / (2.0 * grid.h)
+        j0 += block.shape[0]
+    r[0] = 0.0
     r[1] = 3.0 * r[2] - 3.0 * r[3] + r[4]
     return ResponseData(grid=grid, values=r)
 

@@ -543,12 +543,6 @@ def _assembly_peak_arrays(n):
     return peak / (8 * (grid.N + 1) ** 2)
 
 
-def test_assembly_holds_at_most_four_and_a_half_full_arrays():
-    # the adjoint weights, the probe block's row blocks and one block of
-    # probe columns; the whole probe matrix would add two more arrays
-    assert _assembly_peak_arrays(512) <= 4.5
-
-
 def test_assembly_peak_at_512_holds_the_packed_weights():
     # the adjoint weights packed up to their wavefront (1.62 arrays at
     # N = 512, 1.5 + 64/N in general), the row blocks of the Galerkin
@@ -557,12 +551,32 @@ def test_assembly_peak_at_512_holds_the_packed_weights():
     assert _assembly_peak_arrays(512) <= 3.2
 
 
-def test_assembly_holds_at_most_three_full_arrays_at_1024():
+def test_assembly_peak_at_1024_holds_the_packed_weights():
     # the packed adjoint weights (1.56 arrays), the row blocks of the
     # Galerkin block's upper triangle (0.56) and the first column block's
     # probe columns: 2.42 arrays.  The dense weights in their place read
     # 2.85, and the whole Galerkin block in the row blocks' place 3.59
-    assert _assembly_peak_arrays(1024) <= 3.0
+    assert _assembly_peak_arrays(1024) <= 2.66
+
+
+def test_kernel_from_galerkin_holds_one_array_above_its_entry():
+    # c alone: the row blocks are released once copied into it, and both
+    # finiteness scans run by row blocks.  Holding the row blocks to the
+    # return and an (N+1)^2 bool mask beside c read 1.125 arrays
+    grid = mw.GridSpec(1.0, 1024)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    rows = connecting._galerkin(connecting._impulse_response(r, grid),
+                                connecting._adjoint_weights(K.values, grid), grid)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        connecting._kernel_from_galerkin(rows, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == []
+    assert (peak - base) / (8 * (grid.N + 1) ** 2) <= 1.1
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -455,11 +455,6 @@ def _solve_peak_arrays(n):
     return peak / (8 * (c.grid.N + 1) ** 2)
 
 
-def test_solve_holds_at_most_three_and_a_quarter_full_arrays():
-    # the condition number's Gram runs by column blocks, never whole
-    assert _solve_peak_arrays(512) <= 3.25
-
-
 def test_solve_peak_at_512_is_one_array_and_its_blocks():
     # above the live kernel, the solve holds the one array it factors in
     # and forms z in, and a column block of the condition number's sums

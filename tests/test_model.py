@@ -10,7 +10,10 @@ import memwave as mw
 from memwave.model import (
     CausalHistory,
     causal_convolution,
+    check_march,
     cumulative_trapezoid,
+    first_nonfinite,
+    level_blocks,
     sampled_derivative,
     trapezoid,
     trapz_weights,
@@ -223,6 +226,63 @@ def test_causal_history_reads_level_blocks_up_to_their_widths(sizes):
                                 rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [70, 150])
+def test_causal_history_reads_blocks_that_narrow(n):
+    # the Goursat layout: level s holds the entries i <= min(s, 2n + 2 - s),
+    # so past level n + 1 the blocks narrow and an earlier block is wider
+    # than the levels after it ask for
+    rng = np.random.default_rng(n)
+    levels = 2 * n + 1
+    s = np.arange(levels)
+    support = np.minimum(s, 2 * n + 2 - s)
+    Kv = rng.standard_normal(levels)
+    H = rng.standard_normal((levels, n + 2))
+    H[np.arange(n + 2)[None, :] > support[:, None]] = 0.0
+    blocks = level_blocks(support + 1)
+    assert [b.shape[1] for b in blocks][-1] < max(b.shape[1] for b in blocks)
+    for block in blocks:
+        block[:] = np.nan  # a level is final when it is asked for
+    history = CausalHistory(blocks, Kv, 0.1)
+    j = 0
+    for block in blocks:
+        for row in block:
+            row[:] = H[j, : block.shape[1]]
+            if j:
+                m = support[j] + 1
+                assert_allclose(history.at(j, m), _direct_history(Kv, H, j, 0.1)[:m],
+                                rtol=0, atol=1e-13)
+            j += 1
+
+
+def test_level_blocks_fit_their_widest_level():
+    blocks = level_blocks(np.array([3, 1, 4, 1, 5, 9, 2, 6]), first=3)
+    assert [b.shape for b in blocks] == [(3, 4), (5, 9)]
+    assert all(b.base is None and not b.any() for b in blocks)
+
+
+def test_first_nonfinite_scans_row_blocks():
+    a = np.zeros((300, 5))
+    assert first_nonfinite(a) is None
+    a[250, 0] = np.inf
+    a[200, 3] = np.nan
+    assert first_nonfinite(a) == (200, 3)
+
+
+def test_check_march_names_the_first_bad_node_across_blocks():
+    # levels 0 and 1 are data, not marched; the first bad level from 2 on
+    # names the node, whichever block holds it
+    blocks = [np.zeros((3, 4)), np.zeros((130, 9)), np.zeros((5, 2))]
+    blocks[0][1, 2] = np.nan
+    check_march(blocks, "test")
+    blocks[2][1, 1] = np.inf
+    with pytest.raises(mw.NumericalInstabilityError,
+                       match=r"test march blew up at grid node \(i=1, j=134\)$"):
+        check_march(blocks, "test")
+    blocks[1][128, 7] = -np.inf
+    with pytest.raises(mw.NumericalInstabilityError, match=r"\(i=7, j=131\)$"):
+        check_march(blocks, "test")
+
+
 def _full_response(grid):
     q, K = mw.get_problem("full").fields(grid)
     return mw.response_kernel(mw.solve_goursat(q, K, grid)), K
@@ -231,9 +291,9 @@ def _full_response(grid):
 def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     # the Goursat, leapfrog and adjoint marches share one layout: level j is
     # a contiguous row of the march's storage, which the history reads
-    # itself.  The Goursat and leapfrog marches hand in one array as the one
-    # block; the adjoint march hands in its blocks of ``_BLOCK`` levels from
-    # level 1, the zero level heading the first
+    # itself.  The leapfrog march hands in its array as the one block; the
+    # Goursat and adjoint marches hand in the blocks of ``level_blocks``,
+    # each its own array, as wide as its widest level
     handed = []
     init = CausalHistory.__init__
 
@@ -251,18 +311,27 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
     big = mw.GridSpec(1.0, 300)
     mw.connecting_kernel_from_response(*_full_response(big))
-    (goursat,), (leapfrog,), (leapfrog_cone,), (adjoint,), _, blocks = handed
-    levels = [grid.N2 + 1, grid.N + 1, grid.N + 1, grid.N]
-    assert [H.shape[0] for H in (goursat, leapfrog, leapfrog_cone, adjoint)] == levels
+    goursat, (leapfrog,), (leapfrog_cone,), (adjoint,), goursat_big, blocks = handed
+    # the Goursat levels s = 0..2N in blocks of 128, each as wide as its
+    # widest level's min(s, 2N + 2 - s) + 1 entries; the triangle narrows
+    # past level N + 1, so the blocks after it are narrower than the one
+    # holding it
+    assert [b.shape for b in goursat] == [(33, 18)]
+    assert [b.shape for b in goursat_big] == [
+        (128, 128), (128, 256), (128, 302), (128, 219), (89, 91)]
+    levels = [grid.N + 1, grid.N + 1, grid.N]
+    assert [H.shape[0] for H in (leapfrog, leapfrog_cone, adjoint)] == levels
     # the adjoint levels k = 0..N-1 end their blocks at k1 - 1 = 128, 256, N - 1,
     # each block N + k1 + 1 wide, the last one the whole window
     assert adjoint.shape[1] == grid.N2 + 1
     assert [b.shape for b in blocks] == [(129, 430), (128, 558), (43, 601)]
     assert all(H.flags.c_contiguous and H.base is None
-               for H in (goursat, leapfrog, leapfrog_cone, adjoint, *blocks))
-    # the solution and the fields are transposed views of the march rows
-    for field, march in ((sol.w, goursat), (whole.values, leapfrog),
-                         (cone.values, leapfrog_cone)):
+               for H in (leapfrog, leapfrog_cone, adjoint, *goursat, *goursat_big, *blocks))
+    # the solution keeps the Goursat blocks, and its dense w is their
+    # transpose; the leapfrog fields are transposed views of the march rows
+    assert all(a is b for a, b in zip(sol.march, goursat, strict=True))
+    assert np.array_equal(sol.w, goursat[0][:, : grid.N + 1].T)
+    for field, march in ((whole.values, leapfrog), (cone.values, leapfrog_cone)):
         assert np.shares_memory(field, march)
         assert np.array_equal(field, march[:, : field.shape[0]].T)
 

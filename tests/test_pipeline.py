@@ -656,6 +656,18 @@ def test_convergence_orders(tmp_path):
     assert sum(laps[k] for k in named) <= laps["total"]
 
 
+def test_synth_and_convergence_never_build_the_dense_w(tmp_path, monkeypatch):
+    # they read the response off the march's level blocks; the dense w is
+    # for the oracle routes alone
+    def dense(sol):
+        raise AssertionError("the dense w was built")
+
+    monkeypatch.setattr(mw.GoursatSolution, "w", property(dense))
+    cfg = config_from_dict({"problem": "full", "N": 32})
+    run_synth(cfg, str(tmp_path / "synth"))
+    run_convergence(cfg, str(tmp_path / "conv"), [16, 32])
+
+
 def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
     # potential_only_small reaches rounding level by N = 128; its errors there
     # no longer fall and an order read off them would be negative
