@@ -7,8 +7,9 @@
   with a unit-Courant leapfrog scheme on a padded interval (knows nothing
   about w; used to cross-check everything kernel-based).  It returns the
   field on a window [0, x_max] x [0, t_max] and marches only the nodes in
-  the backward cone of that window, so the field a boundary trace reads
-  costs about half the nodes of the whole forward cone.
+  the backward cone of that window from the control's first nonzero
+  sample on, so the field a boundary trace reads costs about half the nodes
+  of the whole forward cone, less the levels before the control starts.
 """
 
 from __future__ import annotations
@@ -92,17 +93,28 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     by finite speed this cannot affect the solution at x <= t <= t_max.
 
     Returns the field on [0, x_max] x [0, t_max]; ``x_max=None`` means the
-    whole padded interval [0, L].  At unit speed the rows x <= x_max up to
-    t_max depend on level j only through the rows x <= x_max + (t_max - t_j),
-    so level j updates the rows i < min(j + 2, R + M - j + 1, nx), with
-    R = x_max / h, M = t_max / h and nx = M + 4: the forward wavefront cut by
-    the backward cone of the returned rows.  The rows past the cone are never
-    marched, so the array is only as wide as the cone.
+    whole padded interval [0, L].
+
+    The system is time-invariant and starts at rest, so a control that is
+    zero up to its first nonzero sample k leaves the field zero up to it:
+    every level before k is zero, and level k is zero off the boundary.  The
+    march therefore starts at level j0 = max(k - 1, 0), which becomes level 0
+    of a shifted march; levels j0 and j0 + 1 are its boundary-only initial
+    levels, and no stencil or history term reads anything but zeros from the
+    levels before them.  A zero control marches no level.
+
+    At unit speed the rows x <= x_max up to t_max depend on level j only
+    through the rows x <= x_max + (t_max - t_j), so shifted level j updates
+    the rows i < min(j + 2, R + (M - j0) - j + 1, nx), with R = x_max / h,
+    M = t_max / h and nx = M + 4: the forward wavefront from the control's
+    start cut by the backward cone of the returned rows.  The rows past the
+    cone are never marched, so the array is only as wide as the cone.
 
     The march is stored level-major, U[j, i], so that each finished level is
     one contiguous row of the trapezoid history; the memory term is formed by
-    blocks of levels through ``model.CausalHistory``.  The field returned is
-    the transposed view u[i, j] of the first R + 1 columns.
+    blocks of levels through ``model.CausalHistory``, which reads the view
+    U[j0:].  A blow-up is named at its unshifted node.  The field returned
+    is the transposed view u[i, j] of the first R + 1 columns.
     """
     grid = f.grid
     h, N = grid.h, grid.N
@@ -113,11 +125,14 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     R = nx if x_max is None else _grid_steps(x_max, h, "x_max")
     if R > nx:
         raise UsageError(f"x_max={x_max} beyond the padded interval [0, t_max + 4h]")
-    # level j updates the rows 1 .. n - 1 and reads row n
-    rows = [min(j + 2, R + M - j + 1, nx) for j in range(1, M)]
-    width = max([R, *rows]) + 1
     fv = f.padded_full()[: M + 1]
-    Kv = K.values[: M + 1]
+    # the march starts at level j0, one before the control's first nonzero
+    # sample; a zero control starts at the last level and marches none
+    nonzero = np.flatnonzero(fv)
+    j0 = max(int(nonzero[0]) - 1, 0) if nonzero.size else M
+    # shifted level j updates the rows 1 .. n - 1 and reads row n
+    rows = [min(j + 2, R + (M - j0) - j + 1, nx) for j in range(1, M - j0)]
+    width = max([R, *rows]) + 1
     # q is continued only over the rows the march visits
     qpad = np.full(width, q.values[-1])
     n_q = min(width, N + 1)
@@ -125,14 +140,15 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
 
     U = np.zeros((M + 1, width))
     U[:, 0] = fv
-    history = CausalHistory([U], Kv, h)
+    V = U[j0:]  # shifted level j is level j0 + j
+    history = CausalHistory([V], K.values[: M - j0 + 1], h)
     for j, n in enumerate(rows, start=1):
         hist = history.at(j, n)
-        U[j + 1, 1:n] = (
-            U[j, : n - 1]
-            + U[j, 2 : n + 1]
-            - U[j - 1, 1:n]
-            - h * h * (qpad[1:n] * U[j, 1:n] + hist[1:n])
+        V[j + 1, 1:n] = (
+            V[j, : n - 1]
+            + V[j, 2 : n + 1]
+            - V[j - 1, 1:n]
+            - h * h * (qpad[1:n] * V[j, 1:n] + hist[1:n])
         )
     check_march([U], "leapfrog")
     return SpaceTimeField(grid=grid, values=U[:, : R + 1].T)

@@ -133,7 +133,8 @@ class CausalHistory:
     holds the levels from the end of block b - 1 on, one per row, and its
     levels vanish past its width.  The Goursat and adjoint marches hand in
     the blocks of ``level_blocks``, each as wide as its widest level; the
-    leapfrog march hands in its march array as the one block.  A block may
+    leapfrog march hands in one block, the view of its march array from the
+    level it starts at, so its level 0 is that level.  A block may
     be narrower than later blocks, behind a wavefront, or wider, as the
     Goursat triangle narrows past level N + 1: a block is read only up to
     the n entries asked for.

@@ -10,7 +10,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.model import causal_convolution, sampled_derivative, trapz_weights
+from memwave.model import (
+    CausalHistory,
+    causal_convolution,
+    sampled_derivative,
+    trapz_weights,
+)
 from oracles import apply_control_operator, duhamel_eval, solve_control
 
 
@@ -129,15 +134,44 @@ def _direct_leapfrog(q, K, f, M):
 @pytest.mark.parametrize("n", [130, 200])
 @pytest.mark.parametrize("window", [1, 2])
 @pytest.mark.parametrize("control", [("smooth_bump_control", (0.5, 0.25)),
-                                     ("sine", (1.0, 1.0))])
+                                     ("sine", (1.0, 1.0)),
+                                     ("smooth_bump_control", (0.8, 0.1))])
 def test_blocked_leapfrog_matches_direct_loop(n, window, control):
     # neither N is a multiple of the level block; both end in a partial block.
-    # The sine is nonzero at t = h, so the wavefront row itself carries data
+    # The sine is nonzero at t = h, so the wavefront row itself carries data;
+    # the late bump starts at sample 91 of 130, so its march skips 90 levels
+    # that the direct loop marches from t = 0
     grid, q, K = _problem("full", n)
     f = mw.control_from_family(*control, grid, full_window=True)
     u = mw.fd_forward(q, K, f, window * grid.T).values
     u_direct = _direct_leapfrog(q, K, f, window * n)
-    assert np.abs(u - u_direct).max() <= 1e-12 * (1.0 + np.abs(u_direct).max())
+    bound = 1e-12 * (1.0 + np.abs(u_direct).max())
+    assert np.abs(u - u_direct).max() <= bound
+    cone = mw.fd_forward(q, K, f, window * grid.T, x_max=2 * grid.h).values
+    assert np.abs(cone - u_direct[:3]).max() <= bound
+
+
+@pytest.mark.parametrize("control, calls", [
+    (("smooth_bump_control", (0.5, 0.25)), 64 - 1 - 16),
+    (("sine", (1.0, 1.0)), 64 - 1),
+    (("zero", ()), 0),
+])
+def test_leapfrog_starts_at_the_controls_first_nonzero_sample(monkeypatch, control, calls):
+    # the march starts one level before the first nonzero sample: the bump is
+    # zero on [0, T/4] (j0 = 16), the sine is nonzero at t = h (j0 = 0), and
+    # the zero control marches no level; one history call per marched level
+    grid, q, K = _problem("full", 64)
+    f = mw.control_from_family(*control, grid)
+    counted = []
+    at = CausalHistory.at
+
+    def count(self, j, n):
+        counted.append(j)
+        return at(self, j, n)
+
+    monkeypatch.setattr(CausalHistory, "at", count)
+    mw.fd_forward(q, K, f)
+    assert len(counted) == calls
 
 
 @pytest.mark.filterwarnings("error")  # no numpy warning ahead of the named blow-up

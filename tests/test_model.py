@@ -291,9 +291,10 @@ def _full_response(grid):
 def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     # the Goursat, leapfrog and adjoint marches share one layout: level j is
     # a contiguous row of the march's storage, which the history reads
-    # itself.  The leapfrog march hands in its array as the one block; the
-    # Goursat and adjoint marches hand in the blocks of ``level_blocks``,
-    # each its own array, as wide as its widest level
+    # itself.  The leapfrog march hands in the view of its array from the
+    # level it starts at as the one block; the Goursat and adjoint marches
+    # hand in the blocks of ``level_blocks``, each its own array, as wide as
+    # its widest level
     handed = []
     init = CausalHistory.__init__
 
@@ -319,21 +320,27 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     assert [b.shape for b in goursat] == [(33, 18)]
     assert [b.shape for b in goursat_big] == [
         (128, 128), (128, 256), (128, 302), (128, 219), (89, 91)]
-    levels = [grid.N + 1, grid.N + 1, grid.N]
+    # the bump is zero on [0, T/4], so the leapfrog starts at level j0 = N/4
+    j0 = grid.N // 4
+    levels = [grid.N + 1 - j0, grid.N + 1 - j0, grid.N]
     assert [H.shape[0] for H in (leapfrog, leapfrog_cone, adjoint)] == levels
     # the adjoint levels k = 0..N-1 end their blocks at k1 - 1 = 128, 256, N - 1,
     # each block N + k1 + 1 wide, the last one the whole window
     assert adjoint.shape[1] == grid.N2 + 1
     assert [b.shape for b in blocks] == [(129, 430), (128, 558), (43, 601)]
     assert all(H.flags.c_contiguous and H.base is None
-               for H in (leapfrog, leapfrog_cone, adjoint, *goursat, *goursat_big, *blocks))
+               for H in (adjoint, *goursat, *goursat_big, *blocks))
     # the solution keeps the Goursat blocks, and its dense w is their
-    # transpose; the leapfrog fields are transposed views of the march rows
+    # transpose; the leapfrog fields are transposed views of the march
+    # array, whose levels before j0 are zero, and the history reads its rows
+    # from j0 on
     assert all(a is b for a, b in zip(sol.march, goursat, strict=True))
     assert np.array_equal(sol.w, goursat[0][:, : grid.N + 1].T)
     for field, march in ((whole.values, leapfrog), (cone.values, leapfrog_cone)):
-        assert np.shares_memory(field, march)
-        assert np.array_equal(field, march[:, : field.shape[0]].T)
+        assert march.flags.c_contiguous and march.base is field.base
+        assert field.base.shape[0] == grid.N + 1
+        assert not field[:, :j0].any()
+        assert np.array_equal(field[:, j0:], march[:, : field.shape[0]].T)
 
 
 # ------------------------------------------------------------ field objects
