@@ -81,7 +81,7 @@ LAYERS = (
     "connecting.from_response.kernel_from_galerkin",
     "gelfand_levitan.solve_gl",
     "gelfand_levitan.solve_gl.inverse_cholesky",
-    "gelfand_levitan.solve_gl.kappa_gram",
+    "gelfand_levitan.solve_gl.kappa_estimate",
     "gelfand_levitan.solve_gl.z_in_place",
     "gelfand_levitan.recover_potential",
     "gelfand_levitan.gl_residual",
@@ -99,7 +99,7 @@ PARTS = {
     "connecting.from_response.asymmetry": (connecting, "_diagonal_asymmetry"),
     "connecting.from_response.kernel_from_galerkin": (connecting, "_kernel_from_galerkin"),
     "gelfand_levitan.solve_gl.inverse_cholesky": (gelfand_levitan, "_inverse_cholesky"),
-    "gelfand_levitan.solve_gl.kappa_gram": (gelfand_levitan, "_gram_abs_column_sums"),
+    "gelfand_levitan.solve_gl.kappa_estimate": (gelfand_levitan, "_inverse_norm_estimate"),
     "gelfand_levitan.solve_gl.z_in_place": (gelfand_levitan, "_z_in_place"),
 }
 

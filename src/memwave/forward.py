@@ -103,12 +103,13 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     levels, and no stencil or history term reads anything but zeros from the
     levels before them.  A zero control marches no level.
 
-    At unit speed the rows x <= x_max up to t_max depend on level j only
-    through the rows x <= x_max + (t_max - t_j), so shifted level j updates
-    the rows i < min(j + 2, R + (M - j0) - j + 1, nx), with R = x_max / h,
-    M = t_max / h and nx = M + 4: the forward wavefront from the control's
-    start cut by the backward cone of the returned rows.  The rows past the
-    cone are never marched, so the array is only as wide as the cone.
+    Shifted level j + 1 is zero from row j + 1 on (level 1 is zero off the
+    boundary), and at unit speed the rows x <= x_max at t_max read it only on
+    x <= x_max + (t_max - t_{j+1}).  So it is formed on the rows
+    i < min(j + 1, R + (M - j0) - j, nx), with R = x_max / h, M = t_max / h
+    and nx = M + 4: the forward wavefront from the control's start cut by the
+    backward cone of the returned rows.  The rows past the cone are never
+    marched, so the array is only as wide as the cone.
 
     The march is stored level-major, U[j, i], so that each finished level is
     one contiguous row of the trapezoid history; the memory term is formed by
@@ -131,7 +132,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     nonzero = np.flatnonzero(fv)
     j0 = max(int(nonzero[0]) - 1, 0) if nonzero.size else M
     # shifted level j updates the rows 1 .. n - 1 and reads row n
-    rows = [min(j + 2, R + (M - j0) - j + 1, nx) for j in range(1, M - j0)]
+    rows = [min(j + 1, R + (M - j0) - j, nx) for j in range(1, M - j0)]
     width = max([R, *rows]) + 1
     # q is continued only over the rows the march visits
     qpad = np.full(width, q.values[-1])

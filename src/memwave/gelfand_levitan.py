@@ -28,9 +28,9 @@ recursion overwrites the solve's matrix with the inverse of its Cholesky
 factor, halving down to dense leaf blocks, so neither the factor nor a
 LAPACK copy of the whole matrix is held.  Its products overwrite their
 operand block by block in place, so no temporary is larger than one block
-of rows or columns.  The condition number reads that inverse by column
-blocks, and z is then formed in its storage, so the solve holds one array
-beside the kernel.
+of rows or columns.  The condition number is estimated from a few
+products with that inverse, and z is then formed in its storage, so the
+solve holds one array beside the kernel.
 The two residual checks reduce their last product to its maximum block by
 block, so neither holds a full-size residual.
 """
@@ -72,10 +72,10 @@ class GLSolution:
 
     From ``solve_gl``, z is the array the solve factored in: it held S, then
     the inverse Cholesky factor, then z (``_z_in_place``).  It also carries
-    the one-norm condition number of the weighted connecting operator and
-    its smallest Cholesky pivot (a Schur complement, 1 for the free kernel)
-    with the depth where it occurs, and the pivot profile: the smallest
-    pivot over each tenth of the depths.
+    the estimated one-norm condition number of the weighted connecting
+    operator (``solve_gl``) and its smallest Cholesky pivot (a Schur
+    complement, 1 for the free kernel) with the depth where it occurs, and
+    the pivot profile: the smallest pivot over each tenth of the depths.
     """
 
     grid: GridSpec
@@ -164,36 +164,36 @@ def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     return np.concatenate((top, bottom))
 
 
-def _gram_abs_column_sums(Li: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Column sums of |G^T G| for G = Li diag(sq)^-1 and a lower-triangular
-    Li, by column blocks, with Li left as it is.
+def _inverse_norm_estimate(Li: np.ndarray, sq: np.ndarray) -> float:
+    """Estimate ||A^-1||_1, A^-1 = G^T G for G = Li diag(sq)^-1, as LAPACK's
+    dpocon does: Hager's iteration in dlacn2's form (Higham 1988), at most
+    five steps, with the alternating vector (-1)^i (1 + i/(n - 1)) as a floor.
 
-    Only the upper triangle of the symmetric Gram is formed: column j of
-    the whole sums column j and row j of it, the diagonal once.  Columns
-    j0..j1-1 of the triangle need its rows i < j1 and, as Li[k, j] = 0 for
-    k < j, only the rows k >= j0 of Li; one block holds at most (N + 1)
-    x ``_BLOCK`` entries.  Each block of the Gram of Li is scaled to that
-    of G, entry (i, j) by 1 / (sq_i sq_j), once it is formed.
+    Each candidate is ||A^-1 x||_1 for some ||x||_1 <= 1, so the estimate is
+    a lower bound.  Li's upper triangle is zero, so the whole products are
+    exact, and A^-1 is symmetric, so they also serve for its transpose.
     """
     n = Li.shape[0]
-    cols = np.zeros(n)  # column sums of the triangle, with the diagonal
-    rows = np.zeros(n)  # row sums of the triangle, without it
-    work = np.empty(_BLOCK * n)  # every block's transpose, in turn
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        # BLAS runs the ``_BLOCK`` rows of the transpose faster than the
-        # ``_BLOCK`` columns of the block
-        out = work[: (j1 - j0) * j1].reshape(j1 - j0, j1)
-        M = np.matmul(Li[j0:, j0:j1].T, Li[j0:, :j1], out=out).T
-        M /= sq[:j1, None]
-        M /= sq[None, j0:j1]
-        np.abs(M, out=M)
-        corner = M[j0:]
-        corner[np.tril_indices(j1 - j0, -1)] = 0.0
-        cols[j0:j1] += M.sum(axis=0)
-        rows[:j1] += M.sum(axis=1)
-        rows[j0:j1] -= np.diagonal(corner)
-    return cols + rows
+
+    def apply(x):
+        return (Li @ (x / sq)) @ Li / sq
+
+    y = apply(np.full(n, 1.0 / n))
+    est, up = np.abs(y).sum(), y >= 0.0
+    j = int(np.argmax(np.abs(apply(np.where(up, 1.0, -1.0)))))
+    for _ in range(4):  # steps 2 to 5
+        y = apply(np.eye(1, n, j)[0])
+        # this step's estimate stands even where it fell, as in dlacn2
+        est_old, est = est, np.abs(y).sum()
+        if np.array_equal(y >= 0.0, up) or est <= est_old:
+            break
+        up = y >= 0.0
+        z = apply(np.where(up, 1.0, -1.0))
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]):
+            break
+    alternating = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
+    return float(max(est, 2.0 * np.abs(apply(alternating)).sum() / (3 * n)))
 
 
 def _column_abs_sums(C: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -272,21 +272,20 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     factors and inverts at once, with flat block loops for its off-diagonal
     products that skip zero triangles and overwrite their operand in place,
     and dense Cholesky factors and inverses only on leaf blocks, so neither
-    L nor a half-size temporary is ever held.  The exact one-norm
-    condition number takes the column sums of |G^T G| = |A^-1|,
-    G = Li D^-1/2, over column blocks of the Gram's upper triangle, each
-    formed from Li and then scaled, and the column sums of |A| over column
-    blocks of C, each block in one work array, so neither a Gram, G nor A
-    is held whole.  Last, z is formed in Li's storage by a blocked in-place
-    transpose (``_z_in_place``), so the solve holds C and that one array.
+    L nor a half-size temporary is ever held.  The condition number is
+    dpocon's: ||A||_1 from the column sums of |A| over column blocks of C,
+    each block in one work array, times a lower-bound estimate of ||A^-1||_1
+    from a few products with Li (``_inverse_norm_estimate``).  Last, z is
+    formed in Li's storage by a blocked in-place transpose (``_z_in_place``),
+    so the solve holds C and that one array.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive, naming the depth of its first
     non-positive leading block: either the data come from no (q, K), or the
     grid under-resolves them (clean data of a potential 100 times the
     catalogue's fail this way at N = 64 and solve at N = 96), so the message
-    suggests twice the N; or when its one-norm condition number exceeds
-    1e12.
+    suggests twice the N; or when its estimated one-norm condition number
+    exceeds 1e12.
     """
     grid = c.grid
     N, h = grid.N, grid.h
@@ -311,10 +310,9 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     # squared diagonal of that factor
     pivots = d * diagonal ** 2
 
-    # exact one-norm condition of A, with A^-1 = G^T G for G = Li D^-1/2
+    # dpocon's one-norm condition of A: ||A||_1 exact, ||A^-1||_1 estimated
     sq = np.sqrt(d)
-    inv_norm = _gram_abs_column_sums(Li, sq).max()
-    cond = float(_column_abs_sums(C, sq).max() * inv_norm)
+    cond = float(_column_abs_sums(C, sq).max() * _inverse_norm_estimate(Li, sq))
     if cond > _COND_LIMIT:
         raise IllConditionedError(
             f"connecting operator condition {cond:.2e} exceeds {_COND_LIMIT:.0e}; "

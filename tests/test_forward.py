@@ -174,6 +174,25 @@ def test_leapfrog_starts_at_the_controls_first_nonzero_sample(monkeypatch, contr
     assert len(counted) == calls
 
 
+@pytest.mark.parametrize("n, nodes", [(64, 599), (1024, 147_839)])
+def test_two_path_cone_march_forms_only_its_wavefront_and_cone(monkeypatch, n, nodes):
+    # verify's two-path march: the bump on [T/4, 3T/4], rows 0-2 to t = T.
+    # Shifted level j + 1 is formed on rows 1 .. min(j, R + (M - j0) - j - 1):
+    # the rows the wavefront has reached that the returned rows read
+    grid, q, K = _problem("full", n)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
+    formed = []
+    at = CausalHistory.at
+
+    def count(self, j, rows):
+        formed.append(rows - 1)
+        return at(self, j, rows)
+
+    monkeypatch.setattr(CausalHistory, "at", count)
+    mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
+    assert sum(formed) == nodes
+
+
 @pytest.mark.filterwarnings("error")  # no numpy warning ahead of the named blow-up
 def test_fd_blowup_is_reported():
     grid = mw.GridSpec(1.0, 64)

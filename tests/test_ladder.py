@@ -16,7 +16,7 @@ LAYERS = {
     "connecting.from_response.asymmetry",
     "connecting.from_response.kernel_from_galerkin",
     "gelfand_levitan.solve_gl", "gelfand_levitan.solve_gl.inverse_cholesky",
-    "gelfand_levitan.solve_gl.kappa_gram", "gelfand_levitan.solve_gl.z_in_place",
+    "gelfand_levitan.solve_gl.kappa_estimate", "gelfand_levitan.solve_gl.z_in_place",
     "gelfand_levitan.recover_potential", "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity", "artifacts.write_csv.cT",
     "forward.fd_forward", "forward.fd_forward.trace",
