@@ -108,18 +108,16 @@ def _spans(n: int) -> list[tuple[int, int]]:
     return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _times_triangular(F: np.ndarray, T: np.ndarray, lower: bool) -> np.ndarray:
-    """F @ T for a lower (``lower``) or upper triangular T, by column blocks.
+def _times_triangular(F: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """F @ T for an upper triangular T, by column blocks.
 
-    Columns j0..j1-1 of T vanish above row j0 when T is lower and past row
-    j1 - 1 when it is upper, so each block reads only those rows of T and
-    the matching columns of F.  The product is column-major, so that every
-    block is written contiguously.
+    Columns j0..j1-1 of T vanish past row j1 - 1, so each block reads only
+    those rows of T and the matching columns of F.  The product is
+    column-major, so that every block is written contiguously.
     """
     out = np.empty((F.shape[0], T.shape[1]), order="F")
     for j0, j1 in _spans(T.shape[1]):
-        inner = slice(j0, None) if lower else slice(0, j1)
-        np.matmul(F[:, inner], T[inner, j0:j1], out=out[:, j0:j1])
+        np.matmul(F[:, :j1], T[:j1, j0:j1], out=out[:, j0:j1])
     return out
 
 
@@ -197,16 +195,19 @@ def _inverse_norm_estimate(Li: np.ndarray, sq: np.ndarray) -> float:
 
 
 def _column_abs_sums(C: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Column sums of |I + diag(sq) C diag(sq)|, by column blocks of C."""
+    """Column sums of |I + diag(sq) C diag(sq)|, sq > 0: sq times the
+    sq-weighted sums of the rows of |C| off the diagonal, by blocks of
+    ``_BLOCK`` rows, plus the diagonal's |1 + sq_j^2 C_jj|."""
     n = C.shape[0]
-    sums = np.empty(n)
-    work = np.empty(n * _BLOCK)  # every block, in turn
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        A = np.multiply(C[:, j0:j1], sq[:, None], out=work[: n * (j1 - j0)].reshape(n, -1))
-        A *= sq[None, j0:j1]
-        A[j0:j1][np.diag_indices(j1 - j0)] += 1.0
-        sums[j0:j1] = np.abs(A, out=A).sum(axis=0)
+    sums = np.zeros(n)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        A = np.abs(C[i0:i1])
+        A[:, i0:i1][np.diag_indices(i1 - i0)] = 0.0
+        sums += sq[i0:i1] @ A
+        del A  # before the next block's |C| is allocated
+    sums *= sq
+    sums += np.abs(np.diagonal(C) * sq * sq + 1.0)
     return sums
 
 
@@ -273,9 +274,9 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     products that skip zero triangles and overwrite their operand in place,
     and dense Cholesky factors and inverses only on leaf blocks, so neither
     L nor a half-size temporary is ever held.  The condition number is
-    dpocon's: ||A||_1 from the column sums of |A| over column blocks of C,
-    each block in one work array, times a lower-bound estimate of ||A^-1||_1
-    from a few products with Li (``_inverse_norm_estimate``).  Last, z is
+    dpocon's: ||A||_1 from the column sums of |A| (``_column_abs_sums``),
+    times a lower-bound estimate of ||A^-1||_1 from a few products with Li
+    (``_inverse_norm_estimate``).  Last, z is
     formed in Li's storage by a blocked in-place transpose (``_z_in_place``),
     so the solve holds C and that one array.
 
@@ -391,8 +392,7 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
         return zq
 
     # full x upper, skipping the zero triangle of the z-factor
-    right = _times_triangular(plus_identity(c.values * D), plus_identity(z_half() * D),
-                              lower=False)
+    right = _times_triangular(plus_identity(c.values * D), plus_identity(z_half() * D))
     # lower x right, reduced to its maximum by row blocks: the product is
     # never held whole
     left = plus_identity(z_half().T * D)

@@ -9,8 +9,8 @@ Every blocked pass over an (N+1)^2 array runs ``_BLOCK`` rows or columns at
 a time: the level blocks of the Goursat march and of the adjoint weights,
 the finiteness scans, the streamed Galerkin products and full-size passes
 of the assembly, the dense leaf of the blocked triangular inverse and the
-column sums of the condition number.  The loops of GEMMs with triangular
-factors in ``gelfand_levitan`` take blocks of at least ``_BLOCK``.
+row blocks of the condition number's column sums.  The loops of GEMMs with
+triangular factors in ``gelfand_levitan`` take blocks of at least ``_BLOCK``.
 """
 
 from __future__ import annotations

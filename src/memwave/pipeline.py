@@ -18,8 +18,10 @@ The ``verify`` stage is the package's own referee: it re-derives quantities
 along independent routes (finite differences vs. kernel route, probe
 assembly vs. factorization identity) and fails loudly when the artifacts in
 a directory are not mutually consistent.  Every check reads the data, not
-truth_q.csv alone.  The only Goursat marches of ``verify`` are the factor
-route of its assembly ladder.
+truth_q.csv alone.  Each check is one function that one guard runs under
+the lap named after it; a breakage the check raises fails it by name.  The
+only Goursat marches of ``verify`` are the three-way check's factor route,
+in its ``three_way_connecting`` lap.
 """
 
 from __future__ import annotations
@@ -339,9 +341,9 @@ def _subsample(grid: GridSpec, r: ResponseData, K: MemoryKernel,
     return coarse, rc, Kc, qc
 
 
-def _check_level(N: int, cap: int = 64) -> int:
-    """Largest grid level <= cap that divides N (for bounded-cost checks)."""
-    for n in range(min(N, cap), 7, -1):
+def _check_level(N: int) -> int:
+    """Largest grid level <= 64 that divides N (for bounded-cost checks)."""
+    for n in range(min(N, 64), 7, -1):
         if N % n == 0:
             return n
     return N
@@ -454,14 +456,23 @@ def _verify_two_path(grid, r, K, q) -> dict:
                   "grid too coarse for order estimation, skipped")
 
 
-def _verify_three_way(Kc, qc, cT_data, level_diffs, levels) -> dict:
+def _verify_three_way(grid, r, K, q, levels, kernels, stop) -> dict:
     """Probe-assembled kernel vs. factor route vs. interior wave states.
 
-    ``level_diffs`` holds the entrywise relative mismatch against the factor
-    route at each assembly level; with two or more levels the measured order
-    of decrease is reported alongside the absolute gate at the finest level.
+    Up the ladder ``levels``, each level reads the assembly's kernel (or
+    re-raises ``stop``, the breakage that ended the assembly there), then
+    marches the truth for the factor route; with two or more levels the
+    measured order of the mismatch is gated beside the absolute gate at the
+    finest level.
     """
-    cg = cT_data.grid
+    level_diffs = []
+    for i, m in enumerate(levels):
+        if i == len(kernels):
+            raise stop
+        cg, _, Kc, qc = _subsample(grid, r, K, q, m)
+        cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
+        rel = np.max(np.abs(kernels[i].values - cw.values))
+        level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
     worst = level_diffs[-1]
     controls = [
         control_from_family("smooth_bump_control", (c * cg.T, 0.2 * cg.T), cg)
@@ -469,7 +480,7 @@ def _verify_three_way(Kc, qc, cT_data, level_diffs, levels) -> dict:
     ]
     interior = connecting_form_from_interior(qc, Kc, controls)
     for a, b in ((0, 1), (1, 2), (0, 2)):
-        lhs = connecting_form_from_kernel(cT_data, controls[a], controls[b])
+        lhs = connecting_form_from_kernel(kernels[-1], controls[a], controls[b])
         rhs = interior[a, b]
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     passed = worst <= _THREE_WAY_REL_TOL
@@ -482,6 +493,29 @@ def _verify_three_way(Kc, qc, cT_data, level_diffs, levels) -> dict:
         return _check("three_way_connecting", passed, metric,
                       [lo, hi, _THREE_WAY_REL_TOL], detail)
     return _check("three_way_connecting", passed, worst, _THREE_WAY_REL_TOL, detail)
+
+
+def _verify_operator_identity(cT, gl) -> dict:
+    res = operator_identity_residual(cT, gl)
+    tol = _OPERATOR_IDENTITY_FACTOR * cT.grid.h * cT.grid.h * (1.0 + _max_abs(cT.values))
+    return _check("operator_identity", res <= tol, res, tol,
+                  f"factorization identity at level N={cT.grid.N}")
+
+
+def _verify_gl_residual(cT, gl) -> dict:
+    res = gl_residual(cT, gl)
+    tol = _GL_RESIDUAL_FACTOR * (1.0 + _max_abs(cT.values))
+    return _check("gl_residual", res <= tol, res, tol, "collocation solve residual")
+
+
+def _guarded(timer: _Timer, name: str, threshold, check) -> dict:
+    """``check()`` timed under the lap ``name``; a breakage it raises fails
+    the check ``name`` with the breakage's message."""
+    with timer.lap(name):
+        try:
+            return check()
+        except _BREAKAGE as exc:
+            return _check(name, False, float("inf"), threshold, str(exc))
 
 
 def run_verify(datadir: str, outdir: str | None = None) -> dict:
@@ -508,89 +542,49 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
 
 
 def _verify_checks(grid, r, K, q, timer: _Timer):
-    """Every check of ``run_verify`` in report order, and the Galerkin asymmetry."""
-    checks = []
+    """Every check of ``run_verify`` in report order, and the Galerkin asymmetry.
 
-    # the data-route kernel feeds several checks; assemble it at a bounded
-    # ladder of levels so verify stays cheap on fine data sets.  The checks
-    # of the kernel read its top level alone; the coarser ones only give the
-    # three-way check its measured order, and that check needs truth_q.csv.
-    # Inconsistent data can already derail the assembly or the collocation
-    # solve; that counts as a failure of the dependent checks, not a crash.
-    cT = gl = asymmetry = breakage = truth_breakage = None
-    level_diffs = []
+    The data kernel is assembled at a bounded ladder of levels, so verify
+    stays cheap on fine data sets; the coarser levels only give the
+    three-way check its order, and that check needs truth_q.csv.  The ladder
+    and the solve keep what they reached and the breakage that stopped them
+    (``stop``), which a check that needs the missing part re-raises.
+    """
+    n_top = _check_level(grid.N)
+    levels = _ladder(n_top) if q is not None else [n_top]
+    kernels, gl, asymmetry, stop = [], None, None, None
     with timer.lap("connecting_assembly"):
-        n_top = _check_level(grid.N)
-        _, _, K_top, q_top = _subsample(grid, r, K, q, n_top)
-        levels = _ladder(n_top) if q is not None else [n_top]
         try:
             for m in levels:
-                cg, rc, Kc, qc = _subsample(grid, r, K, q, m)
-                kernel = connecting_kernel_from_response(rc, Kc)
-                if q is not None and truth_breakage is None:
-                    # a truth that does not fit the data can blow up its own
-                    # march; that fails the three-way check alone
-                    try:
-                        cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
-                    except _BREAKAGE as exc:
-                        truth_breakage = str(exc)
-                    else:
-                        rel = np.max(np.abs(kernel.values - cw.values))
-                        level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
-                if m == n_top:
-                    cT = kernel
-            asymmetry = {"N": n_top, "value": cT.asymmetry}
+                _, rc, Kc, _ = _subsample(grid, r, K, None, m)
+                kernels.append(connecting_kernel_from_response(rc, Kc))
+            asymmetry = {"N": n_top, "value": kernels[-1].asymmetry}
         except _BREAKAGE as exc:
-            breakage = str(exc)
+            stop = exc
 
-    with timer.lap("gl_solve"):
-        if cT is not None:
-            try:
-                gl = solve_gl(cT)
-            except _BREAKAGE as exc:
-                breakage = str(exc)
-
-    def broken(name, threshold=None, detail=None):
-        return _check(name, False, float("inf"), threshold, detail or breakage)
-
-    def guarded(name, threshold, check):
-        # a truth that does not fit the data can blow up the check's own
-        # marches too
-        try:
-            return check()
-        except _BREAKAGE as exc:
-            return broken(name, threshold, str(exc))
-
+    checks = []
     if q is not None:
-        with timer.lap("two_path_response"):
-            checks.append(guarded("two_path_response", list(_TWO_PATH_ORDER_BAND),
-                                  lambda: _verify_two_path(grid, r, K, q)))
-        with timer.lap("three_way_connecting"):
-            if cT is None or truth_breakage is not None:
-                checks.append(broken("three_way_connecting", _THREE_WAY_REL_TOL,
-                                     truth_breakage))
-            else:
-                checks.append(guarded("three_way_connecting", _THREE_WAY_REL_TOL,
-                                      lambda: _verify_three_way(K_top, q_top, cT,
-                                                                level_diffs, levels)))
+        checks.append(_guarded(timer, "two_path_response", list(_TWO_PATH_ORDER_BAND),
+                               lambda: _verify_two_path(grid, r, K, q)))
+        checks.append(_guarded(timer, "three_way_connecting", _THREE_WAY_REL_TOL,
+                               lambda: _verify_three_way(grid, r, K, q, levels, kernels, stop)))
+    # the solve's (N+1)^2 array is not held through the marches above
+    with timer.lap("gl_solve"):
+        if stop is None:
+            try:
+                gl = solve_gl(kernels[-1])
+            except _BREAKAGE as exc:
+                stop = exc
 
-    with timer.lap("operator_identity"):
+    def solved():
         if gl is None:
-            checks.append(broken("operator_identity"))
-        else:
-            scale = 1.0 + _max_abs(cT.values)
-            res_id = operator_identity_residual(cT, gl)
-            tol_id = _OPERATOR_IDENTITY_FACTOR * cT.grid.h * cT.grid.h * scale
-            checks.append(_check("operator_identity", res_id <= tol_id, res_id, tol_id,
-                                 f"factorization identity at level N={n_top}"))
-    with timer.lap("gl_residual"):
-        if gl is None:
-            checks.append(broken("gl_residual"))
-        else:
-            res_gl = gl_residual(cT, gl)
-            tol_gl = _GL_RESIDUAL_FACTOR * scale
-            checks.append(_check("gl_residual", res_gl <= tol_gl, res_gl, tol_gl,
-                                 "collocation solve residual"))
+            raise stop
+        return kernels[-1], gl
+
+    checks.append(_guarded(timer, "operator_identity", None,
+                           lambda: _verify_operator_identity(*solved())))
+    checks.append(_guarded(timer, "gl_residual", None,
+                           lambda: _verify_gl_residual(*solved())))
     return checks, asymmetry
 
 

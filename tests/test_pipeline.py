@@ -559,6 +559,45 @@ def test_verify_fails_by_name_when_only_the_finest_assembly_breaks(data_dir,
     assert three_way["detail"] == _OVERFLOW
 
 
+@pytest.mark.parametrize("truth_at, assembly_at, three_way_names", [
+    (16, 64, "truth"), (32, 16, "assembly"),
+], ids=["truth_first", "assembly_first"])
+def test_verify_names_the_first_of_two_breakages(data_dir, monkeypatch, truth_at,
+                                                 assembly_at, three_way_names):
+    # the three-way check walks the ladder up, reading each level's kernel
+    # before it marches the truth there, so it names whichever broke first;
+    # the residual checks need the top level, so they name the assembly
+    messages = {"truth": f"truth march blew up at N={truth_at}",
+                "assembly": f"assembly overflowed at N={assembly_at}"}
+    real_march = pipeline.solve_goursat
+    real_assembly = pipeline.connecting_kernel_from_response
+
+    def march(q, K, grid):
+        if grid.N == truth_at:
+            raise mw.NumericalInstabilityError(messages["truth"])
+        return real_march(q, K, grid)
+
+    def assemble(r, K):
+        if r.grid.N == assembly_at:
+            raise mw.AssemblyError(messages["assembly"])
+        return real_assembly(r, K)
+
+    monkeypatch.setattr(pipeline, "solve_goursat", march)
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", assemble)
+    report = run_verify(data_dir)
+    assert report["failed_checks"] == [
+        "three_way_connecting", "operator_identity", "gl_residual"
+    ]
+    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    assert failed["three_way_connecting"] == {
+        "name": "three_way_connecting", "passed": False, "metric": float("inf"),
+        "threshold": 2e-2, "detail": messages[three_way_names]}
+    for name in ("operator_identity", "gl_residual"):
+        assert failed[name] == {
+            "name": name, "passed": False, "metric": float("inf"),
+            "threshold": None, "detail": messages["assembly"]}
+
+
 def test_verify_names_non_positive_operator(data_dir, tmp_path):
     # a response ten times too strong admits no (q, K): the factor-based
     # checks fail by name with the depth, instead of crashing verify
