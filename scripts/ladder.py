@@ -1,4 +1,4 @@
-"""Per-layer ladder: time and memory of every reconstruct layer and the leapfrog over N.
+"""Per-layer ladder: time and memory of every reconstruct layer and verify's over N.
 
     python3 scripts/ladder.py                      # N = 256 ... 4096, writes BENCH_ladder.json
     python3 scripts/ladder.py --grids 16 32 --out /tmp/ladder.json
@@ -12,7 +12,9 @@ inside those same calls, by wrappers around the production functions that
 run them; a part may run inside another (the asymmetry inside
 ``_kernel_from_galerkin``).  The leapfrog runs to t = T with verify's
 two-path bump control, once on the whole padded field and once on the
-trace's backward cone.  The growth exponents are fitted between the two
+trace's backward cone; verify's oracle routes, the factor route to the
+connecting kernel and the wave-state forms of its three bump controls, run
+at the rung's own N.  The growth exponents are fitted between the two
 largest rungs.
 
 tracemalloc sees only the arrays numpy allocates itself, not the work copy
@@ -66,10 +68,11 @@ from memwave.artifacts import write_csv  # noqa: E402
 SCHEMA = 3
 GRIDS = (256, 512, 1024, 2048, 4096)
 REPEATS = 3
-# every layer in pipeline order, then verify's leapfrog; a layer of ``PARTS``
-# runs inside the layer its name extends.  ``forward.fd_forward`` marches the
-# whole padded field and ``forward.fd_forward.trace`` only the backward cone
-# of the rows the boundary trace reads, as verify's two-path check does
+# every layer in pipeline order, then verify's leapfrog and oracle routes; a
+# layer of ``PARTS`` runs inside the layer its name extends.
+# ``forward.fd_forward`` marches the whole padded field and
+# ``forward.fd_forward.trace`` only the backward cone of the rows the boundary
+# trace reads, as verify's two-path check does
 LAYERS = (
     "goursat.solve_goursat",
     "goursat.response_kernel",
@@ -89,6 +92,8 @@ LAYERS = (
     "artifacts.write_csv.cT",
     "forward.fd_forward",
     "forward.fd_forward.trace",
+    "connecting.from_w",
+    "connecting.form_from_interior",
 )
 # the layers measured from inside the production call that runs them:
 # {layer: (module, function)}
@@ -217,6 +222,7 @@ def rung(N: int, tmpdir: str) -> dict:
 
         sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K, grid))
         r = run("goursat.response_kernel", lambda: mw.response_kernel(sol))
+        run("connecting.from_w", lambda: mw.connecting_kernel_from_w(sol))
         del sol
         c = run("connecting.from_response", lambda: mw.connecting_kernel_from_response(r, K))
         gl = run("gelfand_levitan.solve_gl", lambda: mw.solve_gl(c))
@@ -233,6 +239,10 @@ def rung(N: int, tmpdir: str) -> dict:
         run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, grid.T))
         run("forward.fd_forward.trace",
             lambda: mw.fd_forward(q, K, f, grid.T, x_max=2 * grid.h))
+        controls = [mw.control_from_family("smooth_bump_control", (c * grid.T, 0.2 * grid.T), grid)
+                    for c in (0.35, 0.5, 0.65)]
+        run("connecting.form_from_interior",
+            lambda: mw.connecting_form_from_interior(q, K, controls))
     for name in PARTS:
         out[name] = (parts.seconds[name], parts.peaks[name])
     return out

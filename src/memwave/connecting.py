@@ -131,7 +131,8 @@ def connecting_form_from_interior(q, K, controls: list[ControlSignal]) -> np.nda
     products of their leapfrog states at t = T, each control marched once."""
     grid = controls[0].grid
     N = grid.N
-    states = [fd_forward(q, K, f, grid.T).values[: N + 1, N] for f in controls]
+    # a copy of the column, so that each field is released once it is read
+    states = [fd_forward(q, K, f, grid.T).values[: N + 1, N].copy() for f in controls]
     return np.array([[trapezoid(u * v, grid.h) for v in states] for u in states])
 
 
@@ -491,16 +492,32 @@ def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:
     The samples are exactly symmetric because ``W.T @ W`` is an array times
     its own transpose, which numpy sends to BLAS SYRK: it forms one triangle
     and mirrors it.  A copied ``W.T`` would go to GEMM, whose two triangles
-    round differently (max|c - c^T| = 2.8e-17 at N = 400 on ``full``).
+    round differently (max|c - c^T| = 2.8e-17 at N = 400 on ``full``).  c is
+    formed in place beside W, the one dense array, stacked from the march.
     """
     grid = sol.grid
     N, h = grid.N, grid.h
-    # the dense w, which the solution builds for its oracle readers alone
-    W = sol.w[:, : N + 1]  # W[i, j] = w(x_i, t_j), zero below diag
-    sym = W + W.T - np.diag(np.diagonal(W))
-    gram = h * (W.T @ W)
-    # trapezoid end weight (h/2) W[m, i] W[m, j] at m = min(i, j): with
-    # E = (h/2) diag(W) W it is E[i, j] for i <= j and E[j, i] for i >= j
-    E = (0.5 * h * np.diagonal(W))[:, None] * W
-    gram -= E + E.T - np.diag(np.diagonal(E))
-    return ConnectingKernel(grid=grid, values=sym + gram)
+    # W[i, j] = w(x_i, t_j), zero below diag: the march's first N + 1 levels
+    W = np.zeros((N + 1, N + 1))
+    j0 = 0
+    for block in sol.march:
+        part = block[: N + 1 - j0, : N + 1]
+        W[: part.shape[1], j0 : j0 + part.shape[0]] = part.T
+        j0 += part.shape[0]
+    d = np.diagonal(W)
+    half = 0.5 * h * d
+    c = W.T @ W
+    c *= h
+    # by row blocks, whose entries (i, i) lie every N + 2 from i0: the
+    # trapezoid end weight (h/2) W[m, i] W[m, j] at m = min(i, j), E[i, j]
+    # for i <= j and E[j, i] for i >= j with E = (h/2) diag(W) W, then W + W^T
+    for i0 in range(0, N + 1, _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        term = half[rows, None] * W[rows]
+        term += (half[:, None] * W[:, rows]).T
+        term.reshape(-1)[i0 :: N + 2] -= half[rows] * d[rows]
+        c[rows] -= term
+        term = W[rows] + W.T[rows]
+        term.reshape(-1)[i0 :: N + 2] -= d[rows]
+        c[rows] += term
+    return ConnectingKernel(grid=grid, values=c)

@@ -47,15 +47,13 @@ stencil reads past them.  It is held as the blocks of
 ``model.level_blocks``: ``_BLOCK`` levels each, each its own array and as
 wide as its widest level, about half of a dense (2N + 1) x (N + 2) array.
 The history's far products then skip the zero triangle below the
-characteristic, ``response_kernel`` reads its rows x = h and 2h from the
-blocks, and the dense ``GoursatSolution.w`` is built only when an oracle
-reads it.
+characteristic, and ``response_kernel`` reads its rows x = h and 2h from the
+blocks.  The blocks are the only form of w the solution holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -90,29 +88,12 @@ class GoursatSolution:
     march's extension (the potential continued by its last sample), which
     keeps the boundary-derivative stencil of ``response_kernel`` second
     order up to t = 2T; only that stencil reads it.
-
-    ``w`` is the dense read-only (N + 1) x (2N + 1) array w[i, j] =
-    w(x_i, t_j) of the rows x in [0, T], built from the blocks when first
-    read and kept: only the oracle routes read it
-    (``connecting_kernel_from_w`` and the test oracles).
     """
 
     grid: GridSpec
     q: CoefficientField
     K: MemoryKernel
     march: list[np.ndarray] = field(repr=False)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        N = self.grid.N
-        w = np.zeros((N + 1, self.grid.N2 + 1))
-        j0 = 0
-        for block in self.march:
-            m = min(block.shape[1], N + 1)
-            w[:m, j0 : j0 + block.shape[0]] = block[:, :m].T
-            j0 += block.shape[0]
-        w.flags.writeable = False
-        return w
 
 
 def _characteristic_data(q_values: np.ndarray, h: float) -> np.ndarray:

@@ -473,6 +473,7 @@ def _verify_three_way(grid, r, K, q, levels, kernels, stop) -> dict:
         cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
         rel = np.max(np.abs(kernels[i].values - cw.values))
         level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
+    del cw  # not held through the interior marches below
     worst = level_diffs[-1]
     controls = [
         control_from_family("smooth_bump_control", (c * cg.T, 0.2 * cg.T), cg)

@@ -3,6 +3,9 @@
 Each production object has one route in ``memwave``; the routes here reach
 the same objects another way and the tests hold the two against each other:
 
+* ``dense_w`` stacks the level blocks of the Goursat march into the dense
+  (N + 1) x (2N + 1) kernel w[i, j] = w(x_i, t_j), the form the routes
+  below and the tests read (the package holds only the blocks);
 * ``duhamel_eval`` / ``apply_control_operator`` push a control through the
   triangular kernel w, and ``solve_control`` inverts that control map by
   back-substitution (against the leapfrog solve ``fd_forward``);
@@ -44,6 +47,20 @@ from memwave.model import (
 # control map through the kernel w
 # --------------------------------------------------------------------------
 
+def dense_w(sol: GoursatSolution) -> np.ndarray:
+    """The read-only (N + 1) x (2N + 1) array w[i, j] = w(x_i, t_j) of the rows
+    x in [0, T], stacked from the march's level blocks."""
+    N = sol.grid.N
+    w = np.zeros((N + 1, sol.grid.N2 + 1))
+    j0 = 0
+    for block in sol.march:
+        m = min(block.shape[1], N + 1)
+        w[:m, j0 : j0 + block.shape[0]] = block[:, :m].T
+        j0 += block.shape[0]
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class WaveSnapshot:
     """Wave profile u(x_i, t_star) on the x grid of [0, T]."""
@@ -69,7 +86,7 @@ def duhamel_eval(sol: GoursatSolution, f: ControlSignal, t_star: float) -> WaveS
 
     u = np.zeros(N + 1)
     if js > 0:
-        w = sol.w[: js + 1, : js + 1]
+        w = dense_w(sol)[: js + 1, : js + 1]
         frev = fv[js::-1]  # f(t_star - s) for s = 0..t_star
         weights = trapz_weights(js + 1, h)
         # w[i, s] vanishes for s < i, so the full-range sum only needs its
@@ -101,7 +118,7 @@ def solve_control(sol: GoursatSolution, target: np.ndarray) -> ControlSignal:
     a = np.asarray(target, dtype=float)
     if a.shape != (N + 1,):
         raise UsageError(f"target state needs {N + 1} samples on [0, T], got {a.shape}")
-    w = sol.w
+    w = dense_w(sol)
     g = np.zeros(N + 1)  # g[k] = f(T - x_k)
     g[N] = a[N]
     for i in range(N - 1, -1, -1):
@@ -186,7 +203,7 @@ def z_from_w(sol: GoursatSolution) -> GLSolution:
     """
     grid = sol.grid
     N, h = grid.N, grid.h
-    W = sol.w[:, : N + 1]
+    W = dense_w(sol)[:, : N + 1]
     z = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         z[i, i] = -W[i, i]
@@ -234,7 +251,7 @@ def linearized_memory_field(K: MemoryKernel, grid: GridSpec) -> np.ndarray:
 
     This is the derivative of the full scheme with respect to the kernel
     amplitude at q = 0, K = 0; useful as a linearization reference.  The
-    march's first N + 1 rows, read-only, as ``GoursatSolution.w`` holds them.
+    march's first N + 1 rows, read-only, as ``dense_w`` holds them.
     """
     zeros = np.zeros(grid.N + 2)
     w = direct_march(zeros, K.values, zeros, grid, False)[: grid.N + 1]

@@ -32,7 +32,19 @@ from memwave.connecting import (
     _mirror_lower,
 )
 from memwave.model import bump_profile, causal_convolution, trapezoid, trapz_weights
-from oracles import dense_adjoint_weights, solve_blagoveshchenskii
+from oracles import dense_adjoint_weights, dense_w, solve_blagoveshchenskii
+
+
+def _traced_peak_arrays(fn, grid):
+    """The traced peak of ``fn()`` above its entry, in (N+1)^2 arrays."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * (grid.N + 1) ** 2)
 
 
 def _free_setup(n):
@@ -151,6 +163,17 @@ def test_form_from_kernel_reproduces_psi_exactly(full_ct_response, full_fields, 
     assert vk == pytest.approx(vb, abs=1e-12)
 
 
+def test_interior_forms_hold_one_leapfrog_field_at_a_time():
+    # each control's field is released once its final state is copied out:
+    # 1.30 arrays at N = 256, one field's 1.30.  Holding the states as
+    # views of the three fields read 3.23
+    grid = mw.GridSpec(1.0, 256)
+    q, K = mw.get_problem("full").fields(grid)
+    controls = [_bump(grid, c, 0.2) for c in (0.35, 0.5, 0.65)]
+    peak = _traced_peak_arrays(lambda: mw.connecting_form_from_interior(q, K, controls), grid)
+    assert peak <= 1.6
+
+
 def test_form_from_kernel_window_check(full_ct_response, grid64):
     fw = _bump(grid64, 0.5, 0.2, full=True)
     with pytest.raises(mw.UsageError):
@@ -214,6 +237,40 @@ def test_kernel_symmetric_both_routes():
             for ct in (mw.connecting_kernel_from_response(mw.response_kernel(sol), K),
                        mw.connecting_kernel_from_w(sol)):
                 assert np.array_equal(ct.values, ct.values.T), (name, n)
+
+
+def _dense_factor_route(sol):
+    """c = w + w* + w*w formed whole on the dense w, as the factor route did
+    before it read the march's level blocks."""
+    h = sol.grid.h
+    W = dense_w(sol)[:, : sol.grid.N + 1]
+    sym = W + W.T - np.diag(np.diagonal(W))
+    gram = h * (W.T @ W)
+    E = (0.5 * h * np.diagonal(W))[:, None] * W
+    gram -= E + E.T - np.diag(np.diagonal(E))
+    return sym + gram
+
+
+@pytest.mark.parametrize("n", [64, 200, 257])
+@pytest.mark.parametrize("problem", sorted(mw.PROBLEMS))
+def test_factor_route_equals_the_dense_formula(problem, n):
+    # the blocked route makes the same operations in the same order, so c
+    # is the whole-array formula's to the last bit; 257 ends in a row block
+    # of one row
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem(problem).fields(grid)
+    sol = mw.solve_goursat(q, K, grid)
+    assert np.array_equal(mw.connecting_kernel_from_w(sol).values, _dense_factor_route(sol))
+
+
+def test_factor_route_holds_w_and_c_alone():
+    # W and c, and three row blocks of temporaries (0.25 arrays each at
+    # N = 512): 2.56 arrays.  The dense (N+1) x (2N+1) w with the whole-array
+    # formula read 7.0
+    grid = mw.GridSpec(1.0, 512)
+    q, K = mw.get_problem("full").fields(grid)
+    sol = mw.solve_goursat(q, K, grid)
+    assert _traced_peak_arrays(lambda: mw.connecting_kernel_from_w(sol), grid) <= 3.5
 
 
 def asymmetry_round_off(N, c_max):
@@ -534,13 +591,7 @@ def _assembly_peak_arrays(n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
     r = mw.response_kernel(mw.solve_goursat(q, K, grid))
-    tracemalloc.start()
-    try:
-        mw.connecting_kernel_from_response(r, K)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * (grid.N + 1) ** 2)
+    return _traced_peak_arrays(lambda: mw.connecting_kernel_from_response(r, K), grid)
 
 
 def test_assembly_peak_at_512_holds_the_packed_weights():

@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.model import cumulative_trapezoid
-from oracles import direct_march, linearized_memory_field
+from oracles import dense_w, direct_march, linearized_memory_field
 
 
 def _solve(name, n):
@@ -41,7 +41,7 @@ def _direct(q, K, grid):
 
 def test_free_problem_kernel_vanishes():
     sol = _solve("free", 32)
-    assert np.abs(sol.w).max() == 0.0
+    assert np.abs(dense_w(sol)).max() == 0.0
 
 
 def test_free_problem_response_vanishes():
@@ -52,7 +52,7 @@ def test_free_problem_response_vanishes():
 def test_diagonal_carries_half_potential_integral():
     sol = _solve("full", 64)
     want = -0.5 * cumulative_trapezoid(sol.q.values, sol.grid.h)
-    assert_allclose(np.diagonal(sol.w), want, atol=1e-15)
+    assert_allclose(np.diagonal(dense_w(sol)), want, atol=1e-15)
 
 
 def test_triangular_masking():
@@ -60,16 +60,17 @@ def test_triangular_masking():
     # strip 2N < i + j <= 2N + 2, which holds the march's own rows
     sol = _solve("full", 32)
     n, n2 = sol.grid.N, sol.grid.N2
-    assert sol.w.shape == (n + 1, n2 + 1)
-    assert not sol.w.flags.writeable
+    w = dense_w(sol)
+    assert w.shape == (n + 1, n2 + 1)
+    assert not w.flags.writeable
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
-    assert np.abs(sol.w[i > j]).max() == 0.0
-    assert np.abs(sol.w[i + j > n2 + 2]).max() == 0.0
+    assert np.abs(w[i > j]).max() == 0.0
+    assert np.abs(w[i + j > n2 + 2]).max() == 0.0
     strip = (i + j > n2) & (i + j <= n2 + 2)
-    assert np.abs(sol.w[strip]).max() > 0.0
+    assert np.abs(w[strip]).max() > 0.0
     ext = _direct(sol.q, sol.K, sol.grid)
     tol = 1e-12 * (1.0 + np.abs(ext).max())
-    assert np.abs(sol.w[strip] - ext[: n + 1][strip]).max() <= tol
+    assert np.abs(w[strip] - ext[: n + 1][strip]).max() <= tol
 
 
 def _march_bytes(grid):
@@ -104,16 +105,7 @@ def test_solution_holds_the_march_once():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "w" not in vars(sol)  # the dense w is built only when read
     assert held <= 0.62 * _march_bytes(grid)
-
-
-def test_dense_w_is_built_once_and_read_only():
-    sol = _solve("full", 32)
-    w = sol.w
-    assert w is sol.w
-    assert not w.flags.writeable
-    assert not any(np.shares_memory(w, block) for block in sol.march)
 
 
 # ------------------------------------------- small-amplitude closed forms
@@ -122,7 +114,7 @@ def test_dense_w_is_built_once_and_read_only():
 def test_memory_kernel_spot_value():
     # -(K0/2) x (t - x) at x = 0.5, t = 1.0 with K0 = 0.01
     sol = _solve("memory_only_small", 128)
-    assert sol.w[64, 128] == pytest.approx(-0.00125, abs=2.5e-5)
+    assert dense_w(sol)[64, 128] == pytest.approx(-0.00125, abs=2.5e-5)
 
 
 def test_memory_kernel_closed_form_everywhere():
@@ -132,14 +124,14 @@ def test_memory_kernel_closed_form_everywhere():
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n2 + 1), indexing="ij")
     inside = (i <= j) & (i + j <= n2)
     approx = -(0.01 / 2.0) * x[i] * (x[j] - x[i])
-    err = np.abs((sol.w - approx) * inside).max()
+    err = np.abs((dense_w(sol) - approx) * inside).max()
     assert err < 3e-6
 
 
 def test_potential_kernel_spot_value():
     # -(q0/2) x at x = 0.5 with q0 = 0.01
     sol = _solve("potential_only_small", 128)
-    assert sol.w[64, 128] == pytest.approx(-0.0025, abs=2.5e-5)
+    assert dense_w(sol)[64, 128] == pytest.approx(-0.0025, abs=2.5e-5)
 
 
 def test_memory_response_is_linear_ramp():
@@ -181,7 +173,7 @@ def test_full_march_deviates_quadratically_from_linearized():
         k = mw.kernel_from_family("constant", (amp,), grid)
         sol = mw.solve_goursat(q0, k, grid)
         lin = linearized_memory_field(k, grid)
-        devs.append(np.abs(sol.w - lin).max())
+        devs.append(np.abs(dense_w(sol) - lin).max())
     assert devs[0] < 3e-6
     assert devs[1] / devs[0] == pytest.approx(4.0, abs=0.5)
 
@@ -198,7 +190,7 @@ def test_blocked_march_matches_direct_march(problem, n):
     sol = mw.solve_goursat(q, K, grid)
     ext = _direct(q, K, grid)
     tol = 1e-12 * (1.0 + np.abs(ext).max())
-    assert np.abs(sol.w - ext[: n + 1]).max() <= tol
+    assert np.abs(dense_w(sol) - ext[: n + 1]).max() <= tol
 
 
 def _blocks_hold_the_march(march, ext):
@@ -225,7 +217,7 @@ def test_packed_march_equals_direct_march(problem, n):
     sol = mw.solve_goursat(q, K, grid)
     ext = _direct(q, K, grid)
     assert _blocks_hold_the_march(sol.march, ext)
-    assert np.array_equal(sol.w, ext[: n + 1])
+    assert np.array_equal(dense_w(sol), ext[: n + 1])
 
 
 def test_packed_march_matches_direct_march_at_1024():
@@ -241,7 +233,7 @@ def test_packed_march_matches_direct_march_at_1024():
         # itself is left, which the bound holds near zero too
         ext[: block.shape[1], j0 : j0 + block.shape[0]] -= block.T
         j0 += block.shape[0]
-    assert np.abs(ext).max() <= 1e-13 * np.abs(sol.w).max()
+    assert np.abs(ext).max() <= 1e-13 * np.abs(dense_w(sol)).max()
 
 
 # ------------------------------------------------------ consistency checks
@@ -266,7 +258,7 @@ def test_march_diagonal_is_the_characteristic_data(problem, n):
     # the march imposes the diagonal law as data and never writes the
     # diagonal again, so the residual of its diagonal is a closed form in q
     sol = _solve(problem, n)
-    d = np.diagonal(sol.w)
+    d = np.diagonal(dense_w(sol))
     assert np.array_equal(d, -0.5 * cumulative_trapezoid(sol.q.values, sol.grid.h))
     slope = (d[2:] - d[:-2]) / (2.0 * sol.grid.h)
     marched = float(np.max(np.abs(slope + 0.5 * sol.q.values[1:-1])))

@@ -20,6 +20,7 @@ LAYERS = {
     "gelfand_levitan.recover_potential", "gelfand_levitan.gl_residual",
     "gelfand_levitan.operator_identity", "artifacts.write_csv.cT",
     "forward.fd_forward", "forward.fd_forward.trace",
+    "connecting.from_w", "connecting.form_from_interior",
 }
 
 

@@ -696,12 +696,12 @@ def test_convergence_orders(tmp_path):
 
 
 def test_synth_and_convergence_never_build_the_dense_w(tmp_path, monkeypatch):
-    # they read the response off the march's level blocks; the dense w is
-    # for the oracle routes alone
+    # they read the response off the march's level blocks; the factor route,
+    # the one reader that stacks the blocks into a dense w, is verify's alone
     def dense(sol):
         raise AssertionError("the dense w was built")
 
-    monkeypatch.setattr(mw.GoursatSolution, "w", property(dense))
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_w", dense)
     cfg = config_from_dict({"problem": "full", "N": 32})
     run_synth(cfg, str(tmp_path / "synth"))
     run_convergence(cfg, str(tmp_path / "conv"), [16, 32])
