@@ -24,13 +24,13 @@ matrix form, which is the strongest data-consistency test the pipeline has.
 Every product with a triangular factor runs as a flat loop of GEMMs over
 blocks of rows or columns (``_spans``) that skips the factor's zero
 triangle.  Only the inverse Cholesky factor recurses: one 2x2 block
-recursion overwrites the solve's matrix with the inverse of its Cholesky
-factor, halving down to dense leaf blocks, so neither the factor nor a
-LAPACK copy of the whole matrix is held.  Its products overwrite their
-operand block by block in place, so no temporary is larger than one block
-of rows or columns.  The condition number is estimated from a few
-products with that inverse, and z is then formed in its storage, so the
-solve holds one array beside the kernel.
+recursion, on the transposed view of the solve's matrix, overwrites it with
+L^-T in the upper triangle, where z lives, halving down to dense leaf
+blocks; a leaf that is not positive names the first node that fails.  Its
+products overwrite their operand block by block, so no temporary is larger
+than one block and no LAPACK copy of the whole matrix is held.  The
+condition number is estimated from a few products with that inverse, and z
+is then formed in its storage, so the solve holds one array beside C.
 The two residual checks reduce their last product to its maximum block by
 block, so neither holds a full-size residual.
 """
@@ -71,7 +71,7 @@ class GLSolution:
     """Inverse-factor kernel z[i, j] = z(x_i, t_j) on {j >= i}, zero below.
 
     From ``solve_gl``, z is the array the solve factored in: it held S, then
-    the inverse Cholesky factor, then z (``_z_in_place``).  It also carries
+    L^-T in its upper triangle, then z (``_z_in_place``).  It also carries
     the estimated one-norm condition number of the weighted connecting
     operator (``solve_gl``) and its smallest Cholesky pivot (a Schur
     complement, 1 for the free kernel) with the depth where it occurs, and
@@ -121,6 +121,11 @@ def _times_triangular(F: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
+class _NotPositive(np.linalg.LinAlgError):
+    """A leading block is not positive; ``args[0]`` is the node that closes
+    the first one that fails."""
+
+
 def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     """Overwrite a symmetric positive S with L^-1, S = L L^T, in place, and
     return the diagonal of L.
@@ -134,30 +139,49 @@ def _inverse_cholesky(S: np.ndarray) -> np.ndarray:
     for L21 L11^-1 (column j reads the columns from j on), and rows from the
     bottom for the last one (row i reads the rows up to i).  The Schur update
     runs by column blocks on and below the diagonal, so only the lower
-    triangle of D is updated, and only the lower triangle of S is read.
+    triangle of D is updated, and only the lower triangle of S is read.  The
+    temporary blocks are column-major, as ``solve_gl`` passes a transposed
+    view, so each is written back in contiguous columns.
     Leaf blocks of at most ``_BLOCK`` rows factor and invert densely; the
     products skip the zero triangles of the inverses.  A leaf that is not
-    positive raises LinAlgError and leaves S partly overwritten.
+    positive bisects its own leading blocks and raises ``_NotPositive`` with
+    the node that closes the first that fails; each level adds D's offset to
+    it (A factored, so S's block fails there too).  S is left partly
+    overwritten.
     """
     n = S.shape[0]
     if n <= _BLOCK:
-        L = np.linalg.cholesky(S)
+        try:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            lo, hi = 0, n  # the block of size lo factors, of size hi fails
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    np.linalg.cholesky(S[:mid, :mid])
+                    lo = mid
+                except np.linalg.LinAlgError:
+                    hi = mid
+            raise _NotPositive(hi - 1) from None
         S[...] = np.tril(np.linalg.inv(L))
         return np.diagonal(L).copy()
     k = n // 2
     A, B, D = S[:k, :k], S[k:, :k], S[k:, k:]
     top = _inverse_cholesky(A)
     for j0, j1 in reversed(_spans(k)):
-        B[:, j0:j1] = B[:, :j1] @ A[j0:j1, :j1].T
+        B[:, j0:j1] = np.matmul(B[:, :j1], A[j0:j1, :j1].T, order="F")
     for j0, j1 in _spans(n - k):
         # the diagonal block runs as SYRK, on the transposed view of its rows
-        D[j0:j1, j0:j1] -= B[j0:j1] @ B[j0:j1].T
-        D[j1:, j0:j1] -= B[j1:] @ B[j0:j1].T
-    bottom = _inverse_cholesky(D)
+        D[j0:j1, j0:j1] -= np.matmul(B[j0:j1], B[j0:j1].T, order="F")
+        D[j1:, j0:j1] -= np.matmul(B[j1:], B[j0:j1].T, order="F")
+    try:
+        bottom = _inverse_cholesky(D)
+    except _NotPositive as exc:
+        raise _NotPositive(k + exc.args[0]) from None
     for j0, j1 in _spans(k):
-        B[:, j0:j1] = B[:, j0:] @ A[j0:, j0:j1]
+        B[:, j0:j1] = np.matmul(B[:, j0:], A[j0:, j0:j1], order="F")
     for i0, i1 in reversed(_spans(n - k)):
-        np.negative(D[i0:i1, :i1] @ B[:i1], out=B[i0:i1])
+        np.negative(np.matmul(D[i0:i1, :i1], B[:i1], order="F"), out=B[i0:i1])
     S[:k, k:] = 0.0
     return np.concatenate((top, bottom))
 
@@ -212,49 +236,25 @@ def _column_abs_sums(C: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _z_in_place(Li: np.ndarray, C: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
-    """Overwrite the inverse factor Li with z (``solve_gl``) and return it.
+    """Overwrite the inverse factor Li, the transposed view of the solve's
+    array, with z (``solve_gl``) and return that array.
 
     Column j of z is row j of Li scaled by f_j = l_j (1/d_j - alpha y_j),
-    then divided row-wise by d, so Li is transposed in place by blocks of
-    ``_BLOCK`` rows, each scaled as it is moved: the diagonal block, then
-    the column block below it into the row block right of it, which is
-    zeroed.  Each element takes the same two scalings, in the same order, as
-    (Li^T * f) / d.  The diagonal holds the columns' last nodes, which take
-    the half weight.
+    then divided row-wise by d, so the array's columns are scaled by f and
+    its rows divided by d in place.  The diagonal holds the columns' last
+    nodes, which take the half weight.
     """
-    n = Li.shape[0]
     li = np.diagonal(Li).copy()  # a view would change with Li
     # y_j = e_j^T S_j^-1 b_j = l_j Li[j, :] b_j, then with the rank-one term;
     # the equal l_j^2 / d_j - 1 cancels when a pivot is near 1
     alpha = 1.0 / h
     y = -li * np.einsum("jk,kj->j", Li, C) / (1.0 + alpha * li * li)
-    f = li * (1.0 / d - alpha * y)
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        corner = Li[i0:i1, i0:i1]
-        corner[...] = corner.T * f[i0:i1]
-        corner /= d[i0:i1, None]
-        right = Li[i0:i1, i1:]
-        np.multiply(Li[i1:, i0:i1].T, f[i1:], out=right)
-        right /= d[i0:i1, None]
-        Li[i1:, i0:i1] = 0.0
-    Li[np.diag_indices(n)] = 2.0 * y / d  # the last node's weight is h/2
-    Li[0, 0] = -C[0, 0]
-    return Li
-
-
-def _first_non_positive_block(S: np.ndarray) -> int:
-    """Index of the node that closes the first non-positive leading block of
-    S (bisection over leading-block Cholesky factorizations)."""
-    lo, hi = 0, S.shape[0]  # block of size lo factors, block of size hi fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            np.linalg.cholesky(S[:mid, :mid])
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
-    return hi - 1
+    z = Li.T
+    z *= li * (1.0 / d - alpha * y)
+    z /= d[:, None]
+    np.fill_diagonal(z, 2.0 * y / d)  # the last node's weight is h/2
+    z[0, 0] = -C[0, 0]
+    return z
 
 
 def solve_gl(c: ConnectingKernel) -> GLSolution:
@@ -268,39 +268,37 @@ def solve_gl(c: ConnectingKernel) -> GLSolution:
     blocks of L, so S_j^-1 e_j = l_j Li[j, :j+1]^T, l_j = Li[j, j].  As
     b_j = -C[:j+1, j] is e_j / d_j minus column j of S_j, S_j^-1 b_j =
     (l_j / d_j) Li[j, :j+1]^T - e_j; with the rank-one term (Sherman-Morrison)
-    column j of z is row j of Li, scaled, plus a diagonal term.  Li
-    overwrites S in place: one 2x2 block recursion, the one recursion here,
-    factors and inverts at once, with flat block loops for its off-diagonal
-    products that skip zero triangles and overwrite their operand in place,
-    and dense Cholesky factors and inverses only on leaf blocks, so neither
-    L nor a half-size temporary is ever held.  The condition number is
-    dpocon's: ||A||_1 from the column sums of |A| (``_column_abs_sums``),
-    times a lower-bound estimate of ||A^-1||_1 from a few products with Li
-    (``_inverse_norm_estimate``).  Last, z is
-    formed in Li's storage by a blocked in-place transpose (``_z_in_place``),
-    so the solve holds C and that one array.
+    column j of z is row j of Li, scaled, plus a diagonal term.  The one
+    recursion here factors and inverts at once on S's transposed view, so
+    Li overwrites S as L^-T in the upper triangle, where z lives; its
+    off-diagonal products are flat block loops that skip zero triangles and
+    overwrite their operand in place, and dense Cholesky factors and
+    inverses run only on leaf blocks, so neither L nor a half-size
+    temporary is ever held.  The condition number is dpocon's: ||A||_1 from
+    the column sums of |A| (``_column_abs_sums``), times a lower-bound
+    estimate of ||A^-1||_1 from a few products with Li
+    (``_inverse_norm_estimate``).  Last, z is Li^T scaled in place
+    (``_z_in_place``), so the solve holds C and that one array.
 
     Raises IllConditionedError when the weighted connecting operator
     A = I + D^1/2 C D^1/2 is not positive, naming the depth of its first
-    non-positive leading block: either the data come from no (q, K), or the
-    grid under-resolves them (clean data of a potential 100 times the
-    catalogue's fail this way at N = 64 and solve at N = 96), so the message
-    suggests twice the N; or when its estimated one-norm condition number
-    exceeds 1e12.
+    non-positive leading block, as the failing leaf names it: either the
+    data come from no (q, K), or the grid under-resolves them (clean data
+    of a potential 100 times the catalogue's fail this way at N = 64 and
+    solve at N = 96), so the message suggests twice the N; or when its
+    estimated one-norm condition number exceeds 1e12.
     """
     grid = c.grid
     N, h = grid.N, grid.h
     C = c.values
     d = _node_weights(N, h)
-    # S, overwritten with Li in place
-    Li = C.copy()
+    # S, overwritten in place with Li through its transposed view
+    Li = C.copy().T
     Li[np.diag_indices(N + 1)] += 1.0 / d
     try:
         diagonal = _inverse_cholesky(Li)
-    except np.linalg.LinAlgError:
-        Li[...] = C  # S again, to search for its failing block
-        Li[np.diag_indices(N + 1)] += 1.0 / d
-        k = _first_non_positive_block(Li)
+    except _NotPositive as exc:
+        k = exc.args[0]
         raise IllConditionedError(
             f"connecting operator I + D^1/2 C D^1/2 is not positive: its leading "
             f"block first fails at depth s = {k * h:.6g}; node {k} of N = {N}. Either "

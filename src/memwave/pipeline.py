@@ -342,7 +342,8 @@ def _subsample(grid: GridSpec, r: ResponseData, K: MemoryKernel,
 
 
 def _check_level(N: int) -> int:
-    """Largest grid level <= 64 that divides N (for bounded-cost checks)."""
+    """Largest level from 8 to 64 that divides N, to bound the checks' cost;
+    else N itself (never a level below 8), so every kernel check runs native."""
     for n in range(min(N, 64), 7, -1):
         if N % n == 0:
             return n

@@ -13,7 +13,9 @@ the same objects another way and the tests hold the two against each other:
   pair level by level (against the probe assembly of the connecting kernel
   and the interior wave-state form);
 * ``z_from_w`` inverts the Volterra factor I + W directly (against the
-  Gelfand-Levitan solve ``solve_gl``);
+  Gelfand-Levitan solve ``solve_gl``), and ``first_non_positive_block``
+  bisects a whole matrix over its leading-block Cholesky factorizations
+  (against the failing leaf that ``solve_gl`` names);
 * ``direct_march`` is the diamond march with its memory term written out
   without blocking (against ``solve_goursat``), and
   ``linearized_memory_field`` runs it driven by K(t - x) alone;
@@ -212,6 +214,20 @@ def z_from_w(sol: GoursatSolution) -> GLSolution:
             s = z[i, i:j] @ (wts[:-1] * W[i:j, j])
             z[i, j] = -(W[i, j] + s) / (1.0 + 0.5 * h * W[j, j])
     return GLSolution(grid=grid, z=z)
+
+
+def first_non_positive_block(S: np.ndarray) -> int:
+    """Index of the node that closes the first non-positive leading block of
+    S (bisection over leading-block Cholesky factorizations of the whole S)."""
+    lo, hi = 0, S.shape[0]  # block of size lo factors, block of size hi fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(S[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return hi - 1
 
 
 # --------------------------------------------------------------------------

@@ -128,33 +128,35 @@ def _owners(tree):
     return owner
 
 
-def _is_inverse(node):
-    return ((isinstance(node, ast.Attribute) and node.attr == "inv")
-            or (isinstance(node, ast.Name) and node.id == "inv")
-            or (isinstance(node, ast.alias) and node.name == "inv"))
+def _uses(names):
+    """Every attribute, name or import alias in the package that reads one of
+    ``names``, as "module.owner:source"."""
+    def name_of(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return node.id
+        return node.name if isinstance(node, ast.alias) else None
+
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
+                  for node in ast.walk(tree) if name_of(node) in names]
+    return found
 
 
 def test_dense_inverse_only_in_the_triangular_leaf():
-    found = []
-    for module, tree in _trees().items():
-        owner = _owners(tree)
-        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
-                  for node in ast.walk(tree) if _is_inverse(node)]
-    assert found == ["gelfand_levitan._inverse_cholesky:np.linalg.inv"]
+    assert _uses({"inv"}) == ["gelfand_levitan._inverse_cholesky:np.linalg.inv"]
 
 
-def _is_fork(node):
-    return ((isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty"))
-            or (isinstance(node, ast.alias) and node.name in ("fork", "forkpty")))
+def test_dense_cholesky_only_in_the_triangular_inverse():
+    # the leaf's factorization and the bisection of its own leading blocks
+    assert _uses({"cholesky"}) == ["gelfand_levitan._inverse_cholesky:np.linalg.cholesky"] * 2
 
 
 def test_package_never_forks():
-    found = []
-    for module, tree in _trees().items():
-        owner = _owners(tree)
-        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
-                  for node in ast.walk(tree) if _is_fork(node)]
-    assert found == []
+    assert _uses({"fork", "forkpty"}) == []
 
 
 def _docstrings(tree):

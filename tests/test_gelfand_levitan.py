@@ -26,7 +26,7 @@ from memwave.model import (
     cumulative_trapezoid,
     trapz_weights,
 )
-from oracles import dense_w, z_from_w
+from oracles import dense_w, first_non_positive_block, z_from_w
 
 
 def _w_solution(name, n):
@@ -304,6 +304,34 @@ def test_non_positive_operator_names_its_depth(full_ct_oracle, grid64, s0):
         mw.solve_gl(c)
     s = float(str(exc.value).split(" s = ")[1].split(";")[0])
     assert abs(s - s0) <= grid64.h
+
+
+@pytest.mark.parametrize("s0", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n", [300, 1024])
+def test_failing_leaf_names_the_bisection_node(n, s0, monkeypatch):
+    # as above, across many leaves: the failing leaf names the node that the
+    # oracle's bisection of the whole S finds, and the failing solve factors
+    # no block larger than a leaf
+    c = _kernel("full", n, "w")
+    grid = c.grid
+    beyond = (grid.times_half() >= s0).astype(float)
+    c = mw.ConnectingKernel(grid=grid, values=c.values - np.diag(2.0 * beyond / grid.h))
+    d = np.full(n + 1, grid.h)
+    d[0] *= 0.5
+    want = first_non_positive_block(c.values + np.diag(1.0 / d))
+    assert abs(want * grid.h - s0) <= grid.h
+    sizes = []
+    real = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    with pytest.raises(mw.IllConditionedError, match="not positive") as exc:
+        mw.solve_gl(c)
+    assert f"; node {want} of N = {n}." in str(exc.value)
+    assert sizes and max(sizes) <= _BLOCK
 
 
 def test_z_invariant_under_symmetrization(full_ct_oracle, grid64):
