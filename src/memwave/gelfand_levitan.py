@@ -17,9 +17,10 @@ kernel carries the continuity value on its diagonal).  The potential then
 follows from the diagonal alone: q(x) = 2 (d/dx) z(x, x).
 
 The test suite's oracle for everything here inverts the Volterra factor
-I + W directly, with no connecting kernel involved (``tests/oracles.py``);
+I + W directly, with no connecting kernel involved (``tests/oracles.py``).
 ``operator_identity_residual`` checks the factorization itself in weighted
-matrix form, which is the strongest data-consistency test the pipeline has.
+matrix form; on a z that solves the column equations it reads only the
+weighted diagonal of z, squared, so it bounds the size of z(x, x).
 
 Every product with a triangular factor runs as a flat loop of GEMMs over
 blocks of rows or columns (``_spans``) that skips the factor's zero
@@ -31,8 +32,8 @@ products overwrite their operand block by block, so no temporary is larger
 than one block and no LAPACK copy of the whole matrix is held.  The
 condition number is estimated from a few products with that inverse, and z
 is then formed in its storage, so the solve holds one array beside C.
-The two residual checks reduce their last product to its maximum block by
-block, so neither holds a full-size residual.
+The two residual checks form their upper triangles by column blocks and
+reduce each block to its maximum, so neither holds a full-size product.
 """
 
 from __future__ import annotations
@@ -106,19 +107,6 @@ def _spans(n: int) -> list[tuple[int, int]]:
     """
     step = max(_BLOCK, n // 8)
     return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _times_triangular(F: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """F @ T for an upper triangular T, by column blocks.
-
-    Columns j0..j1-1 of T vanish past row j1 - 1, so each block reads only
-    those rows of T and the matching columns of F.  The product is
-    column-major, so that every block is written contiguously.
-    """
-    out = np.empty((F.shape[0], T.shape[1]), order="F")
-    for j0, j1 in _spans(T.shape[1]):
-        np.matmul(F[:, :j1], T[:j1, j0:j1], out=out[:, j0:j1])
-    return out
 
 
 class _NotPositive(np.linalg.LinAlgError):
@@ -368,37 +356,46 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     I + W.  The z-factor is triangular, so the global weight vector would
     give its support-edge node (the diagonal) a full interior weight h where
     the correct rule for the truncated interval wants h/2; halving the
-    diagonal of z inside the products restores second-order quadrature.
+    diagonal of z inside the products (Z_h) restores second-order quadrature.
     Measured over the rows/columns 0..N-1 (the last node of the data-driven
     kernel is extrapolated, not probed).
+
+    Only the upper triangle of the residual E is formed: with G = D^1/2,
+    E = G^-1 M G with M symmetric, as c is, so E[j, i] = E[i, j] D_i / D_j
+    with D_i <= D_j for i <= j < N.  By column blocks j0..j1-1, each over
+    its rows < j1, where X = I + Z_h D is nonzero: Y = X + C D X, and
+    E = Y + Z_h* D Y - I, with Z_h* read as z[:j1, :j1].T less its halved
+    diagonal, as z's strict lower triangle is zero (``GLSolution``).  No
+    temporary is larger than (N+1) x one block.
+
+    On a z that solves the column equations the residual is
+    max_j (D_j z_jj / 2)^2 to rounding: for columns j >= 1, E[t, j] =
+    D_j [(I + Z_h* D) R][t, j] - delta_tj (D_j z_jj / 2)^2, where R is the
+    collocation residual that ``gl_residual`` bounds.
     """
     if c.grid != gl.grid:
         raise UsageError("connecting kernel and z-kernel live on different grids")
     N, h = gl.grid.N, gl.grid.h
     D = trapz_weights(N + 1, h)
-    didx = np.arange(N + 1)
-
-    def plus_identity(m):
-        m[didx, didx] += 1.0
-        return m
-
-    def z_half():
-        # triu(z) with its diagonal halved, built afresh for each factor so
-        # that it is not kept alive across the products
-        zq = np.triu(gl.z)
-        zq[didx, didx] *= 0.5
-        return zq
-
-    # full x upper, skipping the zero triangle of the z-factor
-    right = _times_triangular(plus_identity(c.values * D), plus_identity(z_half() * D))
-    # lower x right, reduced to its maximum by row blocks: the product is
-    # never held whole
-    left = plus_identity(z_half().T * D)
+    z, C = gl.z, c.values
+    half = 0.5 * np.diagonal(z)
     worst = 0.0
-    for i0, i1 in _spans(N):
-        E = left[i0:i1, :i1] @ right[:i1, :N]
-        E[:, i0:i1][np.diag_indices(i1 - i0)] -= 1.0
-        worst = max(worst, float(np.abs(E, out=E).max()))
+    for j0, j1 in _spans(N):
+        diag = np.diag_indices(j1 - j0)
+        w = D[:j1, None]
+        # columns j0..j1-1 of X, zero below row j1 - 1
+        X = z[:j1, j0:j1] * D[j0:j1]
+        X[j0:][diag] = half[j0:j1] * D[j0:j1] + 1.0
+        Y = X + C[:j1, :j1] @ (w * X)
+        del X
+        E = z[:j1, :j1].T @ (w * Y)
+        Y *= 1.0 - half[:j1, None] * w  # Z_h* D Y is z.T D Y less half D Y
+        E += Y
+        del Y
+        E[j0:][diag] -= 1.0
+        # row t of column j0 + k is in the upper triangle when t <= j0 + k
+        worst = max(worst, float(np.triu(np.abs(E, out=E), -j0).max()))
+        del E
     return worst
 
 

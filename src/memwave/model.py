@@ -137,17 +137,18 @@ class CausalHistory:
     be narrower than later blocks, behind a wavefront, or wider, as the
     Goursat triangle narrows past level N + 1: a block is read only up to
     the n entries asked for.
-    The caller fills the blocks as it marches; ``at(j, n)`` needs the levels
-    0..j final and the block of level j at least n wide, and returns the
-    history of level j on its first n entries, with the weights of
-    ``trapz_weights(j + 1, h)`` (h/2 on levels 0 and j, zero at j = 0).
+    The caller fills the blocks as it marches; ``at(j, n)`` needs j >= 1,
+    the levels 0..j final and the block of level j at least n wide, and
+    returns the history of level j on its first n entries, with the weights
+    of ``trapz_weights(j + 1, h)`` (h/2 on levels 0 and j).
 
     The levels run in blocks of ``_LEVEL_BLOCK`` from the first one asked
-    for, cut at the ends of the storage blocks.  At a level block's start
-    one GEMM per storage block, of a Toeplitz slice of h Kv by the finished
-    levels it holds over its own width, gives every level of the block its
-    far history; each level then adds its at most ``_LEVEL_BLOCK`` near
-    levels in a short product.  The far history covers the n entries asked
+    for, level 1 or later, cut at the ends of the storage blocks; so level 0
+    is always a far level.  At a level block's start one GEMM per storage
+    block, of a Toeplitz slice of h Kv by the finished levels it holds over
+    its own width, gives every level of the block its far history; each
+    level then adds its at most ``_LEVEL_BLOCK`` near levels in a short
+    product.  The far history covers the n entries asked
     for at the block's start, so past them the earlier levels must vanish,
     as they do behind a wavefront that grows by at most one entry per level,
     or the later levels must ask for no more of them.
@@ -172,8 +173,7 @@ class CausalHistory:
         # toeplitz[k, s] = h Kv[j0 + k - s], levels k of the block, s < j0
         window = sliding_window_view(self._kh[1:j1], j0)
         toeplitz = window[:, ::-1].copy()
-        if j0:
-            toeplitz[:, 0] *= 0.5  # level 0 is the trapezoid's other end
+        toeplitz[:, 0] *= 0.5  # level 0 is the trapezoid's other end
         self._j0, self._j1, self._b = j0, j1, b
         self._far = None  # the block before's, released first
         self._far = far = np.zeros((j1 - j0, n))
@@ -196,9 +196,6 @@ class CausalHistory:
         out = self._near[-(j - j0 + 1):] @ block[j0 - s0 : j - s0 + 1, :n]
         m = min(n, self._far.shape[1])
         out[:m] += self._far[j - j0, :m]
-        if j0 == 0:
-            # level 0 is a near level here; the trapezoid halves its weight
-            out -= 0.5 * self._kh[j] * block[0, :n]
         return out
 
 

@@ -7,9 +7,9 @@ boundary data).  The composition identity (I + Z)(I + W) = I is checked by
 explicit quadrature at a small size, making the oracle self-validating.
 
 The one-factorization solve and the vectorized residual are held against
-their column-by-column originals, and the in-place inverse Cholesky factor,
-the two block-product loops and the structured identity check against their
-dense forms, all kept here as test-local oracles.
+their column-by-column originals, and the in-place inverse Cholesky factor
+and the upper-triangle identity check against their dense forms, all kept
+here as test-local oracles.
 """
 
 import functools
@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import memwave as mw
-from memwave.gelfand_levitan import _inverse_cholesky, _times_triangular
+from memwave.gelfand_levitan import _inverse_cholesky
 from memwave.model import (
     _BLOCK,
     cumulative_trapezoid,
@@ -98,10 +98,13 @@ def test_potential_diag_spot_value():
     assert gl.z[64, 64] == pytest.approx(0.0025, abs=1e-5)
 
 
-def test_z_strictly_lower_part_vanishes(full_goursat):
-    gl = mw.solve_gl(mw.connecting_kernel_from_w(full_goursat))
-    i, j = np.tril_indices(full_goursat.grid.N + 1, k=-1)
-    assert np.abs(gl.z[i, j]).max() == 0.0
+def test_z_strictly_lower_part_vanishes():
+    # 300 runs the recursion, which zeroes the upper block of each node;
+    # the identity check reads z[:j, :j].T and relies on this zero triangle
+    for n in (64, 300):
+        gl = mw.solve_gl(_kernel("full", n, "w"))
+        i, j = np.tril_indices(n + 1, k=-1)
+        assert np.abs(gl.z[i, j]).max() == 0.0
 
 
 # ------------------------------------------------------ route cross-checks
@@ -179,16 +182,42 @@ def test_operator_identity_second_order():
     assert vals[0] / vals[1] == pytest.approx(4.0, abs=1.0)
 
 
-@pytest.mark.parametrize("n", [64, 300])
-@pytest.mark.parametrize("name", ["full", "classical"])
+@pytest.mark.parametrize("name, n", [
+    ("classical", 64), ("classical", 300), ("full", 64), ("full", 300),
+    ("random", 127), ("random", 128), ("random", 129), ("random", 300),
+])
 def test_operator_identity_matches_dense_triple_product(name, n):
-    # 300 runs the block products beyond the leaf, 64 within it
-    c = _kernel(name, n, "w")
-    gl = mw.solve_gl(c)
+    # 300 runs several column blocks, 64 one.  "random" is a random
+    # symmetric C with a random upper-triangular z that solves nothing, of
+    # entries about n^1/2: the residual is O(1) on both triangles, not the
+    # solve's diagonal term alone, and row 0 carries the half weight h/2
+    if name == "random":
+        rng = np.random.default_rng(n)
+        X = np.sqrt(n) * rng.standard_normal((n + 1, n + 1))
+        c = mw.ConnectingKernel(grid=mw.GridSpec(1.0, n), values=X + X.T)
+        z = np.triu(np.sqrt(n) * rng.standard_normal((n + 1, n + 1)))
+        gl = mw.GLSolution(grid=c.grid, z=z)
+    else:
+        c = _kernel(name, n, "w")
+        gl = mw.solve_gl(c)
     want = _dense_identity_residual(c, gl)
     assert want > 0.0
     got = mw.operator_identity_residual(c, gl)
     assert abs(got - want) <= 1e-13 * (1.0 + np.abs(c.values).max())
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["full", "classical", "potential_only_small"])
+def test_operator_identity_measures_the_diagonal_of_z(name, n):
+    # on a z that solves the column equations the residual is the
+    # diagonal's (D_j z_jj / 2)^2 alone, up to D_j times the collocation
+    # residual: E[t, j] = D_j [(I + Z_h* D) R][t, j] - delta_tj (D_j z_jj / 2)^2
+    c = _kernel(name, n, "response")
+    gl = mw.solve_gl(c)
+    D = trapz_weights(n + 1, c.grid.h)[:n]
+    want = float(np.max((0.5 * D * np.diagonal(gl.z)[:n]) ** 2))
+    assert want > 0.0
+    assert abs(mw.operator_identity_residual(c, gl) - want) <= 5e-16
 
 
 def test_operator_identity_on_back_substitution(full_goursat):
@@ -402,29 +431,21 @@ def test_blocked_solve_matches_column_solves_beyond_the_leaf():
     assert gl.cond_estimate == pytest.approx(kappa, rel=1e-10)
 
 
-# ------------------------------------ block products vs. dense products
+# ------------------------------ blocked factor and residual vs. oracles
 
 _SIZES = [1, 2, 127, 128, 129, 300, 1025]
 
 
-def _full_and_positive(n, seed):
-    """A full matrix and a well-conditioned symmetric positive one of size n."""
-    rng = np.random.default_rng(seed)
-    F = rng.standard_normal((n, n))
-    X = rng.standard_normal((n, n))
-    return F, np.eye(n) + (0.5 / n) * (X @ X.T)
-
-
-def _full_and_lower(n, seed):
-    """A full matrix and a well-conditioned lower-triangular one of size n."""
-    F, S = _full_and_positive(n, seed)
-    return F, np.linalg.cholesky(S)
+def _positive(n, seed):
+    """A well-conditioned symmetric positive matrix of size n."""
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    return np.eye(n) + (0.5 / n) * (X @ X.T)
 
 
 @pytest.mark.parametrize("n", _SIZES)
 def test_tril_inverse_matches_dense_inverse(n):
     # the triangular inverse that the in-place recursion leaves over S
-    _, S = _full_and_positive(n, n)
+    S = _positive(n, n)
     L = np.linalg.cholesky(S)
     want = np.linalg.inv(L)
     got = S.copy()
@@ -437,34 +458,6 @@ def test_tril_inverse_matches_dense_inverse(n):
     S[-1, -1] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         _inverse_cholesky(S)
-
-
-def _loop_product(a, b, sa, sb):
-    """a @ b by the flat loop that skips the zero triangle of an upper
-    factor b ("U"); lower @ full ("L", None) runs as the transpose of
-    full @ upper, on transposed views of both factors."""
-    if sb == "U":
-        return _times_triangular(a, b)
-    return _times_triangular(b.T, a.T).T
-
-
-@pytest.mark.parametrize("n", _SIZES)
-@pytest.mark.parametrize("sa, sb, upper", [
-    ("L", None, False), (None, "U", False), ("L", None, True), ("U", "U", False),
-    ("L", "U", False),
-])
-def test_block_product_matches_dense_product(n, sa, sb, upper):
-    F, Lo = _full_and_lower(n, n + 1)
-    pick = {"L": Lo, "U": Lo.T, None: F}
-    a, b = pick[sa], pick[sb]
-    want = a @ b
-    got = _loop_product(a, b, sa, sb)
-    if upper:  # a caller that reads the upper triangle alone
-        want, got = np.triu(want), np.triu(got)
-    if sa == "U" and sb == "U":  # so is the product, to the last bit
-        assert not np.any(np.tril(got, -1))
-    scale = (np.abs(a) @ np.abs(b)).max()
-    assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("route", ["response", "w"])
@@ -486,12 +479,13 @@ def test_gl_residual_matches_column_loop_beyond_the_leaf():
 
 
 @pytest.mark.parametrize("check, arrays", [(mw.gl_residual, 0.75),
-                                           (mw.operator_identity_residual, 3.25)])
+                                           (mw.operator_identity_residual, 1.0)])
 def test_residual_holds_its_full_array_budget(check, arrays):
     # gl_residual: one weighted column block of z, then one column block of
-    # the residual and its upper triangle; operator identity: the right
-    # product and both of its factors, then the left factor and one row
-    # block of the last product
+    # the residual and its upper triangle; operator identity: three column
+    # blocks of its factors at a time, each block's released before the
+    # next block's form (0.75 to 0.78 arrays at N = 512; two full-size
+    # products read 3.03)
     c = _kernel("full", 512, "w")
     gl = mw.solve_gl(c)
     full_array = 8 * (c.grid.N + 1) ** 2
