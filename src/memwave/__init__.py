@@ -24,7 +24,6 @@ from .errors import (
     UsageError,
 )
 from .forward import (
-    SpaceTimeField,
     apply_response,
     fd_boundary_trace,
     fd_forward,

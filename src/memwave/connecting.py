@@ -72,6 +72,7 @@ from .model import (
     ResponseData,
     first_nonfinite,
     level_blocks,
+    level_starts,
     sample_array,
     trapezoid,
     trapz_weights,
@@ -131,8 +132,8 @@ def connecting_form_from_interior(q, K, controls: list[ControlSignal]) -> np.nda
     products of their leapfrog states at t = T, each control marched once."""
     grid = controls[0].grid
     N = grid.N
-    # a copy of the column, so that each field is released once it is read
-    states = [fd_forward(q, K, f, grid.T).values[: N + 1, N].copy() for f in controls]
+    # a copy of level N, so that each march is released once it is read
+    states = [fd_forward(q, K, f, grid.T)[N, : N + 1].copy() for f in controls]
     return np.array([[trapezoid(u * v, grid.h) for v in states] for u in states])
 
 
@@ -261,11 +262,11 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     lam_next[N] = 1.0  # lambda_N
     history = CausalHistory(blocks, Kv, h)
     prev = blocks[0][0]  # the zero level
-    k0 = 0
-    for block in blocks:
+    starts = level_starts(blocks)
+    for k0, k1, block in zip(starts, starts[1:], blocks):
         # the widest level of the block correlates N + k1 entries
         K_hat = _correlation_spectrum(Kv, block.shape[1] - 1)
-        for k in range(max(k0, 1), k0 + block.shape[0]):
+        for k in range(max(k0, 1), k1):
             # V[m], m = N - k, vanishes from t = L on, past the load's
             # backward wavefront; lambda_{m+1} has L entries, lambda_m one more
             L = N + k
@@ -280,7 +281,6 @@ def _adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
             lam_m -= prev[: L + 1]
             lam_m -= h * h * history.at(k, L + 1)
             lam_next, prev = lam_m, vm
-        k0 += block.shape[0]
     return [blocks[0][1:], *blocks[1:]]
 
 
@@ -328,9 +328,7 @@ def _galerkin(stencil: np.ndarray, Vr: list[np.ndarray],
     # RP[t, k] = padded[n_p + t - k]
     padded = np.zeros(n_p + n_t)
     padded[n_p + 1 :] = stencil[1:]
-    starts = [0]
-    for v in Vr[:-1]:
-        starts.append(starts[-1] + v.shape[0])
+    starts = level_starts(Vr)
     # the row blocks are views of one array, taken before any block of Vr
     # is released, so that they do not fill the spans the released blocks
     # leave: with glibc's default heap, the benchmark's reconstruct at
@@ -377,18 +375,16 @@ def _add_column_block(first: np.ndarray, rows: list[np.ndarray], padded: np.ndar
     block = window[:, ::-1].copy()  # RP[t0:t1, k0:k0 + w]
     # Vr[:n_p - k0] holds the levels N - 1 down to k0 + 2; each block of Vr
     # writes its own columns, over t up to its own width
-    i0 = 0
-    for v in Vr:
-        i1 = min(i0 + v.shape[0], n_p - k0)
+    starts = level_starts(Vr)
+    for i0, i1, v in zip(starts, starts[1:], Vr):
+        i1 = min(i1, n_p - k0)
         if i1 > i0:
             t = min(t1, v.shape[1])
             np.matmul(block[: t - t0].T, v[: i1 - i0, t0:t].T, out=first[:, i0:i1])
-        i0 += v.shape[0]
     # the second product sums over the levels t0..N-1, the rows Vr[:N - t0];
     # the row Vr[i] meets the probe row t = N - 1 - i
-    i0 = 0
-    for v in Vr:
-        i1 = min(i0 + v.shape[0], N - t0)
+    for i0, i1, v in zip(starts, starts[1:], Vr):
+        i1 = min(i1, N - t0)
         if i1 > i0:
             levels = block[N - t0 - i1 : N - t0 - i0][::-1]
             part = v[: i1 - i0, 2 : k0 + w + 2].T @ levels
@@ -396,7 +392,6 @@ def _add_column_block(first: np.ndarray, rows: list[np.ndarray], padded: np.ndar
                 second += part
             else:
                 second = part
-        i0 += v.shape[0]
     for j0, row in zip(range(0, k0 + 1, _BLOCK), rows):
         row[:, k0 - j0 : k0 - j0 + w] -= second[j0 : j0 + row.shape[0]]
 
@@ -425,8 +420,10 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
     its blocks are copied, so that they are released ahead of the mirror.
 
     Data that overflow the assembly raise AssemblyError at the first
-    non-finite sample (t_i, s_j), with no numpy warning ahead of it; the
-    scan runs by row blocks (``model.first_nonfinite``).
+    non-finite sample (t_i, s_j), with no numpy warning ahead of it.  The
+    kernel's constructor scans it once, by row blocks
+    (``model.first_nonfinite``); the sample is located only when that scan
+    fails.
     """
     N, h = grid.N, grid.h
     for row in rows:
@@ -459,12 +456,12 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
             # this close to the opposite edge the row direction is kink-free
             c[k, j] = 3.0 * c[k - 1, j] - 3.0 * c[k - 2, j] + c[k - 3, j]
     _mirror_lower(c)
-    bad = first_nonfinite(c)
-    if bad is not None:
-        i, j = bad
+    try:
+        return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
+    except UsageError:  # the constructor's scan found a non-finite sample
+        i, j = first_nonfinite(c)
         raise AssemblyError(f"connecting kernel has a non-finite entry at (t, s) = "
-                            f"({i * grid.h:.6g}, {j * grid.h:.6g})")
-    return ConnectingKernel(grid=grid, values=c, asymmetry=asymmetry)
+                            f"({i * grid.h:.6g}, {j * grid.h:.6g})") from None
 
 
 def connecting_kernel_from_response(r: ResponseData,
@@ -499,11 +496,11 @@ def connecting_kernel_from_w(sol: GoursatSolution) -> ConnectingKernel:
     N, h = grid.N, grid.h
     # W[i, j] = w(x_i, t_j), zero below diag: the march's first N + 1 levels
     W = np.zeros((N + 1, N + 1))
-    j0 = 0
-    for block in sol.march:
+    for j0, block in zip(level_starts(sol.march), sol.march):
+        if j0 > N:
+            break
         part = block[: N + 1 - j0, : N + 1]
         W[: part.shape[1], j0 : j0 + part.shape[0]] = part.T
-        j0 += part.shape[0]
     d = np.diagonal(W)
     half = 0.5 * h * d
     c = W.T @ W

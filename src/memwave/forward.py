@@ -5,16 +5,16 @@
   kernel is built on it;
 * ``fd_forward`` integrates the integro-differential wave equation directly
   with a unit-Courant leapfrog scheme on a padded interval (knows nothing
-  about w; used to cross-check everything kernel-based).  It returns the
-  field on a window [0, x_max] x [0, t_max] and marches only the nodes in
-  the backward cone of that window from the control's first nonzero
-  sample on, so the field a boundary trace reads costs about half the nodes
-  of the whole forward cone, less the levels before the control starts.
+  about w; used to cross-check everything kernel-based).  It returns its
+  level-major march U[j, i] = u(x_i, t_j) on a window [0, x_max] x
+  [0, t_max], as the Goursat march and the adjoint weights return theirs,
+  and marches only the nodes in the backward cone of that window from the
+  control's first nonzero sample on, so the field a boundary trace reads
+  costs about half the nodes of the whole forward cone, less the levels
+  before the control starts.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import UsageError
 from .model import (
     CausalHistory,
     ControlSignal,
-    GridSpec,
     ResponseData,
     causal_convolution,
     check_march,
@@ -30,23 +29,10 @@ from .model import (
 )
 
 __all__ = [
-    "SpaceTimeField",
     "apply_response",
     "fd_forward",
     "fd_boundary_trace",
 ]
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Leapfrog solution u[i, j] on the window [0, x_max] x [0, t_max].
-
-    By default x_max = L = t_max + 4h, the whole padded interval.  ``values``
-    is a transposed view of the level-major march U[j, i].
-    """
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +69,7 @@ def _grid_steps(value: float, h: float, name: str) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # check_march names a blow-up
 def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
-               x_max: float | None = None) -> SpaceTimeField:
+               x_max: float | None = None) -> np.ndarray:
     """Leapfrog integration of u_tt = u_xx - q u - int_0^t K(t-s) u(., s) ds.
 
     Unit Courant number on [0, L], L = t_max + 4h, with u(0, t) = f(t), a
@@ -92,8 +78,9 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     u(0, 1) = f(h).  The potential is continued past T by its last sample;
     by finite speed this cannot affect the solution at x <= t <= t_max.
 
-    Returns the field on [0, x_max] x [0, t_max]; ``x_max=None`` means the
-    whole padded interval [0, L].
+    Returns the field on [0, x_max] x [0, t_max] level-major,
+    U[j, i] = u(x_i, t_j); ``x_max=None`` means the whole padded interval
+    [0, L].
 
     The system is time-invariant and starts at rest, so a control that is
     zero up to its first nonzero sample k leaves the field zero up to it:
@@ -115,7 +102,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     one contiguous row of the trapezoid history; the memory term is formed by
     blocks of levels through ``model.CausalHistory``, which reads the view
     U[j0:].  A blow-up is named at its unshifted node.  The field returned
-    is the transposed view u[i, j] of the first R + 1 columns.
+    is the view of the first R + 1 columns, U[:, :R + 1].
     """
     grid = f.grid
     h, N = grid.h, grid.N
@@ -152,14 +139,13 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
             - h * h * (qpad[1:n] * V[j, 1:n] + hist[1:n])
         )
     check_march([U], "leapfrog")
-    return SpaceTimeField(grid=grid, values=U[:, : R + 1].T)
+    return U[:, : R + 1]
 
 
-def fd_boundary_trace(field: SpaceTimeField) -> np.ndarray:
-    """x-derivative trace u_x(0, t) of a leapfrog solution, one-sided stencil."""
-    u = field.values
-    if u.shape[0] < 3:
+def fd_boundary_trace(u: np.ndarray, h: float) -> np.ndarray:
+    """x-derivative trace u_x(0, t) of a leapfrog march U[j, i] = u(x_i, t_j)
+    on a grid of step h: a one-sided stencil on the columns x = 0, h and 2h."""
+    if u.shape[1] < 3:
         raise UsageError("the one-sided trace reads rows 0-2 of the field; "
-                         f"this one has {u.shape[0]}")
-    h = field.grid.h
-    return (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * h)
+                         f"this one has {u.shape[1]}")
+    return (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * h)

@@ -67,6 +67,7 @@ from .model import (
     check_march,
     cumulative_trapezoid,
     level_blocks,
+    level_starts,
 )
 
 __all__ = [
@@ -109,12 +110,11 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
     N, N2, h = grid.N, grid.N2, grid.h
     s = np.arange(N2 + 1)
     blocks = level_blocks(np.minimum(s, N2 + 2 - s) + 1)
-    j0 = 0
-    for block in blocks:
+    starts = level_starts(blocks)
+    for j0, j1, block in zip(starts, starts[1:], blocks):
         # characteristic data W[j, j], j <= N + 1; W[:, 0] stays 0
-        js = np.arange(j0, min(j0 + block.shape[0], N + 2))
+        js = np.arange(j0, min(j1, N + 2))
         block[js - j0, js] = diag[js]
-        j0 += block.shape[0]
     history = CausalHistory(blocks, Kv, h)
 
     levels = (row for block in blocks for row in block)
@@ -163,11 +163,10 @@ def response_kernel(sol: GoursatSolution) -> ResponseData:
     """
     grid = sol.grid
     r = np.empty(grid.N2 + 1)
-    j0 = 0
-    for block in sol.march:
+    starts = level_starts(sol.march)
+    for j0, j1, block in zip(starts, starts[1:], sol.march):
         # the rows x = h and 2h of the levels in the block
-        r[j0 : j0 + block.shape[0]] = (4.0 * block[:, 1] - block[:, 2]) / (2.0 * grid.h)
-        j0 += block.shape[0]
+        r[j0:j1] = (4.0 * block[:, 1] - block[:, 2]) / (2.0 * grid.h)
     r[0] = 0.0
     r[1] = 3.0 * r[2] - 3.0 * r[3] + r[4]
     return ResponseData(grid=grid, values=r)

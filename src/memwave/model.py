@@ -11,11 +11,19 @@ the finiteness scans, the streamed Galerkin products and full-size passes
 of the assembly, the dense leaf of the blocked triangular inverse and the
 row blocks of the condition number's column sums.  The loops of GEMMs with
 triangular factors in ``gelfand_levitan`` take blocks of at least ``_BLOCK``.
+
+Every march is stored and handed back level-major, level j one contiguous
+row: the Goursat march and the adjoint weights as the blocks of
+``level_blocks``, the leapfrog march (``forward.fd_forward``) as one plain
+array.  ``level_starts`` is the one walk over level blocks: every reader
+takes the first level of each block from it, and no other module adds up
+block heights.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +42,7 @@ __all__ = [
     "check_march",
     "first_nonfinite",
     "level_blocks",
+    "level_starts",
     "trapezoid",
     "trapz_weights",
     "cumulative_trapezoid",
@@ -156,9 +165,7 @@ class CausalHistory:
 
     def __init__(self, blocks: list[np.ndarray], Kv: np.ndarray, h: float):
         self._blocks = blocks
-        self._starts = [0]
-        for block in blocks:
-            self._starts.append(self._starts[-1] + block.shape[0])
+        self._starts = level_starts(blocks)
         self._kh = h * np.asarray(Kv, dtype=float)
         near = self._kh[:_LEVEL_BLOCK].copy()
         near[0] *= 0.5  # the current level is the trapezoid's end
@@ -177,8 +184,8 @@ class CausalHistory:
         self._j0, self._j1, self._b = j0, j1, b
         self._far = None  # the block before's, released first
         self._far = far = np.zeros((j1 - j0, n))
-        for s0, block in zip(self._starts, self._blocks):
-            s1 = min(s0 + block.shape[0], j0)
+        for s0, s1, block in zip(self._starts, self._starts[1:], self._blocks):
+            s1 = min(s1, j0)
             if s1 <= s0:
                 break
             m = min(n, block.shape[1])
@@ -215,6 +222,15 @@ def level_blocks(widths: np.ndarray, first: int = _BLOCK) -> list[np.ndarray]:
             for k0, k1 in zip([0, *stops], stops)]
 
 
+def level_starts(blocks: list[np.ndarray]) -> list[int]:
+    """The first level of each of a march's level blocks, then the total.
+
+    Every reader of level blocks walks them through these starts, so the
+    level behind each block's row 0 is kept in this one place.
+    """
+    return [0, *itertools.accumulate(block.shape[0] for block in blocks)]
+
+
 def first_nonfinite(a: np.ndarray) -> tuple[int, int] | None:
     """(row, column) of the first non-finite entry of a 2-d array in row-major
     order, or None; scanned ``_BLOCK`` rows at a time, so that no mask larger
@@ -235,8 +251,7 @@ def check_march(blocks: list[np.ndarray], name: str) -> None:
     writes level j + 1 alone, so the first non-finite level from 2 on is
     where the march blew up.  The blocks are scanned one by one.
     """
-    s0 = 0
-    for block in blocks:
+    for s0, block in zip(level_starts(blocks), blocks):
         skip = max(2 - s0, 0)
         bad = first_nonfinite(block[skip:])
         if bad is not None:
@@ -244,7 +259,6 @@ def check_march(blocks: list[np.ndarray], name: str) -> None:
             raise NumericalInstabilityError(
                 f"{name} march blew up at grid node (i={i_bad}, j={s0 + skip + j_bad})"
             )
-        s0 += block.shape[0]
 
 
 def sampled_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -284,15 +298,6 @@ def bump_profile(xi: np.ndarray) -> np.ndarray:
     return core ** 3
 
 
-FAMILIES = (
-    "zero",
-    "constant",
-    "gaussian_bump",
-    "sine",
-    "exp_decay",
-    "smooth_bump_control",
-)
-
 # number of parameters each family expects
 _FAMILY_ARITY = {
     "zero": 0,
@@ -302,6 +307,7 @@ _FAMILY_ARITY = {
     "exp_decay": 2,
     "smooth_bump_control": 2,
 }
+FAMILIES = tuple(_FAMILY_ARITY)
 
 
 def _check_family(name: str, params) -> tuple[float, ...]:

@@ -85,7 +85,6 @@ _BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 _TWO_PATH_ORDER_BAND = (1.4, 2.6)
 _THREE_WAY_REL_TOL = 2e-2
 _THREE_WAY_ORDER_BAND = (1.2, 3.4)
-_OPERATOR_IDENTITY_FACTOR = 1.0
 _GL_RESIDUAL_FACTOR = 1e-8
 
 
@@ -446,7 +445,7 @@ def _verify_two_path(grid, r, K, q) -> dict:
         f = control_from_family("smooth_bump_control", (0.5 * cg.T, 0.25 * cg.T), cg)
         lhs = apply_response(rc, f)
         # the trace reads rows 0-2: march only their backward cone, x_max = 2h
-        rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.T, 2 * cg.h))
+        rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.T, 2 * cg.h), cg.h)
         errs.append(float(np.max(np.abs(lhs - rhs))))
     if len(errs) >= 2:
         metric = _mean_order(errs, 1e-15)
@@ -499,7 +498,7 @@ def _verify_three_way(grid, r, K, q, levels, kernels, stop) -> dict:
 
 def _verify_operator_identity(cT, gl) -> dict:
     res = operator_identity_residual(cT, gl)
-    tol = _OPERATOR_IDENTITY_FACTOR * cT.grid.h * cT.grid.h * (1.0 + _max_abs(cT.values))
+    tol = cT.grid.h * cT.grid.h * (1.0 + _max_abs(cT.values))
     return _check("operator_identity", res <= tol, res, tol,
                   f"factorization identity at level N={cT.grid.N}")
 

@@ -21,7 +21,10 @@ the same objects another way and the tests hold the two against each other:
   ``linearized_memory_field`` runs it driven by K(t - x) alone;
 * ``dense_adjoint_weights`` runs the adjoint march of the assembly on one
   dense array, every level over the whole window and every FFT correlation
-  at one length (against the packed blocks of ``_adjoint_weights``).
+  at one length (against the packed blocks of ``_adjoint_weights``);
+* ``reference_response`` extrapolates the responses of the marches at 2N
+  and 4N to fourth-order reference data at N (against the second-order
+  response ``synth`` writes).
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from memwave.catalog import ProblemSpec
 from memwave.errors import IllConditionedError, NumericalInstabilityError, UsageError
 from memwave.forward import apply_response
 from memwave.gelfand_levitan import GLSolution
-from memwave.goursat import GoursatSolution
+from memwave.goursat import GoursatSolution, response_kernel, solve_goursat
 from memwave.model import (
     CausalHistory,
     ControlSignal,
@@ -41,6 +45,7 @@ from memwave.model import (
     MemoryKernel,
     ResponseData,
     causal_convolution,
+    level_starts,
     trapz_weights,
 )
 
@@ -54,11 +59,10 @@ def dense_w(sol: GoursatSolution) -> np.ndarray:
     x in [0, T], stacked from the march's level blocks."""
     N = sol.grid.N
     w = np.zeros((N + 1, sol.grid.N2 + 1))
-    j0 = 0
-    for block in sol.march:
+    starts = level_starts(sol.march)
+    for j0, j1, block in zip(starts, starts[1:], sol.march):
         m = min(block.shape[1], N + 1)
-        w[:m, j0 : j0 + block.shape[0]] = block[:, :m].T
-        j0 += block.shape[0]
+        w[:m, j0:j1] = block[:, :m].T
     w.flags.writeable = False
     return w
 
@@ -316,3 +320,25 @@ def dense_adjoint_weights(Kv: np.ndarray, grid: GridSpec) -> np.ndarray:
         lam_m -= h * h * history.at(N - m, L + 1)
         lam_next = lam_m
     return R[1:]
+
+
+# --------------------------------------------------------------------------
+# fourth-order reference data
+# --------------------------------------------------------------------------
+
+def reference_response(problem: ProblemSpec, grid: GridSpec) -> ResponseData:
+    """R(2N, 4N) = (4 r_4N[::4] - r_2N[::2]) / 3 on ``grid``: same-parity
+    Richardson extrapolation of the responses of the Goursat marches of
+    ``problem`` at 2N and 4N cells.
+
+    Both marches are read only at even sample indices.  The plain
+    extrapolation (4 r_2N[::2] - r_N) / 3 reads r_N at odd ones as well,
+    where the march's odd-even error mode has no partner in r_2N, and stays
+    second order there; R(2N, 4N) is fourth order on every sample.
+    """
+    def response(n):
+        fine = GridSpec(grid.T, n * grid.N)
+        q, K = problem.fields(fine)
+        return response_kernel(solve_goursat(q, K, fine)).values[::n]
+
+    return ResponseData(grid, (4.0 * response(4) - response(2)) / 3.0)

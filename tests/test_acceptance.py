@@ -82,7 +82,7 @@ def test_response_routes_converge_at_second_order():
         f = mw.control_from_family(
             "smooth_bump_control", (0.5, 0.25), grid, full_window=True
         )
-        trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, 2.0 * grid.T))
+        trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, 2.0 * grid.T), grid.h)
         errs.append(float(np.abs(trace - mw.apply_response(r, f)).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert errs[0] > errs[1] > errs[2]

@@ -20,6 +20,11 @@ routes they check: they import no underscore-prefixed name from ``memwave``.
 Inside the package, private code lives with its callers: the only private
 name one module imports from another is the block width ``model._BLOCK``.
 
+Every reader of a march's level blocks walks them through
+``model.level_starts``: no other module adds up block heights itself.  The
+leapfrog march comes back as its plain level-major array, as the other
+marches do, with no field wrapper around it.
+
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
 the kernel leaves to it.
@@ -213,3 +218,27 @@ def test_only_the_block_width_is_imported_privately():
         for alias in node.names if alias.name.startswith("_")
     }
     assert found == {"model._BLOCK"}
+
+
+def _is_height(node):
+    """Whether ``node`` reads ``<name>.shape[0]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "shape" and isinstance(node.value.value, ast.Name)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 0)
+
+
+def test_only_model_accumulates_block_heights():
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.AugAssign) and _is_height(node.value)
+                  and module != "model"]
+    assert found == []
+
+
+def test_no_field_wrapper_is_exported():
+    assert not hasattr(memwave, "SpaceTimeField")
+    assert [module for module, tree in _trees().items()
+            if "SpaceTimeField" in _exports(tree)] == []

@@ -33,19 +33,19 @@ def test_fd_free_wave_is_exact_transport():
     f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
     fld = mw.fd_forward(q, K, f)
     fv = f.padded_full()
-    nx = fld.values.shape[0]
+    nx = fld.T.shape[0]
     worst = 0.0
     for j in range(101):
         lag = j - np.arange(nx)
         exact = np.where(lag >= 0, fv[np.maximum(lag, 0)], 0.0)
-        worst = max(worst, np.abs(fld.values[:, j] - exact).max())
+        worst = max(worst, np.abs(fld.T[:, j] - exact).max())
     assert worst < 1e-12
 
 
 def test_fd_zero_control_stays_at_rest():
     grid, q, K = _problem("full", 32)
     f = mw.control_from_family("zero", (), grid)
-    assert np.abs(mw.fd_forward(q, K, f).values).max() == 0.0
+    assert np.abs(mw.fd_forward(q, K, f).T).max() == 0.0
 
 
 def test_fd_rejects_offgrid_horizon():
@@ -61,9 +61,9 @@ def test_fd_short_horizon_is_the_leading_columns():
     # horizons short of (N - 4)h pad the interval to fewer rows than q has
     grid, q, K = _problem("full", 64)
     f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
-    u = mw.fd_forward(q, K, f).values
+    u = mw.fd_forward(q, K, f).T
     for M in (0, 1, 32, 59):
-        u_short = mw.fd_forward(q, K, f, t_max=M * grid.h).values
+        u_short = mw.fd_forward(q, K, f, t_max=M * grid.h).T
         assert u_short.shape == (M + 5, M + 1)
         assert np.array_equal(u_short, u[: M + 5, : M + 1])
 
@@ -86,10 +86,10 @@ def test_fd_cone_rows_match_the_whole_field(name, n, window):
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid,
                                full_window=True)
     M = window * n
-    u = mw.fd_forward(q, K, f, window * grid.T).values
+    u = mw.fd_forward(q, K, f, window * grid.T).T
     assert u.shape == (M + 5, M + 1)
     for R in (0, 2, n // 2):
-        u_cone = mw.fd_forward(q, K, f, window * grid.T, x_max=R * grid.h).values
+        u_cone = mw.fd_forward(q, K, f, window * grid.T, x_max=R * grid.h).T
         assert u_cone.shape == (R + 1, M + 1)
         assert np.array_equal(u_cone, u[: R + 1])
 
@@ -100,16 +100,16 @@ def test_fd_rejects_bad_x_max():
     for x_max in (0.33, -grid.h, grid.T + 5 * grid.h):
         with pytest.raises(mw.UsageError, match="x_max"):
             mw.fd_forward(q, K, f, x_max=x_max)
-    assert mw.fd_forward(q, K, f, x_max=grid.T + 4 * grid.h).values.shape == (37, 33)
+    assert mw.fd_forward(q, K, f, x_max=grid.T + 4 * grid.h).T.shape == (37, 33)
 
 
 def test_fd_trace_needs_three_rows():
     grid, q, K = _problem("full", 32)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
     with pytest.raises(mw.UsageError, match="rows 0-2"):
-        mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=grid.h))
-    trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=2 * grid.h))
-    assert np.array_equal(trace, mw.fd_boundary_trace(mw.fd_forward(q, K, f)))
+        mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=grid.h), grid.h)
+    trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=2 * grid.h), grid.h)
+    assert np.array_equal(trace, mw.fd_boundary_trace(mw.fd_forward(q, K, f), grid.h))
 
 
 def _direct_leapfrog(q, K, f, M):
@@ -143,11 +143,11 @@ def test_blocked_leapfrog_matches_direct_loop(n, window, control):
     # that the direct loop marches from t = 0
     grid, q, K = _problem("full", n)
     f = mw.control_from_family(*control, grid, full_window=True)
-    u = mw.fd_forward(q, K, f, window * grid.T).values
+    u = mw.fd_forward(q, K, f, window * grid.T).T
     u_direct = _direct_leapfrog(q, K, f, window * n)
     bound = 1e-12 * (1.0 + np.abs(u_direct).max())
     assert np.abs(u - u_direct).max() <= bound
-    cone = mw.fd_forward(q, K, f, window * grid.T, x_max=2 * grid.h).values
+    cone = mw.fd_forward(q, K, f, window * grid.T, x_max=2 * grid.h).T
     assert np.abs(cone - u_direct[:3]).max() <= bound
 
 
@@ -224,7 +224,7 @@ def test_control_map_agrees_with_fd():
         f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
         snap = apply_control_operator(sol, f)
         fd = mw.fd_forward(q, K, f)
-        diffs.append(np.abs(snap.values - fd.values[: n + 1, -1]).max())
+        diffs.append(np.abs(snap.values - fd.T[: n + 1, -1]).max())
     assert diffs[0] < 5e-4
     assert diffs[0] / diffs[1] == pytest.approx(4.0, abs=1.0)
 
@@ -325,7 +325,7 @@ def test_response_map_agrees_with_fd_trace():
         r = mw.response_kernel(mw.solve_goursat(q, K, grid))
         f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid, full_window=True)
         fd = mw.fd_forward(q, K, f, 2.0 * grid.T)
-        diffs.append(np.abs(mw.fd_boundary_trace(fd) - mw.apply_response(r, f)).max())
+        diffs.append(np.abs(mw.fd_boundary_trace(fd, grid.h) - mw.apply_response(r, f)).max())
     # scale of the trace itself is ~7, so 0.25 at N=64 is a few percent
     assert diffs[0] < 0.5
     assert diffs[0] / diffs[1] > 2.5

@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 import memwave as mw
 from memwave.model import cumulative_trapezoid
-from oracles import dense_w, direct_march, linearized_memory_field
+from oracles import dense_w, direct_march, linearized_memory_field, reference_response
 
 
 def _solve(name, n):
@@ -145,6 +145,31 @@ def test_potential_response_is_constant_offset():
     r = mw.response_kernel(_solve("potential_only_small", 128))
     for k in (64, 128, 256):
         assert r.values[k] == pytest.approx(-0.005, abs=1e-4)
+
+
+def _parity_orders(estimate, reference):
+    """Orders of ``estimate(n)`` against ``reference`` from N = 32 to 64, on
+    the even and on the odd sample indices."""
+    coarse, fine = (np.abs(estimate(n) - reference[:: (reference.size - 1) // (2 * n)])
+                    for n in (32, 64))
+    return [float(np.log2(coarse[p::2].max() / fine[p::2].max())) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("problem", ["full", "classical"])
+def test_same_parity_richardson_is_fourth_order_on_every_sample(problem):
+    # against R(2N, 4N) at N = 128 (marches at 256 and 512): the native
+    # response is second order on every sample; plain Richardson
+    # (4 r_2N[::2] - r_N) / 3 is fourth order on the even samples and second
+    # on the odd ones; R(2N, 4N) is fourth order on both (measured 4.0-4.1)
+    spec = mw.get_problem(problem)
+    reference = reference_response(spec, mw.GridSpec(1.0, 128)).values
+    r = {n: mw.response_kernel(_solve(problem, n)).values for n in (32, 64, 128)}
+    assert _parity_orders(lambda n: r[n], reference) == pytest.approx([2.0, 2.0], abs=0.2)
+    plain = _parity_orders(lambda n: (4.0 * r[2 * n][::2] - r[n]) / 3.0, reference)
+    assert plain == pytest.approx([4.0, 2.0], abs=0.2)
+    same_parity = _parity_orders(
+        lambda n: reference_response(spec, mw.GridSpec(1.0, n)).values, reference)
+    assert same_parity == pytest.approx([4.0, 4.0], abs=0.2)
 
 
 def test_response_window_and_start():

@@ -332,12 +332,12 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     assert all(H.flags.c_contiguous and H.base is None
                for H in (adjoint, *goursat, *goursat_big, *blocks))
     # the solution keeps the Goursat blocks, and the dense w stacked from
-    # them is their transpose; the leapfrog fields are transposed views of
-    # the march array, whose levels before j0 are zero, and the history reads
-    # its rows from j0 on
+    # them is their transpose; the leapfrog fields are views of the march
+    # array, whose levels before j0 are zero, and the history reads its rows
+    # from j0 on
     assert all(a is b for a, b in zip(sol.march, goursat, strict=True))
     assert np.array_equal(dense_w(sol), goursat[0][:, : grid.N + 1].T)
-    for field, march in ((whole.values, leapfrog), (cone.values, leapfrog_cone)):
+    for field, march in ((whole.T, leapfrog), (cone.T, leapfrog_cone)):
         assert march.flags.c_contiguous and march.base is field.base
         assert field.base.shape[0] == grid.N + 1
         assert not field[:, :j0].any()
