@@ -20,6 +20,7 @@ from .connecting import (
 from .errors import (
     AssemblyError,
     IllConditionedError,
+    NumericalFailure,
     NumericalInstabilityError,
     UsageError,
 )

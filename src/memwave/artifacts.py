@@ -219,7 +219,7 @@ def _slice_text(block: np.ndarray) -> bytes:
     if slow.any():
         fallback = "".join(format(v, ".17g").ljust(_CELL - 1) for v in x[slow].tolist())
         text[slow, :-1] = np.frombuffer(fallback.encode(), np.uint8).reshape(-1, _CELL - 1)
-    return text[text != ord(" ")].tobytes()
+    return text.tobytes().translate(None, b" ")
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:

@@ -1,4 +1,5 @@
-"""Named benchmark problems used by CLI configs and the test-suite."""
+"""Sample problems, named in the catalogue or given by a config's families;
+``ProblemSpec.fields`` is the one sampler of a problem."""
 
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ __all__ = ["ProblemSpec", "PROBLEMS", "get_problem"]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A potential/memory-kernel pair given by closed-form sample families."""
+    """A potential/memory-kernel pair given by closed-form sample families;
+    ``name`` is None for a pair a config gives by its families."""
 
-    name: str
+    name: str | None
     q_family: str
     q_params: tuple
     k_family: str

@@ -1,6 +1,6 @@
 """Command-line driver for the boundary-data pipeline.
 
-Exit codes: 0 success, 2 bad usage/config, 3 numerical failure
+Exit codes: 0 success, 2 bad usage/config, 3 a ``NumericalFailure``
 (instability, ill-conditioning, inconsistent assembly), 4 verification
 found the artifacts of a data directory mutually inconsistent.
 """
@@ -10,12 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    AssemblyError,
-    IllConditionedError,
-    NumericalInstabilityError,
-    UsageError,
-)
+from .errors import NumericalFailure, UsageError
 from .pipeline import (
     load_config,
     run_convergence,
@@ -99,7 +94,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalInstabilityError, IllConditionedError, AssemblyError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -19,8 +19,8 @@ along independent routes (finite differences vs. kernel route, probe
 assembly vs. factorization identity) and fails loudly when the artifacts in
 a directory are not mutually consistent.  Every check reads the data, not
 truth_q.csv alone.  Each check is one function that one guard runs under
-the lap named after it; a breakage the check raises fails it by name.  The
-only Goursat marches of ``verify`` are the three-way check's factor route,
+the lap named after it; a breakage (a ``NumericalFailure``) the check raises
+fails it by name.  The only Goursat marches of ``verify`` are the three-way check's factor route,
 in its ``three_way_connecting`` lap.
 """
 
@@ -34,19 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_json
-from .catalog import get_problem
+from .catalog import ProblemSpec, get_problem
 from .connecting import (
     connecting_form_from_interior,
     connecting_form_from_kernel,
     connecting_kernel_from_response,
     connecting_kernel_from_w,
 )
-from .errors import (
-    AssemblyError,
-    IllConditionedError,
-    NumericalInstabilityError,
-    UsageError,
-)
+from .errors import NumericalFailure, UsageError
 from .forward import apply_response, fd_boundary_trace, fd_forward
 from .gelfand_levitan import (
     ERROR_WINDOW,
@@ -62,9 +57,7 @@ from .model import (
     GridSpec,
     MemoryKernel,
     ResponseData,
-    coefficient_from_family,
     control_from_family,
-    kernel_from_family,
 )
 
 __all__ = [
@@ -77,8 +70,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 7
-# what inconsistent data can raise in verify's assembly and solve
-_BREAKAGE = (AssemblyError, IllConditionedError, NumericalInstabilityError)
 
 # verify-stage acceptance bands (tuned on the catalogue problems: clean data
 # passes with at least a 4x margin, a single corrupted response sample fails)
@@ -94,11 +85,7 @@ class PipelineConfig:
 
     T: float
     N: int
-    q_family: str
-    q_params: tuple
-    k_family: str
-    k_params: tuple
-    problem: str | None = None
+    problem: ProblemSpec
     noise_sigma: float = 0.0
     noise_seed: int = 0
 
@@ -112,16 +99,14 @@ class PipelineConfig:
         return GridSpec(self.T, self.N)
 
     def fields(self) -> tuple[CoefficientField, MemoryKernel]:
-        grid = self.grid()
-        q = coefficient_from_family(self.q_family, self.q_params, grid)
-        K = kernel_from_family(self.k_family, self.k_params, grid)
-        return q, K
+        return self.problem.fields(self.grid())
 
     def echo(self) -> dict:
+        p = self.problem
         return {
-            "problem": self.problem,
-            "q": {"family": self.q_family, "params": list(self.q_params)},
-            "K": {"family": self.k_family, "params": list(self.k_params)},
+            "problem": p.name,
+            "q": {"family": p.q_family, "params": list(p.q_params)},
+            "K": {"family": p.k_family, "params": list(p.k_params)},
             "T": self.T,
             "N": self.N,
             "noise": {"sigma": self.noise_sigma, "seed": self.noise_seed},
@@ -166,16 +151,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     seed = _number(noise.get("seed", 0), "noise.seed", int)
     if "problem" in raw:
         prob = get_problem(raw["problem"])
-        qf, qp = prob.q_family, prob.q_params
-        kf, kp = prob.k_family, prob.k_params
-        name = prob.name
     else:
         qf, qp = _family_entry(raw["q"], "q") if "q" in raw else ("zero", ())
         kf, kp = _family_entry(raw["K"], "K") if "K" in raw else ("zero", ())
-        name = None
-    cfg = PipelineConfig(T=T, N=N, q_family=qf, q_params=qp, k_family=kf,
-                         k_params=kp, problem=name, noise_sigma=sigma,
-                         noise_seed=seed)
+        prob = ProblemSpec(None, qf, qp, kf, kp)
+    cfg = PipelineConfig(T=T, N=N, problem=prob, noise_sigma=sigma, noise_seed=seed)
     cfg.fields()  # fail fast on bad families/params
     return cfg
 
@@ -515,7 +495,7 @@ def _guarded(timer: _Timer, name: str, threshold, check) -> dict:
     with timer.lap(name):
         try:
             return check()
-        except _BREAKAGE as exc:
+        except NumericalFailure as exc:
             return _check(name, False, float("inf"), threshold, str(exc))
 
 
@@ -560,7 +540,7 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
                 _, rc, Kc, _ = _subsample(grid, r, K, None, m)
                 kernels.append(connecting_kernel_from_response(rc, Kc))
             asymmetry = {"N": n_top, "value": kernels[-1].asymmetry}
-        except _BREAKAGE as exc:
+        except NumericalFailure as exc:
             stop = exc
 
     checks = []
@@ -574,7 +554,7 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
         if stop is None:
             try:
                 gl = solve_gl(kernels[-1])
-            except _BREAKAGE as exc:
+            except NumericalFailure as exc:
                 stop = exc
 
     def solved():

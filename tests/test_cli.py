@@ -136,6 +136,18 @@ def test_non_positive_operator_exit_3(tmp_path, synth_dir, capsys):
     assert "numerical failure" in err and "not positive" in err
 
 
+def test_kernel_march_blow_up_exit_3(tmp_path, capsys):
+    # a potential so large that the Goursat march of synth overflows at its
+    # first off-diagonal node: a numerical failure, and no output directory
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"q": {"family": "constant", "params": [1e300]}, "N": 16}))
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", str(p), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: kernel march blew up at grid node (i=1, j=2)\n")
+    assert not out.exists()
+
+
 def test_verification_failure_exit_4(tmp_path, synth_dir, capsys):
     bad = tmp_path / "bad"
     shutil.copytree(synth_dir, bad)

@@ -25,6 +25,12 @@ Every reader of a march's level blocks walks them through
 leapfrog march comes back as its plain level-major array, as the other
 marches do, with no field wrapper around it.
 
+Each decision two modules share has one owner.  A problem's families are
+sampled in ``catalog`` (and in ``model``, which defines them): no other
+module calls ``coefficient_from_family`` or ``kernel_from_family``.  The
+exit-3 failure classes are grouped once, as ``errors.NumericalFailure``: no
+other module lists two of them in a tuple or an ``except`` clause.
+
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
 the kernel leaves to it.
@@ -242,3 +248,32 @@ def test_no_field_wrapper_is_exported():
     assert not hasattr(memwave, "SpaceTimeField")
     assert [module for module, tree in _trees().items()
             if "SpaceTimeField" in _exports(tree)] == []
+
+
+def test_only_the_catalogue_samples_a_problem():
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node.func)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and module not in ("model", "catalog")
+                  and ast.unparse(node.func).split(".")[-1]
+                  in ("coefficient_from_family", "kernel_from_family")]
+    assert found == []
+
+
+def test_only_errors_groups_the_numerical_failures():
+    classes = {"NumericalInstabilityError", "IllConditionedError", "AssemblyError"}
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if module == "errors" or not isinstance(node, (ast.Tuple, ast.ExceptHandler)):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.type if isinstance(node, ast.ExceptHandler)
+                                       else node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if len(named & classes) >= 2:
+                found.append(f"{module}.{owner.get(node, '<module>')}")
+    assert found == []

@@ -44,15 +44,15 @@ def data_dir(tmp_path_factory):
 def test_config_defaults():
     cfg = config_from_dict({})
     assert (cfg.T, cfg.N) == (1.0, 64)
-    assert cfg.q_family == "zero" and cfg.k_family == "zero"
+    assert cfg.problem.q_family == "zero" and cfg.problem.k_family == "zero"
     assert cfg.noise_sigma == 0.0
 
 
 def test_config_catalogue_expansion():
     cfg = config_from_dict({"problem": "full", "N": 32})
-    assert cfg.problem == "full"
-    assert cfg.q_family == "gaussian_bump"
-    assert cfg.k_family == "exp_decay"
+    assert cfg.problem.name == "full"
+    assert cfg.problem.q_family == "gaussian_bump"
+    assert cfg.problem.k_family == "exp_decay"
     echo = cfg.echo()
     assert echo["N"] == 32
 
@@ -63,7 +63,7 @@ def test_config_keeps_json_numbers():
     assert (cfg.T, cfg.N, cfg.noise_sigma, cfg.noise_seed) == (2.0, 16, 0.0, 3)
     assert [type(v) for v in (cfg.T, cfg.N, cfg.noise_sigma, cfg.noise_seed)] == \
         [float, int, float, int]
-    assert cfg.q_params == (1.0,) and type(cfg.q_params[0]) is float
+    assert cfg.problem.q_params == (1.0,) and type(cfg.problem.q_params[0]) is float
 
 
 def test_config_explicit_fields():
@@ -132,7 +132,7 @@ def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"problem": "classical", "N": 16}))
     cfg = load_config(str(p))
-    assert cfg.problem == "classical" and cfg.N == 16
+    assert cfg.problem.name == "classical" and cfg.N == 16
     p.write_text("[1, 2]")
     with pytest.raises(mw.UsageError):
         load_config(str(p))
