@@ -223,14 +223,16 @@ def _slice_text(block: np.ndarray) -> bytes:
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    if not os.path.exists(path):
-        raise UsageError(f"missing input file: {path}")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise UsageError(f"malformed CSV in {path}: {exc}") from None
+    except FileNotFoundError:
+        raise UsageError(f"missing input file: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a UnicodeDecodeError is one too
+        raise UsageError(f"malformed CSV in {path}: {exc}") from None
     if data.size == 0 or data.shape[1] != len(header):
         raise UsageError(f"{path}: column count does not match header")
     return header, data
@@ -246,10 +248,12 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def read_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"missing input file: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed JSON in {path}: {exc}") from None
+    except FileNotFoundError:
+        raise UsageError(f"missing input file: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise UsageError(f"malformed JSON in {path}: {exc}") from None

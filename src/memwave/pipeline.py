@@ -3,7 +3,9 @@
 Every stage reads/writes a plain directory of CSV/JSON artifacts, so runs
 can be chained, diffed and replayed.  report.json is deterministic (same
 inputs, same bytes); wall-clock numbers go to timings.json instead.  Every
-stage runs in this one process.
+stage builds its report in one envelope, ``_report``: the schema version and
+the command, then the stage's own fields; the same call writes report.json
+and timings.json.  Every stage runs in this one process.
 
 ``reconstruct`` runs in one process and in one order: load the data,
 assemble c_T, solve the Gelfand-Levitan equations and recover q_hat,
@@ -150,7 +152,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     sigma = _number(noise.get("sigma", 0.0), "noise.sigma")
     seed = _number(noise.get("seed", 0), "noise.seed", int)
     if "problem" in raw:
-        prob = get_problem(raw["problem"])
+        name = raw["problem"]
+        if not isinstance(name, str):
+            raise UsageError(f"config: problem must be a catalogue name, got {name!r}")
+        prob = get_problem(name)
     else:
         qf, qp = _family_entry(raw["q"], "q") if "q" in raw else ("zero", ())
         kf, kp = _family_entry(raw["K"], "K") if "K" in raw else ("zero", ())
@@ -205,17 +210,17 @@ def _grid_block(grid: GridSpec) -> dict:
     return {"T": grid.T, "N": grid.N, "h": grid.h}
 
 
-def _write_reports(outdir: str, report: dict, timer: _Timer) -> None:
-    """report.json, and timings.json with the laps."""
-    write_json(os.path.join(outdir, "report.json"), report)
-    write_json(
-        os.path.join(outdir, "timings.json"),
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": report["command"],
-            "wall_times_s": timer.finish(),
-        },
-    )
+def _report(outdir: str | None, timer: _Timer, command: str, **fields) -> dict:
+    """The report ``{schema_version, command, **fields}``; with ``outdir``,
+    also the directory, report.json and timings.json with the laps."""
+    head = {"schema_version": SCHEMA_VERSION, "command": command}
+    report = {**head, **fields}
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+        write_json(os.path.join(outdir, "report.json"), report)
+        write_json(os.path.join(outdir, "timings.json"),
+                   {**head, "wall_times_s": timer.finish()})
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -231,10 +236,8 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
     q, K = cfg.fields()
 
     with timer.lap("goursat"):
-        sol = solve_goursat(q, K, grid)
-        r = response_kernel(sol)
+        r = response_kernel(solve_goursat(q, K, grid))
         diag_res = diagonal_residual(q)
-        del sol  # the march arrays are the largest; nothing below needs them
 
     r = _add_noise(r, cfg.noise_sigma, cfg.noise_seed)
 
@@ -248,21 +251,18 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
         write_csv(os.path.join(outdir, "truth_q.csv"), ["x", "value"],
                   np.stack([grid.times_half(), q.values], axis=1))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "synth",
-        "status": "ok",
-        "config": cfg.echo(),
-        "grid": _grid_block(grid),
-        "metrics": {
+    return _report(
+        outdir, timer, "synth",
+        status="ok",
+        config=cfg.echo(),
+        grid=_grid_block(grid),
+        metrics={
             "response_max_abs": float(np.max(np.abs(r.values))),
             "kernel_max_abs": float(np.max(np.abs(K.values))),
             "diagonal_residual": diag_res,
         },
-        "artifacts": ["response.csv", "kernel_K.csv", "truth_q.csv"],
-    }
-    _write_reports(outdir, report, timer)
-    return report
+        artifacts=["response.csv", "kernel_K.csv", "truth_q.csv"],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -383,16 +383,8 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
                   np.stack([tt, truth_col, q_hat.values,
                             np.abs(q_hat.values - truth_col)], axis=1))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reconstruct",
-        "status": "ok",
-        "grid": _grid_block(grid),
-        "metrics": metrics,
-        "artifacts": ["cT.csv", "q_hat.csv"],
-    }
-    _write_reports(outdir, report, timer)
-    return report
+    return _report(outdir, timer, "reconstruct", status="ok", grid=_grid_block(grid),
+                   metrics=metrics, artifacts=["cT.csv", "q_hat.csv"])
 
 
 # --------------------------------------------------------------------------
@@ -436,20 +428,19 @@ def _verify_two_path(grid, r, K, q) -> dict:
                   "grid too coarse for order estimation, skipped")
 
 
-def _verify_three_way(grid, r, K, q, levels, kernels, stop) -> dict:
+def _verify_three_way(rungs, kernels, stop) -> dict:
     """Probe-assembled kernel vs. factor route vs. interior wave states.
 
-    Up the ladder ``levels``, each level reads the assembly's kernel (or
+    Up the ladder ``rungs``, each level reads the assembly's kernel (or
     re-raises ``stop``, the breakage that ended the assembly there), then
     marches the truth for the factor route; with two or more levels the
     measured order of the mismatch is gated beside the absolute gate at the
     finest level.
     """
     level_diffs = []
-    for i, m in enumerate(levels):
+    for i, (cg, _, Kc, qc) in enumerate(rungs):
         if i == len(kernels):
             raise stop
-        cg, _, Kc, qc = _subsample(grid, r, K, q, m)
         cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
         rel = np.max(np.abs(kernels[i].values - cw.values))
         level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
@@ -465,7 +456,7 @@ def _verify_three_way(grid, r, K, q, levels, kernels, stop) -> dict:
         rhs = interior[a, b]
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     passed = worst <= _THREE_WAY_REL_TOL
-    detail = (f"mismatch {level_diffs} over levels {levels}, "
+    detail = (f"mismatch {level_diffs} over levels {[rung[0].N for rung in rungs]}, "
               f"wave-state forms folded into the finest level")
     if len(level_diffs) >= 2:
         metric = _mean_order(level_diffs, 1e-12)
@@ -507,19 +498,9 @@ def run_verify(datadir: str, outdir: str | None = None) -> dict:
     checks, asymmetry = _verify_checks(grid, r, K, q, timer)
 
     failed = [c["name"] for c in checks if not c["passed"]]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "status": "failed" if failed else "ok",
-        "failed_checks": failed,
-        "grid": _grid_block(grid),
-        "galerkin_asymmetry": asymmetry,
-        "checks": checks,
-    }
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        _write_reports(outdir, report, timer)
-    return report
+    return _report(outdir, timer, "verify", status="failed" if failed else "ok",
+                   failed_checks=failed, grid=_grid_block(grid),
+                   galerkin_asymmetry=asymmetry, checks=checks)
 
 
 def _verify_checks(grid, r, K, q, timer: _Timer):
@@ -527,17 +508,19 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
 
     The data kernel is assembled at a bounded ladder of levels, so verify
     stays cheap on fine data sets; the coarser levels only give the
-    three-way check its order, and that check needs truth_q.csv.  The ladder
-    and the solve keep what they reached and the breakage that stopped them
-    (``stop``), which a check that needs the missing part re-raises.
+    three-way check its order, and that check needs truth_q.csv.  Each
+    level's data (``rungs``) is subsampled once, for the assembly and the
+    three-way check alike.  The ladder and the solve keep what they reached
+    and the breakage that stopped them (``stop``), which a check that needs
+    the missing part re-raises.
     """
     n_top = _check_level(grid.N)
-    levels = _ladder(n_top) if q is not None else [n_top]
     kernels, gl, asymmetry, stop = [], None, None, None
     with timer.lap("connecting_assembly"):
+        rungs = [_subsample(grid, r, K, q, m)
+                 for m in (_ladder(n_top) if q is not None else [n_top])]
         try:
-            for m in levels:
-                _, rc, Kc, _ = _subsample(grid, r, K, None, m)
+            for _, rc, Kc, _ in rungs:
                 kernels.append(connecting_kernel_from_response(rc, Kc))
             asymmetry = {"N": n_top, "value": kernels[-1].asymmetry}
         except NumericalFailure as exc:
@@ -548,7 +531,7 @@ def _verify_checks(grid, r, K, q, timer: _Timer):
         checks.append(_guarded(timer, "two_path_response", list(_TWO_PATH_ORDER_BAND),
                                lambda: _verify_two_path(grid, r, K, q)))
         checks.append(_guarded(timer, "three_way_connecting", _THREE_WAY_REL_TOL,
-                               lambda: _verify_three_way(grid, r, K, q, levels, kernels, stop)))
+                               lambda: _verify_three_way(rungs, kernels, stop)))
     # the solve's (N+1)^2 array is not held through the marches above
     with timer.lap("gl_solve"):
         if stop is None:
@@ -595,13 +578,9 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
             c = replace(cfg, N=N)
             grid = c.grid()
             q, K = c.fields()
-            sol = solve_goursat(q, K, grid)
-            r = _add_noise(response_kernel(sol), c.noise_sigma, c.noise_seed)
-            cT = connecting_kernel_from_response(r, K)
-            q_hat = recover_potential(solve_gl(cT))
-            # the rung's largest arrays: neither the next rung nor the JSON
-            # writes below need them
-            del sol, cT
+            r = _add_noise(response_kernel(solve_goursat(q, K, grid)),
+                           c.noise_sigma, c.noise_seed)
+            q_hat = recover_potential(solve_gl(connecting_kernel_from_response(r, K)))
             err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
             rows.append({"N": N, "error": err, "floor": _roundoff_floor(q.values, N)})
     for k, row in enumerate(rows):
@@ -621,13 +600,5 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
         header = ["N", "error", "ratio", "order"]
         write_csv(os.path.join(outdir, "convergence.csv"), header,
                   np.array([[row[k] for k in header] for row in rows], dtype=float))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "convergence",
-        "status": "ok",
-        "config": cfg.echo(),
-        "rows": rows,
-        "artifacts": ["convergence.csv"],
-    }
-    _write_reports(outdir, report, timer)
-    return report
+    return _report(outdir, timer, "convergence", status="ok", config=cfg.echo(),
+                   rows=rows, artifacts=["convergence.csv"])

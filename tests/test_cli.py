@@ -94,6 +94,8 @@ def test_bad_config_exit_2(tmp_path, capsys):
     '{"noise": {"seed": 1.5}}',
     '{"noise": {"sigma": true}}',
     '{"q": {"family": "constant", "params": [false]}}',
+    '{"problem": ["full"]}',
+    '{"problem": {"a": 1}}',
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, text):
     p = tmp_path / "bad.json"
@@ -101,6 +103,29 @@ def test_malformed_config_exit_2(tmp_path, capsys, text):
     rc = cli.main(["synth", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: config: ")
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    ("synth", "directory", "cannot read "),
+    ("synth", "not_utf8", "malformed JSON in "),
+    ("reconstruct", "directory", "cannot read "),
+    ("verify", "not_utf8", "malformed CSV in "),
+], ids=["config_directory", "config_not_utf8", "response_directory", "response_not_utf8"])
+def test_unreadable_input_file_exit_2(tmp_path, cfg_file, synth_dir, capsys, command,
+                                      kind, message):
+    # the config of synth, or the response.csv of reconstruct and verify, is
+    # a directory or holds a byte that is not UTF-8: a usage error, not a crash
+    path = Path(cfg_file if command == "synth" else os.path.join(synth_dir, "response.csv"))
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes().replace(b",", b",\xff", 1))
+    where = ["--config", cfg_file] if command == "synth" else ["--data", synth_dir]
+    rc = cli.main([command, *where, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}{path}") and "Traceback" not in err
 
 
 def test_negative_seed_flag_exit_2(tmp_path, cfg_file, capsys):

@@ -31,6 +31,9 @@ module calls ``coefficient_from_family`` or ``kernel_from_family``.  The
 exit-3 failure classes are grouped once, as ``errors.NumericalFailure``: no
 other module lists two of them in a tuple or an ``except`` clause.
 
+Every report has one envelope: inside ``pipeline``, only ``_report`` spells
+the key ``"schema_version"``.
+
 Every CSV cell goes through the numpy %.17g kernel: no ``%``-formatting of a
 tuple of values is left, and ``format(v, ".17g")`` runs only on the cells
 the kernel leaves to it.
@@ -277,3 +280,11 @@ def test_only_errors_groups_the_numerical_failures():
             if len(named & classes) >= 2:
                 found.append(f"{module}.{owner.get(node, '<module>')}")
     assert found == []
+
+
+def test_only_the_report_envelope_spells_the_schema_key():
+    tree = _trees()["pipeline"]
+    owner = _owners(tree)
+    found = [owner.get(node, "<module>") for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "schema_version"]
+    assert found == ["_report"]

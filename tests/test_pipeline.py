@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,29 @@ def test_synth_and_convergence_never_build_the_dense_w(tmp_path, monkeypatch):
     cfg = config_from_dict({"problem": "full", "N": 32})
     run_synth(cfg, str(tmp_path / "synth"))
     run_convergence(cfg, str(tmp_path / "conv"), [16, 32])
+
+
+def test_convergence_frees_each_march_before_its_assembly(tmp_path, monkeypatch):
+    # a rung holds the Goursat march only until its response is read: the
+    # assembly and the solve run without it
+    marches = []
+    real_march = pipeline.solve_goursat
+    real_assembly = pipeline.connecting_kernel_from_response
+
+    def march(q, K, grid):
+        sol = real_march(q, K, grid)
+        marches.append(weakref.ref(sol))
+        return sol
+
+    def assemble(r, K):
+        assert marches[-1]() is None, "the march is alive through the assembly"
+        return real_assembly(r, K)
+
+    monkeypatch.setattr(pipeline, "solve_goursat", march)
+    monkeypatch.setattr(pipeline, "connecting_kernel_from_response", assemble)
+    cfg = config_from_dict({"problem": "full"})
+    run_convergence(cfg, str(tmp_path / "conv"), [16, 32])
+    assert len(marches) == 2
 
 
 def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
