@@ -220,7 +220,7 @@ def rung(N: int, tmpdir: str) -> dict:
             *out[name], result = measure(fn, parts)
             return result
 
-        sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K, grid))
+        sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K))
         r = run("goursat.response_kernel", lambda: mw.response_kernel(sol))
         run("connecting.from_w", lambda: mw.connecting_kernel_from_w(sol))
         del sol

@@ -21,14 +21,18 @@ tables the commands write on the catalogue problems, only convergence.csv
 has such cells: its ``N`` column and the NaN ratio and order of its first
 row.
 
-A table is written under a temporary name beside its target, one slice of
-``_SLICE_CELLS`` cells at a time, and renamed over the target only once it
-is whole, so a failed write leaves the old file or none.
+Every file, CSV or JSON, is written by ``_write``: it makes the directory,
+writes the file under a temporary name beside its target, chunk by chunk
+(a table one slice of ``_SLICE_CELLS`` cells at a time), and renames it over
+the target only once it is whole, so a failed write leaves the old file or
+none.  A directory or temporary that cannot be made (an output path that
+names an existing file, say) is a ``UsageError``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 
@@ -48,14 +52,24 @@ def write_csv(path: str, header: list[str], table: np.ndarray) -> None:
         raise UsageError("write_csv needs a 2-D array with one column per header field")
     table = table.astype(float, copy=False)
     rows = max(1, _SLICE_CELLS // len(header))  # at least one row a slice
+    _write(path, itertools.chain(
+        [(",".join(header) + "\n").encode()],
+        (_slice_text(table[lo:lo + rows]) for lo in range(0, table.shape[0], rows))))
+
+
+def _write(path: str, chunks) -> None:
+    """Write the byte ``chunks``, an iterable formed as it is read, to ``path``
+    whole or not at all; the module docstring has the steps."""
     outdir, name = os.path.split(os.path.abspath(path))
     tmp_path = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp_path, "xb")  # "x": never a file we did not make
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        fh = open(tmp_path, "xb")  # "x": never a file we did not make
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         with fh:
-            fh.write((",".join(header) + "\n").encode())
-            for lo in range(0, table.shape[0], rows):
-                fh.write(_slice_text(table[lo:lo + rows]))
+            fh.writelines(chunks)  # each chunk released before the next is formed
         os.replace(tmp_path, path)
     except BaseException:
         os.unlink(tmp_path)
@@ -242,9 +256,8 @@ def write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as strict JSON: NaN and infinities, which JSON lacks,
     become ``null``; every other value reads back as it was."""
     strict = json.loads(json.dumps(payload), parse_constant=lambda token: None)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write(path, [text.encode()])
 
 
 def read_json(path: str) -> dict:
@@ -255,5 +268,5 @@ def read_json(path: str) -> dict:
         raise UsageError(f"missing input file: {path}") from None
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
         raise UsageError(f"malformed JSON in {path}: {exc}") from None

@@ -144,9 +144,7 @@ def connecting_form_from_kernel(c: ConnectingKernel, f: ControlSignal,
     With phi(x) = f(T - x), the form is (phi_f, phi_g) + (c phi_f, phi_g) in
     L2(0, T); both controls must live on the [0, T] window.
     """
-    grid = c.grid
-    if f.grid != grid or g.grid != grid:
-        raise UsageError("kernel and controls must share one grid")
+    grid = GridSpec.of(c, f, g)
     n = grid.N + 1
     if f.values.size != n or g.values.size != n:
         raise UsageError("connecting form needs controls sampled on [0, T]")
@@ -472,9 +470,7 @@ def connecting_kernel_from_response(r: ResponseData,
     the free block h I subtracted and scaled by h^-2; see
     ``_kernel_from_galerkin`` for the edge rows.
     """
-    grid = r.grid
-    if K.grid != grid:
-        raise UsageError("response and memory kernel must share one grid")
+    grid = GridSpec.of(r, K)
     rows = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
     return _kernel_from_galerkin(rows, grid)
 

@@ -22,6 +22,7 @@ from .errors import UsageError
 from .model import (
     CausalHistory,
     ControlSignal,
+    GridSpec,
     ResponseData,
     causal_convolution,
     check_march,
@@ -44,13 +45,12 @@ def apply_response(r: ResponseData, f: ControlSignal) -> np.ndarray:
 
     Defined for admissible controls only; sampled on the window f lives on.
     """
+    h = GridSpec.of(r, f).h
     if not f.admissible:
         raise UsageError("apply_response needs an admissible-smooth control")
     fv = f.values
     n = fv.size
-    return -sampled_derivative(fv, f.grid.h) + causal_convolution(
-        r.values[:n], fv, f.grid.h
-    )
+    return -sampled_derivative(fv, h) + causal_convolution(r.values[:n], fv, h)
 
 
 # --------------------------------------------------------------------------
@@ -93,10 +93,11 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     Shifted level j + 1 is zero from row j + 1 on (level 1 is zero off the
     boundary), and at unit speed the rows x <= x_max at t_max read it only on
     x <= x_max + (t_max - t_{j+1}).  So it is formed on the rows
-    i < min(j + 1, R + (M - j0) - j, nx), with R = x_max / h, M = t_max / h
-    and nx = M + 4: the forward wavefront from the control's start cut by the
-    backward cone of the returned rows.  The rows past the cone are never
-    marched, so the array is only as wide as the cone.
+    i < min(j + 1, R + (M - j0) - j), with R = x_max / h and M = t_max / h:
+    the forward wavefront from the control's start cut by the backward cone
+    of the returned rows.  The front stays inside the padded interval, as
+    j + 1 <= M - j0 < M + 4.  The rows past the cone are never marched, so
+    the array is only as wide as the cone.
 
     The march is stored level-major, U[j, i], so that each finished level is
     one contiguous row of the trapezoid history; the memory term is formed by
@@ -104,7 +105,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     U[j0:].  A blow-up is named at its unshifted node.  The field returned
     is the view of the first R + 1 columns, U[:, :R + 1].
     """
-    grid = f.grid
+    grid = GridSpec.of(q, K, f)
     h, N = grid.h, grid.N
     M = _grid_steps(grid.T if t_max is None else t_max, h, "t_max")
     if M > grid.N2:
@@ -119,7 +120,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     nonzero = np.flatnonzero(fv)
     j0 = max(int(nonzero[0]) - 1, 0) if nonzero.size else M
     # shifted level j updates the rows 1 .. n - 1 and reads row n
-    rows = [min(j + 1, R + (M - j0) - j, nx) for j in range(1, M - j0)]
+    rows = [min(j + 1, R + (M - j0) - j) for j in range(1, M - j0)]
     width = max([R, *rows]) + 1
     # q is continued only over the rows the march visits
     qpad = np.full(width, q.values[-1])

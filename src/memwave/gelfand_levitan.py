@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connecting import ConnectingKernel
-from .errors import IllConditionedError, UsageError
+from .errors import IllConditionedError
 from .model import (
     _BLOCK,
     CoefficientField,
@@ -325,9 +325,8 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     triangular; each block of zw is weighted as it is read, so neither zw
     nor the residual is held whole.
     """
-    if c.grid != gl.grid:
-        raise UsageError("connecting kernel and z-kernel live on different grids")
-    N, h = gl.grid.N, gl.grid.h
+    grid = GridSpec.of(c, gl)
+    N, h = grid.N, grid.h
     d = _node_weights(N, h)
     C = c.values
     worst = 0.0
@@ -373,9 +372,8 @@ def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
     D_j [(I + Z_h* D) R][t, j] - delta_tj (D_j z_jj / 2)^2, where R is the
     collocation residual that ``gl_residual`` bounds.
     """
-    if c.grid != gl.grid:
-        raise UsageError("connecting kernel and z-kernel live on different grids")
-    N, h = gl.grid.N, gl.grid.h
+    grid = GridSpec.of(c, gl)
+    N, h = grid.N, grid.h
     D = trapz_weights(N + 1, h)
     z, C = gl.z, c.values
     half = 0.5 * np.diagonal(z)

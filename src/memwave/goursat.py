@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
 from .model import (
     CausalHistory,
     CoefficientField,
@@ -140,10 +139,10 @@ def _march(q_ext: np.ndarray, Kv: np.ndarray, diag: np.ndarray,
     return blocks
 
 
-def solve_goursat(q: CoefficientField, K: MemoryKernel, grid: GridSpec) -> GoursatSolution:
-    """March the diamond scheme for the kernel w over the full triangle."""
-    if q.grid != grid or K.grid != grid:
-        raise UsageError("coefficient/kernel grids do not match the requested grid")
+def solve_goursat(q: CoefficientField, K: MemoryKernel) -> GoursatSolution:
+    """March the diamond scheme for the kernel w over the full triangle of
+    the grid that q and K share."""
+    grid = GridSpec.of(q, K)
     # one extra sample past T (constant continuation) feeds the extended strip;
     # it cannot influence any node with i + j <= 2N (domain of dependence).
     q_ext = np.append(q.values, q.values[-1])

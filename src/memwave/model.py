@@ -18,6 +18,9 @@ row: the Goursat march and the adjoint weights as the blocks of
 array.  ``level_starts`` is the one walk over level blocks: every reader
 takes the first level of each block from it, and no other module adds up
 block heights.
+
+``GridSpec.of`` is the one grid check: every routine that takes several
+fields reads its grid from it, and no other module compares grids.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ class GridSpec:
             raise UsageError(f"grid horizon T must be positive and finite, got {self.T}")
         if self.N < 8:
             raise UsageError(f"grid needs N >= 8 cells, got N={self.N}")
+
+    @staticmethod
+    def of(*fields) -> GridSpec:
+        """The grid that ``fields`` share, each a sampled field or a result
+        with a ``grid``; the one check that a call's inputs live on one grid."""
+        grid = fields[0].grid
+        for other in fields[1:]:
+            if other.grid != grid:
+                raise UsageError(f"inputs live on different grids: {grid} and {other.grid}")
+        return grid
 
     @property
     def h(self) -> float:

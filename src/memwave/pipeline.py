@@ -22,8 +22,8 @@ assembly vs. factorization identity) and fails loudly when the artifacts in
 a directory are not mutually consistent.  Every check reads the data, not
 truth_q.csv alone.  Each check is one function that one guard runs under
 the lap named after it; a breakage (a ``NumericalFailure``) the check raises
-fails it by name.  The only Goursat marches of ``verify`` are the three-way check's factor route,
-in its ``three_way_connecting`` lap.
+fails it by name.  The only Goursat marches of ``verify`` are the three-way
+check's factor route, in its ``three_way_connecting`` lap.
 """
 
 from __future__ import annotations
@@ -212,11 +212,10 @@ def _grid_block(grid: GridSpec) -> dict:
 
 def _report(outdir: str | None, timer: _Timer, command: str, **fields) -> dict:
     """The report ``{schema_version, command, **fields}``; with ``outdir``,
-    also the directory, report.json and timings.json with the laps."""
+    also report.json and timings.json with the laps."""
     head = {"schema_version": SCHEMA_VERSION, "command": command}
     report = {**head, **fields}
     if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
         write_json(os.path.join(outdir, "report.json"), report)
         write_json(os.path.join(outdir, "timings.json"),
                    {**head, "wall_times_s": timer.finish()})
@@ -236,13 +235,12 @@ def run_synth(cfg: PipelineConfig, outdir: str, *, seed: int | None = None) -> d
     q, K = cfg.fields()
 
     with timer.lap("goursat"):
-        r = response_kernel(solve_goursat(q, K, grid))
+        r = response_kernel(solve_goursat(q, K))
         diag_res = diagonal_residual(q)
 
     r = _add_noise(r, cfg.noise_sigma, cfg.noise_seed)
 
     with timer.lap("artifacts"):
-        os.makedirs(outdir, exist_ok=True)
         t_full = grid.times_full()
         write_csv(os.path.join(outdir, "response.csv"), ["t", "r"],
                   np.stack([t_full, r.values], axis=1))
@@ -370,7 +368,6 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
         del gl  # free the (N+1)^2 solution before the tables are formatted
 
     with timer.lap("artifacts"):
-        os.makedirs(outdir, exist_ok=True)
         # the kernel matrix itself: row i is c(t_i, .), column j holds s_j
         write_csv(os.path.join(outdir, "cT.csv"), [f"s{j}" for j in range(grid.N + 1)],
                   cT.values)
@@ -441,7 +438,7 @@ def _verify_three_way(rungs, kernels, stop) -> dict:
     for i, (cg, _, Kc, qc) in enumerate(rungs):
         if i == len(kernels):
             raise stop
-        cw = connecting_kernel_from_w(solve_goursat(qc, Kc, cg))
+        cw = connecting_kernel_from_w(solve_goursat(qc, Kc))
         rel = np.max(np.abs(kernels[i].values - cw.values))
         level_diffs.append(float(rel / (1.0 + np.max(np.abs(cw.values)))))
     del cw  # not held through the interior marches below
@@ -578,7 +575,7 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
             c = replace(cfg, N=N)
             grid = c.grid()
             q, K = c.fields()
-            r = _add_noise(response_kernel(solve_goursat(q, K, grid)),
+            r = _add_noise(response_kernel(solve_goursat(q, K)),
                            c.noise_sigma, c.noise_seed)
             q_hat = recover_potential(solve_gl(connecting_kernel_from_response(r, K)))
             err = reconstruction_errors(q.values, q_hat.values, grid)["interior_rel"]
@@ -596,7 +593,6 @@ def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:
             row["order"] = float(np.log2(ratio) / width)
 
     with timer.lap("artifacts"):
-        os.makedirs(outdir, exist_ok=True)
         header = ["N", "error", "ratio", "order"]
         write_csv(os.path.join(outdir, "convergence.csv"), header,
                   np.array([[row[k] for k in header] for row in rows], dtype=float))

@@ -31,7 +31,7 @@ def full_fields(grid64):
 @pytest.fixture(scope="session")
 def full_goursat(grid64, full_fields):
     q, K = full_fields
-    return mw.solve_goursat(q, K, grid64)
+    return mw.solve_goursat(q, K)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +54,7 @@ def full_ct_oracle(full_goursat):
 def classical_goursat(grid64):
     prob = mw.get_problem("classical")
     q, K = prob.fields(grid64)
-    return mw.solve_goursat(q, K, grid64)
+    return mw.solve_goursat(q, K)
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def memonly_goursat():
     grid = mw.GridSpec(1.0, 80)
     prob = mw.get_problem("memory_only_small")
     q, K = prob.fields(grid)
-    return mw.solve_goursat(q, K, grid)
+    return mw.solve_goursat(q, K)
 
 
 @pytest.fixture

@@ -179,9 +179,7 @@ def _correlation_levels(F, G, RF, RG, Kv, grid: GridSpec) -> np.ndarray:
 def solve_blagoveshchenskii(r: ResponseData, K: MemoryKernel, f: ControlSignal,
                             g: ControlSignal) -> PsiField:
     """Correlation field of two admissible controls from boundary data (r, K)."""
-    grid = r.grid
-    if K.grid != grid or f.grid != grid or g.grid != grid:
-        raise UsageError("response, kernel and controls must share one grid")
+    grid = GridSpec.of(r, K, f, g)
     if not (f.admissible and g.admissible):
         raise UsageError("correlation march needs admissible-smooth controls")
     F = f.padded_full()
@@ -339,6 +337,6 @@ def reference_response(problem: ProblemSpec, grid: GridSpec) -> ResponseData:
     def response(n):
         fine = GridSpec(grid.T, n * grid.N)
         q, K = problem.fields(fine)
-        return response_kernel(solve_goursat(q, K, fine)).values[::n]
+        return response_kernel(solve_goursat(q, K)).values[::n]
 
     return ResponseData(grid, (4.0 * response(4) - response(2)) / 3.0)

@@ -24,7 +24,7 @@ from oracles import dense_w
 def _pipeline_pieces(name, n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(name).fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     return grid, q, K, sol
 
 

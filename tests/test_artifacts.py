@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 import memwave as mw
 from memwave import artifacts
-from memwave.artifacts import read_csv, write_csv
+from memwave.artifacts import read_csv, write_csv, write_json
 
 
 def _reference_text(block):
@@ -186,7 +186,7 @@ def test_kernel_formats_cT_with_no_fallback_but_ties():
     grid = mw.GridSpec(1.0, 256)
     q, K = mw.get_problem("full").fields(grid)
     c = mw.connecting_kernel_from_response(
-        mw.response_kernel(mw.solve_goursat(q, K, grid)), K).values.ravel()
+        mw.response_kernel(mw.solve_goursat(q, K)), K).values.ravel()
     D, X, slow = artifacts._decimal17(c)
     zero = c == 0
     assert zero.sum() == 2 * grid.N + 1  # formatted by the fast path as 0
@@ -269,10 +269,11 @@ def test_write_never_asks_the_cpu_count(tmp_path, monkeypatch, fork_pids):
     assert fork_pids == []
 
 
-def _failing_write(monkeypatch, failing):
-    """A 10-slice write that raises while formatting its second slice, while
-    writing its second slice out (a full disk), or at the rename once the
-    table is whole."""
+def _failing_write(monkeypatch, failing, writer):
+    """A 10-slice table write that raises while formatting its second slice,
+    while writing its second slice out (a full disk), or at the rename once
+    the table is whole; or a report write that raises while writing its one
+    text out, or at the rename."""
     real_text, real_open, real_replace = artifacts._slice_text, open, os.replace
     calls = itertools.count(1)
 
@@ -285,8 +286,8 @@ def _failing_write(monkeypatch, failing):
         fh = real_open(path, mode)
         real_write, writes = fh.write, itertools.count(1)
 
-        def write(data):  # the header, then one write a slice
-            if next(writes) == 3 and failing == "write":
+        def write(data):  # the header, then one write a slice; a report's text
+            if next(writes) == (3 if writer == "csv" else 1) and failing == "write":
                 raise OSError(errno.ENOSPC, "injected full disk")
             return real_write(data)
 
@@ -302,28 +303,33 @@ def _failing_write(monkeypatch, failing):
     monkeypatch.setattr(artifacts, "open", open_full, raising=False)
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(artifacts, "_SLICE_CELLS", 6)
+    if writer == "json":
+        return lambda path: write_json(str(path), {"a": [1.0, float("nan")], "b": "c"})
     return lambda path: write_csv(str(path), ["a", "b", "c"], np.arange(60.0).reshape(20, 3))
 
 
 FAULTS = {"format": RuntimeError, "write": OSError, "rename": RuntimeError}
+# every fault of a table write, and the write and rename faults of a report
+WRITES = [pytest.param("csv", fault, id=fault) for fault in FAULTS] + [
+    pytest.param("json", fault, id=f"json_{fault}") for fault in ("write", "rename")]
 
 
-@pytest.mark.parametrize("failing", list(FAULTS))
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, failing):
-    write = _failing_write(monkeypatch, failing)
+@pytest.mark.parametrize("writer, failing", WRITES)
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, writer, failing):
+    write = _failing_write(monkeypatch, failing, writer)
     with pytest.raises(FAULTS[failing], match="injected"):
-        write(tmp_path / "t.csv")
-    assert os.listdir(tmp_path) == []  # neither a partial table nor a temporary
+        write(tmp_path / f"t.{writer}")
+    assert os.listdir(tmp_path) == []  # neither a partial file nor a temporary
 
 
-@pytest.mark.parametrize("failing", list(FAULTS))
-def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, failing):
-    path = tmp_path / "t.csv"
+@pytest.mark.parametrize("writer, failing", WRITES)
+def test_failed_write_keeps_the_old_table(tmp_path, monkeypatch, writer, failing):
+    path = tmp_path / f"t.{writer}"
     path.write_bytes(b"old\n1\n")
-    write = _failing_write(monkeypatch, failing)
+    write = _failing_write(monkeypatch, failing, writer)
     with pytest.raises(FAULTS[failing], match="injected"):
         write(path)
-    assert os.listdir(tmp_path) == ["t.csv"]
+    assert os.listdir(tmp_path) == [path.name]
     assert path.read_bytes() == b"old\n1\n"
 
 

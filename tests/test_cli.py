@@ -96,13 +96,17 @@ def test_bad_config_exit_2(tmp_path, capsys):
     '{"q": {"family": "constant", "params": [false]}}',
     '{"problem": ["full"]}',
     '{"problem": {"a": 1}}',
+    pytest.param("[" * 100000, id="nested_past_the_recursion_limit"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, text):
     p = tmp_path / "bad.json"
     p.write_text(text)
     rc = cli.main(["synth", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: config: ")
+    # an object with a bad entry is a config error; the nesting is no JSON
+    # the reader can hold
+    expected = "error: config: " if text.startswith("{") else f"error: malformed JSON in {p}: "
+    assert capsys.readouterr().err.startswith(expected)
 
 
 @pytest.mark.parametrize("command, kind, message", [
@@ -126,6 +130,22 @@ def test_unreadable_input_file_exit_2(tmp_path, cfg_file, synth_dir, capsys, com
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {message}{path}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "reconstruct", "verify", "convergence"])
+def test_output_path_naming_a_file_exit_2(tmp_path, cfg_file, synth_dir, capsys, command):
+    # --out names an existing file, not a directory: a usage error, not a
+    # crash, and the file keeps its bytes
+    out = tmp_path / "taken"
+    out.write_bytes(b"a file\n")
+    where = {"synth": ["--config", cfg_file], "reconstruct": ["--data", synth_dir],
+             "verify": ["--data", synth_dir],
+             "convergence": ["--config", cfg_file, "--grids", "16,32"]}[command]
+    rc = cli.main([command, *where, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}{os.sep}") and "Traceback" not in err
+    assert out.read_bytes() == b"a file\n"
 
 
 def test_negative_seed_flag_exit_2(tmp_path, cfg_file, capsys):

@@ -50,7 +50,7 @@ def _traced_peak_arrays(fn, grid):
 def _free_setup(n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("free").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     return grid, K, r
 
 
@@ -119,7 +119,7 @@ def test_psi_march_blowup_reported():
 def test_psi_bilinear_in_first_control(alpha, beta):
     grid = mw.GridSpec(1.0, 16)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     f1 = _bump(grid, 0.35, 0.2)
     f2 = _bump(grid, 0.6, 0.25)
     g = _bump(grid, 0.5, 0.3)
@@ -140,7 +140,7 @@ def test_form_from_psi_matches_interior_oracle():
     for n in (32, 64):
         grid = mw.GridSpec(1.0, n)
         q, K = mw.get_problem("full").fields(grid)
-        r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+        r = mw.response_kernel(mw.solve_goursat(q, K))
         f = _bump(grid, 0.3, 0.2)
         g = _bump(grid, 0.6, 0.25)
         data_val = solve_blagoveshchenskii(r, K, f, g).at_final()
@@ -155,7 +155,7 @@ def test_form_from_kernel_reproduces_psi_exactly(full_ct_response, full_fields, 
     # kernel route agrees with the march itself to rounding error
     _, K = full_fields
     q, _ = full_fields
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid64))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     f = _bump(grid64, 0.35, 0.2)
     g = _bump(grid64, 0.6, 0.25)
     vk = mw.connecting_form_from_kernel(full_ct_response, f, g)
@@ -220,7 +220,7 @@ def test_full_routes_converge(full_ct_response, full_ct_oracle):
     assert diff64 < 5e-3
     grid32 = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid32)
-    sol = mw.solve_goursat(q, K, grid32)
+    sol = mw.solve_goursat(q, K)
     cr = mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
     cw = mw.connecting_kernel_from_w(sol)
     diff32 = np.abs(cr.values - cw.values).max()
@@ -233,7 +233,7 @@ def test_kernel_symmetric_both_routes():
         for n in (9, 64, 200, 400):
             grid = mw.GridSpec(1.0, n)
             q, K = mw.get_problem(name).fields(grid)
-            sol = mw.solve_goursat(q, K, grid)
+            sol = mw.solve_goursat(q, K)
             for ct in (mw.connecting_kernel_from_response(mw.response_kernel(sol), K),
                        mw.connecting_kernel_from_w(sol)):
                 assert np.array_equal(ct.values, ct.values.T), (name, n)
@@ -259,7 +259,7 @@ def test_factor_route_equals_the_dense_formula(problem, n):
     # of one row
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     assert np.array_equal(mw.connecting_kernel_from_w(sol).values, _dense_factor_route(sol))
 
 
@@ -269,7 +269,7 @@ def test_factor_route_holds_w_and_c_alone():
     # formula read 7.0
     grid = mw.GridSpec(1.0, 512)
     q, K = mw.get_problem("full").fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     assert _traced_peak_arrays(lambda: mw.connecting_kernel_from_w(sol), grid) <= 3.5
 
 
@@ -294,7 +294,7 @@ def test_galerkin_asymmetry_is_round_off_on_any_data(data, scale):
         K = mw.MemoryKernel(grid, scale * rng.standard_normal(grid.N2 + 1))
     else:
         q, K = mw.get_problem("full").fields(grid)
-        rv = mw.response_kernel(mw.solve_goursat(q, K, grid)).values.copy()
+        rv = mw.response_kernel(mw.solve_goursat(q, K)).values.copy()
         rv[1 + rng.integers(grid.N2)] = scale
     ct = mw.connecting_kernel_from_response(mw.ResponseData(grid, rv), K)
     assert 0.0 < ct.asymmetry <= asymmetry_round_off(32, np.abs(ct.values).max())
@@ -306,7 +306,7 @@ def test_galerkin_asymmetry_is_read_over_the_diagonal_blocks():
     # the diagonal ones, and the asymmetry is read there
     grid = mw.GridSpec(1.0, 400)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     ct = mw.connecting_kernel_from_response(r, K)
     assert (grid.N - 2) // _BLOCK == 3
     assert 0.0 < ct.asymmetry <= asymmetry_round_off(400, np.abs(ct.values).max())
@@ -377,7 +377,7 @@ def _sweep_galerkin(r, Kv, grid):
 def test_adjoint_matches_oracle_sweep(problem):
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem(problem).fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     r_zero = mw.ResponseData(grid, np.zeros(grid.N2 + 1))
     # the production assembly subtracts h I for the free march's block
     assert np.array_equal(_sweep_galerkin(r_zero, None, grid), grid.h * np.eye(grid.N - 2))
@@ -455,7 +455,7 @@ def test_adjoint_weights_match_direct_march(monkeypatch, problem, n):
     zero = np.zeros(grid.N2 + 1)
     assert np.array_equal(_unpacked(_adjoint_weights(zero, grid), grid),
                           _direct_adjoint_weights(None, grid))
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     ct = mw.connecting_kernel_from_response(r, K)
     # ``_galerkin`` reads the dense weights as one block of the whole window
     monkeypatch.setattr(connecting, "_adjoint_weights", lambda Kv, g: [np.ascontiguousarray(
@@ -481,7 +481,7 @@ def test_impulse_responses_equal_per_probe_responses():
     # shift-invariant away from t = 0: the shifted stencil is exact
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     P, RP = _bump_probe_responses(r, grid)
     assert np.array_equal(P[:, 2 : grid.N], np.eye(grid.N2 + 1)[:, 2 : grid.N])
     stencil = _impulse_response(r, grid)
@@ -512,7 +512,7 @@ def test_streamed_galerkin_matches_dense_products(problem, n):
     # are formed: they are all that ``_kernel_from_galerkin`` reads
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     _, RP = _bump_probe_responses(r, grid)
     blocks = _adjoint_weights(K.values, grid)
     want = _dense_galerkin(RP[:, 2 : grid.N], _unpacked(blocks, grid), grid)
@@ -590,7 +590,7 @@ def _assembly_peak_arrays(n):
     """The traced peak of the assembly of `full` at N = n, in (N+1)^2 arrays."""
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     return _traced_peak_arrays(lambda: mw.connecting_kernel_from_response(r, K), grid)
 
 
@@ -616,7 +616,7 @@ def test_kernel_from_galerkin_holds_one_array_above_its_entry():
     # return and an (N+1)^2 bool mask beside c read 1.125 arrays
     grid = mw.GridSpec(1.0, 1024)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     rows = connecting._galerkin(connecting._impulse_response(r, grid),
                                 connecting._adjoint_weights(K.values, grid), grid)
     tracemalloc.start()
@@ -650,7 +650,7 @@ def test_assembly_calls_apply_response_once(monkeypatch, n):
     monkeypatch.setattr(connecting, "_adjoint_weights", counting_march)
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     mw.connecting_kernel_from_response(r, K)
     assert len(calls) == 1 and calls[0] is r
     assert len(marches) == 1 and marches[0] is K.values
@@ -688,7 +688,7 @@ def test_probe_gram_matrix_is_psd():
     # states and must not have significantly negative eigenvalues
     grid = mw.GridSpec(1.0, 32)
     q, K = mw.get_problem("full").fields(grid)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     (B,) = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)
     assert B.shape == (grid.N - 2, grid.N - 2)  # one row block: the whole block
     eigs = np.linalg.eigvalsh(0.5 * (B + B.T))

@@ -29,7 +29,11 @@ Each decision two modules share has one owner.  A problem's families are
 sampled in ``catalog`` (and in ``model``, which defines them): no other
 module calls ``coefficient_from_family`` or ``kernel_from_family``.  The
 exit-3 failure classes are grouped once, as ``errors.NumericalFailure``: no
-other module lists two of them in a tuple or an ``except`` clause.
+other module lists two of them in a tuple or an ``except`` clause.  Inputs
+share one grid by ``model.GridSpec.of``: no other module compares a
+``.grid``.  Every output file is written by ``artifacts``, which makes its
+directory too: no other module calls ``open``, ``os.makedirs`` or
+``os.replace``.
 
 Every report has one envelope: inside ``pipeline``, only ``_report`` spells
 the key ``"schema_version"``.
@@ -288,3 +292,26 @@ def test_only_the_report_envelope_spells_the_schema_key():
     found = [owner.get(node, "<module>") for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value == "schema_version"]
     assert found == ["_report"]
+
+
+def test_only_the_grid_spec_compares_grids():
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and module != "model"
+                  and any(isinstance(n, ast.Attribute) and n.attr == "grid"
+                          for n in ast.walk(node))]
+    assert found == []
+
+
+def test_only_artifacts_opens_or_places_files():
+    found = []
+    for module, tree in _trees().items():
+        owner = _owners(tree)
+        found += [f"{module}.{owner.get(node, '<module>')}:{ast.unparse(node.func)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and module != "artifacts"
+                  and ast.unparse(node.func) in ("open", "os.makedirs", "os.replace")]
+    assert found == []

@@ -208,7 +208,7 @@ def test_fd_blowup_is_reported():
 
 def test_control_map_free_is_pure_shift():
     grid, q, K = _problem("free", 64)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.3), grid)
     snap = apply_control_operator(sol, f)
     x = grid.times_half()
@@ -220,7 +220,7 @@ def test_control_map_agrees_with_fd():
     diffs = []
     for n in (32, 64):
         grid, q, K = _problem("full", n)
-        sol = mw.solve_goursat(q, K, grid)
+        sol = mw.solve_goursat(q, K)
         f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
         snap = apply_control_operator(sol, f)
         fd = mw.fd_forward(q, K, f)
@@ -231,7 +231,7 @@ def test_control_map_agrees_with_fd():
 
 def test_duhamel_midtime_causality():
     grid, q, K = _problem("full", 64)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     f = mw.control_from_family("smooth_bump_control", (0.2, 0.15), grid)
     snap = duhamel_eval(sol, f, 0.5)
     # finite speed: nothing beyond x = t_star
@@ -241,7 +241,7 @@ def test_duhamel_midtime_causality():
 
 def test_duhamel_rejects_offgrid_time():
     grid, q, K = _problem("free", 32)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     f = mw.control_from_family("zero", (), grid)
     with pytest.raises(mw.UsageError):
         duhamel_eval(sol, f, 0.7919)
@@ -252,7 +252,7 @@ def test_duhamel_rejects_offgrid_time():
 
 def test_solve_control_free_linear_target():
     grid, q, K = _problem("free", 64)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     t = grid.times_half()
     ctrl = solve_control(sol, t.copy())
     # free problem: u(x, T) = f(T - x), so the control is the reversed ramp
@@ -262,7 +262,7 @@ def test_solve_control_free_linear_target():
 
 def test_control_round_trip_is_exact():
     grid, q, K = _problem("full", 100)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.3), grid)
     state = apply_control_operator(sol, f)
     back = solve_control(sol, state.values)
@@ -272,7 +272,7 @@ def test_control_round_trip_is_exact():
 
 def test_state_round_trip_is_exact():
     grid, q, K = _problem("full", 200)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     target = np.sin(np.pi * grid.times_half()) ** 2
     ctrl = solve_control(sol, target)
     fwd = apply_control_operator(sol, ctrl)
@@ -281,7 +281,7 @@ def test_state_round_trip_is_exact():
 
 def test_solve_control_checks_target_length():
     grid, q, K = _problem("free", 32)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     with pytest.raises(mw.UsageError):
         solve_control(sol, np.zeros(7))
 
@@ -291,7 +291,7 @@ def test_solve_control_checks_target_length():
 
 def test_response_map_free_is_minus_derivative():
     grid, q, K = _problem("free", 128)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.3), grid)
     out = mw.apply_response(r, f)
     assert_allclose(out, -sampled_derivative(f.values, grid.h), atol=1e-15)
@@ -300,7 +300,7 @@ def test_response_map_free_is_minus_derivative():
 def test_response_map_memory_closed_form():
     # constant kernel K0: (Rf)(t) ~ -f'(t) - (K0/2) (t * f)(t) + O(K0^2)
     grid, q, K = _problem("memory_only_small", 128)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.2), grid, full_window=True)
     out = mw.apply_response(r, f)
     t = grid.times_full()
@@ -312,7 +312,7 @@ def test_response_map_memory_closed_form():
 
 def test_response_map_rejects_rough_control():
     grid, q, K = _problem("free", 32)
-    r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+    r = mw.response_kernel(mw.solve_goursat(q, K))
     sine = mw.control_from_family("sine", (1.0, 2.0), grid)
     with pytest.raises(mw.UsageError):
         mw.apply_response(r, sine)
@@ -322,7 +322,7 @@ def test_response_map_agrees_with_fd_trace():
     diffs = []
     for n in (64, 128):
         grid, q, K = _problem("full", n)
-        r = mw.response_kernel(mw.solve_goursat(q, K, grid))
+        r = mw.response_kernel(mw.solve_goursat(q, K))
         f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid, full_window=True)
         fd = mw.fd_forward(q, K, f, 2.0 * grid.T)
         diffs.append(np.abs(mw.fd_boundary_trace(fd, grid.h) - mw.apply_response(r, f)).max())

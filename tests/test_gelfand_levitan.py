@@ -32,7 +32,7 @@ from oracles import dense_w, first_non_positive_block, z_from_w
 def _w_solution(name, n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(name).fields(grid)
-    return mw.solve_goursat(q, K, grid)
+    return mw.solve_goursat(q, K)
 
 
 def _lu_solve_gl(c):
@@ -148,7 +148,7 @@ def test_z_is_minus_w_to_first_order():
     grid = mw.GridSpec(1.0, 64)
     q, _ = mw.get_problem("free").fields(grid)
     K = mw.kernel_from_family("constant", (1e-3,), grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     z = z_from_w(sol).z
     W = dense_w(sol)[:, :65]
     i, j = np.triu_indices(65)
@@ -292,7 +292,7 @@ def test_pivot_deciles_are_tenthwise_minima(n):
     # operator A = I + D^1/2 C D^1/2, split into ten parts in depth order
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem("full").fields(grid)
-    ct = mw.connecting_kernel_from_w(mw.solve_goursat(q, K, grid))
+    ct = mw.connecting_kernel_from_w(mw.solve_goursat(q, K))
     d = np.full(n + 1, grid.h)
     d[0] *= 0.5
     sq = np.sqrt(d)

@@ -27,7 +27,7 @@ from oracles import dense_w, direct_march, linearized_memory_field, reference_re
 def _solve(name, n):
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(name).fields(grid)
-    return mw.solve_goursat(q, K, grid)
+    return mw.solve_goursat(q, K)
 
 
 def _direct(q, K, grid):
@@ -86,7 +86,7 @@ def test_kernel_memory_is_a_small_multiple_of_the_march():
     q, K = mw.get_problem("full").fields(grid)
     tracemalloc.start()
     try:
-        mw.response_kernel(mw.solve_goursat(q, K, grid))
+        mw.response_kernel(mw.solve_goursat(q, K))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -101,7 +101,7 @@ def test_solution_holds_the_march_once():
     q, K = mw.get_problem("full").fields(grid)
     tracemalloc.start()
     try:
-        sol = mw.solve_goursat(q, K, grid)
+        sol = mw.solve_goursat(q, K)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -196,7 +196,7 @@ def test_full_march_deviates_quadratically_from_linearized():
     devs = []
     for amp in (0.01, 0.02):
         k = mw.kernel_from_family("constant", (amp,), grid)
-        sol = mw.solve_goursat(q0, k, grid)
+        sol = mw.solve_goursat(q0, k)
         lin = linearized_memory_field(k, grid)
         devs.append(np.abs(dense_w(sol) - lin).max())
     assert devs[0] < 3e-6
@@ -212,7 +212,7 @@ def test_blocked_march_matches_direct_march(problem, n):
     # neither N is a multiple of the level block; both end in a partial block
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     ext = _direct(q, K, grid)
     tol = 1e-12 * (1.0 + np.abs(ext).max())
     assert np.abs(dense_w(sol) - ext[: n + 1]).max() <= tol
@@ -239,7 +239,7 @@ def test_packed_march_equals_direct_march(problem, n):
     # march over them is the direct march to the last bit on the catalogue
     grid = mw.GridSpec(1.0, n)
     q, K = mw.get_problem(problem).fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     ext = _direct(q, K, grid)
     assert _blocks_hold_the_march(sol.march, ext)
     assert np.array_equal(dense_w(sol), ext[: n + 1])
@@ -250,7 +250,7 @@ def test_packed_march_matches_direct_march_at_1024():
     # N = 1024 the two marches differ in their last bits alone
     grid = mw.GridSpec(1.0, 1024)
     q, K = mw.get_problem("full").fields(grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     ext = _direct(q, K, grid)
     j0 = 0
     for block in sol.march:
@@ -299,15 +299,7 @@ def test_march_blowup_is_reported():
     qbig = mw.CoefficientField(grid=grid, values=np.full(65, 1e8))
     k = mw.kernel_from_family("zero", (), grid)
     with pytest.raises(mw.NumericalInstabilityError, match=r"grid node \(i=1, j=70\)$"):
-        mw.solve_goursat(qbig, k, grid)
-
-
-def test_grid_mismatch_rejected():
-    g1, g2 = mw.GridSpec(1.0, 32), mw.GridSpec(1.0, 64)
-    q, _ = mw.get_problem("free").fields(g1)
-    k = mw.kernel_from_family("zero", (), g2)
-    with pytest.raises(mw.UsageError):
-        mw.solve_goursat(q, k, g2)
+        mw.solve_goursat(qbig, k)
 
 
 def test_response_data_validation():

@@ -50,6 +50,42 @@ def test_grid_spec_doubled_window():
     assert_allclose(full[:33], g.times_half())
 
 
+def _fields(n):
+    """Every input kind of the routines that take two or more, on N = n."""
+    grid = mw.GridSpec(1.0, n)
+    q, K = mw.get_problem("full").fields(grid)
+    r = mw.response_kernel(mw.solve_goursat(q, K))
+    c = mw.connecting_kernel_from_response(r, K)
+    f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
+    return {"q": q, "K": K, "r": r, "c": c, "gl": mw.solve_gl(c), "f": f}
+
+
+# each routine with its inputs on the fine grid ``a`` but one on ``b``
+MIXED_GRID_CALLS = {
+    "solve_goursat": lambda a, b: mw.solve_goursat(a["q"], b["K"]),
+    "connecting_kernel_from_response":
+        lambda a, b: mw.connecting_kernel_from_response(a["r"], b["K"]),
+    "connecting_form_from_kernel":
+        lambda a, b: mw.connecting_form_from_kernel(a["c"], a["f"], b["f"]),
+    "connecting_form_from_interior":
+        lambda a, b: mw.connecting_form_from_interior(a["q"], a["K"], [b["f"]]),
+    "apply_response": lambda a, b: mw.apply_response(a["r"], b["f"]),
+    "fd_forward": lambda a, b: mw.fd_forward(a["q"], a["K"], b["f"]),
+    "gl_residual": lambda a, b: mw.gl_residual(a["c"], b["gl"]),
+    "operator_identity_residual":
+        lambda a, b: mw.operator_identity_residual(a["c"], b["gl"]),
+}
+
+
+@pytest.mark.parametrize("call", list(MIXED_GRID_CALLS))
+def test_fields_on_another_grid_are_refused(call):
+    # GridSpec.of is every routine's grid: a field on N = 16 among fields on
+    # N = 32 is refused, with both grids named
+    with pytest.raises(mw.UsageError, match="different grids") as err:
+        MIXED_GRID_CALLS[call](_fields(32), _fields(16))
+    assert "N=32" in str(err.value) and "N=16" in str(err.value)
+
+
 def test_trapz_weights_sum_to_length():
     w = trapz_weights(11, 0.1)
     assert w.size == 11
@@ -286,7 +322,7 @@ def test_check_march_names_the_first_bad_node_across_blocks():
 
 def _full_response(grid):
     q, K = mw.get_problem("full").fields(grid)
-    return mw.response_kernel(mw.solve_goursat(q, K, grid)), K
+    return mw.response_kernel(mw.solve_goursat(q, K)), K
 
 
 def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
@@ -307,7 +343,7 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     grid = mw.GridSpec(1.0, 16)
     q, K = mw.get_problem("full").fields(grid)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
-    sol = mw.solve_goursat(q, K, grid)
+    sol = mw.solve_goursat(q, K)
     whole = mw.fd_forward(q, K, f)
     cone = mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
     mw.connecting_kernel_from_response(mw.response_kernel(sol), K)

@@ -271,7 +271,7 @@ def test_reconstruct_reports_galerkin_asymmetry(data_dir, tmp_path):
     assert 0.0 <= m["galerkin_asymmetry"] <= bound
     # the factor route assembles no Galerkin block
     grid, _, K, q = _load_data(data_dir)
-    assert np.isnan(mw.connecting_kernel_from_w(mw.solve_goursat(q, K, grid)).asymmetry)
+    assert np.isnan(mw.connecting_kernel_from_w(mw.solve_goursat(q, K)).asymmetry)
 
 
 def _scaled_response(src_dir, tmp_path, factor):
@@ -340,7 +340,7 @@ def test_reconstruct_w_oracle_path(data_dir):
     # the factor route from the true potential's kernel w, through the same
     # solve, recovery and error metrics as reconstruct
     grid, _, K, q_true = _load_data(data_dir)
-    cw = mw.connecting_kernel_from_w(mw.solve_goursat(q_true, K, grid))
+    cw = mw.connecting_kernel_from_w(mw.solve_goursat(q_true, K))
     q_hat = mw.recover_potential(mw.solve_gl(cw))
     err = mw.reconstruction_errors(q_true.values, q_hat.values, grid)
     assert err["interior_rel"] < 1e-2
@@ -573,10 +573,10 @@ def test_verify_names_the_first_of_two_breakages(data_dir, monkeypatch, truth_at
     real_march = pipeline.solve_goursat
     real_assembly = pipeline.connecting_kernel_from_response
 
-    def march(q, K, grid):
-        if grid.N == truth_at:
+    def march(q, K):
+        if q.grid.N == truth_at:
             raise mw.NumericalInstabilityError(messages["truth"])
-        return real_march(q, K, grid)
+        return real_march(q, K)
 
     def assemble(r, K):
         if r.grid.N == assembly_at:
@@ -634,9 +634,9 @@ def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     calls = []
     real = pipeline.solve_goursat
 
-    def solve_goursat(q, K, grid):
-        calls.append(grid.N)
-        return real(q, K, grid)
+    def solve_goursat(q, K):
+        calls.append(q.grid.N)
+        return real(q, K)
 
     monkeypatch.setattr(pipeline, "solve_goursat", solve_goursat)
     report = run_verify(d, str(tmp_path / "v"))
@@ -715,8 +715,8 @@ def test_convergence_frees_each_march_before_its_assembly(tmp_path, monkeypatch)
     real_march = pipeline.solve_goursat
     real_assembly = pipeline.connecting_kernel_from_response
 
-    def march(q, K, grid):
-        sol = real_march(q, K, grid)
+    def march(q, K):
+        sol = real_march(q, K)
         marches.append(weakref.ref(sol))
         return sol
 
