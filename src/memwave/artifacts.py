@@ -26,7 +26,8 @@ writes the file under a temporary name beside its target, chunk by chunk
 (a table one slice of ``_SLICE_CELLS`` cells at a time), and renames it over
 the target only once it is whole, so a failed write leaves the old file or
 none.  A directory or temporary that cannot be made (an output path that
-names an existing file, say) is a ``UsageError``.
+names an existing file, say), or a target the temporary cannot replace (a
+directory), is a ``UsageError``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import functools
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -70,7 +72,10 @@ def _write(path: str, chunks) -> None:
     try:
         with fh:
             fh.writelines(chunks)  # each chunk released before the next is formed
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:  # the target is a directory, say
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         os.unlink(tmp_path)
         raise
@@ -238,7 +243,9 @@ def _slice_text(block: np.ndarray) -> bytes:
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     try:
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
+            # a table with no rows is named below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except FileNotFoundError:
@@ -247,7 +254,9 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # a UnicodeDecodeError is one too
         raise UsageError(f"malformed CSV in {path}: {exc}") from None
-    if data.size == 0 or data.shape[1] != len(header):
+    if data.shape[0] == 0:
+        raise UsageError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
         raise UsageError(f"{path}: column count does not match header")
     return header, data
 

@@ -18,9 +18,10 @@ follows from the diagonal alone: q(x) = 2 (d/dx) z(x, x).
 
 The test suite's oracle for everything here inverts the Volterra factor
 I + W directly, with no connecting kernel involved (``tests/oracles.py``).
-``operator_identity_residual`` checks the factorization itself in weighted
-matrix form; on a z that solves the column equations it reads only the
-weighted diagonal of z, squared, so it bounds the size of z(x, x).
+``operator_identity_residual`` measures the factorization's residual in
+weighted matrix form through its closed form: on a z that solves the column
+equations the triple product reads only the weighted diagonal of z, squared,
+so the check bounds the size of z(x, x) in O(N).
 
 Every product with a triangular factor runs as a flat loop of GEMMs over
 blocks of rows or columns (``_spans``) that skips the factor's zero
@@ -32,8 +33,8 @@ products overwrite their operand block by block, so no temporary is larger
 than one block and no LAPACK copy of the whole matrix is held.  The
 condition number is estimated from a few products with that inverse, and z
 is then formed in its storage, so the solve holds one array beside C.
-The two residual checks form their upper triangles by column blocks and
-reduce each block to its maximum, so neither holds a full-size product.
+The collocation residual forms its upper triangle by column blocks and
+reduces each block to its maximum, so it holds no full-size product.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .model import (
     CoefficientField,
     GridSpec,
     sampled_derivative,
-    trapz_weights,
 )
 
 __all__ = [
@@ -348,53 +348,37 @@ def gl_residual(c: ConnectingKernel, gl: GLSolution) -> float:
 
 
 def operator_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
-    """Residual of (I + Z*D)(I + CD)(I + ZD) = I in weighted matrix form.
+    """Residual of (I + Z_h*D)(I + CD)(I + Z_hD) = I, from its closed form.
 
-    D holds the trapezoid weights of [0, T]; the product telescopes to the
-    identity exactly when c is the kernel of (I + W)*(I + W) and z inverts
-    I + W.  The z-factor is triangular, so the global weight vector would
-    give its support-edge node (the diagonal) a full interior weight h where
-    the correct rule for the truncated interval wants h/2; halving the
-    diagonal of z inside the products (Z_h) restores second-order quadrature.
-    Measured over the rows/columns 0..N-1 (the last node of the data-driven
-    kernel is extrapolated, not probed).
+    D holds the trapezoid weights of [0, T], and Z_h is z with its diagonal
+    halved: the global weights would give the triangular factor's support
+    edge (the diagonal) a full interior weight h where the truncated
+    interval wants h/2.  The product telescopes to the identity exactly
+    when c is the kernel of (I + W)*(I + W) and z inverts I + W; its sup
+    norm is taken over the rows and columns 0..N-1 (the last node of the
+    data-driven kernel is extrapolated, not probed).
 
-    Only the upper triangle of the residual E is formed: with G = D^1/2,
-    E = G^-1 M G with M symmetric, as c is, so E[j, i] = E[i, j] D_i / D_j
-    with D_i <= D_j for i <= j < N.  By column blocks j0..j1-1, each over
-    its rows < j1, where X = I + Z_h D is nonzero: Y = X + C D X, and
-    E = Y + Z_h* D Y - I, with Z_h* read as z[:j1, :j1].T less its halved
-    diagonal, as z's strict lower triangle is zero (``GLSolution``).  No
-    temporary is larger than (N+1) x one block.
+    For an upper-triangular z the residual E of a column j >= 1 reads, on
+    its rows t <= j,
 
-    On a z that solves the column equations the residual is
-    max_j (D_j z_jj / 2)^2 to rounding: for columns j >= 1, E[t, j] =
-    D_j [(I + Z_h* D) R][t, j] - delta_tj (D_j z_jj / 2)^2, where R is the
-    collocation residual that ``gl_residual`` bounds.
+        E[t, j] = D_j [(I + Z_h* D) R][t, j] - delta_tj (D_j z_jj / 2)^2,
+
+    where R is the collocation residual that ``gl_residual`` bounds, and
+    E[j, t] = E[t, j] D_t / D_j below the diagonal, as c is symmetric.
+    Column 0 holds one node, and z[0, 0] = -c(0, 0) (``solve_gl``) gives
+    E[0, 0] = (1 - a)^2 (1 + 2a) - 1 with a = h c(0, 0) / 4, a corner term
+    that vanishes on every kernel the assembly or the factor route builds.
+    ``verify`` gates R at 1e-8 (1 + max|c|), far below this check's
+    h^2 (1 + max|c|), so the residual is the larger of the corner term and
+    max (h z_jj / 2)^2 over 1 <= j <= N-1.  The triple product itself is a
+    test oracle (``tests/oracles.py``).
     """
     grid = GridSpec.of(c, gl)
     N, h = grid.N, grid.h
-    D = trapz_weights(N + 1, h)
-    z, C = gl.z, c.values
-    half = 0.5 * np.diagonal(z)
-    worst = 0.0
-    for j0, j1 in _spans(N):
-        diag = np.diag_indices(j1 - j0)
-        w = D[:j1, None]
-        # columns j0..j1-1 of X, zero below row j1 - 1
-        X = z[:j1, j0:j1] * D[j0:j1]
-        X[j0:][diag] = half[j0:j1] * D[j0:j1] + 1.0
-        Y = X + C[:j1, :j1] @ (w * X)
-        del X
-        E = z[:j1, :j1].T @ (w * Y)
-        Y *= 1.0 - half[:j1, None] * w  # Z_h* D Y is z.T D Y less half D Y
-        E += Y
-        del Y
-        E[j0:][diag] -= 1.0
-        # row t of column j0 + k is in the upper triangle when t <= j0 + k
-        worst = max(worst, float(np.triu(np.abs(E, out=E), -j0).max()))
-        del E
-    return worst
+    a = 0.25 * h * c.values[0, 0]
+    corner = abs((1.0 - a) ** 2 * (1.0 + 2.0 * a) - 1.0)
+    half = 0.5 * h * np.diagonal(gl.z)[1:N]
+    return float(np.max(half * half, initial=corner))
 
 
 def recover_potential(gl: GLSolution) -> CoefficientField:

@@ -297,7 +297,8 @@ def _load_data(datadir: str):
     K = MemoryKernel(grid, kern[:, 1])
 
     q = None
-    if os.path.exists(os.path.join(datadir, "truth_q.csv")):
+    # lexists: a dangling link is a truth that fails to read, not no truth
+    if os.path.lexists(os.path.join(datadir, "truth_q.csv")):
         tq = _read_table(datadir, "truth_q.csv")
         if tq.shape[0] != N + 1:
             raise UsageError("truth_q.csv must hold N+1 samples of [0, T]")

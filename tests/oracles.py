@@ -13,9 +13,12 @@ the same objects another way and the tests hold the two against each other:
   pair level by level (against the probe assembly of the connecting kernel
   and the interior wave-state form);
 * ``z_from_w`` inverts the Volterra factor I + W directly (against the
-  Gelfand-Levitan solve ``solve_gl``), and ``first_non_positive_block``
-  bisects a whole matrix over its leading-block Cholesky factorizations
-  (against the failing leaf that ``solve_gl`` names);
+  Gelfand-Levitan solve ``solve_gl``), ``dense_identity_residual`` forms
+  the factorization's residual as one dense triple product (against its
+  closed form ``operator_identity_residual``), and
+  ``first_non_positive_block`` bisects a whole matrix over its
+  leading-block Cholesky factorizations (against the failing leaf that
+  ``solve_gl`` names);
 * ``direct_march`` is the diamond march with its memory term written out
   without blocking (against ``solve_goursat``), and
   ``linearized_memory_field`` runs it driven by K(t - x) alone;
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from memwave.catalog import ProblemSpec
+from memwave.connecting import ConnectingKernel
 from memwave.errors import IllConditionedError, NumericalInstabilityError, UsageError
 from memwave.forward import apply_response
 from memwave.gelfand_levitan import GLSolution
@@ -216,6 +220,20 @@ def z_from_w(sol: GoursatSolution) -> GLSolution:
             s = z[i, i:j] @ (wts[:-1] * W[i:j, j])
             z[i, j] = -(W[i, j] + s) / (1.0 + 0.5 * h * W[j, j])
     return GLSolution(grid=grid, z=z)
+
+
+def dense_identity_residual(c: ConnectingKernel, gl: GLSolution) -> float:
+    """The residual of (I + Z_h*D)(I + CD)(I + Z_hD) = I as one dense triple
+    product, over the rows and columns 0..N-1 (against the closed form
+    ``operator_identity_residual``); Z_h is z with its diagonal halved."""
+    N, h = gl.grid.N, gl.grid.h
+    D = trapz_weights(N + 1, h)
+    I = np.eye(N + 1)
+    zq = gl.z.copy()
+    didx = np.arange(N + 1)
+    zq[didx, didx] *= 0.5
+    E = (I + zq.T * D) @ (I + c.values * D) @ (I + zq * D) - I
+    return float(np.max(np.abs(E[:N, :N])))
 
 
 def first_non_positive_block(S: np.ndarray) -> int:

@@ -148,6 +148,41 @@ def test_output_path_naming_a_file_exit_2(tmp_path, cfg_file, synth_dir, capsys,
     assert out.read_bytes() == b"a file\n"
 
 
+@pytest.mark.parametrize("command, target", [("verify", "report.json"),
+                                             ("reconstruct", "cT.csv")])
+def test_output_file_naming_a_directory_exit_2(tmp_path, synth_dir, capsys, command,
+                                               target):
+    # the rename of the finished temporary fails on the directory in its
+    # way: a usage error, not a crash, and no temporary is left behind
+    out = tmp_path / "o"
+    (out / target).mkdir(parents=True)
+    rc = cli.main([command, "--data", synth_dir, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert [name for name in os.listdir(out) if name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_dangling_truth_link_exit_2(tmp_path, synth_dir, capsys, command):
+    # a truth_q.csv that links to nothing is a truth that cannot be read,
+    # not a data set without truth
+    truth = Path(synth_dir, "truth_q.csv")
+    truth.unlink()
+    truth.symlink_to(tmp_path / "gone.csv")
+    rc = cli.main([command, "--data", synth_dir, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: missing input file: {truth}")
+
+
+def test_header_only_table_exit_2(tmp_path, synth_dir, capsys):
+    path = Path(synth_dir, "response.csv")
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    rc = cli.main(["verify", "--data", synth_dir, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+
 def test_negative_seed_flag_exit_2(tmp_path, cfg_file, capsys):
     rc = cli.main(["synth", "--config", cfg_file, "--out", str(tmp_path / "o"),
                    "--seed", "-1"])

@@ -12,6 +12,9 @@ Every matrix the package inverts is triangular, so a general dense inverse
 runs only on the diagonal leaf blocks of the in-place inverse Cholesky
 factor, on the leaf's own Cholesky factor.
 
+The factorization identity check is its O(N) closed form:
+``operator_identity_residual`` forms no matrix product.
+
 Every stage runs in one process: the package has no ``fork`` or
 ``forkpty``.  A fork site comes back only with a measurement that it pays.
 
@@ -171,6 +174,17 @@ def test_dense_inverse_only_in_the_triangular_leaf():
 def test_dense_cholesky_only_in_the_triangular_inverse():
     # the leaf's factorization and the bisection of its own leading blocks
     assert _uses({"cholesky"}) == ["gelfand_levitan._inverse_cholesky:np.linalg.cholesky"] * 2
+
+
+def test_operator_identity_forms_no_matrix_product():
+    tree = _trees()["gelfand_levitan"]
+    func, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "operator_identity_residual"]
+    found = [ast.unparse(node) for node in ast.walk(func)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+             or (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"))
+             or (isinstance(node, ast.Name) and node.id in ("matmul", "dot"))]
+    assert found == []
 
 
 def test_package_never_forks():

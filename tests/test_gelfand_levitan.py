@@ -8,8 +8,9 @@ explicit quadrature at a small size, making the oracle self-validating.
 
 The one-factorization solve and the vectorized residual are held against
 their column-by-column originals, and the in-place inverse Cholesky factor
-and the upper-triangle identity check against their dense forms, all kept
-here as test-local oracles.
+against its dense form, all kept here as test-local oracles; the closed
+form of the identity check is held against the dense triple product of
+``tests/oracles.py``.
 """
 
 import functools
@@ -26,7 +27,7 @@ from memwave.model import (
     cumulative_trapezoid,
     trapz_weights,
 )
-from oracles import dense_w, first_non_positive_block, z_from_w
+from oracles import dense_identity_residual, dense_w, first_non_positive_block, z_from_w
 
 
 def _w_solution(name, n):
@@ -61,18 +62,6 @@ def _loop_gl_residual(c, z):
     return worst
 
 
-def _dense_identity_residual(c, gl):
-    """Oracle: the identity residual as one dense triple product."""
-    N, h = gl.grid.N, gl.grid.h
-    D = trapz_weights(N + 1, h)
-    I = np.eye(N + 1)
-    zq = gl.z.copy()
-    didx = np.arange(N + 1)
-    zq[didx, didx] *= 0.5
-    E = (I + zq.T * D) @ (I + c.values * D) @ (I + zq * D) - I
-    return float(np.max(np.abs(E[:N, :N])))
-
-
 @functools.lru_cache(maxsize=None)
 def _kernel(name, n, route):
     sol = _w_solution(name, n)
@@ -100,7 +89,7 @@ def test_potential_diag_spot_value():
 
 def test_z_strictly_lower_part_vanishes():
     # 300 runs the recursion, which zeroes the upper block of each node;
-    # the identity check reads z[:j, :j].T and relies on this zero triangle
+    # the identity's triple product reads z.T and relies on this zero triangle
     for n in (64, 300):
         gl = mw.solve_gl(_kernel("full", n, "w"))
         i, j = np.tril_indices(n + 1, k=-1)
@@ -187,20 +176,19 @@ def test_operator_identity_second_order():
     ("random", 127), ("random", 128), ("random", 129), ("random", 300),
 ])
 def test_operator_identity_matches_dense_triple_product(name, n):
-    # 300 runs several column blocks, 64 one.  "random" is a random
-    # symmetric C with a random upper-triangular z that solves nothing, of
-    # entries about n^1/2: the residual is O(1) on both triangles, not the
-    # solve's diagonal term alone, and row 0 carries the half weight h/2
+    # 300 runs the solve's recursion, 64 one leaf.  "random" is a random
+    # symmetric positive C, which solve_gl solves, with c(0, 0) != 0; at odd
+    # n a large c(0, 0) makes the corner term E[0, 0] the maximum
     if name == "random":
         rng = np.random.default_rng(n)
-        X = np.sqrt(n) * rng.standard_normal((n + 1, n + 1))
-        c = mw.ConnectingKernel(grid=mw.GridSpec(1.0, n), values=X + X.T)
-        z = np.triu(np.sqrt(n) * rng.standard_normal((n + 1, n + 1)))
-        gl = mw.GLSolution(grid=c.grid, z=z)
+        B = rng.standard_normal((n + 1, n + 1))
+        C = B @ B.T / n
+        C[0, 0] += n % 2 * n
+        c = mw.ConnectingKernel(grid=mw.GridSpec(1.0, n), values=C)
     else:
         c = _kernel(name, n, "w")
-        gl = mw.solve_gl(c)
-    want = _dense_identity_residual(c, gl)
+    gl = mw.solve_gl(c)
+    want = dense_identity_residual(c, gl)
     assert want > 0.0
     got = mw.operator_identity_residual(c, gl)
     assert abs(got - want) <= 1e-13 * (1.0 + np.abs(c.values).max())
@@ -217,12 +205,15 @@ def test_operator_identity_measures_the_diagonal_of_z(name, n):
     D = trapz_weights(n + 1, c.grid.h)[:n]
     want = float(np.max((0.5 * D * np.diagonal(gl.z)[:n]) ** 2))
     assert want > 0.0
+    assert abs(dense_identity_residual(c, gl) - want) <= 5e-16
     assert abs(mw.operator_identity_residual(c, gl) - want) <= 5e-16
 
 
 def test_operator_identity_on_back_substitution(full_goursat):
     ct = mw.connecting_kernel_from_w(full_goursat)
-    res = mw.operator_identity_residual(ct, z_from_w(full_goursat))
+    # z_from_w's z does not solve the column equations, so the closed form
+    # does not hold for it: the dense triple product reads it
+    res = dense_identity_residual(ct, z_from_w(full_goursat))
     assert res < 5e-6
 
 
@@ -479,13 +470,11 @@ def test_gl_residual_matches_column_loop_beyond_the_leaf():
 
 
 @pytest.mark.parametrize("check, arrays", [(mw.gl_residual, 0.75),
-                                           (mw.operator_identity_residual, 1.0)])
+                                           (mw.operator_identity_residual, 0.01)])
 def test_residual_holds_its_full_array_budget(check, arrays):
     # gl_residual: one weighted column block of z, then one column block of
-    # the residual and its upper triangle; operator identity: three column
-    # blocks of its factors at a time, each block's released before the
-    # next block's form (0.75 to 0.78 arrays at N = 512; two full-size
-    # products read 3.03)
+    # the residual and its upper triangle; operator identity: its closed
+    # form reads z's diagonal alone, a few vectors of N + 1
     c = _kernel("full", 512, "w")
     gl = mw.solve_gl(c)
     full_array = 8 * (c.grid.N + 1) ** 2
