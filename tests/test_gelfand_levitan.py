@@ -469,22 +469,33 @@ def test_gl_residual_matches_column_loop_beyond_the_leaf():
     assert abs(mw.gl_residual(c, gl) - want) <= 1e-15 * scale
 
 
-@pytest.mark.parametrize("check, arrays", [(mw.gl_residual, 0.75),
-                                           (mw.operator_identity_residual, 0.01)])
-def test_residual_holds_its_full_array_budget(check, arrays):
-    # gl_residual: one weighted column block of z, then one column block of
-    # the residual and its upper triangle; operator identity: its closed
-    # form reads z's diagonal alone, a few vectors of N + 1
+def _residual_peak_arrays(check):
+    """The traced peak of ``check`` on the solved `full` kernel at N = 512,
+    in (N+1)^2 arrays."""
     c = _kernel("full", 512, "w")
     gl = mw.solve_gl(c)
-    full_array = 8 * (c.grid.N + 1) ** 2
     tracemalloc.start()
     try:
         check(c, gl)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * full_array
+    return peak / (8 * (c.grid.N + 1) ** 2)
+
+
+@pytest.mark.parametrize("check, arrays", [(mw.gl_residual, 0.75),
+                                           (mw.operator_identity_residual, 1.0)])
+def test_residual_holds_its_full_array_budget(check, arrays):
+    # gl_residual: one weighted column block of z, then one column block of
+    # the residual and its upper triangle; operator identity: no more than
+    # one full array
+    assert _residual_peak_arrays(check) <= arrays
+
+
+def test_identity_residual_holds_only_vectors():
+    # the closed form reads z's diagonal alone, a few vectors of N + 1;
+    # any (N+1)^2 temporary would read 1.0 or more
+    assert _residual_peak_arrays(mw.operator_identity_residual) <= 0.01
 
 
 def _solve_peak_arrays(n):
