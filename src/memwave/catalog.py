@@ -27,7 +27,6 @@ class ProblemSpec:
     q_params: tuple
     k_family: str
     k_params: tuple
-    note: str = ""
 
     def fields(self, grid: GridSpec) -> tuple[CoefficientField, MemoryKernel]:
         q = coefficient_from_family(self.q_family, self.q_params, grid)
@@ -38,17 +37,11 @@ class ProblemSpec:
 PROBLEMS = {
     p.name: p
     for p in (
-        ProblemSpec("free", "zero", (), "zero", (),
-                    note="no potential, no memory; everything closed-form"),
-        ProblemSpec("memory_only_small", "zero", (), "constant", (0.01,),
-                    note="weak constant memory; first-order theory applies"),
-        ProblemSpec("potential_only_small", "constant", (0.01,), "zero", (),
-                    note="weak constant potential; first-order theory applies"),
-        ProblemSpec("classical", "gaussian_bump", (0.5, 0.1, 1.0), "zero", (),
-                    note="memoryless benchmark with a localized potential"),
-        ProblemSpec("full", "gaussian_bump", (0.5, 0.1, 1.0),
-                    "exp_decay", (1.0, 1.0),
-                    note="localized potential with exponentially fading memory"),
+        ProblemSpec("free", "zero", (), "zero", ()),
+        ProblemSpec("memory_only_small", "zero", (), "constant", (0.01,)),
+        ProblemSpec("potential_only_small", "constant", (0.01,), "zero", ()),
+        ProblemSpec("classical", "gaussian_bump", (0.5, 0.1, 1.0), "zero", ()),
+        ProblemSpec("full", "gaussian_bump", (0.5, 0.1, 1.0), "exp_decay", (1.0, 1.0)),
     )
 }
 

@@ -401,7 +401,6 @@ def _diagonal_asymmetry(rows: list[np.ndarray]) -> float:
                          for d in (row[:, : row.shape[0]] for row in rows)]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the check below names overflows
 def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingKernel:
     """Reduced kernel from the row blocks of the Galerkin block (``_galerkin``).
 
@@ -418,10 +417,9 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
     its blocks are copied, so that they are released ahead of the mirror.
 
     Data that overflow the assembly raise AssemblyError at the first
-    non-finite sample (t_i, s_j), with no numpy warning ahead of it.  The
-    kernel's constructor scans it once, by row blocks
-    (``model.first_nonfinite``); the sample is located only when that scan
-    fails.
+    non-finite sample (t_i, s_j).  The kernel's constructor scans it once,
+    by row blocks (``model.first_nonfinite``); the sample is located only
+    when that scan fails.
     """
     N, h = grid.N, grid.h
     for row in rows:
@@ -462,13 +460,16 @@ def _kernel_from_galerkin(rows: list[np.ndarray], grid: GridSpec) -> ConnectingK
                             f"({i * grid.h:.6g}, {j * grid.h:.6g})") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the kernel's scan names overflows
 def connecting_kernel_from_response(r: ResponseData,
                                     K: MemoryKernel) -> ConnectingKernel:
     """Assemble c(t_i, s_j) on [0, T]^2 from boundary data (r, K) only.
 
     Interior rows come from the probe Galerkin matrix, time reversed, with
     the free block h I subtracted and scaled by h^-2; see
-    ``_kernel_from_galerkin`` for the edge rows.
+    ``_kernel_from_galerkin`` for the edge rows.  Data that overflow any
+    step of the assembly fail by the kernel's finiteness scan alone, with
+    no numpy warning ahead of its AssemblyError.
     """
     grid = GridSpec.of(r, K)
     rows = _galerkin(_impulse_response(r, grid), _adjoint_weights(K.values, grid), grid)

@@ -397,6 +397,14 @@ def recover_potential(gl: GLSolution) -> CoefficientField:
     return CoefficientField(grid=gl.grid, values=values)
 
 
+def _rms(v: np.ndarray) -> float:
+    """Root mean square of ``v``, formed at the power-of-two scale of its
+    largest entry: no square overflows, and where the plain squares neither
+    overflow nor underflow the result is theirs to the bit."""
+    e = np.frexp(np.max(np.abs(v)))[1]
+    return np.ldexp(np.sqrt(np.mean(np.ldexp(v, -e) ** 2)), e)
+
+
 def reconstruction_errors(q_true: np.ndarray, q_hat: np.ndarray, grid: GridSpec) -> dict:
     """Error summary of a recovered potential against the truth.
 
@@ -410,8 +418,8 @@ def reconstruction_errors(q_true: np.ndarray, q_hat: np.ndarray, grid: GridSpec)
     x = grid.times_half()
     lo, hi = ERROR_WINDOW[0] * grid.T, ERROR_WINDOW[1] * grid.T
     m = (x >= lo - 1e-12) & (x <= hi + 1e-12)
-    diff = np.sqrt(np.mean((qh[m] - qt[m]) ** 2))
-    base = np.sqrt(np.mean(qt[m] ** 2))
+    diff = _rms(qh[m] - qt[m])
+    base = _rms(qt[m])
     return {
         "max_abs": float(np.max(np.abs(qh - qt))),
         "interior_rel": float(diff / base) if base > 1e-14 else float(diff),

@@ -21,6 +21,10 @@ block heights.
 
 ``GridSpec.of`` is the one grid check: every routine that takes several
 fields reads its grid from it, and no other module compares grids.
+
+``_FAMILIES`` is the one table of the closed-form sample families that q, K
+and the controls are drawn from: each entry holds its parameter count, its
+sampler, its width rule and whether its samples are an admissible control.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +62,6 @@ __all__ = [
     "kernel_from_family",
     "control_from_family",
     "bump_profile",
-    "FAMILIES",
 ]
 
 
@@ -311,64 +315,62 @@ def bump_profile(xi: np.ndarray) -> np.ndarray:
     return core ** 3
 
 
-# number of parameters each family expects
-_FAMILY_ARITY = {
-    "zero": 0,
-    "constant": 1,
-    "gaussian_bump": 3,
-    "sine": 2,
-    "exp_decay": 2,
-    "smooth_bump_control": 2,
+@dataclass(frozen=True)
+class _Family:
+    """A closed-form sample family: ``sample(t, *params)`` of ``arity``
+    parameters.  ``width`` marks a second parameter that must be positive,
+    ``admissible`` a family whose samples are an admissible control."""
+
+    arity: int
+    sample: Callable[..., np.ndarray]
+    width: bool = False
+    admissible: bool = False
+
+
+# the one table of sample families, in the order the unknown-family message lists
+_FAMILIES = {
+    "zero": _Family(0, lambda t: np.zeros_like(t), admissible=True),
+    "constant": _Family(1, lambda t, c: np.full_like(t, c)),
+    "gaussian_bump": _Family(
+        3, lambda t, center, width, amplitude:
+        amplitude * np.exp(-0.5 * ((t - center) / width) ** 2), width=True),
+    "sine": _Family(
+        2, lambda t, freq, amplitude: amplitude * np.sin(2.0 * np.pi * freq * t)),
+    "exp_decay": _Family(2, lambda t, amplitude, rate: amplitude * np.exp(-rate * t)),
+    "smooth_bump_control": _Family(
+        2, lambda t, center, width: bump_profile((t - center) / width),
+        width=True, admissible=True),
 }
-FAMILIES = tuple(_FAMILY_ARITY)
 
 
-def _check_family(name: str, params) -> tuple[float, ...]:
-    if name not in _FAMILY_ARITY:
-        raise UsageError(f"unknown sample family {name!r}; known: {', '.join(FAMILIES)}")
+def _family(name: str, params) -> tuple[_Family, tuple[float, ...]]:
+    """The table entry of ``name``, and ``params`` as floats of its arity."""
+    family = _FAMILIES.get(name)
+    if family is None:
+        raise UsageError(f"unknown sample family {name!r}; known: {', '.join(_FAMILIES)}")
     params = tuple(float(p) for p in params)
-    if len(params) != _FAMILY_ARITY[name]:
+    if len(params) != family.arity:
         raise UsageError(
-            f"family {name!r} takes {_FAMILY_ARITY[name]} parameters, got {len(params)}"
-        )
-    return params
+            f"family {name!r} takes {family.arity} parameters, got {len(params)}")
+    return family, params
 
 
-def sample_family(name: str, params, points: np.ndarray) -> np.ndarray:
-    """Sample a catalogued closed-form profile at the given points.
-
-    Families: zero; constant(c); gaussian_bump(center, width, amplitude);
-    sine(freq, amplitude) = amplitude*sin(2*pi*freq*t); exp_decay(amplitude,
-    rate) = amplitude*exp(-rate*t); smooth_bump_control(center, width) = the
-    C^2 bump supported on [center - width, center + width].
-    """
-    params = _check_family(name, params)
-    t = np.asarray(points, dtype=float)
-    if name == "zero":
-        out = np.zeros_like(t)
-    elif name == "constant":
-        out = np.full_like(t, params[0])
-    elif name == "gaussian_bump":
-        center, width, amplitude = params
-        if width <= 0:
-            raise UsageError("gaussian_bump needs width > 0")
-        out = amplitude * np.exp(-0.5 * ((t - center) / width) ** 2)
-    elif name == "sine":
-        freq, amplitude = params
-        out = amplitude * np.sin(2.0 * np.pi * freq * t)
-    elif name == "exp_decay":
-        amplitude, rate = params
-        out = amplitude * np.exp(-rate * t)
-    elif name == "smooth_bump_control":
-        center, width, = params
-        if width <= 0:
-            raise UsageError("smooth_bump_control needs width > 0")
-        out = bump_profile((t - center) / width)
-    else:  # pragma: no cover - guarded above
-        raise UsageError(name)
+def _sample(name: str, family: _Family, params: tuple[float, ...],
+            points: np.ndarray) -> np.ndarray:
+    """``family``'s samples of ``params`` at ``points``, its width rule first."""
+    if family.width and params[1] <= 0:
+        raise UsageError(f"{name} needs width > 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names overflows
+        out = family.sample(np.asarray(points, dtype=float), *params)
     if not np.all(np.isfinite(out)):
         raise UsageError(f"family {name}{params} produced non-finite samples")
     return out
+
+
+def sample_family(name: str, params, points: np.ndarray) -> np.ndarray:
+    """Samples of the family ``name`` of ``_FAMILIES`` with ``params`` at
+    ``points``; the UsageError names a bad family, parameter or sample."""
+    return _sample(name, *_family(name, params), points)
 
 
 # --------------------------------------------------------------------------
@@ -472,9 +474,6 @@ class ControlSignal:
 # family -> field constructors
 # --------------------------------------------------------------------------
 
-_ADMISSIBLE_FAMILIES = ("zero", "smooth_bump_control")
-
-
 def coefficient_from_family(name: str, params, grid: GridSpec) -> CoefficientField:
     return CoefficientField(grid, sample_family(name, params, grid.times_half()))
 
@@ -491,13 +490,14 @@ def control_from_family(
     smooth_bump_control additionally has to fit inside the open window for
     the admissible flag to be set, otherwise construction fails.
     """
+    family, params = _family(name, params)
     pts = grid.times_full() if full_window else grid.times_half()
     end = pts[-1]
     if name == "smooth_bump_control":
-        center, width = _check_family(name, params)
+        center, width = params
         if center - width < 0.0 or center + width > end:
             raise UsageError(
                 f"smooth_bump_control({center}, {width}) is not supported inside (0, {end})"
             )
-    values = sample_family(name, params, pts)
-    return ControlSignal(grid, values, admissible=name in _ADMISSIBLE_FAMILIES)
+    return ControlSignal(grid, _sample(name, family, params, pts),
+                         admissible=family.admissible)

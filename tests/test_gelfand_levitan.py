@@ -567,6 +567,19 @@ def test_reconstruction_errors_identical_input(grid64):
     assert e == {"max_abs": 0.0, "interior_rel": 0.0, "interior_linf": 0.0}
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 3.0, 1e150])
+def test_reconstruction_errors_scale_exactly(grid64, scale):
+    # the root mean squares run at a power-of-two scale: on data whose
+    # squares neither overflow nor underflow, the metric is the plain
+    # formula's to the bit
+    rng = np.random.default_rng(5)
+    m = slice(7, 58)  # ERROR_WINDOW on N = 64
+    q = scale * rng.standard_normal(65)
+    qhat = q + 1e-3 * scale * rng.standard_normal(65)
+    plain = np.sqrt(np.mean((qhat[m] - q[m]) ** 2)) / np.sqrt(np.mean(q[m] ** 2))
+    assert mw.reconstruction_errors(q, qhat, grid64)["interior_rel"] == plain
+
+
 def test_reconstruction_errors_window():
     grid = mw.GridSpec(1.0, 10)
     q = np.zeros(11)

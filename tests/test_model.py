@@ -18,6 +18,7 @@ from memwave.model import (
     trapezoid,
     trapz_weights,
 )
+from memwave.pipeline import config_from_dict
 from oracles import dense_w
 
 
@@ -424,6 +425,39 @@ def test_unknown_family_raises():
     g = mw.GridSpec(1.0, 8)
     with pytest.raises(mw.UsageError):
         mw.coefficient_from_family("not_a_family", (), g)
+
+
+# each family message, in the order the checks run: the name, the parameter
+# count, a bump control's support, the width rule, the samples' finiteness
+_SAMPLED = [
+    ("nope", (), "unknown sample family 'nope'; known: zero, constant, gaussian_bump, "
+                 "sine, exp_decay, smooth_bump_control"),
+    ("sine", (1.0,), "family 'sine' takes 2 parameters, got 1"),
+    ("gaussian_bump", (0.5, 0.0, 1.0), "gaussian_bump needs width > 0"),
+    ("smooth_bump_control", (0.5, 0.0), "smooth_bump_control needs width > 0"),
+    ("exp_decay", (1.0, -1e5), "family exp_decay(1.0, -100000.0) produced non-finite samples"),
+]
+_SUPPORT = [
+    ("smooth_bump_control", (0.9, 0.4),
+     "smooth_bump_control(0.9, 0.4) is not supported inside (0, 1.0)"),
+    # outside the window and of negative width: the support is checked first
+    ("smooth_bump_control", (-1.0, -0.5),
+     "smooth_bump_control(-1.0, -0.5) is not supported inside (0, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("route, name, params, message", [
+    pytest.param(route, *case, id=f"{route}-{case[0]}{case[1]}")
+    for route, cases in (("config", _SAMPLED), ("control", _SAMPLED + _SUPPORT))
+    for case in cases
+])
+def test_family_messages_are_pinned(route, name, params, message):
+    with pytest.raises(mw.UsageError) as exc:
+        if route == "config":
+            config_from_dict({"q": {"family": name, "params": list(params)}, "N": 16})
+        else:
+            mw.control_from_family(name, params, mw.GridSpec(1.0, 16))
+    assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------- controls
