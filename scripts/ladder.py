@@ -236,9 +236,8 @@ def rung(N: int, tmpdir: str) -> dict:
         os.unlink(path)
         del c
         f = mw.control_from_family("smooth_bump_control", (0.5 * grid.T, 0.25 * grid.T), grid)
-        run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, grid.T))
-        run("forward.fd_forward.trace",
-            lambda: mw.fd_forward(q, K, f, grid.T, x_max=2 * grid.h))
+        run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, N))
+        run("forward.fd_forward.trace", lambda: mw.fd_forward(q, K, f, N, rows=2))
         controls = [mw.control_from_family("smooth_bump_control", (c * grid.T, 0.2 * grid.T), grid)
                     for c in (0.35, 0.5, 0.65)]
         run("connecting.form_from_interior",

@@ -8,6 +8,7 @@ found the artifacts of a data directory mutually inconsistent.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import NumericalFailure, UsageError
@@ -83,7 +84,9 @@ def _dispatch(args) -> int:
         raise UsageError(f"--grids must be comma-separated integers, got {args.grids!r}")
     report = run_convergence(load_config(args.config), args.out, grids)
     for row in report["rows"]:
-        print(f"N={row['N']:>5d}  error={row['error']:.6e}  order={row['order']:.2f}")
+        # a row with no order estimate (report.json's null) prints as n/a
+        order = "n/a" if math.isnan(row["order"]) else f"{row['order']:.2f}"
+        print(f"N={row['N']:>5d}  error={row['error']:.6e}  order={order}")
     return 0
 
 

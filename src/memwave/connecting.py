@@ -133,7 +133,7 @@ def connecting_form_from_interior(q, K, controls: list[ControlSignal]) -> np.nda
     grid = controls[0].grid
     N = grid.N
     # a copy of level N, so that each march is released once it is read
-    states = [fd_forward(q, K, f, grid.T)[N, : N + 1].copy() for f in controls]
+    states = [fd_forward(q, K, f, N)[N, : N + 1].copy() for f in controls]
     return np.array([[trapezoid(u * v, grid.h) for v in states] for u in states])
 
 

@@ -6,12 +6,12 @@
 * ``fd_forward`` integrates the integro-differential wave equation directly
   with a unit-Courant leapfrog scheme on a padded interval (knows nothing
   about w; used to cross-check everything kernel-based).  It returns its
-  level-major march U[j, i] = u(x_i, t_j) on a window [0, x_max] x
-  [0, t_max], as the Goursat march and the adjoint weights return theirs,
-  and marches only the nodes in the backward cone of that window from the
-  control's first nonzero sample on, so the field a boundary trace reads
-  costs about half the nodes of the whole forward cone, less the levels
-  before the control starts.
+  level-major march U[j, i] = u(x_i, t_j) on the rows i <= R and the
+  levels j <= M, counted in grid nodes, as the Goursat march and the adjoint
+  weights return theirs, and marches only the nodes in the backward cone of
+  that window from the control's first nonzero sample on, so the field a
+  boundary trace reads costs about half the nodes of the whole forward cone,
+  less the levels before the control starts.
 """
 
 from __future__ import annotations
@@ -57,30 +57,20 @@ def apply_response(r: ResponseData, f: ControlSignal) -> np.ndarray:
 # finite-difference oracle
 # --------------------------------------------------------------------------
 
-def _grid_steps(value: float, h: float, name: str) -> int:
-    """The whole number of grid steps in ``value``, which must be >= 0."""
-    steps = value / h
-    if abs(steps - round(steps)) > 1e-9:
-        raise UsageError(f"{name}={value} is not a multiple of the grid step")
-    if steps < 0:
-        raise UsageError(f"{name}={value} is negative")
-    return int(round(steps))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # check_march names a blow-up
-def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
-               x_max: float | None = None) -> np.ndarray:
+def fd_forward(q, K, f: ControlSignal, levels: int | None = None,
+               rows: int | None = None) -> np.ndarray:
     """Leapfrog integration of u_tt = u_xx - q u - int_0^t K(t-s) u(., s) ds.
 
-    Unit Courant number on [0, L], L = t_max + 4h, with u(0, t) = f(t), a
+    Marches the levels j = 0 .. M, M = ``levels`` (default N; at most 2N),
+    at unit Courant number on the rows 0 .. M + 4, with u(0, t) = f(t), a
     homogeneous Dirichlet far end (never reached by the wave front inside
-    [0, t_max]) and rest initial data u(., 0) = u(., 1) = 0 except
+    the M levels) and rest initial data u(., 0) = u(., 1) = 0 except
     u(0, 1) = f(h).  The potential is continued past T by its last sample;
-    by finite speed this cannot affect the solution at x <= t <= t_max.
+    by finite speed this cannot affect the solution at x <= t <= Mh.
 
-    Returns the field on [0, x_max] x [0, t_max] level-major,
-    U[j, i] = u(x_i, t_j); ``x_max=None`` means the whole padded interval
-    [0, L].
+    Returns the rows 0 .. R, R = ``rows`` (default M + 4), level-major:
+    U[j, i] = u(x_i, t_j), of shape (M + 1, R + 1).
 
     The system is time-invariant and starts at rest, so a control that is
     zero up to its first nonzero sample k leaves the field zero up to it:
@@ -91,13 +81,12 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     levels before them.  A zero control marches no level.
 
     Shifted level j + 1 is zero from row j + 1 on (level 1 is zero off the
-    boundary), and at unit speed the rows x <= x_max at t_max read it only on
-    x <= x_max + (t_max - t_{j+1}).  So it is formed on the rows
-    i < min(j + 1, R + (M - j0) - j), with R = x_max / h and M = t_max / h:
-    the forward wavefront from the control's start cut by the backward cone
-    of the returned rows.  The front stays inside the padded interval, as
-    j + 1 <= M - j0 < M + 4.  The rows past the cone are never marched, so
-    the array is only as wide as the cone.
+    boundary), and at unit speed the rows i <= R of level M read it only on
+    i <= R + (M - j0 - j - 1).  So it is formed on the rows
+    i < min(j + 1, R + (M - j0) - j): the forward wavefront from the
+    control's start cut by the backward cone of the returned rows.  The
+    front stays inside the padded interval, as j + 1 <= M - j0 < M + 4, and
+    the rows past the cone are never marched, so the array is as wide as it.
 
     The march is stored level-major, U[j, i], so that each finished level is
     one contiguous row of the trapezoid history; the memory term is formed by
@@ -107,21 +96,20 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     """
     grid = GridSpec.of(q, K, f)
     h, N = grid.h, grid.N
-    M = _grid_steps(grid.T if t_max is None else t_max, h, "t_max")
-    if M > grid.N2:
-        raise UsageError("t_max beyond the data window [0, 2T]")
-    nx = M + 4  # L = t_max + 4h
-    R = nx if x_max is None else _grid_steps(x_max, h, "x_max")
-    if R > nx:
-        raise UsageError(f"x_max={x_max} beyond the padded interval [0, t_max + 4h]")
+    M = N if levels is None else levels
+    if not 0 <= M <= grid.N2:
+        raise UsageError(f"levels={M} outside the data window's levels 0 .. {grid.N2}")
+    R = M + 4 if rows is None else rows
+    if not 0 <= R <= M + 4:
+        raise UsageError(f"rows={R} outside the padded interval's rows 0 .. {M + 4}")
     fv = f.padded_full()[: M + 1]
     # the march starts at level j0, one before the control's first nonzero
     # sample; a zero control starts at the last level and marches none
     nonzero = np.flatnonzero(fv)
     j0 = max(int(nonzero[0]) - 1, 0) if nonzero.size else M
     # shifted level j updates the rows 1 .. n - 1 and reads row n
-    rows = [min(j + 1, R + (M - j0) - j) for j in range(1, M - j0)]
-    width = max([R, *rows]) + 1
+    formed = [min(j + 1, R + (M - j0) - j) for j in range(1, M - j0)]
+    width = max([R, *formed]) + 1
     # q is continued only over the rows the march visits
     qpad = np.full(width, q.values[-1])
     n_q = min(width, N + 1)
@@ -131,7 +119,7 @@ def fd_forward(q, K, f: ControlSignal, t_max: float | None = None,
     U[:, 0] = fv
     V = U[j0:]  # shifted level j is level j0 + j
     history = CausalHistory([V], K.values[: M - j0 + 1], h)
-    for j, n in enumerate(rows, start=1):
+    for j, n in enumerate(formed, start=1):
         hist = history.at(j, n)
         V[j + 1, 1:n] = (
             V[j, : n - 1]

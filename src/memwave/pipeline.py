@@ -365,7 +365,7 @@ def run_reconstruct(datadir: str, outdir: str) -> dict:
             metrics["l2_rel_err"] = err["interior_rel"]
             metrics["linf_err"] = err["interior_linf"]
             metrics["max_abs_err"] = err["max_abs"]
-            metrics["window"] = list(ERROR_WINDOW)
+            metrics["window"] = [float(w) for w in ERROR_WINDOW]
         del gl  # free the (N+1)^2 solution before the tables are formatted
 
     with timer.lap("artifacts"):
@@ -414,8 +414,8 @@ def _verify_two_path(grid, r, K, q) -> dict:
         cg, rc, Kc, qc = _subsample(grid, r, K, q, n)
         f = control_from_family("smooth_bump_control", (0.5 * cg.T, 0.25 * cg.T), cg)
         lhs = apply_response(rc, f)
-        # the trace reads rows 0-2: march only their backward cone, x_max = 2h
-        rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.T, 2 * cg.h), cg.h)
+        # the trace reads rows 0-2: march only their backward cone to t = T
+        rhs = fd_boundary_trace(fd_forward(qc, Kc, f, cg.N, 2), cg.h)
         errs.append(float(np.max(np.abs(lhs - rhs))))
     if len(errs) >= 2:
         metric = _mean_order(errs, 1e-15)
@@ -559,10 +559,10 @@ def _roundoff_floor(q: np.ndarray, N: int) -> float:
 
     The Galerkin block is scaled by h^-2 and q_hat differentiates once more,
     so rounding errors of relative size eps grow to about eps N^2 in q_hat;
-    relative to max|q|, or absolute when q vanishes, as ``interior_rel`` is.
+    relative to max|q|, or absolute when q is zero, as ``interior_rel`` is.
     """
     scale = float(np.max(np.abs(q)))
-    return float(np.finfo(float).eps * N * N / (scale if scale > 1e-14 else 1.0))
+    return float(np.finfo(float).eps * N * N / (scale if scale > 0.0 else 1.0))
 
 
 def run_convergence(cfg: PipelineConfig, outdir: str, grids: list[int]) -> dict:

@@ -82,7 +82,7 @@ def test_response_routes_converge_at_second_order():
         f = mw.control_from_family(
             "smooth_bump_control", (0.5, 0.25), grid, full_window=True
         )
-        trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, 2.0 * grid.T), grid.h)
+        trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, 2 * n), grid.h)
         errs.append(float(np.abs(trace - mw.apply_response(r, f)).max()))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert errs[0] > errs[1] > errs[2]
@@ -165,6 +165,31 @@ def test_end_to_end_reconstruction_quality():
         ladder = [interior_rel(route, n) for n in (32, 64, 128)]
         assert ladder[0] > ladder[1] > ladder[2]
     assert time.perf_counter() - t0 < 600.0
+
+
+@pytest.mark.parametrize("name", ["full", "classical"])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_the_chain_is_causal(name, n):
+    # data cut to [0, 2T'], T' = n'h on the same step, give c_T' as the
+    # leading block of c_T and q_hat_T' as the prefix of q_hat_T, to round-off,
+    # but at the window's end: the last two rows of c and the last three
+    # nodes of q_hat differ there, at second order, and are not pinned
+    grid, q, K, sol = _pipeline_pieces(name, n)
+    r = mw.response_kernel(sol)
+    c = mw.connecting_kernel_from_response(r, K)
+    q_hat = mw.recover_potential(mw.solve_gl(c)).values
+    for m in (n // 2, n // 2 + 3):
+        short = mw.GridSpec(m * grid.h, m)
+        assert short.h == grid.h
+        c_m = mw.connecting_kernel_from_response(
+            mw.ResponseData(short, r.values[: 2 * m + 1]),
+            mw.MemoryKernel(short, K.values[: 2 * m + 1]))
+        q_m = mw.recover_potential(mw.solve_gl(c_m)).values
+        lead = slice(0, m - 1)
+        c_gap = np.abs(c_m.values[lead, lead] - c.values[lead, lead]).max()
+        assert c_gap <= 1e-11 * (1.0 + np.abs(c.values).max())
+        q_gap = np.abs(q_m[: m - 2] - q_hat[: m - 2]).max()
+        assert q_gap <= 1e-8 * (1.0 + np.abs(q_hat).max())
 
 
 def test_determinism_and_fault_detection(tmp_path):

@@ -399,6 +399,20 @@ def test_convergence_command(tmp_path, cfg_file, capsys):
     assert rows[1]["order"] > 0
 
 
+def test_convergence_prints_blank_orders_as_na(tmp_path, capsys):
+    # free data are recovered exactly: every row is at the round-off floor,
+    # and no row has an order, as the first row of every run has none
+    cfg = tmp_path / "free.json"
+    cfg.write_text(json.dumps({"problem": "free"}))
+    rc = cli.main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "c"),
+                   "--grids", "16,32"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines] == ["order=n/a", "order=n/a"]
+    rows = _strict_json(tmp_path / "c" / "report.json")["rows"]
+    assert [row["order"] for row in rows] == [None, None]
+
+
 def test_convergence_bad_grids_exit_2(tmp_path, cfg_file):
     rc = cli.main(["convergence", "--config", cfg_file,
                    "--out", str(tmp_path / "c"), "--grids", "a,b"])

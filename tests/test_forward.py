@@ -51,10 +51,9 @@ def test_fd_zero_control_stays_at_rest():
 def test_fd_rejects_offgrid_horizon():
     grid, q, K = _problem("free", 32)
     f = mw.control_from_family("zero", (), grid)
-    with pytest.raises(mw.UsageError):
-        mw.fd_forward(q, K, f, t_max=0.33)
-    with pytest.raises(mw.UsageError):
-        mw.fd_forward(q, K, f, t_max=3.0)
+    with pytest.raises(mw.UsageError, match="levels=96 outside"):
+        mw.fd_forward(q, K, f, levels=3 * grid.N)
+    assert mw.fd_forward(q, K, f, levels=2 * grid.N).shape == (65, 69)
 
 
 def test_fd_short_horizon_is_the_leading_columns():
@@ -63,7 +62,7 @@ def test_fd_short_horizon_is_the_leading_columns():
     f = mw.control_from_family("smooth_bump_control", (0.4, 0.25), grid)
     u = mw.fd_forward(q, K, f).T
     for M in (0, 1, 32, 59):
-        u_short = mw.fd_forward(q, K, f, t_max=M * grid.h).T
+        u_short = mw.fd_forward(q, K, f, levels=M).T
         assert u_short.shape == (M + 5, M + 1)
         assert np.array_equal(u_short, u[: M + 5, : M + 1])
 
@@ -71,9 +70,9 @@ def test_fd_short_horizon_is_the_leading_columns():
 def test_fd_rejects_negative_horizon():
     grid, q, K = _problem("full", 64)
     f = mw.control_from_family("zero", (), grid)
-    for t_max in (-grid.h, -0.5):
-        with pytest.raises(mw.UsageError, match="negative"):
-            mw.fd_forward(q, K, f, t_max=t_max)
+    for levels in (-1, -32):
+        with pytest.raises(mw.UsageError, match=f"levels={levels} outside"):
+            mw.fd_forward(q, K, f, levels=levels)
 
 
 @pytest.mark.parametrize("name", ["full", "classical"])
@@ -86,10 +85,10 @@ def test_fd_cone_rows_match_the_whole_field(name, n, window):
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid,
                                full_window=True)
     M = window * n
-    u = mw.fd_forward(q, K, f, window * grid.T).T
+    u = mw.fd_forward(q, K, f, M).T
     assert u.shape == (M + 5, M + 1)
     for R in (0, 2, n // 2):
-        u_cone = mw.fd_forward(q, K, f, window * grid.T, x_max=R * grid.h).T
+        u_cone = mw.fd_forward(q, K, f, M, rows=R).T
         assert u_cone.shape == (R + 1, M + 1)
         assert np.array_equal(u_cone, u[: R + 1])
 
@@ -97,18 +96,18 @@ def test_fd_cone_rows_match_the_whole_field(name, n, window):
 def test_fd_rejects_bad_x_max():
     grid, q, K = _problem("full", 32)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
-    for x_max in (0.33, -grid.h, grid.T + 5 * grid.h):
-        with pytest.raises(mw.UsageError, match="x_max"):
-            mw.fd_forward(q, K, f, x_max=x_max)
-    assert mw.fd_forward(q, K, f, x_max=grid.T + 4 * grid.h).T.shape == (37, 33)
+    for rows in (-1, grid.N + 5):
+        with pytest.raises(mw.UsageError, match=f"rows={rows} outside"):
+            mw.fd_forward(q, K, f, rows=rows)
+    assert mw.fd_forward(q, K, f, rows=grid.N + 4).T.shape == (37, 33)
 
 
 def test_fd_trace_needs_three_rows():
     grid, q, K = _problem("full", 32)
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
     with pytest.raises(mw.UsageError, match="rows 0-2"):
-        mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=grid.h), grid.h)
-    trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, x_max=2 * grid.h), grid.h)
+        mw.fd_boundary_trace(mw.fd_forward(q, K, f, rows=1), grid.h)
+    trace = mw.fd_boundary_trace(mw.fd_forward(q, K, f, rows=2), grid.h)
     assert np.array_equal(trace, mw.fd_boundary_trace(mw.fd_forward(q, K, f), grid.h))
 
 
@@ -143,11 +142,11 @@ def test_blocked_leapfrog_matches_direct_loop(n, window, control):
     # that the direct loop marches from t = 0
     grid, q, K = _problem("full", n)
     f = mw.control_from_family(*control, grid, full_window=True)
-    u = mw.fd_forward(q, K, f, window * grid.T).T
+    u = mw.fd_forward(q, K, f, window * n).T
     u_direct = _direct_leapfrog(q, K, f, window * n)
     bound = 1e-12 * (1.0 + np.abs(u_direct).max())
     assert np.abs(u - u_direct).max() <= bound
-    cone = mw.fd_forward(q, K, f, window * grid.T, x_max=2 * grid.h).T
+    cone = mw.fd_forward(q, K, f, window * n, rows=2).T
     assert np.abs(cone - u_direct[:3]).max() <= bound
 
 
@@ -189,7 +188,7 @@ def test_two_path_cone_march_forms_only_its_wavefront_and_cone(monkeypatch, n, n
         return at(self, j, rows)
 
     monkeypatch.setattr(CausalHistory, "at", count)
-    mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
+    mw.fd_forward(q, K, f, grid.N, 2)
     assert sum(formed) == nodes
 
 
@@ -324,7 +323,7 @@ def test_response_map_agrees_with_fd_trace():
         grid, q, K = _problem("full", n)
         r = mw.response_kernel(mw.solve_goursat(q, K))
         f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid, full_window=True)
-        fd = mw.fd_forward(q, K, f, 2.0 * grid.T)
+        fd = mw.fd_forward(q, K, f, 2 * n)
         diffs.append(np.abs(mw.fd_boundary_trace(fd, grid.h) - mw.apply_response(r, f)).max())
     # scale of the trace itself is ~7, so 0.25 at N=64 is a few percent
     assert diffs[0] < 0.5

@@ -580,6 +580,33 @@ def test_reconstruction_errors_scale_exactly(grid64, scale):
     assert mw.reconstruction_errors(q, qhat, grid64)["interior_rel"] == plain
 
 
+def test_reconstruction_errors_read_the_same_in_any_unit(grid64):
+    # the relative error falls back to the absolute one only at a zero
+    # truth, so at every power-of-two scale of q it is the same bits
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal(65)
+    qhat = q * (1.0 + 1e-3 * rng.standard_normal(65))
+    want = mw.reconstruction_errors(q, qhat, grid64)["interior_rel"]
+    for k in range(-170, 18):
+        scale = 2.0**k
+        got = mw.reconstruction_errors(scale * q, scale * qhat, grid64)["interior_rel"]
+        assert got == want, k
+
+
+@pytest.mark.parametrize("T", [2.0**-6, 0.3, 1.0, 16.0, 1e-6])
+@pytest.mark.parametrize("n, lo, hi", [(10, 1, 9), (30, 3, 27), (64, 7, 57), (65, 7, 58)])
+def test_reconstruction_errors_window_is_picked_by_index(T, n, lo, hi):
+    # the nodes i with N/10 <= i <= 9N/10, in any unit of x: 0.1 * 30 is
+    # 3.0000000000000004 in floats, and node 3 is in the window
+    q = np.zeros(n + 1)
+    qhat = np.zeros(n + 1)
+    qhat[[lo - 1, hi + 1]] = 100.0
+    qhat[lo], qhat[hi] = 1.0, 2.0
+    e = mw.reconstruction_errors(q, qhat, mw.GridSpec(T, n))
+    assert e["interior_linf"] == 2.0
+    assert e["interior_rel"] == np.sqrt(5.0 / (hi - lo + 1))
+
+
 def test_reconstruction_errors_window():
     grid = mw.GridSpec(1.0, 10)
     q = np.zeros(11)

@@ -346,7 +346,7 @@ def test_every_march_hands_the_history_its_level_major_array(monkeypatch):
     f = mw.control_from_family("smooth_bump_control", (0.5, 0.25), grid)
     sol = mw.solve_goursat(q, K)
     whole = mw.fd_forward(q, K, f)
-    cone = mw.fd_forward(q, K, f, grid.T, 2 * grid.h)
+    cone = mw.fd_forward(q, K, f, grid.N, 2)
     mw.connecting_kernel_from_response(mw.response_kernel(sol), K)
     big = mw.GridSpec(1.0, 300)
     mw.connecting_kernel_from_response(*_full_response(big))

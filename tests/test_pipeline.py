@@ -357,6 +357,43 @@ def test_reconstruct_w_oracle_needs_truth(data_dir, tmp_path):
     assert report["metrics"]["cond_estimate"] < 1e3
 
 
+def _scaled_reconstruct(tmp_path, alpha, a, k, N):
+    """q_hat * alpha^2 and l2_rel_err of reconstruct on `full`'s shapes in
+    the unit of time alpha: q scales as alpha^-2 and K as alpha^-3; or the
+    message of the IllConditionedError it raises, less the depth."""
+    cfg = config_from_dict({
+        "q": {"family": "gaussian_bump", "params": [0.5 * alpha, 0.1 * alpha, a / alpha**2]},
+        "K": {"family": "exp_decay", "params": [k / alpha**3, 1.0 / alpha]},
+        "T": alpha, "N": N})
+    data, out = tmp_path / f"d{alpha}", tmp_path / f"o{alpha}"
+    run_synth(cfg, str(data))
+    try:
+        report = run_reconstruct(str(data), str(out))
+    except mw.IllConditionedError as exc:
+        return str(exc).split("; ", 1)[1]
+    _, table = read_csv(str(out / "q_hat.csv"))
+    return table[:, 2] * alpha**2, report["metrics"]["l2_rel_err"]
+
+
+@pytest.mark.parametrize("a, k", [(1, 1), (1, 100), (100, 1)], ids=["full", "Kx100", "qx100"])
+@pytest.mark.parametrize("N, alphas", [
+    (16, [4.0**j for j in range(-3, 4)]),
+    (65, [4.0**j for j in range(-3, 4)]),
+    (256, [4.0**-2, 1.0, 4.0**2]),
+])
+def test_reconstruct_is_exactly_scale_equivariant(tmp_path, a, k, N, alphas):
+    # at even powers of two every scaled product is exact, so q_hat * alpha^2
+    # and the relative error are the same bits in any unit of time; where
+    # the solve fails (q x 100 at N = 16 and 65) it fails at the same node
+    runs = [_scaled_reconstruct(tmp_path, alpha, a, k, N) for alpha in alphas]
+    want = runs[alphas.index(1.0)]
+    for alpha, run in zip(alphas, runs):
+        if isinstance(want, str):
+            assert run == want, alpha
+        else:
+            assert np.array_equal(run[0], want[0]) and run[1] == want[1], alpha
+
+
 # ------------------------------------------------------- data dir validation
 
 
@@ -743,6 +780,13 @@ def test_convergence_blanks_orders_at_the_roundoff_floor(tmp_path):
     lines = (tmp_path / "floor" / "convergence.csv").read_text().splitlines()
     orders = [float(line.split(",")[3]) for line in lines[1:]]
     assert not any(o < 0 for o in orders)
+
+
+def test_roundoff_floor_is_relative_down_to_a_zero_potential():
+    q = np.linspace(0.0, 1.0, 65)
+    for k in (-60, -1, 0, 30):
+        assert pipeline._roundoff_floor(2.0**k * q, 64) * 2.0**k == pipeline._roundoff_floor(q, 64)
+    assert pipeline._roundoff_floor(0.0 * q, 64) == np.finfo(float).eps * 64 * 64
 
 
 def test_convergence_needs_increasing_grids(tmp_path):
