@@ -4,12 +4,13 @@
     python3 scripts/ladder.py --grids 16 32 --out /tmp/ladder.json
 
 Runs the `full` catalogue problem (T = 1) at each N of the ladder, in this
-process, with BLAS pinned to one thread.  Each layer is timed as the
+process, with BLAS pinned to one thread.  Each layer runs as spans of the
+benchmark's own ``perfbench/spans.py`` ``Recorder``: it is timed as the
 minimum of ``REPEATS`` untraced calls, and then called once more under
 ``tracemalloc`` for its traced peak: the memory it allocates above the level
 at its entry.  The parts of the assembly and of the solve are measured
-inside those same calls, by wrappers around the production functions that
-run them; a part may run inside another (the asymmetry inside
+inside those same calls, as spans of the production functions that run
+them; a part may run inside another (the asymmetry inside
 ``_kernel_from_galerkin``).  The leapfrog runs to t = T with verify's
 two-path bump control, once on the whole padded field and once on the
 trace's backward cone; verify's oracle routes, the factor route to the
@@ -44,7 +45,6 @@ for _var in _THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -54,16 +54,17 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import numpy as np  # noqa: E402
 
 import memwave as mw  # noqa: E402
 from memwave import connecting, gelfand_levitan  # noqa: E402
 from memwave.artifacts import write_csv  # noqa: E402
+from spans import Recorder  # noqa: E402
 
 SCHEMA = 3
 GRIDS = (256, 512, 1024, 2048, 4096)
@@ -109,67 +110,6 @@ PARTS = {
 }
 
 
-class Parts:
-    """Seconds and traced peaks of the ``PARTS`` functions, recorded by
-    wrappers that replace them while the ladder runs.
-
-    A wrapper measures the outermost call only (``_inverse_cholesky``
-    recurses).
-    Untraced, it keeps the minimum seconds; traced, its peak above the level
-    at its entry.  tracemalloc holds one peak, which each wrapper resets at
-    its entry, so ``open`` keeps, for every measurement still running (the
-    layer's, then each enclosing part's), the highest peak hidden from it.
-    """
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self.peaks: dict[str, int] = {}
-        self.open: list[int] = []
-
-    def fold(self, peak: int) -> None:
-        self.open = [max(p, peak) for p in self.open]
-
-    def wrap(self, name, fn):
-        depth = 0
-
-        def wrapper(*args, **kwargs):
-            nonlocal depth
-            if depth:
-                return fn(*args, **kwargs)
-            traced = tracemalloc.is_tracing()
-            if traced:
-                level, peak = tracemalloc.get_traced_memory()
-                self.fold(peak)
-                tracemalloc.reset_peak()
-                self.open.append(0)
-            depth += 1
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds = time.perf_counter() - t0
-                depth -= 1
-                if traced:
-                    peak = max(self.open.pop(), tracemalloc.get_traced_memory()[1])
-                    self.fold(peak)
-                    self.peaks[name] = peak - level
-                else:
-                    self.seconds[name] = min(self.seconds.get(name, math.inf), seconds)
-
-        return wrapper
-
-    @contextlib.contextmanager
-    def installed(self):
-        saved = {name: getattr(mod, attr) for name, (mod, attr) in PARTS.items()}
-        try:
-            for name, (mod, attr) in PARTS.items():
-                setattr(mod, attr, self.wrap(name, saved[name]))
-            yield self
-        finally:
-            for name, (mod, attr) in PARTS.items():
-                setattr(mod, attr, saved[name])
-
-
 def host_facts() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     cpu = "unknown"
@@ -191,59 +131,84 @@ def host_facts() -> dict:
     }
 
 
-def measure(fn, parts: Parts):
-    """(min seconds of ``REPEATS`` untraced calls, traced peak bytes of one
-    more, that call's result)."""
-    best = math.inf
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    parts.open = [0]
-    tracemalloc.start()
+def _unbound_inside(mod, attr, fn):
+    """``fn`` with ``mod.attr`` bound back to it while it runs, so the calls
+    it makes to itself (``_inverse_cholesky`` recurses) open no spans: the
+    part counts once, and its traced peak holds no span objects of its own."""
+
+    def call(*args, **kwargs):
+        wrapper = getattr(mod, attr)
+        setattr(mod, attr, fn)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            setattr(mod, attr, wrapper)
+
+    return call
+
+
+def measure(name: str, fn, out: dict):
+    """Run ``fn`` as the layer ``name`` inside ops of a fresh ``Recorder``:
+    ``REPEATS`` untraced calls, then one traced call, with the layer and
+    every ``PARTS`` function wrapped as spans.  Puts (min seconds, traced
+    peak MiB) of the layer and of each part that ran into ``out``, and
+    returns the traced call's result."""
+    recorder = Recorder()
+    saved = {part: getattr(mod, attr) for part, (mod, attr) in PARTS.items()}
+
+    def call(traced):
+        for part, (mod, attr) in PARTS.items():
+            inner = _unbound_inside(mod, attr, saved[part])
+            setattr(mod, attr, recorder.wrap(part, inner, memory=traced))
+        with recorder.op(name):
+            return recorder.wrap(name, fn, memory=traced)()
+
     try:
-        result = fn()
-        peak = max(tracemalloc.get_traced_memory()[1], parts.open.pop())
+        for _ in range(REPEATS):
+            call(False)
+        result = call(True)
     finally:
-        tracemalloc.stop()
-    return best, peak, result
+        for part, (mod, attr) in PARTS.items():
+            setattr(mod, attr, saved[part])
+    for part in (name, *PARTS):
+        spans = [s for s in recorder.spans if s.name == part]
+        if spans:
+            out[part] = (min(s.duration for s in spans if s.peak_mb is None),
+                         spans[-1].peak_mb)
+    return result
 
 
 def rung(N: int, tmpdir: str) -> dict:
-    """{layer: (seconds, peak bytes)} at one N."""
+    """{layer: (seconds, peak MiB)} at one N."""
     grid = mw.GridSpec(1.0, N)
     q, K = mw.get_problem("full").fields(grid)
     out = {}
-    with Parts().installed() as parts:
 
-        def run(name, fn):
-            *out[name], result = measure(fn, parts)
-            return result
+    def run(name, fn):
+        return measure(name, fn, out)
 
-        sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K))
-        r = run("goursat.response_kernel", lambda: mw.response_kernel(sol))
-        run("connecting.from_w", lambda: mw.connecting_kernel_from_w(sol))
-        del sol
-        c = run("connecting.from_response", lambda: mw.connecting_kernel_from_response(r, K))
-        gl = run("gelfand_levitan.solve_gl", lambda: mw.solve_gl(c))
-        run("gelfand_levitan.recover_potential", lambda: mw.recover_potential(gl))
-        run("gelfand_levitan.gl_residual", lambda: mw.gl_residual(c, gl))
-        run("gelfand_levitan.operator_identity", lambda: mw.operator_identity_residual(c, gl))
-        del gl
-        path = os.path.join(tmpdir, "cT.csv")
-        header = [f"s{j}" for j in range(N + 1)]
-        run("artifacts.write_csv.cT", lambda: write_csv(path, header, c.values))
-        os.unlink(path)
-        del c
-        f = mw.control_from_family("smooth_bump_control", (0.5 * grid.T, 0.25 * grid.T), grid)
-        run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, N))
-        run("forward.fd_forward.trace", lambda: mw.fd_forward(q, K, f, N, rows=2))
-        controls = [mw.control_from_family("smooth_bump_control", (c * grid.T, 0.2 * grid.T), grid)
-                    for c in (0.35, 0.5, 0.65)]
-        run("connecting.form_from_interior",
-            lambda: mw.connecting_form_from_interior(q, K, controls))
-    for name in PARTS:
-        out[name] = (parts.seconds[name], parts.peaks[name])
+    sol = run("goursat.solve_goursat", lambda: mw.solve_goursat(q, K))
+    r = run("goursat.response_kernel", lambda: mw.response_kernel(sol))
+    run("connecting.from_w", lambda: mw.connecting_kernel_from_w(sol))
+    del sol
+    c = run("connecting.from_response", lambda: mw.connecting_kernel_from_response(r, K))
+    gl = run("gelfand_levitan.solve_gl", lambda: mw.solve_gl(c))
+    run("gelfand_levitan.recover_potential", lambda: mw.recover_potential(gl))
+    run("gelfand_levitan.gl_residual", lambda: mw.gl_residual(c, gl))
+    run("gelfand_levitan.operator_identity", lambda: mw.operator_identity_residual(c, gl))
+    del gl
+    path = os.path.join(tmpdir, "cT.csv")
+    header = [f"s{j}" for j in range(N + 1)]
+    run("artifacts.write_csv.cT", lambda: write_csv(path, header, c.values))
+    os.unlink(path)
+    del c
+    f = mw.control_from_family("smooth_bump_control", (0.5 * grid.T, 0.25 * grid.T), grid)
+    run("forward.fd_forward", lambda: mw.fd_forward(q, K, f, N))
+    run("forward.fd_forward.trace", lambda: mw.fd_forward(q, K, f, N, rows=2))
+    controls = [mw.control_from_family("smooth_bump_control", (c * grid.T, 0.2 * grid.T), grid)
+                for c in (0.35, 0.5, 0.65)]
+    run("connecting.form_from_interior",
+        lambda: mw.connecting_form_from_interior(q, K, controls))
     return out
 
 
@@ -304,9 +269,9 @@ def ladder(grids: list[int]) -> dict:
         peak = [rungs[N][name][1] for N in grids]
         layers[name] = {
             "seconds": seconds,
-            "peak_mib": [p / 2**20 for p in peak],
+            "peak_mib": peak,
             # in (N+1)^2 float64 arrays
-            "peak_full_arrays": [p / (8 * (N + 1) ** 2) for p, N in zip(peak, grids)],
+            "peak_full_arrays": [p * 2**20 / (8 * (N + 1) ** 2) for p, N in zip(peak, grids)],
             "growth_exp": growth(seconds, grids),
             "peak_growth_exp": growth(peak, grids),
         }

@@ -284,8 +284,8 @@ def _load_data(datadir: str):
     if n_rows < 3 or n_rows % 2 == 0:
         raise UsageError("response.csv must hold 2N+1 samples of [0, 2T]")
     h = t[1] - t[0]
-    tol = 1e-9 * max(h, 1.0)
-    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > tol or abs(t[0]) > 1e-12:
+    tol = 1e-9 * h  # in steps, so the same in any unit of time
+    if h <= 0 or np.max(np.abs(np.diff(t) - h)) > tol or abs(t[0]) > tol:
         raise UsageError("response.csv time column is not a uniform grid from 0")
     N = (n_rows - 1) // 2
     grid = GridSpec(T=t[N], N=N)
@@ -422,8 +422,13 @@ def _verify_two_path(grid, r, K, q) -> dict:
         lo, hi = _TWO_PATH_ORDER_BAND
         return _check("two_path_response", lo <= metric <= hi, metric, [lo, hi],
                       f"mismatch {errs} over levels {levels}")
+    # a level of at least 8 cells that divides N is N/2 or N/4 only if 2 or
+    # 4 divides N, so each is missing as a fraction or as too few cells
+    missing = " and ".join(
+        f"N/{k} = {grid.N / k} is not whole" if grid.N % k
+        else f"N/{k} = {grid.N // k} has fewer than 8 cells" for k in (2, 4))
     return _check("two_path_response", True, errs[-1], None,
-                  "grid too coarse for order estimation, skipped")
+                  f"levels {levels} only: {missing}, so no order to estimate; skipped")
 
 
 def _verify_three_way(rungs, kernels, stop) -> dict:

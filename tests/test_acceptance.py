@@ -22,8 +22,11 @@ from oracles import dense_w
 
 
 def _pipeline_pieces(name, n):
+    """Grid, fields and Goursat solution of a catalogue problem, or of a
+    ``ProblemSpec`` given as ``name``, at T = 1."""
     grid = mw.GridSpec(1.0, n)
-    q, K = mw.get_problem(name).fields(grid)
+    problem = name if isinstance(name, mw.ProblemSpec) else mw.get_problem(name)
+    q, K = problem.fields(grid)
     sol = mw.solve_goursat(q, K)
     return grid, q, K, sol
 
@@ -167,13 +170,19 @@ def test_end_to_end_reconstruction_quality():
     assert time.perf_counter() - t0 < 600.0
 
 
-@pytest.mark.parametrize("name", ["full", "classical"])
+# `full` with a bump half as wide: at n' = n/2 it peaks at the cut
+_NARROW = mw.ProblemSpec(None, "gaussian_bump", (0.5, 0.05, 1.0), "exp_decay", (1.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["full", "classical", _NARROW],
+                         ids=["full", "classical", "narrow"])
 @pytest.mark.parametrize("n", [64, 128, 256])
 def test_the_chain_is_causal(name, n):
     # data cut to [0, 2T'], T' = n'h on the same step, give c_T' as the
     # leading block of c_T and q_hat_T' as the prefix of q_hat_T, to round-off,
     # but at the window's end: the last two rows of c and the last three
-    # nodes of q_hat differ there, at second order, and are not pinned
+    # nodes of q_hat differ there, at second order, and are not pinned, also
+    # where q has structure at the cut
     grid, q, K, sol = _pipeline_pieces(name, n)
     r = mw.response_kernel(sol)
     c = mw.connecting_kernel_from_response(r, K)

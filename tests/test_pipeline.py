@@ -357,18 +357,24 @@ def test_reconstruct_w_oracle_needs_truth(data_dir, tmp_path):
     assert report["metrics"]["cond_estimate"] < 1e3
 
 
-def _scaled_reconstruct(tmp_path, alpha, a, k, N):
-    """q_hat * alpha^2 and l2_rel_err of reconstruct on `full`'s shapes in
-    the unit of time alpha: q scales as alpha^-2 and K as alpha^-3; or the
-    message of the IllConditionedError it raises, less the depth."""
+def _scaled_data(tmp_path, alpha, a, k, N):
+    """Data of `full`'s shapes, q x a and K x k, in the unit of time alpha:
+    q scales as alpha^-2 and K as alpha^-3."""
     cfg = config_from_dict({
         "q": {"family": "gaussian_bump", "params": [0.5 * alpha, 0.1 * alpha, a / alpha**2]},
         "K": {"family": "exp_decay", "params": [k / alpha**3, 1.0 / alpha]},
         "T": alpha, "N": N})
-    data, out = tmp_path / f"d{alpha}", tmp_path / f"o{alpha}"
+    data = tmp_path / f"d{alpha}"
     run_synth(cfg, str(data))
+    return str(data)
+
+
+def _scaled_reconstruct(tmp_path, alpha, a, k, N):
+    """q_hat * alpha^2 and l2_rel_err of reconstruct on ``_scaled_data``; or
+    the message of the IllConditionedError it raises, less the depth."""
+    data, out = _scaled_data(tmp_path, alpha, a, k, N), tmp_path / f"o{alpha}"
     try:
-        report = run_reconstruct(str(data), str(out))
+        report = run_reconstruct(data, str(out))
     except mw.IllConditionedError as exc:
         return str(exc).split("; ", 1)[1]
     _, table = read_csv(str(out / "q_hat.csv"))
@@ -420,6 +426,27 @@ def test_load_rejects_nonuniform_time(data_dir, tmp_path):
     d = _patch_csv(data_dir, tmp_path, "response.csv", mutate)
     with pytest.raises(mw.UsageError):
         run_reconstruct(d, str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize("fname, message", [
+    ("response.csv", "not a uniform grid"),
+    ("kernel_K.csv", "does not match the response time grid"),
+    ("truth_q.csv", "x column does not match"),
+])
+@pytest.mark.parametrize("T", [1e-6, 1.0, 64.0])
+def test_load_rejects_a_grid_value_off_by_a_hundredth_step_in_any_unit(tmp_path, T, fname,
+                                                                      message):
+    # the loader's grid tolerances count in steps h, not in the unit of time
+    d = tmp_path / "d"
+    run_synth(config_from_dict({"problem": "full", "N": 16, "T": T}), str(d))
+    h = T / 16
+
+    def mutate(ls):
+        t, value = ls[9].split(",")
+        ls[9] = f"{float(t) + 0.01 * h!r},{value}"
+
+    with pytest.raises(mw.UsageError, match=message):
+        _load_data(_patch_csv(d, tmp_path, fname, mutate))
 
 
 def test_load_rejects_mismatched_kernel(data_dir, tmp_path):
@@ -681,6 +708,34 @@ def test_verify_marches_no_native_grid_it_skips(tmp_path, monkeypatch, N):
     assert [c["name"] for c in report["checks"]] == [
         "two_path_response", "three_way_connecting", "operator_identity", "gl_residual"]
     assert set(_timings(tmp_path / "v")) == {"schema_version", "command", "wall_times_s"}
+
+
+@pytest.mark.parametrize("N, detail", [
+    (10, "levels [10] only: N/2 = 5 has fewer than 8 cells and N/4 = 2.5 is not whole"),
+    (65, "levels [65] only: N/2 = 32.5 is not whole and N/4 = 16.25 is not whole"),
+])
+def test_two_path_skip_names_its_level_and_why(tmp_path, N, detail):
+    # with one level there is no order to gate: the check passes on the
+    # level's mismatch and says which of N/2 and N/4 is missing, and why
+    d = str(tmp_path / "d")
+    run_synth(config_from_dict({"problem": "full", "N": N}), d)
+    check = run_verify(d)["checks"][0]
+    assert check["name"] == "two_path_response" and check["passed"]
+    assert check["threshold"] is None and 0.0 < check["metric"] < np.inf
+    assert check["detail"] == f"{detail}, so no order to estimate; skipped"
+
+
+@pytest.mark.parametrize("N", [16, 20, 40])
+def test_two_path_order_is_the_same_in_any_unit_of_time(tmp_path, N):
+    # the mismatch scales as one power of alpha at every level, so its order
+    # and the verdict on it are the same bits for alpha = 4^-3 ... 4^3
+    def two_path(alpha):
+        check = run_verify(_scaled_data(tmp_path, alpha, 1, 1, N))["checks"][0]
+        assert check["name"] == "two_path_response"
+        return check["passed"], check["metric"]
+
+    runs = [two_path(4.0**j) for j in range(-3, 4)]
+    assert runs == [runs[3]] * 7
 
 
 @pytest.mark.parametrize("march, check, threshold", [
